@@ -13,18 +13,11 @@
 //!   gains here come mostly from the flat cache slab and the fused
 //!   single-pass access.
 //!
-//! A second section, `parallel_scaling`, measures the work-sharded
-//! parallel engine (DESIGN.md §10) against the serial batched engine on
-//! gauss-127 and water at 8 simulated processors, with 1/2/4 worker
-//! threads. The curve is recorded whatever it shows — on a single-CPU
-//! host (`host_cpus` in the output) the workers time-slice one core and
-//! the numbers measure pure protocol overhead, not speedup.
-//!
 //! Usage: `cargo run --release -p placesim-bench --bin bench_engine`.
 
 use placesim::manifest::{ManifestEntry, RunManifest};
 use placesim::PreparedApp;
-use placesim_machine::{reference, simulate, simulate_parallel, ArchConfig};
+use placesim_machine::{reference, simulate, ArchConfig};
 use placesim_placement::{PlacementAlgorithm, PlacementMap};
 use placesim_trace::{Address, MemRef, ProgramTrace, ThreadTrace};
 use placesim_workloads::{spec, GenOptions};
@@ -156,75 +149,7 @@ fn main() {
         ));
     }
 
-    // Parallel scaling: the work-sharded engine vs the serial batched
-    // engine, 8 simulated processors, 1/2/4 workers. Workloads chosen
-    // per the paper: gauss (127 threads, the suite's maximum) and water.
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut par_rows = Vec::new();
-    for app_name in ["gauss", "water"] {
-        let papp = if app_name == "water" {
-            // Reuse the already-prepared water app.
-            None
-        } else {
-            Some(PreparedApp::prepare(
-                &spec(app_name).expect("known app"),
-                &opts,
-            ))
-        };
-        let papp = papp.as_ref().unwrap_or(&app);
-        let scenario = format!("{app_name}-8p");
-        let map = PlacementAlgorithm::LoadBal
-            .place(&papp.placement_inputs(), 8)
-            .expect("placement");
-        let refs = papp.prog.total_refs() as f64;
-        let serial_stats = simulate(&papp.prog, &map, &papp.config).unwrap();
-        let serial = median_secs(samples, || {
-            drop(simulate(&papp.prog, &map, &papp.config).unwrap());
-        });
-        let serial_rps = refs / serial;
-        let mut worker_rows = Vec::new();
-        for workers in [1usize, 2, 4] {
-            // The untimed run doubles as a bit-identity spot check.
-            let stats = simulate_parallel(&papp.prog, &map, &papp.config, workers).unwrap();
-            assert_eq!(serial_stats, stats, "parallel engine diverged in bench");
-            let t = median_secs(samples, || {
-                drop(simulate_parallel(&papp.prog, &map, &papp.config, workers).unwrap());
-            });
-            let rps = refs / t;
-            println!(
-                "{:<12} {:>12.0} refs/s at {} workers | {:.2}x vs serial",
-                scenario,
-                rps,
-                workers,
-                rps / serial_rps
-            );
-            worker_rows.push(format!(
-                concat!(
-                    "        {{ \"workers\": {}, \"refs_per_sec\": {:.0}, ",
-                    "\"speedup_vs_serial\": {:.3} }}"
-                ),
-                workers,
-                rps,
-                rps / serial_rps
-            ));
-        }
-        entries.push(ManifestEntry::from_stats(&scenario, 8, &serial_stats));
-        par_rows.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"scenario\": \"{}\",\n",
-                "      \"total_refs\": {},\n",
-                "      \"serial_refs_per_sec\": {:.0},\n",
-                "      \"workers\": [\n{}\n      ]\n",
-                "    }}"
-            ),
-            scenario,
-            papp.prog.total_refs(),
-            serial_rps,
-            worker_rows.join(",\n")
-        ));
-    }
-
     let json = format!(
         concat!(
             "{{\n",
@@ -232,18 +157,15 @@ fn main() {
             "  \"unit\": \"references per second, median of {} runs\",\n",
             "  \"engines\": {{\n",
             "    \"batched\": \"hit-run batching + flat cache slab + fused access\",\n",
-            "    \"reference\": \"one heap event per reference (pre-optimisation engine)\",\n",
-            "    \"parallel\": \"work-sharded horizon-window engine (DESIGN.md \\u00a710)\"\n",
+            "    \"reference\": \"one heap event per reference (pre-optimisation engine)\"\n",
             "  }},\n",
             "  \"host_cpus\": {},\n",
-            "  \"scenarios\": [\n{}\n  ],\n",
-            "  \"parallel_scaling\": [\n{}\n  ]\n",
+            "  \"scenarios\": [\n{}\n  ]\n",
             "}}\n"
         ),
         samples,
         host_cpus,
-        rows.join(",\n"),
-        par_rows.join(",\n")
+        rows.join(",\n")
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
     std::fs::write(out, json).expect("write BENCH_engine.json");

@@ -25,8 +25,7 @@ use placesim_obs::json::JsonWriter;
 use placesim_obs::{sink, FaultCounters};
 use placesim_placement::PlacementAlgorithm;
 use placesim_trace::par::{
-    max_workers, panic_payload_summary, parallel_map_isolated_bounded, sim_workers,
-    split_worker_budget, CancelToken, IsolatedOutcome,
+    panic_payload_summary, parallel_map_isolated, CancelToken, IsolatedOutcome,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -448,15 +447,7 @@ pub fn run_supervised_sweep(
     // watchers can start polling before the first cell lands.
     monitor.lock().unwrap_or_else(|p| p.into_inner()).rewrite();
     let cancel = CancelToken::new();
-    // Division of labor between the two pools: `PLACESIM_THREADS` is the
-    // single machine-wide budget. Each grid cell may itself fan out over
-    // `PLACESIM_SIM_THREADS` intra-simulation workers (the parallel
-    // engine), so the cell pool is clamped to budget / sim-threads —
-    // otherwise a 16-core sweep with 4 sim threads per cell would spawn
-    // 64 runnable threads and thrash. One cell always runs, even when
-    // sim-threads exceeds the whole budget.
-    let cell_workers = split_worker_budget(max_workers(), sim_workers());
-    let outcomes = parallel_map_isolated_bounded(&pending, Some(&cancel), cell_workers, |&index| {
+    let outcomes = parallel_map_isolated(&pending, Some(&cancel), |&index| {
         supervise_cell(
             app, algorithms, &header, index, sup, &writer, &faults, &monitor, &cancel,
         )

@@ -121,8 +121,7 @@ pub enum Access {
 
 /// A set-associative processor cache with LRU replacement
 /// (associativity 1 = the paper's direct-mapped configuration).
-/// `Clone` exists for the parallel engine's per-window snapshots.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ProcessorCache {
     /// Flat way slab: set `s` is `slots[s * assoc ..][..lens[s]]`,
     /// MRU first.

@@ -103,55 +103,12 @@ impl Transaction {
 #[derive(Debug, Default)]
 pub struct Directory {
     lines: FastMap<u64, DirState>,
-    /// Undo log for speculative window validation (parallel engine).
-    /// While active, every mutating call records the touched line's
-    /// prior state, so a whole window of transactions can be rolled
-    /// back and replayed. `None` (the serial engine) costs one
-    /// predictable branch per transaction.
-    journal: Option<Vec<(u64, Option<DirState>)>>,
 }
 
 impl Directory {
     /// Creates an empty directory.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Starts journaling mutations. Must not already be journaling.
-    pub(crate) fn journal_begin(&mut self) {
-        debug_assert!(self.journal.is_none(), "journal already active");
-        self.journal = Some(Vec::new());
-    }
-
-    /// Undoes every mutation since [`Self::journal_begin`] (or the last
-    /// rollback), restoring preimages in reverse order. Journaling stays
-    /// active for the replay that follows.
-    pub(crate) fn journal_rollback(&mut self) {
-        if let Some(journal) = &mut self.journal {
-            for (line, prev) in journal.drain(..).rev() {
-                match prev {
-                    Some(state) => {
-                        self.lines.insert(line, state);
-                    }
-                    None => {
-                        self.lines.remove(&line);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Accepts every mutation since [`Self::journal_begin`] and stops
-    /// journaling.
-    pub(crate) fn journal_commit(&mut self) {
-        self.journal = None;
-    }
-
-    /// Records `line`'s current state before a mutation, if journaling.
-    fn journal_record(&mut self, line: u64) {
-        if let Some(journal) = &mut self.journal {
-            journal.push((line, self.lines.get(&line).copied()));
-        }
     }
 
     /// Number of lines with at least one cached copy.
@@ -164,8 +121,6 @@ impl Directory {
     /// Returns the remote actions: a Modified owner, if any, must
     /// downgrade to Shared.
     pub fn read_fill(&mut self, p: ProcessorId, line: u64) -> Transaction {
-        self.journal_record(line);
-        let journaling = self.journal.is_some();
         let mut tx = Transaction::none();
         let state = self
             .lines
@@ -177,14 +132,7 @@ impl Directory {
             }
             DirState::Modified(owner) => {
                 let owner = *owner;
-                // Under an active journal (parallel-engine validation) a
-                // mis-speculated iteration may replay inconsistent
-                // transactions before being rolled back, so the sanity
-                // assert only holds for unjournaled (serial) use.
-                debug_assert!(
-                    journaling || owner != p,
-                    "owner re-reading must hit in its own cache"
-                );
+                debug_assert!(owner != p, "owner re-reading must hit in its own cache");
                 tx.downgrade = Some(owner);
                 let mut sharers = SharerSet::single(owner);
                 sharers.insert(p);
@@ -200,7 +148,6 @@ impl Directory {
     /// Returns the remote caches to invalidate; the directory then
     /// records `p` as the exclusive Modified owner.
     pub fn write_fill(&mut self, p: ProcessorId, line: u64) -> Transaction {
-        self.journal_record(line);
         let mut tx = Transaction::none();
         let state = self.lines.entry(line).or_insert(DirState::Modified(p));
         match state {
@@ -231,12 +178,9 @@ impl Directory {
     /// consulted on remote access". A later remote read downgrades it
     /// via the ordinary [`Directory::read_fill`] path.
     pub fn grant_exclusive(&mut self, p: ProcessorId, line: u64) {
-        self.journal_record(line);
-        let journaling = self.journal.is_some();
         let prev = self.lines.insert(line, DirState::Modified(p));
-        // See read_fill: journaled replays may be speculative.
         debug_assert!(
-            journaling || prev.is_none(),
+            prev.is_none(),
             "exclusive grant for a line with existing holders"
         );
     }
@@ -249,8 +193,6 @@ impl Directory {
     /// holder the line is recorded as Modified, otherwise the sharer set
     /// (including `p`, who holds it SharedDirty) stays Shared.
     pub fn update_fill(&mut self, p: ProcessorId, line: u64) -> Vec<ProcessorId> {
-        self.journal_record(line);
-        let journaling = self.journal.is_some();
         let mut others = Vec::new();
         let state = self
             .lines
@@ -267,10 +209,9 @@ impl Directory {
             }
             DirState::Modified(owner) => {
                 // A write hit on an exclusively-held line is silent in the
-                // cache (E/M → M), so serial Dragon never sends the owner
-                // back here; only speculative journaled replays can.
+                // cache (E/M → M), so Dragon never sends the owner back here.
                 debug_assert!(
-                    journaling || *owner != p,
+                    *owner != p,
                     "owner re-updating must upgrade silently in its own cache"
                 );
                 if *owner != p {
@@ -286,8 +227,6 @@ impl Directory {
 
     /// Replacement hint: processor `p` evicted its copy of `line`.
     pub fn evict(&mut self, p: ProcessorId, line: u64) {
-        self.journal_record(line);
-        let journaling = self.journal.is_some();
         if let Some(state) = self.lines.get_mut(&line) {
             match state {
                 DirState::Shared(sharers) => {
@@ -297,11 +236,7 @@ impl Directory {
                     }
                 }
                 DirState::Modified(owner) => {
-                    // See read_fill: journaled replays may be speculative.
-                    debug_assert!(
-                        journaling || *owner == p,
-                        "only the owner can evict a Modified line"
-                    );
+                    debug_assert!(*owner == p, "only the owner can evict a Modified line");
                     self.lines.remove(&line);
                 }
             }
@@ -434,34 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn journal_rollback_restores_preimages() {
-        let mut d = Directory::new();
-        d.read_fill(p(0), 10);
-        d.write_fill(p(1), 20);
-
-        d.journal_begin();
-        d.write_fill(p(2), 10); // steal 10 from sharers
-        d.read_fill(p(3), 20); // downgrade 20's owner
-        d.write_fill(p(0), 30); // fresh line
-        d.evict(p(1), 20);
-        assert!(d.holds(p(2), 10));
-        d.journal_rollback();
-
-        // Pre-window state restored exactly.
-        assert!(d.holds(p(0), 10));
-        assert!(!d.holds(p(2), 10));
-        assert_eq!(d.owner(20), Some(p(1)));
-        assert_eq!(d.sharers(30), SharerSet::empty());
-        assert_eq!(d.tracked_lines(), 2);
-
-        // Journal stays active: replay then commit keeps the replay.
-        let tx = d.write_fill(p(2), 10);
-        assert_eq!(tx.invalidate, vec![p(0)]);
-        d.journal_commit();
-        assert!(d.holds(p(2), 10));
-    }
-
-    #[test]
     fn upgrade_from_shared_excludes_writer() {
         let mut d = Directory::new();
         d.read_fill(p(0), 60);
@@ -519,19 +426,5 @@ mod tests {
         // p0 is the only sharer left; its update promotes to ownership.
         assert!(d.update_fill(p(0), 95).is_empty());
         assert_eq!(d.owner(95), Some(p(0)));
-    }
-
-    #[test]
-    fn journal_rolls_back_new_fill_paths() {
-        let mut d = Directory::new();
-        d.read_fill(p(0), 10);
-        d.journal_begin();
-        d.grant_exclusive(p(1), 11);
-        d.update_fill(p(2), 10);
-        d.journal_rollback();
-        assert_eq!(d.sharers(11), SharerSet::empty());
-        assert!(d.holds(p(0), 10));
-        assert!(!d.holds(p(2), 10));
-        d.journal_commit();
     }
 }

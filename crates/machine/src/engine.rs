@@ -139,11 +139,6 @@ impl std::error::Error for SimError {}
 /// Simulates `prog` on the machine described by `config`, with threads
 /// placed per `map`. See the module docs for the execution model.
 ///
-/// When `PLACESIM_SIM_THREADS` is set above 1 the work-sharded parallel
-/// engine ([`crate::parallel::simulate_parallel`]) runs instead; its
-/// results are bit-identical to the serial engine's (differential
-/// proptests enforce this), so the switch is purely a wall-clock knob.
-///
 /// # Errors
 ///
 /// Returns [`SimError`] if the placement does not match the trace or
@@ -153,10 +148,6 @@ pub fn simulate(
     map: &PlacementMap,
     config: &ArchConfig,
 ) -> Result<SimStats, SimError> {
-    let workers = placesim_trace::par::sim_workers();
-    if workers > 1 {
-        return crate::parallel::simulate_parallel(prog, map, config, workers);
-    }
     let (stats, _) = run(prog, map, config, false, &mut EngineObs::disabled())?;
     Ok(stats)
 }
@@ -170,27 +161,6 @@ pub fn simulate(
 ///
 /// Same as [`simulate`].
 pub fn simulate_with_traffic(
-    prog: &ProgramTrace,
-    map: &PlacementMap,
-    config: &ArchConfig,
-) -> Result<(SimStats, SymMatrix<u64>), SimError> {
-    let workers = placesim_trace::par::sim_workers();
-    if workers > 1 {
-        return crate::parallel::simulate_parallel_with_traffic(prog, map, config, workers);
-    }
-    let (stats, traffic) = run(prog, map, config, true, &mut EngineObs::disabled())?;
-    Ok((stats, traffic.expect("traffic recording was enabled")))
-}
-
-/// [`simulate_with_traffic`] pinned to the serial batched engine,
-/// ignoring `PLACESIM_SIM_THREADS`. This is the differential baseline
-/// the parallel engine is tested against, and must stay reachable even
-/// when the environment opts the normal entry points into parallelism.
-///
-/// # Errors
-///
-/// Same as [`simulate`].
-pub fn simulate_serial_with_traffic(
     prog: &ProgramTrace,
     map: &PlacementMap,
     config: &ArchConfig,
@@ -258,10 +228,7 @@ pub fn attribution_enabled() -> bool {
 /// Like [`simulate`], but attributes every coherence event —
 /// invalidation, Dragon update, coherence miss — to its (address,
 /// writer-thread, victim-thread) triple, aggregated online by an
-/// [`AttrCollector`] sized per `acfg`. Always runs the serial batched
-/// engine (it is the attribution baseline the parallel engine is
-/// differentially tested against); use
-/// [`crate::parallel::simulate_attributed_parallel`] to shard.
+/// [`AttrCollector`] sized per `acfg`.
 ///
 /// The statistics are bit-identical to [`simulate`]'s — attribution
 /// never perturbs the simulation (proptest-enforced per protocol).
@@ -282,24 +249,20 @@ pub fn simulate_attributed(
 }
 
 /// One hardware context: a thread's reference stream plus readiness.
-/// `Clone` exists for the parallel engine's per-window snapshots (the
-/// iterator is a slice cursor, so a clone is two pointers).
-#[derive(Clone)]
-pub(crate) struct Context<'a> {
-    pub(crate) thread: ThreadId,
-    pub(crate) refs: ThreadTraceIter<'a>,
-    pub(crate) ready_at: u64,
-    pub(crate) done: bool,
+struct Context<'a> {
+    thread: ThreadId,
+    refs: ThreadTraceIter<'a>,
+    ready_at: u64,
+    done: bool,
     /// Arrived at a barrier and waiting for the release.
-    pub(crate) waiting: bool,
+    waiting: bool,
 }
 
 /// One processor: its contexts and the round-robin cursor.
-#[derive(Clone)]
-pub(crate) struct Processor<'a> {
-    pub(crate) contexts: Vec<Context<'a>>,
-    pub(crate) current: usize,
-    pub(crate) stats: ProcStats,
+struct Processor<'a> {
+    contexts: Vec<Context<'a>>,
+    current: usize,
+    stats: ProcStats,
 }
 
 impl Processor<'_> {
@@ -309,7 +272,7 @@ impl Processor<'_> {
     ///
     /// Returns `(index, dispatch_time)` or `None` when all contexts are
     /// done.
-    pub(crate) fn next_context(&self, deadline: u64) -> Option<(usize, u64)> {
+    fn next_context(&self, deadline: u64) -> Option<(usize, u64)> {
         let n = self.contexts.len();
         let mut best_later: Option<(u64, usize)> = None;
         for step in 1..=n {
@@ -332,7 +295,7 @@ impl Processor<'_> {
 
 /// Validates placement shape, processor count and barrier participation.
 /// Returns the barrier participant count.
-pub(crate) fn validate(prog: &ProgramTrace, map: &PlacementMap) -> Result<u64, SimError> {
+fn validate(prog: &ProgramTrace, map: &PlacementMap) -> Result<u64, SimError> {
     if map.thread_count() != prog.thread_count() {
         return Err(SimError::PlacementMismatch {
             trace_threads: prog.thread_count(),
@@ -366,7 +329,7 @@ pub(crate) fn validate(prog: &ProgramTrace, map: &PlacementMap) -> Result<u64, S
 }
 
 /// Builds the per-processor contexts and seeds the event queue.
-pub(crate) fn build_processors<'a>(
+fn build_processors<'a>(
     prog: &'a ProgramTrace,
     map: &PlacementMap,
     mut schedule: impl FnMut(usize, u64),
@@ -402,15 +365,15 @@ pub(crate) fn build_processors<'a>(
 }
 
 /// Absent event marker in the batched engine's slot queue.
-pub(crate) const NO_EVENT: u64 = u64::MAX;
+const NO_EVENT: u64 = u64::MAX;
 
 /// "Unknown thread" marker in the attribution hooks (the numeric value
 /// of [`placesim_obs::timeline::NO_THREAD`]).
-pub(crate) const ATTR_NO_THREAD: u32 = u32::MAX;
+const ATTR_NO_THREAD: u32 = u32::MAX;
 
 /// The last thread to touch `line` in `cache`, as the `u32` the
 /// attribution hooks carry ([`ATTR_NO_THREAD`] when not resident).
-pub(crate) fn owner_u32(cache: &ProcessorCache, line: u64) -> u32 {
+fn owner_u32(cache: &ProcessorCache, line: u64) -> u32 {
     cache
         .owner_of(line)
         .map_or(ATTR_NO_THREAD, |t| t.index() as u32)
@@ -466,7 +429,7 @@ enum Stop {
 }
 
 #[allow(clippy::too_many_lines)]
-pub(crate) fn run(
+fn run(
     prog: &ProgramTrace,
     map: &PlacementMap,
     config: &ArchConfig,

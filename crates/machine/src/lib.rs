@@ -48,7 +48,6 @@ mod directory;
 mod engine;
 pub mod model;
 mod obs;
-pub mod parallel;
 pub mod probe;
 mod protocol;
 mod stats;
@@ -59,15 +58,11 @@ pub use directory::{Directory, SharerSet, MAX_PROCESSORS};
 #[cfg(feature = "reference-engine")]
 pub use engine::reference;
 pub use engine::{
-    attribution_enabled, simulate, simulate_attributed, simulate_observed,
-    simulate_serial_with_traffic, simulate_traced, simulate_with_traffic, SimError,
+    attribution_enabled, simulate, simulate_attributed, simulate_observed, simulate_traced,
+    simulate_with_traffic, SimError,
 };
 pub use model::{simulated_efficiency, EfficiencyModel};
 pub use obs::EngineObsReport;
-pub use parallel::{
-    simulate_attributed_configured, simulate_attributed_parallel, simulate_parallel,
-    simulate_parallel_with_traffic, ParConfig,
-};
 pub use placesim_obs::{
     AttrCollector, AttrKind, AttributionConfig, EventKind, EventTrace, SharingRun, TimelineEvent,
 };

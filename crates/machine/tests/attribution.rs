@@ -1,6 +1,6 @@
 //! Coherence-attribution conservation and differential suite.
 //!
-//! Four families of guarantees, over randomized programs, placements
+//! Three families of guarantees, over randomized programs, placements
 //! and geometries:
 //!
 //! * **Observer transparency** — [`simulate_attributed`] returns
@@ -11,10 +11,6 @@
 //!   attributed updates ≡ `total_updates`, attributed coherence misses
 //!   ≡ `total_misses().invalidation`; and the thread-pair matrix plus
 //!   the unattributed remainder sums back to the event total.
-//! * **Parallel bit-identity** — the work-sharded engine's collector
-//!   matches the serial one's *full report* (order-sensitive sharing-run
-//!   histograms and sketch state included) at 1/2/4/8 workers, adaptive
-//!   and tiny fixed windows.
 //! * **Sketch fidelity** — the Misra-Gries fallback keeps every heavy
 //!   hitter and honors its declared error bound against an exact run of
 //!   the same workload.
@@ -22,8 +18,7 @@
 #![cfg(feature = "obs")]
 
 use placesim_machine::{
-    simulate, simulate_attributed, simulate_attributed_configured, ArchConfig, AttrKind,
-    AttributionConfig, ParConfig, Protocol,
+    simulate, simulate_attributed, ArchConfig, AttrKind, AttributionConfig, Protocol,
 };
 use placesim_placement::PlacementMap;
 use placesim_trace::{Address, MemRef, ProgramTrace, ThreadTrace};
@@ -52,39 +47,6 @@ fn arb_program() -> impl Strategy<Value = ProgramTrace> {
             .collect();
         ProgramTrace::new("attr-prop", traces)
     })
-}
-
-/// Programs with barrier phases, so the parallel differential covers
-/// parks, releases and window truncation while events are buffered.
-fn arb_barrier_program() -> impl Strategy<Value = ProgramTrace> {
-    let segment = proptest::collection::vec((0u8..3, 0u64..48), 0..30);
-    (
-        1usize..4,
-        proptest::collection::vec(proptest::collection::vec(segment, 3), 1..5),
-    )
-        .prop_map(|(phases, threads)| {
-            let traces: Vec<ThreadTrace> = threads
-                .into_iter()
-                .map(|segments| {
-                    let mut t = ThreadTrace::new();
-                    for (pi, seg) in segments.into_iter().take(phases).enumerate() {
-                        for (kind, slot) in seg {
-                            let addr = Address::new(0x100 + slot * 16);
-                            t.push(match kind {
-                                0 => MemRef::instr(addr),
-                                1 => MemRef::read(addr),
-                                _ => MemRef::write(addr),
-                            });
-                        }
-                        if pi + 1 < phases {
-                            t.push(MemRef::barrier(pi as u64));
-                        }
-                    }
-                    t
-                })
-                .collect();
-            ProgramTrace::new("attr-barrier-prop", traces)
-        })
 }
 
 fn arb_placement(t: usize, seed: u64) -> PlacementMap {
@@ -174,38 +136,6 @@ fn assert_attribution_conserves(prog: &ProgramTrace, map: &PlacementMap, config:
     assert_eq!(parsed.protocol, protocol.to_string());
 }
 
-/// Serial vs parallel full-report equality on one scenario, across the
-/// worker-thread counts the issue pins (1/2/4/8) and the given window.
-fn assert_parallel_attribution_agrees(
-    prog: &ProgramTrace,
-    map: &PlacementMap,
-    config: &ArchConfig,
-    window: u64,
-) {
-    let acfg = AttributionConfig::default();
-    let (serial_stats, serial_attr) =
-        simulate_attributed(prog, map, config, acfg).expect("serial attributed");
-    let name = config.protocol().to_string();
-    let serial_report = serial_attr.report_json(&name, prog.thread_count(), 1 << 16);
-    for threads in [1usize, 2, 4, 8] {
-        let par = ParConfig { threads, window };
-        let (stats, attr) =
-            simulate_attributed_configured(prog, map, config, acfg, &par).expect("parallel");
-        assert_eq!(
-            serial_stats, stats,
-            "serial and parallel SimStats diverge (threads={threads}, window={window})"
-        );
-        // Full-report equality pins everything the collector holds:
-        // totals, pair matrix, per-address counts, order-sensitive
-        // sharing-run histograms, and the sketch/exact mode state.
-        assert_eq!(
-            serial_report,
-            attr.report_json(&name, prog.thread_count(), 1 << 16),
-            "serial and parallel attribution diverge (threads={threads}, window={window})"
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -237,42 +167,6 @@ proptest! {
     ) {
         let map = arb_placement(prog.thread_count(), seed);
         assert_attribution_conserves(&prog, &map, &config);
-    }
-
-    #[test]
-    fn parallel_attribution_matches_serial(
-        prog in arb_program(),
-        seed in 1u64..5000,
-        config in arb_config(Protocol::Wi),
-    ) {
-        let map = arb_placement(prog.thread_count(), seed);
-        assert_parallel_attribution_agrees(&prog, &map, &config, 0);
-    }
-
-    #[test]
-    fn parallel_attribution_matches_serial_under_tiny_windows(
-        prog in arb_barrier_program(),
-        seed in 1u64..5000,
-        config in arb_config(Protocol::Wi),
-        window in 1u64..9,
-    ) {
-        // Tiny fixed windows force foreign events to drain at window
-        // edges and barrier truncation to re-execute shards — exactly
-        // the paths where stale attribution buffers would double-count.
-        let map = arb_placement(prog.thread_count(), seed);
-        assert_parallel_attribution_agrees(&prog, &map, &config, window);
-    }
-
-    #[test]
-    fn dragon_parallel_entry_falls_back_with_attribution(
-        prog in arb_program(),
-        seed in 1u64..5000,
-        config in arb_config(Protocol::Dragon),
-    ) {
-        // Dragon shards serially; the parallel entry point must still
-        // attribute (the observer rides the fallback).
-        let map = arb_placement(prog.thread_count(), seed);
-        assert_parallel_attribution_agrees(&prog, &map, &config, 0);
     }
 }
 
@@ -339,32 +233,6 @@ fn sketch_agrees_with_exact_on_heavy_hitters() {
         tracked.len() <= 16,
         "sketch exceeded its configured capacity"
     );
-}
-
-/// Sketch state is part of the parallel bit-identity contract too: the
-/// sharded run converts to the sketch at the same event, producing the
-/// same survivors and error bound.
-#[test]
-fn parallel_sketch_state_matches_serial() {
-    let (prog, map) = skewed_program(300);
-    let config = ArchConfig::paper_default();
-    let acfg = AttributionConfig::new(64, 16);
-    let (_, serial) = simulate_attributed(&prog, &map, &config, acfg).expect("serial");
-    assert!(serial.is_sketch());
-    let name = config.protocol().to_string();
-    let serial_report = serial.report_json(&name, 2, 1 << 16);
-    for threads in [2usize, 4, 8] {
-        for window in [0u64, 4] {
-            let par = ParConfig { threads, window };
-            let (_, attr) =
-                simulate_attributed_configured(&prog, &map, &config, acfg, &par).expect("parallel");
-            assert_eq!(
-                serial_report,
-                attr.report_json(&name, 2, 1 << 16),
-                "sketch state diverged (threads={threads}, window={window})"
-            );
-        }
-    }
 }
 
 /// Attribution accounting survives a collector merge the way a sweep

@@ -4,10 +4,9 @@
 //! and cache geometries (associativity 1 and 2):
 //!
 //! * **WI bit-identity** — `protocol=wi` is the pre-refactor machine.
-//!   The serial engine must agree bit-for-bit (every [`ProcStats`]
-//!   counter and the traffic matrix) with the parallel engine at 1, 2,
-//!   4 and 8 simulation workers, and (under `reference-engine`) with
-//!   the per-reference reference engine.
+//!   Under `reference-engine` the batched engine must agree bit-for-bit
+//!   (every [`ProcStats`] counter and the traffic matrix) with the
+//!   per-reference reference engine.
 //! * **Message conservation** — for every protocol,
 //!   `coherence_traffic = invalidations + invalidation misses +
 //!   updates`, the buckets are disjoint (WI/MESI send no updates,
@@ -23,9 +22,7 @@
 //! proptests here exercise all three protocols, so audit CI runs sweep
 //! those laws across the same randomized scenarios.
 
-use placesim_machine::{
-    simulate_parallel_with_traffic, simulate_with_traffic, ArchConfig, Protocol, SimStats,
-};
+use placesim_machine::{simulate_with_traffic, ArchConfig, Protocol, SimStats};
 use placesim_placement::PlacementMap;
 use placesim_trace::{Address, MemRef, ProgramTrace, ThreadTrace};
 use proptest::prelude::*;
@@ -118,27 +115,12 @@ fn assert_conservation(protocol: Protocol, stats: &SimStats) {
     }
 }
 
-/// Runs one scenario under `protocol` serially and at 2/4/8 parallel
-/// workers, asserting bit-identical stats and traffic matrices, and
-/// returns the serial stats.
+/// Runs one scenario under `protocol` on the batched engine and (when
+/// built in) the reference engine, asserting bit-identical stats and
+/// traffic matrices, and returns the batched engine's stats.
 fn simulate_all_engines(prog: &ProgramTrace, map: &PlacementMap, config: &ArchConfig) -> SimStats {
+    #[cfg_attr(not(feature = "reference-engine"), allow(unused_variables))]
     let (serial, serial_traffic) = simulate_with_traffic(prog, map, config).expect("serial engine");
-    for workers in [1, 2, 4, 8] {
-        let (par, par_traffic) =
-            simulate_parallel_with_traffic(prog, map, config, workers).expect("parallel engine");
-        assert_eq!(
-            serial,
-            par,
-            "parallel({workers}) diverges from serial under {}",
-            config.protocol()
-        );
-        assert_eq!(
-            serial_traffic,
-            par_traffic,
-            "parallel({workers}) traffic diverges under {}",
-            config.protocol()
-        );
-    }
     #[cfg(feature = "reference-engine")]
     {
         let (slow, slow_traffic) =
@@ -158,7 +140,7 @@ fn simulate_all_engines(prog: &ProgramTrace, map: &PlacementMap, config: &ArchCo
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// WI bit-identity across serial, parallel and (when built in) the
+    /// WI bit-identity between the batched and (when built in) the
     /// reference engine, plus conservation.
     #[test]
     fn wi_is_bit_identical_across_engines(
@@ -171,11 +153,10 @@ proptest! {
         assert_conservation(Protocol::Wi, &stats);
     }
 
-    /// MESI agrees with itself across engines (the parallel path falls
-    /// back to serial), conserves messages, and only ever *removes*
-    /// upgrade traffic relative to WI — the exclusive-clean fill turns
-    /// first-writes to private lines silent without changing which
-    /// references miss.
+    /// MESI agrees with itself across engines, conserves messages, and
+    /// only ever *removes* upgrade traffic relative to WI — the
+    /// exclusive-clean fill turns first-writes to private lines silent
+    /// without changing which references miss.
     #[test]
     fn mesi_conserves_and_only_reduces_upgrades(
         prog in arb_program(),

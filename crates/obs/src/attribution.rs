@@ -25,8 +25,7 @@
 //! The collector is order-sensitive only through the run histograms and
 //! the sketch's eviction choices; per-kind totals and the pair matrix
 //! are exact and order-independent. Feeding the same event sequence in
-//! the same order always produces a bit-identical report, which is what
-//! the parallel-engine differential tests pin.
+//! the same order always produces a bit-identical report.
 //!
 //! Serialization is the `placesim-attribution-v1` schema, written with
 //! the crate's [`JsonWriter`][crate::json::JsonWriter] and re-validated

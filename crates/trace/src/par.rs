@@ -85,29 +85,18 @@ pub fn max_workers() -> usize {
         })
 }
 
-/// Worker threads each *simulation* may use internally (the intra-sim
-/// parallel engine in the machine crate).
+/// Threads one simulation uses: always 1, the engine is serial.
 ///
-/// Defaults to 1 (serial engine, bit-identical behavior); the
-/// `PLACESIM_SIM_THREADS` environment variable raises it. Values < 1 or
-/// unparsable fall back to 1 so a typo can never silently change engine
-/// results — the parallel engine is differential-tested against serial,
-/// but defaulting to serial keeps the blast radius of a bad setting
-/// zero.
+/// Kept only for the `placebench` crate, which still sizes its sweep
+/// pool as `split_worker_budget(max_workers(), sim_workers())`, i.e.
+/// `max_workers()`. Delete both together with that call.
+#[doc(hidden)]
 pub fn sim_workers() -> usize {
-    std::env::var("PLACESIM_SIM_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
+    1
 }
 
-/// Splits a total thread budget between an outer job pool and the
-/// per-job inner (simulation) thread count: the outer pool gets
-/// `total / inner` workers, floored at one, so outer × inner never
-/// exceeds the budget (except for the unavoidable minimum of one outer
-/// worker). Used by the supervisor to compose cell-level and intra-sim
-/// parallelism without oversubscribing `PLACESIM_THREADS`.
+/// `total / inner`, floored at one. See [`sim_workers`].
+#[doc(hidden)]
 pub fn split_worker_budget(total: usize, inner: usize) -> usize {
     (total / inner.max(1)).max(1)
 }
@@ -293,26 +282,6 @@ pub fn parallel_map_isolated<T, R, F>(
 ) -> Vec<IsolatedOutcome<R>>
 where
     T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map_isolated_bounded(items, cancel, max_workers(), f)
-}
-
-/// [`parallel_map_isolated`] with an explicit worker-count cap instead
-/// of the ambient [`max_workers`] default. Callers whose items spawn
-/// their own inner threads (e.g. simulation cells running the parallel
-/// engine) pass a pre-divided budget here — see [`split_worker_budget`]
-/// — so the product of outer and inner workers respects
-/// `PLACESIM_THREADS`.
-pub fn parallel_map_isolated_bounded<T, R, F>(
-    items: &[T],
-    cancel: Option<&CancelToken>,
-    max_pool: usize,
-    f: F,
-) -> Vec<IsolatedOutcome<R>>
-where
-    T: Sync,
     // Only `Send`, not `Sync`: outcomes (which may hold non-`Sync`
     // panic payloads) live behind a mutex, never shared by reference.
     R: Send,
@@ -323,7 +292,7 @@ where
         return Vec::new();
     }
     let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
-    let workers = max_pool.max(1).min(n);
+    let workers = max_workers().min(n);
     if workers <= 1 {
         return items
             .iter()
@@ -382,39 +351,6 @@ mod tests {
     fn worker_count_is_positive() {
         // Whatever PLACESIM_THREADS or the host says, the pool is usable.
         assert!(max_workers() >= 1);
-    }
-
-    #[test]
-    fn sim_worker_count_is_positive() {
-        // Unset or garbage PLACESIM_SIM_THREADS must never zero the pool.
-        assert!(sim_workers() >= 1);
-    }
-
-    #[test]
-    fn budget_split_never_oversubscribes() {
-        assert_eq!(split_worker_budget(8, 1), 8);
-        assert_eq!(split_worker_budget(8, 2), 4);
-        assert_eq!(split_worker_budget(8, 3), 2);
-        assert_eq!(split_worker_budget(8, 16), 1); // floor at one outer worker
-        assert_eq!(split_worker_budget(1, 0), 1); // inner=0 treated as serial
-        for total in 1..=16usize {
-            for inner in 1..=16usize {
-                let outer = split_worker_budget(total, inner);
-                assert!(outer >= 1);
-                // Only the mandatory single outer worker may exceed budget.
-                assert!(outer == 1 || outer * inner <= total);
-            }
-        }
-    }
-
-    #[test]
-    fn bounded_isolated_map_respects_cap_and_order() {
-        let items: Vec<usize> = (0..32).collect();
-        for cap in [0, 1, 3, 64] {
-            let out = parallel_map_isolated_bounded(&items, None, cap, |&i| i * 2);
-            let got: Vec<usize> = out.into_iter().map(|o| o.into_done().unwrap()).collect();
-            assert_eq!(got, (0..32).map(|i| i * 2).collect::<Vec<_>>());
-        }
     }
 
     #[test]

@@ -26,8 +26,8 @@ use placesim::supervisor::SupervisorConfig;
 use placesim::{Error, PreparedApp};
 use placesim_analysis::{CharacteristicsRow, SharingAnalysis, SpillBudget};
 use placesim_machine::{
-    attribution_enabled, probe_coherence, simulate_attributed, simulate_attributed_parallel,
-    simulate_observed, simulate_traced, ArchConfig, AttrCollector, AttributionConfig, Protocol,
+    attribution_enabled, probe_coherence, simulate_attributed, simulate_observed, simulate_traced,
+    ArchConfig, AttrCollector, AttributionConfig, Protocol,
 };
 use placesim_obs::{sink, SpanTimer};
 use placesim_placement::{thread_lengths, PlacementAlgorithm, PlacementInputs};
@@ -116,7 +116,7 @@ usage:
   placesim-cli place <trace> <algorithm> <processors> [--metrics out.json]
   placesim-cli simulate <trace> <algorithm> <processors>
                [--protocol wi|mesi|dragon] [--cache-kb K] [--assoc W]
-               [--latency L] [--switch C] [--sim-threads N]
+               [--latency L] [--switch C]
                [--metrics out.json] [--timeline out.json]
                [--attribution out.json]
   placesim-cli attribute <report.json> [--top N] [--pairs N]
@@ -126,7 +126,7 @@ usage:
   placesim-cli sweep <app> --journal <file> [--resume]
                [--protocol wi|mesi|dragon] [--scale S] [--seed N]
                [--algos A,B,...] [--procs 2,4,...]
-               [--max-attempts N] [--timeout-ms T] [--sim-threads N]
+               [--max-attempts N] [--timeout-ms T]
                [--report out.json] [--attribution out.json]
                [--telemetry live.json]
   placesim-cli serve --dir <dir> [--socket path] [--workers N]
@@ -205,17 +205,6 @@ fn uint_flag(args: &[String], name: &str) -> Result<Option<u64>, String> {
                 .map_err(|_| format!("{name} value must be a non-negative integer, got {v}"))
         })
         .transpose()
-}
-
-/// Parses `--sim-threads`, the intra-simulation worker-thread count.
-/// 1 (the default) is the serial engine; 0 is rejected as a usage error
-/// rather than silently meaning "serial".
-fn sim_threads_flag(args: &[String]) -> Result<usize, String> {
-    match uint_flag(args, "--sim-threads")? {
-        Some(0) => Err("--sim-threads must be at least 1".into()),
-        Some(n) => usize::try_from(n).map_err(|_| format!("--sim-threads value {n} exceeds usize")),
-        None => Ok(1),
-    }
 }
 
 /// Parses the `--protocol` flag into a coherence protocol. Junk values
@@ -555,7 +544,6 @@ fn cmd_place(args: &[String]) -> Result<(), String> {
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
     // Validate pure arguments before touching the filesystem.
-    let sim_threads = sim_threads_flag(args)?;
     let protocol = protocol_flag(args)?;
     let prog = load_trace(args.first().ok_or("simulate needs a trace path")?)?;
     let algo = parse_algorithm(args.get(1).ok_or("simulate needs an algorithm")?)?;
@@ -597,32 +585,14 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let attribution_path = raw_flag(args, "--attribution")?;
     let mut attr: Option<AttrCollector> = None;
     let (stats, obs, trace) = if timeline_path.is_some() {
-        if sim_threads > 1 {
-            println!(
-                "note: --timeline needs the serial engine's cycle ordering; --sim-threads ignored"
-            );
-        }
         let (stats, obs, trace) =
             simulate_traced(&prog, &map, &config, TIMELINE_CAPACITY).map_err(|e| e.to_string())?;
         (stats, Some(obs), Some(trace))
     } else if attribution_path.is_some() {
-        // Attribution rides the engine hooks: serial and parallel agree
-        // bit-for-bit (DESIGN.md §13), so --sim-threads composes.
-        let acfg = AttributionConfig::default();
-        let (stats, collector) = if sim_threads > 1 {
-            simulate_attributed_parallel(&prog, &map, &config, acfg, sim_threads)
-        } else {
-            simulate_attributed(&prog, &map, &config, acfg)
-        }
-        .map_err(|e| e.to_string())?;
+        let (stats, collector) =
+            simulate_attributed(&prog, &map, &config, AttributionConfig::default())
+                .map_err(|e| e.to_string())?;
         attr = Some(collector);
-        (stats, None, None)
-    } else if sim_threads > 1 {
-        // The parallel engine is bit-identical to the serial one (see
-        // DESIGN.md §10); only the engine-internal obs report is
-        // unavailable, so `--metrics` output simply omits it.
-        let stats = placesim_machine::simulate_parallel(&prog, &map, &config, sim_threads)
-            .map_err(|e| e.to_string())?;
         (stats, None, None)
     } else {
         let (stats, obs) = simulate_observed(&prog, &map, &config).map_err(|e| e.to_string())?;
@@ -963,15 +933,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
         Some(list) => parse_procs(list)?,
         None => vec![2, 4, 8, 16],
     };
-
-    // The sweep's cells call `simulate`, which reads
-    // PLACESIM_SIM_THREADS; the supervisor also reads it to shrink its
-    // cell pool so cell-level and simulation-level parallelism stay
-    // within the PLACESIM_THREADS budget.
-    let sim_threads = sim_threads_flag(args)?;
-    if sim_threads > 1 {
-        std::env::set_var("PLACESIM_SIM_THREADS", sim_threads.to_string());
-    }
 
     let mut sup = SupervisorConfig::new();
     if let Some(n) = uint_flag(args, "--max-attempts")? {
@@ -1356,83 +1317,6 @@ mod tests {
         assert!(uint_flag(&s(&["--seed"]), "--seed").is_err());
         // Full-command paths reject too.
         assert!(run(&s(&["gen", "fft", "/tmp/x.trace", "--seed", "-1"])).is_err());
-    }
-
-    #[test]
-    fn sim_threads_flag_parses_strictly() {
-        assert_eq!(sim_threads_flag(&s(&[])).unwrap(), 1);
-        assert_eq!(sim_threads_flag(&s(&["--sim-threads", "4"])).unwrap(), 4);
-        for bad in ["0", "-2", "2.5", "junk", ""] {
-            let args = s(&["--sim-threads", bad]);
-            assert!(sim_threads_flag(&args).is_err(), "{bad:?} must be rejected");
-        }
-        assert!(sim_threads_flag(&s(&["--sim-threads"])).is_err());
-    }
-
-    #[test]
-    fn sim_threads_junk_is_a_usage_error() {
-        // Exit-code taxonomy: a bad --sim-threads is a usage error (2),
-        // even before the trace is touched.
-        let err = run(&s(&[
-            "simulate",
-            "/nonexistent.trace",
-            "LOAD-BAL",
-            "4",
-            "--sim-threads",
-            "zero",
-        ]))
-        .unwrap_err();
-        assert_eq!(err.code(), 2);
-        assert!(err.message().contains("--sim-threads"));
-        let err = run(&s(&[
-            "sweep",
-            "fft",
-            "--journal",
-            "/tmp/never-written.journal",
-            "--sim-threads",
-            "0",
-        ]))
-        .unwrap_err();
-        assert_eq!(err.code(), 2);
-    }
-
-    /// Round-trip: the same simulation through `--sim-threads 1` and
-    /// `--sim-threads 4` writes identical result entries (bit-identical
-    /// engines), differing only in wall time and the obs report.
-    #[test]
-    fn sim_threads_roundtrip_identical_results() {
-        let dir = std::env::temp_dir().join("placesim-cli-simthreads-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let trace = dir.join("fft.trace");
-        let trace_s = trace.to_str().unwrap().to_string();
-        run(&s(&[
-            "gen", "fft", &trace_s, "--scale", "0.002", "--seed", "3",
-        ]))
-        .unwrap();
-
-        let results = |n: &str| -> String {
-            let metrics = dir.join(format!("run-{n}.json"));
-            let metrics_s = metrics.to_str().unwrap().to_string();
-            run(&s(&[
-                "simulate",
-                &trace_s,
-                "LOAD-BAL",
-                "4",
-                "--sim-threads",
-                n,
-                "--metrics",
-                &metrics_s,
-            ]))
-            .unwrap();
-            let body = std::fs::read_to_string(&metrics).unwrap();
-            RunManifest::validate(&body).unwrap();
-            std::fs::remove_file(&metrics).ok();
-            let start = body.find("\"results\"").expect("results key");
-            let end = body.find("\"obs\"").expect("obs key");
-            body[start..end].to_string()
-        };
-        assert_eq!(results("1"), results("4"));
-        std::fs::remove_file(&trace).ok();
     }
 
     #[test]
@@ -1824,8 +1708,7 @@ mod tests {
     }
 
     /// `simulate --attribution` writes a report the strict parser
-    /// accepts in every build, serial and parallel agree byte-for-byte,
-    /// and `attribute` renders it; with `obs` enabled the report
+    /// accepts in every build, and `attribute` renders it; with `obs` enabled the report
     /// carries events.
     #[test]
     fn simulate_attribution_roundtrips_through_attribute() {
@@ -1839,29 +1722,22 @@ mod tests {
         ]))
         .unwrap();
 
-        let report = |threads: &str| -> String {
-            let out = dir.join(format!("attr-{threads}.json"));
-            let out_s = out.to_str().unwrap().to_string();
-            run(&s(&[
-                "simulate",
-                &trace_s,
-                "SHARE-REFS",
-                "4",
-                "--protocol",
-                "mesi",
-                "--sim-threads",
-                threads,
-                "--attribution",
-                &out_s,
-            ]))
-            .unwrap();
-            assert!(!sink::tmp_sibling(&out).exists());
-            std::fs::read_to_string(&out).unwrap()
-        };
-        let serial = report("1");
-        assert_eq!(serial, report("4"), "parallel attribution must agree");
+        let attr_path = dir.join("attr.json");
+        run(&s(&[
+            "simulate",
+            &trace_s,
+            "SHARE-REFS",
+            "4",
+            "--protocol",
+            "mesi",
+            "--attribution",
+            attr_path.to_str().unwrap(),
+        ]))
+        .unwrap();
+        assert!(!sink::tmp_sibling(&attr_path).exists());
+        let body = std::fs::read_to_string(&attr_path).unwrap();
 
-        let doc = placesim_obs::attribution::parse(&serial).unwrap();
+        let doc = placesim_obs::attribution::parse(&body).unwrap();
         assert_eq!(doc.protocol, "mesi");
         #[cfg(feature = "obs")]
         {
@@ -1873,7 +1749,6 @@ mod tests {
         assert!(!doc.enabled);
 
         // The renderer accepts the file; junk does not.
-        let attr_path = dir.join("attr-1.json");
         run(&s(&["attribute", attr_path.to_str().unwrap()])).unwrap();
         let bad = dir.join("bad.json");
         std::fs::write(&bad, b"{\"schema\": \"nope\"}").unwrap();
@@ -1899,7 +1774,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             std::fs::read_to_string(&both_attr).unwrap(),
-            serial,
+            body,
             "attribution must not depend on --timeline"
         );
         std::fs::remove_dir_all(&dir).ok();
