@@ -2,10 +2,17 @@
 //!
 //! Starting from singleton clusters, the engine repeatedly combines the
 //! pair of clusters with the highest metric score, subject to the
-//! thread-balance constraint, until exactly `p` clusters remain. When no
-//! feasible combination exists (step 4 of the paper's algorithm),
-//! backtracking undoes the most recent combine and tries the
-//! next-highest-scoring pair.
+//! thread-balance constraint, until exactly `p` clusters remain. A pair
+//! whose combine would leave no thread-balanced completion is skipped
+//! for the next-highest-scoring one before it is combined; should a
+//! level run out of pairs (step 4 of the paper's algorithm),
+//! backtracking undoes the most recent combine and tries the next pair
+//! there.
+//!
+//! With cached scores (the default) a level keeps no candidate list: it
+//! finds its pair by one scan of O(1) pair scores for the largest
+//! candidate key, and after a skip or an undo scans again for the
+//! largest key strictly below the one it last tried.
 //!
 //! For the `+LB` algorithm variants, a load constraint acts as a *filter
 //! applied after the sharing criteria*: among candidate pairs in
@@ -20,7 +27,6 @@ use crate::metrics::{MetricCache, PairMetric};
 use crate::partition::{BalanceSpec, Partition, SumId};
 use crate::score::Score;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Load-balance filter for the `+LB` variants.
 #[derive(Debug, Clone, Copy)]
@@ -100,27 +106,8 @@ pub fn cluster<M: PairMetric>(
     let spec = BalanceSpec::new(threads, processors);
     let mut part = Partition::singletons(threads);
     let mut budget = options.node_budget;
-    let ideal_load = options.load.map(|lc| {
-        let total: u64 = lc.lengths.iter().sum();
-        total as f64 / processors as f64 * (1.0 + lc.tolerance)
-    });
-    // In cached mode the metric registers its aggregates once on the
-    // fresh singleton partition; the load filter's per-cluster length
-    // sums ride the same machinery.
-    let (cache, load_sum) = match options.score_mode {
-        ScoreMode::Cached => (
-            Some(metric.prepare(&mut part)),
-            options.load.map(|lc| part.register_sum(lc.lengths)),
-        ),
-        ScoreMode::Fresh => (None, None),
-    };
-    let ctx = SearchCtx {
-        cache,
-        load_sum,
-        ideal_load,
-    };
-
-    if search(metric, &spec, &mut part, &options, &ctx, &mut budget) {
+    let ctx = SearchCtx::new(metric, spec, &mut part, &options);
+    if search(&ctx, &mut part, &mut budget) {
         Ok(part.into_clusters())
     } else if budget == 0 {
         Err(PlacementError::SearchExhausted)
@@ -150,44 +137,72 @@ fn balanced_fill(threads: usize, processors: usize) -> Vec<Vec<usize>> {
     clusters
 }
 
-/// Per-run search context: cached-mode handles and the `+LB` ideal load.
-struct SearchCtx {
+/// Per-run search context: the metric, the target shape, the `+LB`
+/// filter with its ideal per-processor load, and the cached-mode handles.
+struct SearchCtx<'a, M> {
+    metric: &'a M,
+    spec: BalanceSpec,
+    load: Option<(LoadConstraint<'a>, f64)>,
     cache: Option<MetricCache>,
     load_sum: Option<SumId>,
-    ideal_load: Option<f64>,
+}
+
+impl<'a, M: PairMetric> SearchCtx<'a, M> {
+    fn new(
+        metric: &'a M,
+        spec: BalanceSpec,
+        part: &mut Partition,
+        options: &EngineOptions<'a>,
+    ) -> Self {
+        let load = options.load.map(|lc| {
+            let total: u64 = lc.lengths.iter().sum();
+            let ideal = total as f64 / spec.processors() as f64 * (1.0 + lc.tolerance);
+            (lc, ideal)
+        });
+        // In cached mode the metric registers its aggregates once on the
+        // fresh singleton partition; the load filter's per-cluster length
+        // sums ride the same machinery.
+        let (cache, load_sum) = match options.score_mode {
+            ScoreMode::Cached => (
+                Some(metric.prepare(part)),
+                options.load.map(|lc| part.register_sum(lc.lengths)),
+            ),
+            ScoreMode::Fresh => (None, None),
+        };
+        SearchCtx {
+            metric,
+            spec,
+            load,
+            cache,
+            load_sum,
+        }
+    }
 }
 
 /// Depth-first search over combine decisions. Returns `true` when `part`
 /// has been reduced to the target cluster count.
-fn search<M: PairMetric>(
-    metric: &M,
-    spec: &BalanceSpec,
-    part: &mut Partition,
-    options: &EngineOptions<'_>,
-    ctx: &SearchCtx,
-    budget: &mut usize,
-) -> bool {
-    if part.len() == spec.processors() {
+fn search<M: PairMetric>(ctx: &SearchCtx<'_, M>, part: &mut Partition, budget: &mut usize) -> bool {
+    if part.len() == ctx.spec.processors() {
         return true;
     }
     if *budget == 0 {
         return false;
     }
 
-    let mut candidates = ranked_candidates(metric, spec, part, options, ctx);
-    while let Some((a, b)) = candidates.next_best() {
+    let mut candidates = Candidates::new(ctx, part);
+    while let Some((a, b)) = candidates.next_best(ctx, part) {
         if *budget == 0 {
             return false;
         }
         // Skip merges from which no thread-balanced completion exists
         // (checked lazily here so the common case pays for one packing
         // check per level, not one per candidate).
-        if !bfd_completable(part, (a, b), spec) {
+        if !bfd_completable(part, (a, b), &ctx.spec) {
             continue;
         }
         *budget -= 1;
         let token = part.combine(a, b);
-        if search(metric, spec, part, options, ctx, budget) {
+        if search(ctx, part, budget) {
             return true;
         }
         part.undo(token);
@@ -243,45 +258,81 @@ fn bfd_completable(part: &Partition, merged: (usize, usize), spec: &BalanceSpec)
 
 /// Candidate ordering key: load-ok before not, higher score first, then
 /// low cluster indices. `Reverse` on the indices makes the natural `Ord`
-/// max order coincide with the sort order below, so a max-heap pops
-/// candidates in exactly the sorted sequence (the key is a strict total
-/// order — `(a, b)` is unique — so the two are interchangeable).
+/// max order coincide with the sort order below. The key is a strict
+/// total order (`(a, b)` is unique), so repeatedly taking the largest key
+/// strictly below the last one taken visits candidates in exactly the
+/// sorted sequence.
 type CandKey = (bool, Score, Reverse<usize>, Reverse<usize>);
 
 /// Feasible candidate pairs, consumed best first.
 ///
 /// Scoring every pair is unavoidable (the maximum must be found), but
-/// *ordering* them fully is not: the greedy search usually takes the
-/// first candidate and never looks back. In cached mode the scored pairs
-/// are therefore heapified (O(n)) and popped on demand (O(log n) each) —
-/// identical order, no full O(n log n) sort. Fresh mode keeps the
-/// original sort; it is the retained reference path that the
-/// differential tests (and the pipeline benchmark's old arm) hold
-/// fixed.
+/// *keeping* the scored pairs is not: the greedy search usually takes the
+/// first candidate and never looks back. In cached mode a level therefore
+/// holds only the last key it tried, and each step is one argmax scan of
+/// O(1) cached scores for the best key strictly below it — no allocation,
+/// and after a BFD rejection or an undo the next scan resumes exactly
+/// where the sorted order would. Fresh mode keeps the original full sort;
+/// it is the retained reference path that the differential tests (and
+/// the pipeline benchmark's old arm) hold fixed.
 enum Candidates {
     Sorted(std::vec::IntoIter<(usize, usize)>),
-    Heap(BinaryHeap<CandKey>),
+    Below(Option<CandKey>),
 }
 
 impl Candidates {
-    fn next_best(&mut self) -> Option<(usize, usize)> {
+    fn new<M: PairMetric>(ctx: &SearchCtx<'_, M>, part: &Partition) -> Self {
+        if ctx.cache.is_some() {
+            return Candidates::Below(None);
+        }
+        let mut scored: Vec<CandKey> = Vec::new();
+        for_each_candidate(ctx, part, |key| scored.push(key));
+        // Sort best-first: load-ok before not, then higher score, then low
+        // indices. `sort_by` with reversed comparisons keeps this stable.
+        scored.sort_by(|x, y| {
+            y.0.cmp(&x.0)
+                .then_with(|| y.1.cmp(&x.1))
+                .then_with(|| x.2 .0.cmp(&y.2 .0))
+                .then_with(|| x.3 .0.cmp(&y.3 .0))
+        });
+        Candidates::Sorted(
+            scored
+                .into_iter()
+                .map(|(_, _, a, b)| (a.0, b.0))
+                .collect::<Vec<_>>()
+                .into_iter(),
+        )
+    }
+
+    fn next_best<M: PairMetric>(
+        &mut self,
+        ctx: &SearchCtx<'_, M>,
+        part: &Partition,
+    ) -> Option<(usize, usize)> {
         match self {
             Candidates::Sorted(iter) => iter.next(),
-            Candidates::Heap(heap) => heap.pop().map(|(_, _, a, b)| (a.0, b.0)),
+            Candidates::Below(last) => {
+                let mut best: Option<CandKey> = None;
+                for_each_candidate(ctx, part, |key| {
+                    if last.is_none_or(|l| key < l) && best.is_none_or(|b| key > b) {
+                        best = Some(key);
+                    }
+                });
+                *last = best;
+                best.map(|(_, _, a, b)| (a.0, b.0))
+            }
         }
     }
 }
 
-/// All feasible candidate pairs, best first: load-satisfying pairs by
-/// descending score, then load-violating pairs by descending score, ties
-/// broken by cluster indices for determinism.
-fn ranked_candidates<M: PairMetric>(
-    metric: &M,
-    spec: &BalanceSpec,
+/// Calls `f` with the key of every feasible candidate pair, in index
+/// order.
+fn for_each_candidate<M: PairMetric>(
+    ctx: &SearchCtx<'_, M>,
     part: &Partition,
-    options: &EngineOptions<'_>,
-    ctx: &SearchCtx,
-) -> Candidates {
+    mut f: impl FnMut(CandKey),
+) {
+    let spec = &ctx.spec;
     let ceil = spec.ceil_size();
     let floor = spec.floor_size();
     let big_now = if floor == ceil {
@@ -290,7 +341,6 @@ fn ranked_candidates<M: PairMetric>(
         part.count_of_size(ceil)
     };
 
-    let mut scored: Vec<CandKey> = Vec::new();
     for a in 0..part.len() {
         for b in (a + 1)..part.len() {
             let new_size = part.cluster(a).len() + part.cluster(b).len();
@@ -306,8 +356,8 @@ fn ranked_candidates<M: PairMetric>(
             if !spec.combine_allowed(new_size, big_after) {
                 continue;
             }
-            let load_ok = match (options.load, ctx.ideal_load) {
-                (Some(lc), Some(ideal)) => {
+            let load_ok = match ctx.load {
+                Some((lc, ideal)) => {
                     // Cached and fresh sums are the same u64 value, so the
                     // filter decision cannot differ between modes.
                     let combined: u64 = match ctx.load_sum {
@@ -321,33 +371,15 @@ fn ranked_candidates<M: PairMetric>(
                     };
                     (combined as f64) <= ideal
                 }
-                _ => true,
+                None => true,
             };
             let score = match &ctx.cache {
-                Some(cache) => metric.score_cached(part, cache, a, b),
-                None => metric.score(part, a, b),
+                Some(cache) => ctx.metric.score_cached(part, cache, a, b),
+                None => ctx.metric.score(part, a, b),
             };
-            scored.push((load_ok, score, Reverse(a), Reverse(b)));
+            f((load_ok, score, Reverse(a), Reverse(b)));
         }
     }
-    if ctx.cache.is_some() {
-        return Candidates::Heap(BinaryHeap::from(scored));
-    }
-    // Sort best-first: load-ok before not, then higher score, then low
-    // indices. `sort_by` with reversed comparisons keeps this stable.
-    scored.sort_by(|x, y| {
-        y.0.cmp(&x.0)
-            .then_with(|| y.1.cmp(&x.1))
-            .then_with(|| x.2 .0.cmp(&y.2 .0))
-            .then_with(|| x.3 .0.cmp(&y.3 .0))
-    });
-    Candidates::Sorted(
-        scored
-            .into_iter()
-            .map(|(_, _, a, b)| (a.0, b.0))
-            .collect::<Vec<_>>()
-            .into_iter(),
-    )
 }
 
 #[cfg(test)]
@@ -442,20 +474,70 @@ mod tests {
     }
 
     #[test]
-    fn backtracking_recovers_from_greedy_trap() {
-        // t = 8, p = 2, cap = 4. Make the greedy path build {0,1,2} and
-        // {3,4,5} (sizes 3,3) with threads 6,7 left: combining 3+3 = 6 is
-        // illegal and 3+1 = 4 then 3+1 = 4 is required. A pure greedy
-        // (highest pair always) walks into the 3,3,1,1 state if pair
-        // scores are arranged so, and must backtrack or route around it.
+    fn completability_check_routes_around_greedy_trap() {
+        // t = 8, p = 2, cap = 4. The greedy path builds {0,1,2} and
+        // {3,4,5} (sizes 3,3) with threads 6,7 left; its best next pair,
+        // {6,7}, leaves sizes 3,3,2, which no completion can pack. The
+        // BFD check rejects that pair before combining, so the search
+        // takes 3+1 twice and never undoes: it finishes within exactly
+        // t - p = 6 combines.
         let m = share_refs(
             8,
             &[(0, 1, 100), (1, 2, 90), (3, 4, 80), (4, 5, 70), (6, 7, 1)],
         );
         let metric = ShareRefsMetric { refs: &m };
-        let clusters = cluster(&metric, 8, 2, EngineOptions::default()).unwrap();
-        let sizes: Vec<usize> = clusters.iter().map(Vec::len).collect();
-        assert_eq!(sizes, vec![4, 4]);
+        let opts = EngineOptions {
+            node_budget: 6,
+            ..EngineOptions::default()
+        };
+        let clusters = cluster(&metric, 8, 2, opts).unwrap();
+        assert_eq!(clusters, vec![vec![0, 1, 2, 6], vec![3, 4, 5, 7]]);
+    }
+
+    /// The cached scan visits every feasible pair in exactly the fresh
+    /// path's sorted order, also when the partition is combined and
+    /// undone between steps as a backtracking search would.
+    #[test]
+    fn scan_follows_sorted_order_across_undo() {
+        let m = share_refs(
+            9,
+            &[
+                (0, 1, 7),
+                (0, 2, 7),
+                (1, 3, 7),
+                (2, 5, 3),
+                (4, 6, 9),
+                (7, 8, 3),
+            ],
+        );
+        let metric = ShareRefsMetric { refs: &m };
+        let lengths = [40u64, 5, 30, 5, 25, 10, 20, 15, 50];
+        let options = |score_mode| EngineOptions {
+            load: Some(LoadConstraint {
+                lengths: &lengths,
+                tolerance: 0.10,
+            }),
+            score_mode,
+            ..EngineOptions::default()
+        };
+        let spec = BalanceSpec::new(9, 4);
+        let mut part = Partition::singletons(9);
+        let cached = SearchCtx::new(&metric, spec, &mut part, &options(ScoreMode::Cached));
+        let fresh = SearchCtx::new(&metric, spec, &mut part, &options(ScoreMode::Fresh));
+        part.combine(4, 6);
+        part.combine(0, 1);
+
+        let mut sorted = Candidates::new(&fresh, &part);
+        let mut scan = Candidates::new(&cached, &part);
+        let mut steps = 0;
+        while let Some(pair) = sorted.next_best(&fresh, &part) {
+            assert_eq!(scan.next_best(&cached, &part), Some(pair), "step {steps}");
+            let token = part.combine(pair.0, pair.1);
+            part.undo(token);
+            steps += 1;
+        }
+        assert_eq!(scan.next_best(&cached, &part), None);
+        assert!(steps > 10, "only {steps} candidates");
     }
 
     #[test]

@@ -2,17 +2,21 @@
 //! *identical* placement as fresh scoring, for every algorithm.
 //!
 //! The cached mode replaces O(|A|·|B|) cross-sum walks with O(1) lookups
-//! of incrementally maintained aggregates. Because the cached sums are
-//! the same exact `u64` values, every score — and therefore every
-//! deterministic tie-break in `ranked_candidates` — is bit-identical,
-//! and so is the final `PlacementMap`. These tests pin that contract on
-//! randomized programs, uneven balance shapes, and inputs engineered to
-//! force backtracking (where undo must restore the caches exactly).
+//! of incrementally maintained aggregates, and the fresh mode's sorted
+//! candidate list with an argmax scan for the best key below the last
+//! one tried. Because the cached sums are the same exact `u64` values,
+//! every score — and therefore every deterministic tie-break — is
+//! bit-identical, and so is the final `PlacementMap`. These tests pin
+//! that contract on randomized programs, uneven balance shapes, a greedy
+//! trap the completability check must route around, and the real
+//! 127-thread gauss analysis.
 
 use placesim_analysis::{SharingAnalysis, SymMatrix};
+use placesim_machine::{probe_coherence, ArchConfig};
 use placesim_placement::engine::{cluster, EngineOptions, LoadConstraint};
 use placesim_placement::{PlacementAlgorithm, PlacementInputs, ScoreMode, ShareRefsMetric};
 use placesim_trace::{Address, MemRef, ProgramTrace, ThreadTrace};
+use placesim_workloads::{generate, spec, GenOptions};
 use proptest::prelude::*;
 
 /// A random small program: up to 12 threads, each touching a random
@@ -111,11 +115,13 @@ proptest! {
     }
 }
 
-/// The greedy-trap fixture from the engine's unit tests: the search must
-/// backtrack out of a dead end, so cached aggregates go through
-/// combine → undo → combine sequences. Both modes must still agree.
+/// The greedy-trap fixture from the engine's unit tests: after four
+/// combines the best pair leads to a dead end, so both modes must reject
+/// it at the completability check and take the same next-best pair. The
+/// check fires before the combine, so neither mode undoes anything: a
+/// budget of exactly t − p combines suffices.
 #[test]
-fn modes_agree_under_backtracking() {
+fn modes_agree_on_greedy_trap() {
     let mut m = SymMatrix::new(8, 0u64);
     for &(i, j, v) in &[(0, 1, 100), (1, 2, 90), (3, 4, 80), (4, 5, 70), (6, 7, 1)] {
         m.set(i, j, v);
@@ -128,6 +134,7 @@ fn modes_agree_under_backtracking() {
             2,
             EngineOptions {
                 score_mode: mode,
+                node_budget: 8 - 2,
                 ..EngineOptions::default()
             },
         )
@@ -136,5 +143,46 @@ fn modes_agree_under_backtracking() {
     let cached = run(ScoreMode::Cached);
     assert_eq!(cached, run(ScoreMode::Fresh));
     let sizes: Vec<usize> = cached.iter().map(Vec::len).collect();
-    assert_eq!(sizes, vec![4, 4], "backtracking reached the balanced shape");
+    assert_eq!(sizes, vec![4, 4], "the search reached the balanced shape");
+}
+
+/// Paper scale in thread count: the real 127-thread gauss sharing
+/// analysis (at a small reference scale, so a debug build stays fast)
+/// through all 15 algorithms on the paper's processor counts. At this
+/// size most placements (every `+LB` one from p = 4 up) skip pairs at
+/// the completability check, up to 68 in one placement, so the cached
+/// scan's "largest key strictly below the last one tried" step runs on
+/// real inputs, not just on the proptests' 12-thread programs.
+#[test]
+fn modes_agree_on_gauss_at_paper_thread_count() {
+    let app = spec("gauss").expect("known app");
+    let prog = generate(
+        &app,
+        &GenOptions {
+            scale: 0.005,
+            seed: 1994,
+        },
+    );
+    assert_eq!(prog.thread_count(), 127);
+    let sharing = SharingAnalysis::measure(&prog);
+    let lengths = placesim_placement::thread_lengths(&prog);
+    let probe = probe_coherence(&prog, &ArchConfig::paper_default()).expect("probe");
+    let inputs = PlacementInputs::new(&sharing, &lengths)
+        .with_seed(1994)
+        .with_traffic(&probe.traffic);
+
+    // Fresh scoring is O(t³) per placement, so spread the processor
+    // counts over threads to keep an unoptimized build quick.
+    std::thread::scope(|s| {
+        for p in [2, 4, 8, 16] {
+            let inputs = &inputs;
+            s.spawn(move || {
+                for algo in PlacementAlgorithm::ALL {
+                    let cached = algo.place_with_mode(inputs, p, ScoreMode::Cached).unwrap();
+                    let fresh = algo.place_with_mode(inputs, p, ScoreMode::Fresh).unwrap();
+                    assert_eq!(cached, fresh, "{algo} with p={p} diverged");
+                }
+            });
+        }
+    });
 }
