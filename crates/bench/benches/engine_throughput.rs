@@ -3,9 +3,9 @@
 //!
 //! `hot-loop` is the fast path's best case (one processor, four
 //! cache-resident contexts, no competing events); `water-p4` is the
-//! paper's configuration, where lockstep cross-processor events cut hit
-//! runs at the horizon and gains come from the flat cache slab and the
-//! fused access. `BENCH_engine.json` (see the `bench_engine` binary)
+//! paper's configuration, where each pop runs a processor's hits up to
+//! its next globally visible reference, bounded by the per-processor
+//! hit lookahead. `BENCH_engine.json` (see the `bench_engine` binary)
 //! records the same comparison as committed numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

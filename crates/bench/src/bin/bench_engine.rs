@@ -6,12 +6,17 @@
 //!
 //! * `p1-hot-loop` — one processor, four contexts, cache-resident
 //!   working sets: the queue is empty after each pop, so entire hit runs
-//!   batch under a single event. This is the fast path's best case.
+//!   go by under a single event. This is the fast path's best case.
 //! * `p1-water` — a paper workload multiprogrammed onto one processor.
 //! * `p4-water` / `p8-water` — the paper's actual sharing experiments:
-//!   lockstep cross-processor events cut hit runs at the horizon, so
-//!   gains here come mostly from the flat cache slab and the fused
-//!   single-pass access.
+//!   each pop runs a processor's hits up to its next miss, upgrade,
+//!   update or barrier, bounded by the per-processor hit lookahead.
+//! * `p16-gauss` — the lockstep case: gauss under SHARE-REFS on 16
+//!   processors, where every processor has an event pending at nearly
+//!   every cycle.
+//!
+//! Each engine's rate is the median of 9 timed runs; the spread is the
+//! fastest and slowest run.
 //!
 //! Usage: `cargo run --release -p placesim-bench --bin bench_engine`.
 
@@ -32,9 +37,10 @@ struct Scenario {
     config: ArchConfig,
 }
 
-/// Median wall-clock seconds per run over `samples` timed runs (after
-/// one warmup), for a closure executing one full simulation.
-fn median_secs(samples: usize, mut run: impl FnMut()) -> f64 {
+/// Wall-clock seconds per run over `samples` timed runs (after one
+/// warmup), for a closure executing one full simulation: the median,
+/// the fastest and the slowest.
+fn timed_secs(samples: usize, mut run: impl FnMut()) -> (f64, f64, f64) {
     run(); // warmup: touch caches, fault pages
     let mut times: Vec<f64> = (0..samples)
         .map(|_| {
@@ -44,7 +50,7 @@ fn median_secs(samples: usize, mut run: impl FnMut()) -> f64 {
         })
         .collect();
     times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    times[times.len() / 2]
+    (times[times.len() / 2], times[0], times[times.len() - 1])
 }
 
 fn hot_loop_program() -> (ProgramTrace, PlacementMap) {
@@ -90,7 +96,7 @@ fn main() {
         let note = if p == 1 {
             "water multiprogrammed on 1 processor: long uncontested hit runs"
         } else {
-            "paper configuration: cross-processor events cut runs at the horizon"
+            "paper configuration: hit runs bounded by the per-processor lookahead"
         };
         scenarios.push(Scenario {
             name,
@@ -102,6 +108,17 @@ fn main() {
             config: app.config,
         });
     }
+
+    let gauss = PreparedApp::prepare(&spec("gauss").expect("known app"), &opts);
+    scenarios.push(Scenario {
+        name: "p16-gauss",
+        note: "gauss under SHARE-REFS on 16 processors: lockstep events every cycle",
+        map: PlacementAlgorithm::ShareRefs
+            .place(&gauss.placement_inputs(), 16)
+            .expect("placement"),
+        prog: gauss.prog,
+        config: gauss.config,
+    });
 
     let samples = 9;
     let wall = Instant::now();
@@ -116,18 +133,21 @@ fn main() {
             s.map.processor_count(),
             &stats,
         ));
-        let batched = median_secs(samples, || {
-            drop(simulate(&s.prog, &s.map, &s.config).unwrap())
+        let (batched, batched_min, batched_max) = timed_secs(samples, || {
+            drop(simulate(&s.prog, &s.map, &s.config).unwrap());
         });
-        let refr = median_secs(samples, || {
+        let (refr, refr_min, refr_max) = timed_secs(samples, || {
             drop(reference::simulate(&s.prog, &s.map, &s.config).unwrap());
         });
-        let batched_rps = refs / batched;
-        let reference_rps = refs / refr;
-        let speedup = batched_rps / reference_rps;
+        let speedup = refr / batched;
         println!(
-            "{:<12} {:>12.0} refs/s batched | {:>12.0} refs/s reference | {:.2}x",
-            s.name, batched_rps, reference_rps, speedup
+            "{:<12} {:>12.0} refs/s batched | {:>12.0} refs/s reference | {:.2}x ({:.2}-{:.2}x)",
+            s.name,
+            refs / batched,
+            refs / refr,
+            speedup,
+            refr_min / batched_max,
+            refr_max / batched_min
         );
         rows.push(format!(
             concat!(
@@ -136,16 +156,25 @@ fn main() {
                 "      \"note\": \"{}\",\n",
                 "      \"total_refs\": {},\n",
                 "      \"batched_refs_per_sec\": {:.0},\n",
+                "      \"batched_refs_per_sec_range\": [{:.0}, {:.0}],\n",
                 "      \"reference_refs_per_sec\": {:.0},\n",
-                "      \"speedup\": {:.3}\n",
+                "      \"reference_refs_per_sec_range\": [{:.0}, {:.0}],\n",
+                "      \"speedup\": {:.3},\n",
+                "      \"speedup_range\": [{:.3}, {:.3}]\n",
                 "    }}"
             ),
             s.name,
             s.note,
             s.prog.total_refs(),
-            batched_rps,
-            reference_rps,
-            speedup
+            refs / batched,
+            refs / batched_max,
+            refs / batched_min,
+            refs / refr,
+            refs / refr_max,
+            refs / refr_min,
+            speedup,
+            refr_min / batched_max,
+            refr_max / batched_min
         ));
     }
 
@@ -154,9 +183,9 @@ fn main() {
         concat!(
             "{{\n",
             "  \"benchmark\": \"engine-throughput\",\n",
-            "  \"unit\": \"references per second, median of {} runs\",\n",
+            "  \"unit\": \"references per second, median of {} runs; ranges are [slowest, fastest]\",\n",
             "  \"engines\": {{\n",
-            "    \"batched\": \"hit-run batching + flat cache slab + fused access\",\n",
+            "    \"batched\": \"per-processor hit lookahead + flat cache slab + fused access\",\n",
             "    \"reference\": \"one heap event per reference (pre-optimisation engine)\"\n",
             "  }},\n",
             "  \"host_cpus\": {},\n",

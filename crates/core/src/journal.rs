@@ -1003,8 +1003,7 @@ mod tests {
         builder.protocol(Protocol::Dragon);
         other.config = builder.build().unwrap();
         let err = JournalWriter::resume(&path, &other)
-            .err()
-            .expect("resume must refuse a protocol mismatch");
+            .expect_err("resume must refuse a protocol mismatch");
         match err {
             JournalError::Mismatch(msg) => assert!(msg.contains("protocol wi"), "{msg}"),
             other => panic!("expected mismatch, got {other:?}"),

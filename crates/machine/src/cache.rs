@@ -212,14 +212,20 @@ impl ProcessorCache {
     /// the same call. This is the simulation engine's hot path; see
     /// [`ProcessorCache::probe`] / [`ProcessorCache::miss_provenance`]
     /// for the split variant the reference engine and unit tests use.
-    #[inline]
+    /// Always inlined: the engine's hit loop must not pay a call per
+    /// reference.
+    #[inline(always)]
     pub fn access(&mut self, line: u64, is_write: bool, thread: ThreadId) -> Access {
         let (idx, base) = self.set_bounds(line);
         let len = self.lens[idx] as usize;
         let set = &mut self.slots[base..base + len];
         if let Some(pos) = set.iter().position(|s| s.line == line) {
             let mut slot = set[pos];
-            set.copy_within(..pos, 1); // MRU to front
+            if pos > 0 {
+                // MRU to front. Skipped for the MRU way itself, which is
+                // every hit in a direct-mapped cache.
+                set.copy_within(..pos, 1);
+            }
             let outcome = if is_write {
                 match self.protocol.write_hit(slot.state) {
                     WriteHit::Hit => Access::Hit,
@@ -239,6 +245,31 @@ impl ProcessorCache {
         }
         let (kind, source) = self.classify_gone(line, thread);
         Access::Miss { kind, source }
+    }
+
+    /// Read-only: whether a reference to `line` would be a plain local
+    /// hit — resident, and for a write, Modified or silently upgradable
+    /// from Exclusive. Upgrade and update hits, which need the
+    /// directory, are `false`, as are misses.
+    ///
+    /// Nothing changes, not even LRU order: a run of plain hits never
+    /// evicts, so its outcome does not depend on LRU order, and a write
+    /// hit on Exclusive leaves the line Modified, which hits again.
+    /// The engine's lookahead scan relies on both.
+    #[inline]
+    pub fn hits_locally(&self, line: u64, is_write: bool) -> bool {
+        let (idx, base) = self.set_bounds(line);
+        let len = self.lens[idx] as usize;
+        self.slots[base..base + len]
+            .iter()
+            .find(|s| s.line == line)
+            .is_some_and(|s| {
+                !is_write
+                    || matches!(
+                        self.protocol.write_hit(s.state),
+                        WriteHit::Hit | WriteHit::Silent(_)
+                    )
+            })
     }
 
     /// Classifies an access to `line` and updates LRU order on hits.
@@ -750,6 +781,37 @@ mod tests {
         c.fill(9, LineState::Exclusive, t(0));
         c.downgrade(9);
         assert_eq!(c.state_of(9), Some(LineState::Shared));
+    }
+
+    #[test]
+    fn hits_locally_classifies_without_mutating() {
+        let mut c = ProcessorCache::with_protocol(8, 2, Protocol::Mesi);
+        c.fill(0, LineState::Shared, t(0));
+        c.fill(8, LineState::Exclusive, t(0));
+        c.fill(1, LineState::Modified, t(0));
+        assert!(c.hits_locally(0, false), "read of Shared");
+        assert!(!c.hits_locally(0, true), "write of Shared needs an upgrade");
+        assert!(
+            c.hits_locally(8, true),
+            "write of Exclusive upgrades silently"
+        );
+        assert!(c.hits_locally(1, true), "write of Modified");
+        assert!(!c.hits_locally(16, false), "miss");
+        // Read-only: no state change, and LRU order untouched (0 is still
+        // the LRU way of its set, so the next fill there evicts it).
+        assert_eq!(c.state_of(8), Some(LineState::Exclusive));
+        assert_eq!(
+            c.fill(16, LineState::Shared, t(0)),
+            Some((0, LineState::Shared))
+        );
+
+        let mut d = ProcessorCache::with_protocol(8, 1, Protocol::Dragon);
+        d.fill(2, LineState::SharedDirty, t(0));
+        assert!(d.hits_locally(2, false));
+        assert!(
+            !d.hits_locally(2, true),
+            "Dragon write of a shared line updates"
+        );
     }
 
     #[test]

@@ -20,45 +20,67 @@
 //! final reference is therefore not part of `finish_time` — a uniform,
 //! sub-0.01% simplification at paper trace lengths.)
 //!
-//! # Hit-run batching
+//! # Hit-run lookahead
 //!
 //! Conceptually one queue event dispatches one reference. Literally
 //! doing that (see the [`reference`] engine) pays a queue operation per
 //! reference even though the overwhelmingly common outcome — a cache hit
 //! by the running context — has **no global side effects**: it touches
-//! only this processor's cache (LRU order) and counters, schedules
-//! nothing, and cannot change any other processor's state.
+//! only this processor's cache (LRU order, the slot's owner) and
+//! counters, schedules nothing, and cannot change any other processor's
+//! state. Processors affect each other only through misses, upgrades,
+//! updates and barriers: the *globally visible* references.
 //!
-//! The production engine exploits that. The simulator maintains the
-//! invariant of at most one pending event per processor, so instead of
-//! a binary heap the queue is a flat slot array `events[p]` of event
-//! times; popping is an argmin scan by `(time, processor)` — exactly the
-//! heap's pop order — and the scan's runner-up `(t', p')` is the
-//! *horizon*: the next event any other processor could possibly run.
-//! After popping `(t, p)` the engine executes the current context's
-//! references in a tight local loop while they hit, advancing a local
-//! clock `now`. The run stops when
+//! The production engine therefore orders only those. The simulator
+//! keeps at most one pending event per processor, so the queue is a
+//! flat slot array: `events[q]` is the issue cycle of processor q's next
+//! reference. Next to it sits the *lookahead* `ahead[q]`: how many of
+//! q's current context's next references are plain local hits, found by
+//! a read-only scan against q's own cache
+//! ([`ProcessorCache::hits_locally`]). The scan stops before a barrier,
+//! before the context's final reference (whose completion switches
+//! contexts) and before the first reference that needs the directory.
+//! Processor q's next globally visible reference thus issues at
+//! `events[q] + ahead[q]`.
 //!
-//! * the next reference would issue at `(now, p) ≥ (t', p')` — the
-//!   horizon. The slot is re-armed at `now` and the other processor's
-//!   event runs first, exactly as the per-reference engine would order
-//!   them;
-//! * the reference misses, is a coherence upgrade, or is a barrier —
-//!   these have global effects (directory transactions, invalidations,
-//!   releases) and are handled at time `now` by the ordinary slow path;
-//! * the context exhausts its trace.
+//! A pop takes the argmin of `(events[q] + ahead[q], q)` — ties to the
+//! lower index, exactly the heap's order — and runs that processor's
+//! context in a tight local loop: `ahead[q]` hits, then the stop
+//! reference, which the slow path handles at its issue cycle. When only
+//! one processor has a pending event it wins whatever its key, so it
+//! skips the scan and runs its hits in one mutating pass until its own
+//! first stop.
 //!
-//! Why this is exact and not an approximation: event keys
-//! `(time, processor)` are unique (one slot per processor) and are
-//! consumed in ascending order. While `(now, p) < (t', p')` holds, the
-//! per-reference engine would pop `(now, p)` next anyway, so the batched
-//! engine executes the same reference at the same cycle. Since pure hits
-//! schedule nothing and mutate nothing outside processor `p`, the slots
-//! are untouched during a run and the horizon stays valid for its whole
-//! duration; every globally-visible action (miss, upgrade, barrier)
-//! still executes in exact `(time, processor)` order. The two engines
-//! are therefore bit-for-bit equivalent — asserted per commit by the
-//! differential property tests in `tests/differential.rs`.
+//! Why this is exact and not an approximation:
+//!
+//! * A plain hit touches only its own cache, and a run of them never
+//!   evicts. A write hit on Exclusive moves silently to Modified, and a
+//!   write to Modified hits too, so a read-only scan classifies the whole
+//!   run correctly.
+//! * The scan stays valid until some other processor touches that
+//!   cache. Every such touch — an invalidation (including reading the
+//!   slot's owner for attribution), a downgrade, a Dragon update — first
+//!   *catches up* the victim v: it commits v's scanned hits that issue
+//!   before the acting `(now, p)` in `(cycle, processor)` order, that is
+//!   `min(ahead[v], now + [v < p] − events[v])` of them. The victim's
+//!   next reference therefore sees the changed cache, at the same cycle
+//!   as in the per-reference engine.
+//! * A touch changes one line L of v's cache and nothing else: an
+//!   invalidation removes L without evicting anything, a downgrade or an
+//!   update takes away write permission on L. So the rest of v's
+//!   lookahead stays valid up to v's first reference to L (invalidation)
+//!   or first write to L (downgrade, update), where the catch-up cuts it.
+//!   Cutting instead of rescanning keeps Dragon's frequent updates from
+//!   rescanning the same run over and over.
+//! * Re-arming a slot (a reschedule, a barrier release) drops its
+//!   lookahead, and the next pop rescans it.
+//!
+//! Every globally visible action still executes in exact
+//! `(time, processor)` order, so statistics, traffic matrices and the
+//! attribution event order match the per-reference engine bit for bit —
+//! asserted per commit by the differential tests in
+//! `tests/differential.rs`, down to the tie order at a shared cycle
+//! (`lookahead_tests`).
 
 use crate::cache::{Access, LineState, ProcessorCache};
 use crate::config::ArchConfig;
@@ -387,9 +409,135 @@ fn record_pair(traffic: &mut Option<SymMatrix<u64>>, a: usize, b: usize) {
     }
 }
 
+/// Lookahead not computed yet: the next pop scans it.
+const UNSCANNED: u64 = u64::MAX;
+
+/// The batched engine's event queue: one slot per processor (see the
+/// module docs, "Hit-run lookahead").
+struct Slots {
+    /// `events[q]` is the issue cycle of processor q's next reference,
+    /// [`NO_EVENT`] if it has none pending.
+    events: Vec<u64>,
+    /// `ahead[q]` counts the plain local hits that q's current context
+    /// issues from `events[q]` on, or [`UNSCANNED`].
+    ahead: Vec<u64>,
+}
+
+impl Slots {
+    /// Schedules processor `q`'s next reference at `at`, dropping its
+    /// lookahead: the scan belonged to the old slot.
+    fn arm(&mut self, q: usize, at: u64) {
+        self.events[q] = at;
+        self.ahead[q] = UNSCANNED;
+    }
+
+    /// Brings processor `v` up to `touch`, which is about to change `v`'s
+    /// copy of `touch.line`: commits `v`'s scanned hits that issue before
+    /// the touch in `(cycle, processor)` order, then cuts the rest of the
+    /// lookahead before the first reference the change turns into a
+    /// globally visible one. References to other lines still hit.
+    /// Kept out of line: it is cold next to the hit loop in `run`.
+    #[inline(never)]
+    fn catch_up(
+        &mut self,
+        v: usize,
+        touch: Touch,
+        proc: &mut Processor<'_>,
+        cache: &mut ProcessorCache,
+        line_size: u64,
+        obs: &mut EngineObs,
+    ) {
+        let ahead = self.ahead[v];
+        if ahead == UNSCANNED {
+            return;
+        }
+        let start = self.events[v];
+        let n = ahead.min((touch.now + u64::from(v < touch.by)).saturating_sub(start));
+        let ctx = &mut proc.contexts[proc.current];
+        if n > 0 {
+            obs.on_pop(&self.events);
+            for _ in 0..n {
+                let r = ctx.refs.next().expect("scanned reference");
+                let access =
+                    cache.access(r.addr.line(line_size).raw(), r.kind.is_write(), ctx.thread);
+                debug_assert_eq!(access, Access::Hit, "scanned hit must still hit");
+            }
+            proc.stats.busy += n;
+            proc.stats.hits += n;
+            proc.stats.finish_time = start + n;
+            self.events[v] = start + n;
+            obs.on_hit_run(n);
+            obs.on_run_slice(v, ctx.thread.index() as u32, start, start + n, n);
+        }
+        let rest = ahead - n;
+        self.ahead[v] = ctx
+            .refs
+            .clone()
+            .take(rest as usize)
+            .position(|r| {
+                r.addr.line(line_size).raw() == touch.line && (touch.removes || r.kind.is_write())
+            })
+            .map_or(rest, |k| k as u64);
+    }
+}
+
+/// A remote action about to change one line of another processor's
+/// cache, as that processor's catch-up sees it.
+#[derive(Clone, Copy)]
+struct Touch {
+    /// Issue cycle of the action.
+    now: u64,
+    /// The acting processor.
+    by: usize,
+    /// The line whose copy changes.
+    line: u64,
+    /// The copy goes away (an invalidation), so every later reference to
+    /// the line misses. Otherwise (a downgrade, a Dragon update) the copy
+    /// stays without write permission: reads still hit, writes need the
+    /// directory.
+    removes: bool,
+}
+
+impl Touch {
+    /// An invalidation of `line` by processor `by` at cycle `now`.
+    fn removing(now: u64, by: usize, line: u64) -> Self {
+        Touch {
+            now,
+            by,
+            line,
+            removes: true,
+        }
+    }
+
+    /// A downgrade or Dragon update of `line` by processor `by` at
+    /// cycle `now`.
+    fn demoting(now: u64, by: usize, line: u64) -> Self {
+        Touch {
+            now,
+            by,
+            line,
+            removes: false,
+        }
+    }
+}
+
+/// Processor `proc`'s lookahead: how many of its current context's next
+/// references are plain local hits. Read-only. Stops before a barrier,
+/// before the context's final reference (its completion switches
+/// contexts) and before the first reference that needs the directory.
+fn scan(proc: &Processor<'_>, cache: &ProcessorCache, line_size: u64) -> u64 {
+    let refs = &proc.contexts[proc.current].refs;
+    refs.clone()
+        .take(refs.len().saturating_sub(1))
+        .take_while(|r| {
+            r.kind != RefKind::Barrier
+                && cache.hits_locally(r.addr.line(line_size).raw(), r.kind.is_write())
+        })
+        .count() as u64
+}
+
 /// Why a hit run ended; every variant is a reference with global
-/// effects (or an end-of-trace) handled by the slow path. The remaining
-/// stop — yielding at the horizon — is handled inline in the fast loop.
+/// effects (or an end-of-trace) handled by the slow path.
 enum Stop {
     /// The context's final reference hit; the free switch to another
     /// context happens at `now`.
@@ -448,14 +596,15 @@ fn run(
     // `occupancy` cycles, serializing concurrent misses.
     let mut channel_free_at = 0u64;
 
-    // Slot queue: `events[q]` is processor q's (sole) pending event time,
-    // `NO_EVENT` if none. One event = dispatch the processor's current
-    // context until it can no longer run locally. With at most one event
-    // per processor and the paper's small machines, a linear argmin scan
-    // beats a binary heap, and the scan's runner-up is the horizon the
-    // fast path needs anyway.
-    let mut events: Vec<u64> = vec![NO_EVENT; p];
-    let mut procs = build_processors(prog, map, |pi, at| events[pi] = at);
+    // Slot queue: one pending event per processor, each with its
+    // lookahead. One event = run the processor's current context up to
+    // and including its next globally visible reference. With the
+    // paper's small machines a linear argmin scan beats a binary heap.
+    let mut slots = Slots {
+        events: vec![NO_EVENT; p],
+        ahead: vec![UNSCANNED; p],
+    };
+    let mut procs = build_processors(prog, map, |pi, at| slots.arm(pi, at));
     let protocol = config.protocol();
     let mut caches: Vec<ProcessorCache> = (0..p)
         .map(|_| {
@@ -474,38 +623,44 @@ fn run(
     let mut parked: Vec<Option<u64>> = vec![None; p]; // Some(park time)
 
     'events: loop {
-        // Pop: argmin over the slots by (time, processor), which is
-        // exactly the heap's pop order (ties go to the lower index). The
-        // runner-up is the safe horizon: the next event the
-        // per-reference engine would interleave. Slots are untouched
-        // during a hit run, so it stays valid; `(NO_EVENT, MAX)` (no
-        // other pending event) means an unbounded run.
-        let mut t = NO_EVENT;
+        // Pop the processor whose next globally visible reference comes
+        // first: argmin of `(events[q] + ahead[q], q)`, ties to the lower
+        // index. A lone pending processor wins whatever its key, so it
+        // skips the scan and its run below is bounded by its own trace.
+        let mut pending = 0;
         let mut pi = usize::MAX;
-        let mut horizon = (NO_EVENT, usize::MAX);
-        for (qi, &eq) in events.iter().enumerate() {
-            if eq < t {
-                horizon = (t, pi);
-                t = eq;
-                pi = qi;
-            } else if eq < horizon.0 {
-                horizon = (eq, qi);
+        for (q, &e) in slots.events.iter().enumerate() {
+            if e != NO_EVENT {
+                pending += 1;
+                pi = q;
             }
         }
-        if t == NO_EVENT {
+        if pending == 0 {
             break;
         }
-        obs.on_pop(&events);
-        events[pi] = NO_EVENT;
-        // Collapse the (time, processor) horizon into one scalar bound:
-        // a tie at the runner-up's time yields only to lower-indexed
-        // processors, so a higher-indexed runner-up lets this processor
-        // keep the tied cycle.
-        let batch_limit = if pi < horizon.1 {
-            horizon.0.saturating_add(1)
-        } else {
-            horizon.0
-        };
+        let lone = pending == 1;
+        if !lone {
+            let mut best = NO_EVENT;
+            for q in 0..p {
+                let e = slots.events[q];
+                if e == NO_EVENT {
+                    continue;
+                }
+                if slots.ahead[q] == UNSCANNED {
+                    slots.ahead[q] = scan(&procs[q], &caches[q], line_size);
+                }
+                let key = e + slots.ahead[q];
+                if key < best {
+                    best = key;
+                    pi = q;
+                }
+            }
+        }
+        obs.on_pop(&slots.events);
+        let t = slots.events[pi];
+        let scanned = slots.ahead[pi];
+        slots.events[pi] = NO_EVENT;
+        slots.ahead[pi] = UNSCANNED;
         let ctx_idx = procs[pi].current;
         // Timeline hooks want the dispatched thread; a scheduled event
         // always has a live current context.
@@ -515,16 +670,14 @@ fn run(
         // Fast path: consume the current context's consecutive hitting
         // references without touching the event queue. Counters
         // accumulate in locals and flush once per run, so a hit costs no
-        // stat stores at all.
+        // stat stores at all. No bound is needed: a scanned run hits
+        // exactly `scanned` times and then reaches its stop reference,
+        // and a lone run may go on until its own first stop.
         let mut run_busy = 0u64;
         let mut run_hits = 0u64;
         let stop = {
-            let proc = &mut procs[pi];
             let cache = &mut caches[pi];
-            // Disjoint field borrows: the loop advances the context while
-            // the flushes below update the stats.
-            let stats = &mut proc.stats;
-            let ctx = &mut proc.contexts[ctx_idx];
+            let ctx = &mut procs[pi].contexts[ctx_idx];
             debug_assert!(!ctx.done);
             debug_assert!(ctx.ready_at <= t);
             let thread = ctx.thread;
@@ -548,18 +701,6 @@ fn run(
                             ctx.done = true;
                             break Stop::HitExhausted;
                         }
-                        if now >= batch_limit {
-                            // Yield to the earliest other event; handled
-                            // inline because it is the hottest stop in
-                            // lockstep multi-processor phases.
-                            stats.busy += run_busy;
-                            stats.hits += run_hits;
-                            stats.finish_time = now;
-                            events[pi] = now;
-                            obs.on_hit_run(run_hits);
-                            obs.on_run_slice(pi, cur_thread, t, now, run_hits);
-                            continue 'events;
-                        }
                     }
                     Access::UpgradeHit => break Stop::Upgrade { line, exhausted },
                     Access::UpdateHit => break Stop::Update { line, exhausted },
@@ -575,6 +716,10 @@ fn run(
                 }
             }
         };
+        debug_assert!(
+            lone || run_hits == scanned + u64::from(matches!(stop, Stop::HitExhausted)),
+            "processor {pi} ran {run_hits} hits past a lookahead of {scanned}"
+        );
         {
             let stats = &mut procs[pi].stats;
             stats.busy += run_busy;
@@ -626,7 +771,7 @@ fn run(
                                 if let Some((idx, dispatch)) = procs[qi].next_context(issue_end) {
                                     procs[qi].stats.idle += dispatch - park_time;
                                     procs[qi].current = idx;
-                                    events[qi] = dispatch;
+                                    slots.arm(qi, dispatch);
                                 }
                             }
                         }
@@ -643,7 +788,7 @@ fn run(
                             procs[pi].stats.idle += dispatch - issue_end;
                         }
                         procs[pi].current = idx;
-                        events[pi] = dispatch;
+                        slots.arm(pi, dispatch);
                     }
                     None => {
                         // All contexts done or waiting: park until a
@@ -664,15 +809,18 @@ fn run(
                 obs.on_invalidation_fanout(tx.invalidate.len() as u64);
                 obs.on_directory(pi, cur_thread, now, line, tx.invalidate.len() as u64, true);
                 procs[pi].stats.invalidations_sent += tx.invalidate.len() as u64;
+                let touch = Touch::removing(now, pi, line);
                 for victim in tx.invalidate {
+                    let v = victim.index();
+                    slots.catch_up(v, touch, &mut procs[v], &mut caches[v], line_size, obs);
                     if obs.wants_attribution() {
-                        let owner = owner_u32(&caches[victim.index()], line);
+                        let owner = owner_u32(&caches[v], line);
                         obs.on_attr_invalidation(line, cur_thread, owner);
                     }
-                    caches[victim.index()].invalidate(line, me, cur_tid);
-                    procs[victim.index()].stats.invalidations_received += 1;
-                    record_pair(&mut traffic, victim.index(), pi);
-                    obs.on_invalidation_pair(pi, victim.index(), line, now);
+                    caches[v].invalidate(line, me, cur_tid);
+                    procs[v].stats.invalidations_received += 1;
+                    record_pair(&mut traffic, v, pi);
+                    obs.on_invalidation_pair(pi, v, line, now);
                 }
                 caches[pi].set_modified(line);
                 Some((config.upgrade_stalls() && had_remote, exhausted, None))
@@ -687,15 +835,18 @@ fn run(
                 let had_remote = !others.is_empty();
                 procs[pi].stats.updates_sent += others.len() as u64;
                 obs.on_directory(pi, cur_thread, now, line, others.len() as u64, true);
+                let touch = Touch::demoting(now, pi, line);
                 for sharer in &others {
+                    let v = sharer.index();
+                    slots.catch_up(v, touch, &mut procs[v], &mut caches[v], line_size, obs);
                     if obs.wants_attribution() {
-                        let owner = owner_u32(&caches[sharer.index()], line);
+                        let owner = owner_u32(&caches[v], line);
                         obs.on_attr_update(line, cur_thread, owner);
                     }
-                    caches[sharer.index()].receive_update(line);
-                    procs[sharer.index()].stats.updates_received += 1;
-                    record_pair(&mut traffic, sharer.index(), pi);
-                    obs.on_update_pair(pi, sharer.index(), line, now);
+                    caches[v].receive_update(line);
+                    procs[v].stats.updates_received += 1;
+                    record_pair(&mut traffic, v, pi);
+                    obs.on_update_pair(pi, v, line, now);
                 }
                 if had_remote {
                     caches[pi].set_shared_dirty(line);
@@ -747,15 +898,18 @@ fn run(
                         // owner of a still-shared line.
                         let others = directory.update_fill(me, line);
                         procs[pi].stats.updates_sent += others.len() as u64;
+                        let touch = Touch::demoting(now, pi, line);
                         for sharer in &others {
+                            let v = sharer.index();
+                            slots.catch_up(v, touch, &mut procs[v], &mut caches[v], line_size, obs);
                             if obs.wants_attribution() {
-                                let owner = owner_u32(&caches[sharer.index()], line);
+                                let owner = owner_u32(&caches[v], line);
                                 obs.on_attr_update(line, cur_thread, owner);
                             }
-                            caches[sharer.index()].receive_update(line);
-                            procs[sharer.index()].stats.updates_received += 1;
-                            record_pair(&mut traffic, sharer.index(), pi);
-                            obs.on_update_pair(pi, sharer.index(), line, now);
+                            caches[v].receive_update(line);
+                            procs[v].stats.updates_received += 1;
+                            record_pair(&mut traffic, v, pi);
+                            obs.on_update_pair(pi, v, line, now);
                         }
                         let fill_state = if others.is_empty() {
                             LineState::Modified
@@ -777,18 +931,24 @@ fn run(
                     is_write,
                 );
                 procs[pi].stats.invalidations_sent += tx.invalidate.len() as u64;
+                let touch = Touch::removing(now, pi, line);
                 for victim in tx.invalidate {
+                    let v = victim.index();
+                    slots.catch_up(v, touch, &mut procs[v], &mut caches[v], line_size, obs);
                     if obs.wants_attribution() {
-                        let owner = owner_u32(&caches[victim.index()], line);
+                        let owner = owner_u32(&caches[v], line);
                         obs.on_attr_invalidation(line, cur_thread, owner);
                     }
-                    caches[victim.index()].invalidate(line, me, cur_tid);
-                    procs[victim.index()].stats.invalidations_received += 1;
-                    record_pair(&mut traffic, victim.index(), pi);
-                    obs.on_invalidation_pair(pi, victim.index(), line, now);
+                    caches[v].invalidate(line, me, cur_tid);
+                    procs[v].stats.invalidations_received += 1;
+                    record_pair(&mut traffic, v, pi);
+                    obs.on_invalidation_pair(pi, v, line, now);
                 }
                 if let Some(owner) = tx.downgrade {
-                    caches[owner.index()].downgrade(line);
+                    let v = owner.index();
+                    let touch = Touch::demoting(now, pi, line);
+                    slots.catch_up(v, touch, &mut procs[v], &mut caches[v], line_size, obs);
+                    caches[v].downgrade(line);
                 }
                 if let Some((vline, _)) = caches[pi].fill(line, fill_state, cur_tid) {
                     directory.evict(me, vline);
@@ -826,7 +986,7 @@ fn run(
 
         if !missed && !exhausted {
             // Same context continues next cycle (post-upgrade).
-            events[pi] = issue_end;
+            slots.arm(pi, issue_end);
             continue 'events;
         }
 
@@ -849,7 +1009,7 @@ fn run(
                     proc.stats.idle += dispatch - drain_end;
                 }
                 proc.current = idx;
-                events[pi] = dispatch;
+                slots.arm(pi, dispatch);
             }
             None => {
                 // All contexts done: the processor is finished. The drain
@@ -1689,11 +1849,12 @@ mod barrier_tests {
     }
 }
 
-/// Edge cases of the hit-run fast path: runs cut exactly at the
-/// horizon, contexts exhausting mid-run, and barriers immediately after
-/// a batched run. Every test closes with the cycle conservation law.
+/// Edge cases of the hit-run lookahead: lockstep processors, remote
+/// writes landing inside a scanned run, contexts exhausting mid-run, and
+/// barriers immediately after a run. Every test closes with the cycle
+/// conservation law.
 #[cfg(test)]
-mod horizon_tests {
+mod lookahead_tests {
     use super::*;
     use placesim_trace::{Address, ThreadTrace};
 
@@ -1706,12 +1867,12 @@ mod horizon_tests {
             .unwrap()
     }
 
-    /// Two lockstep processors: every hit run is interrupted after
-    /// exactly one reference because the other processor's event sits at
-    /// the same cycle. The fast path degenerates to per-reference
-    /// stepping and must account identically to it.
+    /// Two lockstep processors whose hits share every cycle. Each one's
+    /// lookahead covers its whole remaining hit run, so the runs no
+    /// longer interleave reference by reference, yet they must account
+    /// exactly like the per-reference engine.
     #[test]
-    fn hit_run_cut_exactly_at_horizon() {
+    fn lockstep_processors_account_per_reference() {
         let t0: ThreadTrace = (0..10).map(|_| MemRef::read(Address::new(0x000))).collect();
         let t1: ThreadTrace = (0..10).map(|_| MemRef::read(Address::new(0x400))).collect();
         let prog = ProgramTrace::new("lockstep", vec![t0, t1]);
@@ -1731,6 +1892,64 @@ mod horizon_tests {
         }
     }
 
+    /// A writer's write miss at cycle 60 invalidates line X while the
+    /// victim's scanned run reads X at cycles 50..=61. The victim runs
+    /// on processor `victim`, the writer on the other of processors 0
+    /// and 1. Returns the victim's statistics.
+    fn remote_write_at_tied_cycle(victim: usize) -> ProcStats {
+        let x = Address::new(0x000);
+        let y = Address::new(0x020); // another set: no conflict with X
+                                     // Victim: compulsory miss on X at 0, ready at 50, then 12 reads
+                                     // of X issued from cycle 50 on.
+        let v: ThreadTrace = (0..13).map(|_| MemRef::read(x)).collect();
+        // Writer: compulsory miss on Y at 0, hits on Y at 50..=59, then a
+        // write miss on X at cycle 60 that invalidates the victim's copy.
+        let mut w: ThreadTrace = (0..11).map(|_| MemRef::read(y)).collect();
+        w.push(MemRef::write(x));
+        let threads = if victim == 0 { vec![v, w] } else { vec![w, v] };
+        let prog = ProgramTrace::new("tie", threads);
+        let map = PlacementMap::from_clusters(vec![vec![0], vec![1]]).unwrap();
+        let stats = simulate(&prog, &map, &cfg()).unwrap();
+        #[cfg(feature = "reference-engine")]
+        assert_eq!(stats, reference::simulate(&prog, &map, &cfg()).unwrap());
+        let writer = stats.per_proc()[1 - victim];
+        assert_eq!(writer.invalidations_sent, 1);
+        assert_eq!(writer.finish_time, 61);
+        stats.per_proc()[victim]
+    }
+
+    /// Victim index below the writer's: at the tied cycle the victim's
+    /// reference goes first and hits; its next reference to X, its final
+    /// one at cycle 61, is the invalidation miss.
+    #[test]
+    fn tied_remote_write_lands_after_a_lower_indexed_victim() {
+        let p0 = remote_write_at_tied_cycle(0);
+        assert_eq!(p0.hits, 11, "hits at cycles 50..=60");
+        assert_eq!(p0.misses.compulsory, 1);
+        assert_eq!(p0.misses.invalidation, 1);
+        assert_eq!(p0.invalidations_received, 1);
+        // The final reference misses at 61 and ends the thread.
+        assert_eq!(p0.finish_time, 62);
+        assert_eq!(p0.switching, 6);
+        assert_eq!(p0.accounted_cycles(), p0.finish_time);
+    }
+
+    /// Victim index above the writer's: the write goes first at the tied
+    /// cycle, so the victim's reference at cycle 60 is itself the
+    /// invalidation miss; the refill is ready at 110, where the final
+    /// read hits.
+    #[test]
+    fn tied_remote_write_lands_before_a_higher_indexed_victim() {
+        let p1 = remote_write_at_tied_cycle(1);
+        assert_eq!(p1.hits, 11, "hits at cycles 50..=59 and 110");
+        assert_eq!(p1.misses.compulsory, 1);
+        assert_eq!(p1.misses.invalidation, 1);
+        assert_eq!(p1.invalidations_received, 1);
+        assert_eq!(p1.finish_time, 111);
+        assert_eq!(p1.switching, 12);
+        assert_eq!(p1.accounted_cycles(), p1.finish_time);
+    }
+
     /// A context's trace ends inside a hit run: the run stops, the
     /// thread completes, and the switch to the other context is free
     /// (no drain) — only the wait until its readiness is idle time.
@@ -1745,9 +1964,9 @@ mod horizon_tests {
 
         // t=0: thread 0 compulsory miss, drain to 7, thread 1 dispatched.
         // t=7: thread 1 compulsory miss, drain to 14, idle until thread 0
-        // ready at 50. t=50..54: thread 0's 4 hits in one batch (queue
-        // empty, no horizon), trace done, free switch, idle until 57.
-        // t=57..61: thread 1's 4 hits in one batch.
+        // ready at 50. t=50..54: thread 0's 4 hits in one lone run,
+        // trace done, free switch, idle until 57. t=57..61: thread 1's 4
+        // hits in one lone run.
         assert_eq!(p0.misses.compulsory, 2);
         assert_eq!(p0.hits, 8);
         assert_eq!(p0.busy, 10);
@@ -1757,9 +1976,9 @@ mod horizon_tests {
         assert_eq!(p0.accounted_cycles(), p0.finish_time);
     }
 
-    /// A barrier is the first reference the slow path sees after a
-    /// batched run of hits: arrival bookkeeping, waiting and release all
-    /// happen at the batch's local clock, not the event's pop time.
+    /// A barrier is the first reference the slow path sees after a run
+    /// of hits: arrival bookkeeping, waiting and release all happen at
+    /// the run's local clock, not the event's pop time.
     #[test]
     fn barrier_first_after_batched_run() {
         let mk = |base: u64| -> ThreadTrace {

@@ -3,7 +3,10 @@
 //! The batched engine calls the [`EngineObs`] hooks at the handful of
 //! places where something globally interesting happens — an event-queue
 //! pop, a hit run ending, a context-switch drain, a directory write
-//! transaction. Without the `obs` cargo feature every hook body is
+//! transaction. A catch-up that commits part of a victim's lookahead
+//! before a remote invalidation, downgrade or update reports as one more
+//! pop and hit run, so `events`, `queue_depth` and `hit_run_hits` count
+//! lookahead runs. Without the `obs` cargo feature every hook body is
 //! empty and inlined away, so default builds pay nothing; with it,
 //! [`crate::simulate_observed`] returns an [`EngineObsReport`] with the
 //! recorded distributions.
@@ -129,8 +132,9 @@ impl EngineObs {
         }
     }
 
-    /// An event was popped; `events` is the slot queue *before* the
-    /// popped slot is cleared, so the recorded depth includes it.
+    /// An event was popped, or a victim's scanned hits are about to be
+    /// committed early; `events` is the slot queue with the running
+    /// processor's slot still set, so the recorded depth includes it.
     #[inline]
     pub(crate) fn on_pop(&mut self, events: &[u64]) {
         let _ = events;
@@ -143,7 +147,8 @@ impl EngineObs {
     }
 
     /// A hit run ended after `hits` consecutive cache hits (possibly
-    /// zero, when the dispatched reference immediately missed).
+    /// zero, when the dispatched reference immediately missed), or a
+    /// catch-up committed `hits` of a victim's scanned hits.
     #[inline]
     pub(crate) fn on_hit_run(&mut self, hits: u64) {
         let _ = hits;
@@ -434,13 +439,16 @@ impl EngineObs {
 pub struct EngineObsReport {
     /// Whether the run actually recorded (feature `obs` on).
     pub enabled: bool,
-    /// Event-queue pops (batched dispatches, not references).
+    /// Lookahead runs: event-queue pops plus the partial commits of a
+    /// victim's scanned hits that a remote invalidation, downgrade or
+    /// update forces first (batched dispatches, not references).
     pub events: u64,
-    /// Pending-event count at each pop (including the popped event).
+    /// Pending-event count at each pop or partial commit (including the
+    /// processor that runs).
     pub queue_depth: Histogram,
-    /// Consecutive cache hits per dispatch (the batching win: mean ≫ 1
-    /// means the slot queue is touched far less than once per
-    /// reference).
+    /// Consecutive cache hits per lookahead run, partial commits
+    /// included (the batching win: mean ≫ 1 means the slot queue is
+    /// touched far less than once per reference).
     pub hit_run_hits: Histogram,
     /// Remote caches invalidated per directory write transaction.
     pub invalidation_fanout: Histogram,

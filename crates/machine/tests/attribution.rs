@@ -250,3 +250,50 @@ fn merged_collectors_report_validates() {
     let report = a.report_json("wi", prog.thread_count(), 16);
     placesim_obs::attribution::validate(&report).expect("merged report validates");
 }
+
+/// The attribution event order is pinned. A Misra-Gries sketch far
+/// smaller than the key count makes the report depend on the order in
+/// which coherence events arrive, not just on their totals. The real
+/// 16-thread water trace on 4 processors, one run per protocol, must
+/// render the same report bytes as the per-event engine it replaced,
+/// whose FNV-1a digests are recorded here.
+#[test]
+fn sketched_report_bytes_are_pinned() {
+    use placesim_trace::hash::fnv1a64;
+    use placesim_workloads::{generate, spec, GenOptions};
+
+    let prog = generate(
+        &spec("water").expect("known app"),
+        &GenOptions {
+            scale: 0.002,
+            seed: 1994,
+        },
+    );
+    let t = prog.thread_count();
+    let clusters = (0..4).map(|k| (k..t).step_by(4).collect()).collect();
+    let map = PlacementMap::from_clusters(clusters).unwrap();
+    for (protocol, want) in [
+        (Protocol::Wi, 0x9717_1d91_17f3_bd89),
+        (Protocol::Mesi, 0x2e3d_a5c9_ebfb_fb83),
+        (Protocol::Dragon, 0x196a_8b8c_1d01_2a7f),
+    ] {
+        let config = ArchConfig::builder().protocol(protocol).build().unwrap();
+        let (_, attr) = simulate_attributed(&prog, &map, &config, AttributionConfig::new(1, 8))
+            .expect("attributed simulation");
+        assert!(
+            attr.is_sketch(),
+            "{protocol}: capacity must force the sketch"
+        );
+        assert!(
+            attr.top_addresses(usize::MAX).len() <= 8 && attr.error_bound() > 0,
+            "{protocol}: sketch must have dropped keys"
+        );
+        let report = attr.report_json(&protocol.to_string(), t, 8);
+        assert_eq!(
+            fnv1a64(report.as_bytes()),
+            want,
+            "{protocol}: report bytes changed (digest {:#018x})",
+            fnv1a64(report.as_bytes())
+        );
+    }
+}

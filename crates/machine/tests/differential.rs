@@ -86,7 +86,7 @@ fn arb_placement(t: usize, seed: u64) -> PlacementMap {
 }
 
 /// Randomized machine: cache geometry, latencies, channel occupancy and
-/// the upgrade-stall policy all vary, so horizon interactions are probed
+/// the upgrade-stall policy all vary, so lookahead catch-ups are probed
 /// under many event interleavings.
 fn arb_config() -> impl Strategy<Value = ArchConfig> {
     (0u8..4, 0u8..2, 0u64..4, 0u64..3, 0u8..2).prop_map(|(geom, assoc, switch, occ, stalls)| {
@@ -152,8 +152,9 @@ proptest! {
 
     #[test]
     fn engines_agree_on_single_processor(prog in arb_program(), config in arb_config()) {
-        // p = 1 maximizes batch length (no other processor's events cut
-        // the horizon), the exact case the fast path optimizes.
+        // p = 1: the lone pending processor runs its hits in one
+        // mutating pass without scanning, the case the fast path
+        // optimizes most.
         let t = prog.thread_count();
         let map = PlacementMap::from_clusters(vec![(0..t).collect()]).unwrap();
         assert_engines_agree(&prog, &map, &config);
@@ -161,8 +162,8 @@ proptest! {
 
     #[test]
     fn engines_agree_on_all_distinct_processors(prog in arb_program(), config in arb_config()) {
-        // One thread per processor: lockstep events, horizon cut every
-        // cycle — the fast path's worst case degenerates to per-reference.
+        // One thread per processor: lockstep events, every processor
+        // holding a lookahead at once, catch-ups at every remote write.
         let t = prog.thread_count();
         let map = PlacementMap::from_clusters((0..t).map(|i| vec![i]).collect()).unwrap();
         assert_engines_agree(&prog, &map, &config);
@@ -196,5 +197,49 @@ fn engines_agree_on_paper_default_machine() {
     ] {
         let map = PlacementMap::from_clusters(clusters).unwrap();
         assert_engines_agree(&prog, &map, &ArchConfig::paper_default());
+    }
+}
+
+/// Paper scale in machine size: the real 127-thread gauss and 16-thread
+/// water traces (at a small reference scale, so a debug build stays
+/// fast) on the paper's processor counts and on the coherence probe's
+/// one-thread-per-processor map, under every protocol, direct-mapped
+/// and 4-way.
+///
+/// The proptests above stop at 5 threads over 64 lines. Here up to 127
+/// processors each hold long lookahead runs at once, and remote
+/// invalidations, downgrades and updates land in the middle of them, so
+/// the catch-up's partial commits run on real sharing patterns.
+#[test]
+fn engines_agree_on_paper_scale_suite_traces() {
+    use placesim_machine::Protocol;
+    use placesim_workloads::{generate, spec, GenOptions};
+
+    for (app, scale) in [("gauss", 0.005), ("water", 0.01)] {
+        let prog = generate(
+            &spec(app).expect("known app"),
+            &GenOptions { scale, seed: 1994 },
+        );
+        let t = prog.thread_count();
+        let mut maps: Vec<PlacementMap> = [2, 4, 8, 16]
+            .into_iter()
+            .map(|p| {
+                let clusters = (0..p).map(|k| (k..t).step_by(p).collect()).collect();
+                PlacementMap::from_clusters(clusters).expect("round-robin placement")
+            })
+            .collect();
+        maps.push(PlacementMap::from_clusters((0..t).map(|i| vec![i]).collect()).unwrap());
+        for map in &maps {
+            for protocol in Protocol::ALL {
+                for assoc in [1, 4] {
+                    let config = ArchConfig::builder()
+                        .protocol(protocol)
+                        .associativity(assoc)
+                        .build()
+                        .expect("valid config");
+                    assert_engines_agree(&prog, map, &config);
+                }
+            }
+        }
     }
 }

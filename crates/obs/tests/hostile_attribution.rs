@@ -12,52 +12,57 @@
 use placesim_obs::attribution::{self, AttrCollector, AttrKind, AttributionConfig};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
-/// Wraps the system allocator, tracking current and peak live bytes.
-struct TrackingAlloc {
-    current: AtomicUsize,
-    peak: AtomicUsize,
+/// Wraps the system allocator, tracking the live and peak bytes each
+/// thread has allocated. The test harness runs `#[test]` fns on parallel
+/// threads; per-thread counters keep one test's measurement blind to the
+/// others' allocations. A `const` thread-local `Cell` needs neither lazy
+/// initialization nor a destructor, so reaching it never allocates.
+struct TrackingAlloc;
+
+thread_local! {
+    /// Bytes this thread allocated minus bytes it freed. Signed: a
+    /// thread may free memory another thread allocated.
+    static CURRENT: Cell<isize> = const { Cell::new(0) };
+    /// High-water mark of `CURRENT` since the last reset.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
 // SAFETY: delegates allocation verbatim to `System`; the bookkeeping is
-// plain atomic arithmetic on the side.
+// plain arithmetic on thread-local cells on the side.
 unsafe impl GlobalAlloc for TrackingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
-            let live = self.current.fetch_add(layout.size(), Ordering::SeqCst) + layout.size();
-            self.peak.fetch_max(live, Ordering::SeqCst);
+            let _ = CURRENT.try_with(|current| {
+                let live = current.get() + layout.size() as isize;
+                current.set(live);
+                let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live)));
+            });
         }
         ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) };
-        self.current.fetch_sub(layout.size(), Ordering::SeqCst);
+        let _ = CURRENT.try_with(|current| current.set(current.get() - layout.size() as isize));
     }
 }
 
 #[global_allocator]
-static ALLOC: TrackingAlloc = TrackingAlloc {
-    current: AtomicUsize::new(0),
-    peak: AtomicUsize::new(0),
-};
+static ALLOC: TrackingAlloc = TrackingAlloc;
 
-/// Serializes measured sections: the test harness runs `#[test]` fns on
-/// parallel threads, and concurrent allocations would pollute the peak.
-static MEASURE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `f`, returning its result and the peak heap growth (bytes above
-/// the live size at entry) during the call.
+/// Runs `f` on the calling thread, returning its result and the peak
+/// heap growth (bytes above the thread's live size at entry) during the
+/// call. `f` must not hand work to other threads: their allocations are
+/// not counted.
 fn measured_peak<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let _guard = MEASURE_LOCK.lock().unwrap();
-    let base = ALLOC.current.load(Ordering::SeqCst);
-    ALLOC.peak.store(base, Ordering::SeqCst);
+    let base = CURRENT.with(Cell::get);
+    PEAK.with(|peak| peak.set(base));
     let result = f();
-    let peak = ALLOC.peak.load(Ordering::SeqCst);
-    (peak.saturating_sub(base), result)
+    let peak = PEAK.with(Cell::get);
+    ((peak - base) as usize, result)
 }
 
 /// Allocation bound for parsing `input_len` bytes of report: the JSON
