@@ -4,8 +4,8 @@ use crate::error::Error;
 use crate::manifest::{ManifestEntry, RunManifest};
 use placesim_analysis::{SharingAnalysis, SymMatrix};
 use placesim_machine::{
-    probe_coherence, simulate, simulate_attributed, ArchConfig, AttrCollector, AttributionConfig,
-    ProbeResult, SimStats,
+    probe_coherence, simulate, simulate_probed, ArchConfig, AttrCollector, AttributionConfig,
+    EngineObs, ProbeResult, SimStats,
 };
 use placesim_obs::SpanTimer;
 use placesim_placement::{thread_lengths, PlacementAlgorithm, PlacementInputs, PlacementMap};
@@ -175,9 +175,7 @@ pub fn run_placement_with_config(
 /// Like [`run_placement`], but also attributes every coherence event to
 /// its (address, writer-thread, victim-thread) triple through an online
 /// [`AttrCollector`]. The statistics are bit-identical to
-/// [`run_placement`]'s — attribution observes, never perturbs. Without
-/// the `obs` feature the collector comes back empty (see
-/// [`placesim_machine::attribution_enabled`]).
+/// [`run_placement`]'s — attribution observes, never perturbs.
 ///
 /// # Errors
 ///
@@ -192,7 +190,12 @@ pub fn run_placement_attributed(
         return Err(Error::ProbeMissing);
     }
     let map = algorithm.place(&app.placement_inputs(), processors)?;
-    let (stats, attr) = simulate_attributed(&app.prog, &map, &app.config, acfg)?;
+    let mut obs = EngineObs {
+        attribution: Some(AttrCollector::new(acfg)),
+        ..EngineObs::default()
+    };
+    let stats = simulate_probed(&app.prog, &map, &app.config, &mut obs)?;
+    let attr = obs.attribution.expect("the recorder keeps its collector");
     Ok((
         ExperimentResult {
             algorithm,

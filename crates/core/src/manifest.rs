@@ -4,7 +4,7 @@
 //! bench binaries, [`crate::run_sweep_manifested`]) can emit a manifest:
 //! a single JSON document recording the architecture configuration,
 //! generation parameters, wall time, per-combination results and — when
-//! the `obs` feature is on — the engine's observability summary. The
+//! the run recorded them — the engine counters (`EngineObsReport`). The
 //! schema is versioned via the [`METRICS_SCHEMA`] tag so downstream
 //! tooling can reject documents it does not understand.
 //!
@@ -407,7 +407,7 @@ mod tests {
         m.obs = Some(EngineObsReport::default());
         let json = m.to_json();
         RunManifest::validate(&json).unwrap();
-        assert!(json.contains("\"enabled\": false"));
+        assert!(json.contains("\"enabled\": true"));
     }
 
     #[test]

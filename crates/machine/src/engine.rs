@@ -81,16 +81,21 @@
 //! asserted per commit by the differential tests in
 //! `tests/differential.rs`, down to the tie order at a shared cycle
 //! (`lookahead_tests`).
+//!
+//! # Instrumentation
+//!
+//! The engine is generic over its hook sink (`crate::obs::Hooks`) and
+//! is compiled twice. [`simulate`] instantiates it with the zero-sized
+//! no-op sink, so the plain path carries no instrumentation at all;
+//! [`simulate_probed`] instantiates it with the [`EngineObs`] recorder,
+//! whose hooks check at run time which recordings were asked for.
 
 use crate::cache::{Access, LineState, ProcessorCache};
 use crate::config::ArchConfig;
 use crate::directory::{Directory, Transaction, MAX_PROCESSORS};
-use crate::obs::{EngineObs, EngineObsReport};
+use crate::obs::{EngineObs, Hooks, NoHooks};
 use crate::protocol::Protocol;
 use crate::stats::{MissKind, ProcStats, SimStats};
-use placesim_analysis::SymMatrix;
-use placesim_obs::EventTrace;
-use placesim_obs::{AttrCollector, AttributionConfig};
 use placesim_placement::{PlacementMap, ProcessorId};
 use placesim_trace::{MemRef, ProgramTrace, RefKind, ThreadId, ThreadTraceIter};
 #[cfg(feature = "reference-engine")]
@@ -170,104 +175,41 @@ pub fn simulate(
     map: &PlacementMap,
     config: &ArchConfig,
 ) -> Result<SimStats, SimError> {
-    let (stats, _) = run(prog, map, config, false, &mut EngineObs::disabled())?;
-    Ok(stats)
+    run(prog, map, config, &mut NoHooks)
 }
 
-/// Like [`simulate`], but additionally records the pairwise
-/// processor-to-processor coherence traffic matrix: entry `(i, j)` counts
-/// invalidations sent between `i` and `j` plus invalidation misses one of
-/// them caused the other (the paper's §4.2 dynamic measurement).
+/// Like [`simulate`], but records whatever `obs` asks for: the
+/// coherence traffic matrix, the engine counters, the event timeline
+/// and the coherence attribution, in any combination, in one pass.
+///
+/// The statistics are bit-identical to [`simulate`]'s — recording never
+/// perturbs the simulation. A recorder that asks for nothing takes
+/// [`simulate`]'s uninstrumented path.
 ///
 /// # Errors
 ///
 /// Same as [`simulate`].
-pub fn simulate_with_traffic(
+///
+/// # Panics
+///
+/// If `obs.traffic` is not a `processors × processors` matrix.
+pub fn simulate_probed(
     prog: &ProgramTrace,
     map: &PlacementMap,
     config: &ArchConfig,
-) -> Result<(SimStats, SymMatrix<u64>), SimError> {
-    let (stats, traffic) = run(prog, map, config, true, &mut EngineObs::disabled())?;
-    Ok((stats, traffic.expect("traffic recording was enabled")))
-}
-
-/// Like [`simulate`], but also returns the engine's instrumentation
-/// report: event-queue depths, hit-run lengths, context-switch stalls
-/// and directory invalidation fan-out.
-///
-/// The statistics are identical to [`simulate`]'s — observation never
-/// perturbs the simulation. Without the `obs` cargo feature the hooks
-/// compile to no-ops and the report comes back with
-/// [`EngineObsReport::enabled`] `false` and empty distributions.
-///
-/// # Errors
-///
-/// Same as [`simulate`].
-pub fn simulate_observed(
-    prog: &ProgramTrace,
-    map: &PlacementMap,
-    config: &ArchConfig,
-) -> Result<(SimStats, EngineObsReport), SimError> {
-    let mut obs = EngineObs::enabled();
-    let (stats, _) = run(prog, map, config, false, &mut obs)?;
-    Ok((stats, obs.report()))
-}
-
-/// Like [`simulate_observed`], but additionally records a cycle-stamped
-/// event timeline retaining up to `capacity` events (ring buffer:
-/// oldest events are overwritten once full, per-kind counts stay
-/// exact). Export it with [`EventTrace::to_chrome_json`] or mine it
-/// with [`EventTrace::sharing_runs`].
-///
-/// The statistics are identical to [`simulate`]'s — tracing never
-/// perturbs the simulation. Without the `obs` cargo feature the trace
-/// comes back empty (and the report disabled).
-///
-/// # Errors
-///
-/// Same as [`simulate`].
-pub fn simulate_traced(
-    prog: &ProgramTrace,
-    map: &PlacementMap,
-    config: &ArchConfig,
-    capacity: usize,
-) -> Result<(SimStats, EngineObsReport, EventTrace), SimError> {
-    let mut obs = EngineObs::traced(capacity);
-    let (stats, _) = run(prog, map, config, false, &mut obs)?;
-    let (report, trace) = obs.finish();
-    Ok((stats, report, trace.unwrap_or_else(|| EventTrace::new(1))))
-}
-
-/// `true` when this build can actually attribute coherence traffic
-/// (the `obs` cargo feature is on). Without it the attributed entry
-/// points still run — statistics are unaffected — but the returned
-/// collector stays empty, and reports built from it should carry
-/// `enabled: false`.
-pub fn attribution_enabled() -> bool {
-    cfg!(feature = "obs")
-}
-
-/// Like [`simulate`], but attributes every coherence event —
-/// invalidation, Dragon update, coherence miss — to its (address,
-/// writer-thread, victim-thread) triple, aggregated online by an
-/// [`AttrCollector`] sized per `acfg`.
-///
-/// The statistics are bit-identical to [`simulate`]'s — attribution
-/// never perturbs the simulation (proptest-enforced per protocol).
-///
-/// # Errors
-///
-/// Same as [`simulate`].
-pub fn simulate_attributed(
-    prog: &ProgramTrace,
-    map: &PlacementMap,
-    config: &ArchConfig,
-    acfg: AttributionConfig,
-) -> Result<(SimStats, AttrCollector), SimError> {
-    let mut obs = EngineObs::attributed(acfg);
-    let (stats, _) = run(prog, map, config, false, &mut obs)?;
-    let (_, _, attr) = obs.finish_all();
-    Ok((stats, attr.unwrap_or_else(|| AttrCollector::new(acfg))))
+    obs: &mut EngineObs,
+) -> Result<SimStats, SimError> {
+    if obs.is_idle() {
+        return simulate(prog, map, config);
+    }
+    if let Some(m) = &obs.traffic {
+        assert_eq!(
+            m.dim(),
+            map.processor_count(),
+            "traffic matrix must be processors × processors"
+        );
+    }
+    run(prog, map, config, obs)
 }
 
 /// One hardware context: a thread's reference stream plus readiness.
@@ -387,7 +329,7 @@ fn build_processors<'a>(
 }
 
 /// Absent event marker in the batched engine's slot queue.
-const NO_EVENT: u64 = u64::MAX;
+pub(crate) const NO_EVENT: u64 = u64::MAX;
 
 /// "Unknown thread" marker in the attribution hooks (the numeric value
 /// of [`placesim_obs::timeline::NO_THREAD`]).
@@ -399,14 +341,6 @@ fn owner_u32(cache: &ProcessorCache, line: u64) -> u32 {
     cache
         .owner_of(line)
         .map_or(ATTR_NO_THREAD, |t| t.index() as u32)
-}
-
-fn record_pair(traffic: &mut Option<SymMatrix<u64>>, a: usize, b: usize) {
-    if let Some(m) = traffic {
-        if a != b {
-            m.add(a, b, 1);
-        }
-    }
 }
 
 /// Lookahead not computed yet: the next pop scans it.
@@ -438,14 +372,14 @@ impl Slots {
     /// globally visible one. References to other lines still hit.
     /// Kept out of line: it is cold next to the hit loop in `run`.
     #[inline(never)]
-    fn catch_up(
+    fn catch_up<H: Hooks>(
         &mut self,
         v: usize,
         touch: Touch,
         proc: &mut Processor<'_>,
         cache: &mut ProcessorCache,
         line_size: u64,
-        obs: &mut EngineObs,
+        obs: &mut H,
     ) {
         let ahead = self.ahead[v];
         if ahead == UNSCANNED {
@@ -576,14 +510,15 @@ enum Stop {
     },
 }
 
+/// The batched engine, monomorphised per hook sink: with [`NoHooks`]
+/// every hook compiles away.
 #[allow(clippy::too_many_lines)]
-fn run(
+fn run<H: Hooks>(
     prog: &ProgramTrace,
     map: &PlacementMap,
     config: &ArchConfig,
-    record_traffic: bool,
-    obs: &mut EngineObs,
-) -> Result<(SimStats, Option<SymMatrix<u64>>), SimError> {
+    obs: &mut H,
+) -> Result<SimStats, SimError> {
     let participants = validate(prog, map)?;
     let p = map.processor_count();
 
@@ -616,7 +551,6 @@ fn run(
         })
         .collect();
     let mut directory = Directory::new();
-    let mut traffic = record_traffic.then(|| SymMatrix::new(p, 0u64));
     // Barrier bookkeeping: arrivals at the current global barrier, and
     // processors parked with every context waiting on it.
     let mut barrier_arrivals = 0u64;
@@ -819,7 +753,7 @@ fn run(
                     }
                     caches[v].invalidate(line, me, cur_tid);
                     procs[v].stats.invalidations_received += 1;
-                    record_pair(&mut traffic, v, pi);
+                    obs.on_traffic(v, pi);
                     obs.on_invalidation_pair(pi, v, line, now);
                 }
                 caches[pi].set_modified(line);
@@ -845,7 +779,7 @@ fn run(
                     }
                     caches[v].receive_update(line);
                     procs[v].stats.updates_received += 1;
-                    record_pair(&mut traffic, v, pi);
+                    obs.on_traffic(v, pi);
                     obs.on_update_pair(pi, v, line, now);
                 }
                 if had_remote {
@@ -866,7 +800,7 @@ fn run(
                 obs.on_miss(pi, cur_thread, now, line, kind as u64);
                 if kind == MissKind::Invalidation {
                     if let Some(src) = source {
-                        record_pair(&mut traffic, pi, src.index());
+                        obs.on_traffic(pi, src.index());
                     }
                     if obs.wants_attribution() {
                         let writer = caches[pi]
@@ -908,7 +842,7 @@ fn run(
                             }
                             caches[v].receive_update(line);
                             procs[v].stats.updates_received += 1;
-                            record_pair(&mut traffic, v, pi);
+                            obs.on_traffic(v, pi);
                             obs.on_update_pair(pi, v, line, now);
                         }
                         let fill_state = if others.is_empty() {
@@ -941,7 +875,7 @@ fn run(
                     }
                     caches[v].invalidate(line, me, cur_tid);
                     procs[v].stats.invalidations_received += 1;
-                    record_pair(&mut traffic, v, pi);
+                    obs.on_traffic(v, pi);
                     obs.on_invalidation_pair(pi, v, line, now);
                 }
                 if let Some(owner) = tx.downgrade {
@@ -1022,7 +956,7 @@ fn run(
     let stats = SimStats::new(procs.into_iter().map(|pr| pr.stats).collect());
     #[cfg(feature = "audit")]
     crate::audit::check_drained(prog, map, stats.per_proc(), &caches, &directory);
-    Ok((stats, traffic))
+    Ok(stats)
 }
 
 /// The pre-batching engine: one heap event per reference, kept verbatim
@@ -1032,6 +966,7 @@ fn run(
 pub mod reference {
     use super::*;
     use crate::cache::AccessOutcome;
+    use placesim_analysis::SymMatrix;
 
     /// [`super::simulate`], executed by the per-reference engine.
     ///
@@ -1047,8 +982,9 @@ pub mod reference {
         Ok(stats)
     }
 
-    /// [`super::simulate_with_traffic`], executed by the per-reference
-    /// engine.
+    /// [`super::simulate`], additionally returning the coherence traffic
+    /// matrix that [`super::simulate_probed`] records in
+    /// [`EngineObs::traffic`], executed by the per-reference engine.
     ///
     /// # Errors
     ///
@@ -1060,6 +996,14 @@ pub mod reference {
     ) -> Result<(SimStats, SymMatrix<u64>), SimError> {
         let (stats, traffic) = run(prog, map, config, true)?;
         Ok((stats, traffic.expect("traffic recording was enabled")))
+    }
+
+    fn record_pair(traffic: &mut Option<SymMatrix<u64>>, a: usize, b: usize) {
+        if let Some(m) = traffic {
+            if a != b {
+                m.add(a, b, 1);
+            }
+        }
     }
 
     #[allow(clippy::too_many_lines)]
@@ -1311,6 +1255,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use placesim_analysis::SymMatrix;
     use placesim_trace::{Address, ThreadTrace};
 
     fn cfg() -> ArchConfig {
@@ -1506,9 +1451,13 @@ mod tests {
         t1.push(MemRef::write(Address::new(0x1000)));
         let prog = ProgramTrace::new("t", vec![t0, t1]);
         let map = PlacementMap::from_clusters(vec![vec![0], vec![1]]).unwrap();
-        let (stats, traffic) = simulate_with_traffic(&prog, &map, &cfg()).unwrap();
+        let mut obs = EngineObs {
+            traffic: Some(SymMatrix::new(2, 0)),
+            ..EngineObs::default()
+        };
+        let stats = simulate_probed(&prog, &map, &cfg(), &mut obs).unwrap();
         // One invalidation (P1→P0) + one invalidation miss at P0 = 2.
-        assert_eq!(traffic.get(0, 1), 2);
+        assert_eq!(obs.traffic.unwrap().get(0, 1), 2);
         assert_eq!(stats.coherence_traffic(), 2);
     }
 

@@ -8,6 +8,10 @@
 //! trace-driven: it consumes a [`placesim_trace::ProgramTrace`] and a
 //! [`placesim_placement::PlacementMap`] and produces cycle and miss
 //! statistics ([`SimStats`]).
+//! [`simulate_probed`] runs the same simulation and records, in the same
+//! pass, whatever an [`EngineObs`] recorder asks for: the coherence
+//! traffic matrix, the engine counters, an event timeline and coherence
+//! attribution.
 //!
 //! The coherence protocol is pluggable ([`Protocol`]): the paper's
 //! write-invalidate machine is the default, with MESI (exclusive-clean
@@ -57,12 +61,9 @@ pub use config::{ArchConfig, ArchConfigBuilder, ConfigError};
 pub use directory::{Directory, SharerSet, MAX_PROCESSORS};
 #[cfg(feature = "reference-engine")]
 pub use engine::reference;
-pub use engine::{
-    attribution_enabled, simulate, simulate_attributed, simulate_observed, simulate_traced,
-    simulate_with_traffic, SimError,
-};
+pub use engine::{simulate, simulate_probed, SimError};
 pub use model::{simulated_efficiency, EfficiencyModel};
-pub use obs::EngineObsReport;
+pub use obs::{EngineObs, EngineObsReport};
 pub use placesim_obs::{
     AttrCollector, AttrKind, AttributionConfig, EventKind, EventTrace, SharingRun, TimelineEvent,
 };

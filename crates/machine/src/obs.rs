@@ -1,200 +1,274 @@
-//! Engine instrumentation: hook collector and its report.
+//! Engine instrumentation: the hook trait, its two implementations and
+//! the counters report.
 //!
-//! The batched engine calls the [`EngineObs`] hooks at the handful of
-//! places where something globally interesting happens — an event-queue
-//! pop, a hit run ending, a context-switch drain, a directory write
-//! transaction. A catch-up that commits part of a victim's lookahead
-//! before a remote invalidation, downgrade or update reports as one more
-//! pop and hit run, so `events`, `queue_depth` and `hit_run_hits` count
-//! lookahead runs. Without the `obs` cargo feature every hook body is
-//! empty and inlined away, so default builds pay nothing; with it,
-//! [`crate::simulate_observed`] returns an [`EngineObsReport`] with the
-//! recorded distributions.
+//! The batched engine calls the [`Hooks`] at the handful of places where
+//! something globally interesting happens — an event-queue pop, a hit
+//! run ending, a context-switch drain, a directory write transaction, a
+//! coherence message between two processors. A catch-up that commits
+//! part of a victim's lookahead before a remote invalidation, downgrade
+//! or update reports as one more pop and hit run, so `events`,
+//! `queue_depth` and `hit_run_hits` count lookahead runs.
+//!
+//! The engine is generic over the hooks. [`crate::simulate`] runs it
+//! with [`NoHooks`], whose every hook is an empty default body, so the
+//! plain path is monomorphised with the instrumentation compiled away.
+//! [`crate::simulate_probed`] runs it with an [`EngineObs`], the
+//! runtime-configured recorder: each of its recordings is an `Option`,
+//! and a hook does its work only for the recordings that are `Some`.
 
+use crate::engine::NO_EVENT;
+use placesim_analysis::SymMatrix;
 use placesim_obs::json::JsonWriter;
-#[cfg(feature = "obs")]
 use placesim_obs::timeline::NO_THREAD;
-use placesim_obs::AttributionConfig;
-use placesim_obs::EventTrace;
-use placesim_obs::Histogram;
-#[cfg(feature = "obs")]
-use placesim_obs::{AttrCollector, AttrKind};
-#[cfg(feature = "obs")]
-use placesim_obs::{EventKind, TimelineEvent};
+use placesim_obs::{AttrCollector, AttrKind, EventKind, EventTrace, Histogram, TimelineEvent};
 
-/// Absent-event marker in the engine's slot queue (mirrors the engine's
-/// private `NO_EVENT`). Only the `obs`-gated hook bodies and the tests
-/// read it.
-#[cfg_attr(not(any(test, feature = "obs")), allow(dead_code))]
-const NO_EVENT: u64 = u64::MAX;
-
-#[cfg(feature = "obs")]
-#[derive(Debug, Default)]
-struct ObsInner {
-    events: u64,
-    queue_depth: Histogram,
-    hit_run_hits: Histogram,
-    invalidation_fanout: Histogram,
-    context_switches: u64,
-    switch_stall_cycles: u64,
-    /// Cycle-stamped event ring, present only for traced runs.
-    timeline: Option<EventTrace>,
-    /// Coherence-attribution collector, present only for attributed
-    /// runs.
-    attr: Option<AttrCollector>,
-}
-
-/// The engine's hook collector. A zero-cost stub unless the crate is
-/// built with the `obs` feature *and* the run was started through
-/// [`crate::simulate_observed`].
-#[derive(Debug, Default)]
-pub(crate) struct EngineObs {
-    #[cfg(feature = "obs")]
-    inner: Option<ObsInner>,
-}
-
-impl EngineObs {
-    /// A collector that records nothing (plain `simulate` runs).
-    pub(crate) fn disabled() -> Self {
-        Self::default()
-    }
-
-    /// A recording collector. Falls back to a no-op stub when the `obs`
-    /// feature is off.
-    pub(crate) fn enabled() -> Self {
-        #[cfg(feature = "obs")]
-        {
-            EngineObs {
-                inner: Some(ObsInner::default()),
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            Self::default()
-        }
-    }
-
-    /// A recording collector that additionally keeps a cycle-stamped
-    /// event timeline retaining up to `capacity` events. Falls back to
-    /// a no-op stub when the `obs` feature is off.
-    pub(crate) fn traced(capacity: usize) -> Self {
-        let _ = capacity;
-        #[cfg(feature = "obs")]
-        {
-            EngineObs {
-                inner: Some(ObsInner {
-                    timeline: Some(EventTrace::new(capacity)),
-                    ..ObsInner::default()
-                }),
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            Self::default()
-        }
-    }
-
-    /// A collector that attributes coherence events (invalidations,
-    /// updates, coherence misses) to (address, writer, victim) online.
-    /// Falls back to a no-op stub when the `obs` feature is off.
-    pub(crate) fn attributed(cfg: AttributionConfig) -> Self {
-        let _ = cfg;
-        #[cfg(feature = "obs")]
-        {
-            EngineObs {
-                inner: Some(ObsInner {
-                    attr: Some(AttrCollector::new(cfg)),
-                    ..ObsInner::default()
-                }),
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            Self::default()
-        }
-    }
-
-    /// `true` when this collector is recording attribution. The engines
-    /// use this to skip the victim-owner lookups that only attribution
-    /// needs; with the `obs` feature off it is a constant `false` and
-    /// the guarded code compiles away.
+/// The engine's observation points. Every hook defaults to a no-op.
+pub(crate) trait Hooks {
+    /// `true` when attribution is recorded. The engine skips the
+    /// victim-owner lookups that only attribution needs otherwise.
     #[inline]
-    pub(crate) fn wants_attribution(&self) -> bool {
-        #[cfg(feature = "obs")]
-        {
-            self.inner
-                .as_ref()
-                .is_some_and(|inner| inner.attr.is_some())
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            false
-        }
+    fn wants_attribution(&self) -> bool {
+        false
     }
+
+    /// One coherence message between processors `a` and `b`: an
+    /// invalidation or update sent, or an invalidation miss one caused
+    /// the other (the paper's §4.2 traffic).
+    #[inline]
+    fn on_traffic(&mut self, _a: usize, _b: usize) {}
 
     /// An event was popped, or a victim's scanned hits are about to be
     /// committed early; `events` is the slot queue with the running
     /// processor's slot still set, so the recorded depth includes it.
     #[inline]
-    pub(crate) fn on_pop(&mut self, events: &[u64]) {
-        let _ = events;
-        #[cfg(feature = "obs")]
-        if let Some(inner) = &mut self.inner {
-            inner.events += 1;
-            let depth = events.iter().filter(|&&e| e != NO_EVENT).count();
-            inner.queue_depth.record(depth as u64);
-        }
-    }
+    fn on_pop(&mut self, _events: &[u64]) {}
 
     /// A hit run ended after `hits` consecutive cache hits (possibly
     /// zero, when the dispatched reference immediately missed), or a
     /// catch-up committed `hits` of a victim's scanned hits.
     #[inline]
-    pub(crate) fn on_hit_run(&mut self, hits: u64) {
-        let _ = hits;
-        #[cfg(feature = "obs")]
-        if let Some(inner) = &mut self.inner {
-            inner.hit_run_hits.record(hits);
-        }
-    }
+    fn on_hit_run(&mut self, _hits: u64) {}
 
     /// A directory write transaction invalidated `fanout` remote caches.
     #[inline]
-    pub(crate) fn on_invalidation_fanout(&mut self, fanout: u64) {
-        let _ = fanout;
-        #[cfg(feature = "obs")]
-        if let Some(inner) = &mut self.inner {
-            inner.invalidation_fanout.record(fanout);
-        }
-    }
+    fn on_invalidation_fanout(&mut self, _fanout: u64) {}
 
     /// A miss forced a context switch costing `stall_cycles` of drain.
     #[inline]
-    pub(crate) fn on_switch(&mut self, stall_cycles: u64) {
-        let _ = stall_cycles;
-        #[cfg(feature = "obs")]
-        if let Some(inner) = &mut self.inner {
-            inner.context_switches += 1;
-            inner.switch_stall_cycles += stall_cycles;
-        }
-    }
-
-    /// Records a timeline event, if this collector keeps a timeline.
-    #[cfg(feature = "obs")]
-    #[inline]
-    fn record(&mut self, ev: TimelineEvent) {
-        if let Some(timeline) = self.inner.as_mut().and_then(|i| i.timeline.as_mut()) {
-            timeline.record(ev);
-        }
-    }
+    fn on_switch(&mut self, _stall_cycles: u64) {}
 
     /// A hit run completed on processor `pi`: `thread` executed `hits`
     /// consecutive hits over cycles `[start, end)`. Zero-length slices
     /// (a dispatch that immediately missed) are not recorded.
     #[inline]
-    pub(crate) fn on_run_slice(&mut self, pi: usize, thread: u32, start: u64, end: u64, hits: u64) {
-        let _ = (pi, thread, start, end, hits);
-        #[cfg(feature = "obs")]
+    fn on_run_slice(&mut self, _pi: usize, _thread: u32, _start: u64, _end: u64, _hits: u64) {}
+
+    /// A miss-induced context switch started at `at` on processor `pi`,
+    /// draining for `stall` cycles away from `thread`. Always paired
+    /// with an [`Hooks::on_switch`] call at the same site.
+    #[inline]
+    fn on_switch_slice(&mut self, _pi: usize, _thread: u32, _at: u64, _stall: u64) {}
+
+    /// `thread` on processor `pi` missed on `line` at `cycle`;
+    /// `kind_idx` is the [`crate::MissKind`] discriminant.
+    #[inline]
+    fn on_miss(&mut self, _pi: usize, _thread: u32, _cycle: u64, _line: u64, _kind_idx: u64) {}
+
+    /// The fill for `thread`'s miss on `line` completes at `ready_at`
+    /// (a future cycle: fills are recorded at issue, so the trace is
+    /// emission-ordered rather than timestamp-sorted).
+    #[inline]
+    fn on_fill(&mut self, _pi: usize, _thread: u32, _ready_at: u64, _line: u64) {}
+
+    /// A directory write transaction by processor `sender` invalidated
+    /// `line` in processor `victim`'s cache at `cycle`.
+    #[inline]
+    fn on_invalidation_pair(&mut self, _sender: usize, _victim: usize, _line: u64, _cycle: u64) {}
+
+    /// A Dragon write by processor `sender` pushed an update for `line`
+    /// to processor `victim`'s cache at `cycle`.
+    #[inline]
+    fn on_update_pair(&mut self, _sender: usize, _victim: usize, _line: u64, _cycle: u64) {}
+
+    /// A write by `writer` invalidated `line` in a remote cache whose
+    /// slot was last touched by `victim`.
+    #[inline]
+    fn on_attr_invalidation(&mut self, _line: u64, _writer: u32, _victim: u32) {}
+
+    /// A Dragon write by `writer` updated `line` in a remote cache
+    /// whose slot was last touched by `victim`.
+    #[inline]
+    fn on_attr_update(&mut self, _line: u64, _writer: u32, _victim: u32) {}
+
+    /// `victim` missed on `line` because an earlier write by `writer`
+    /// invalidated its copy (a coherence miss).
+    #[inline]
+    fn on_attr_coherence_miss(&mut self, _line: u64, _writer: u32, _victim: u32) {}
+
+    /// A directory transaction (fill or upgrade) on `line` by `thread`
+    /// on processor `pi` at `cycle`; `fanout` remote caches were
+    /// invalidated, `is_write` for write transactions.
+    #[inline]
+    fn on_directory(
+        &mut self,
+        _pi: usize,
+        _thread: u32,
+        _cycle: u64,
+        _line: u64,
+        _fanout: u64,
+        _is_write: bool,
+    ) {
+    }
+}
+
+/// The zero-sized sink of plain [`crate::simulate`] runs: records
+/// nothing, and its hooks compile to nothing.
+pub(crate) struct NoHooks;
+
+impl Hooks for NoHooks {}
+
+/// The runtime-configured recorder of a [`crate::simulate_probed`] run.
+///
+/// Each field is one recording, taken when the field is `Some` before
+/// the run and read back from the same field after it. The default
+/// recorder records nothing, and a run with it costs what a plain
+/// [`crate::simulate`] run costs. No recording perturbs the simulation:
+/// the statistics are bit-identical to [`crate::simulate`]'s.
+///
+/// ```
+/// use placesim_machine::{simulate_probed, ArchConfig, EngineObs, EngineObsReport};
+/// use placesim_placement::PlacementMap;
+/// use placesim_trace::{Address, MemRef, ProgramTrace, ThreadTrace};
+///
+/// let t: ThreadTrace = (0..64).map(|i| MemRef::read(Address::new(32 * (i % 8)))).collect();
+/// let prog = ProgramTrace::new("one", vec![t]);
+/// let map = PlacementMap::from_clusters(vec![vec![0]])?;
+/// let mut obs = EngineObs {
+///     counters: Some(EngineObsReport::default()),
+///     ..EngineObs::default()
+/// };
+/// let stats = simulate_probed(&prog, &map, &ArchConfig::paper_default(), &mut obs)?;
+/// // Reads never upgrade, so every hit is a hit-run hit.
+/// assert_eq!(obs.counters.unwrap().hit_run_hits.sum(), stats.total_hits());
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[derive(Debug, Default)]
+pub struct EngineObs {
+    /// The processor-to-processor coherence traffic matrix (the paper's
+    /// §4.2 dynamic measurement): entry `(i, j)` counts invalidations
+    /// and updates sent between `i` and `j` plus invalidation misses one
+    /// of them caused the other. Must be `processors × processors`.
+    pub traffic: Option<SymMatrix<u64>>,
+    /// The engine counters: event-queue depths, hit-run lengths,
+    /// context-switch stalls and directory invalidation fan-out.
+    pub counters: Option<EngineObsReport>,
+    /// The cycle-stamped event timeline (a ring buffer: the oldest
+    /// events are overwritten once full, per-kind counts stay exact).
+    /// Export it with [`EventTrace::to_chrome_json`] or mine it with
+    /// [`EventTrace::sharing_runs`].
+    pub timeline: Option<EventTrace>,
+    /// Coherence attribution: every invalidation, Dragon update and
+    /// coherence miss, aggregated online by (address, writer thread,
+    /// victim thread).
+    pub attribution: Option<AttrCollector>,
+}
+
+impl EngineObs {
+    /// `true` when the recorder records nothing.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.traffic.is_none()
+            && self.counters.is_none()
+            && self.timeline.is_none()
+            && self.attribution.is_none()
+    }
+
+    #[inline]
+    fn record(&mut self, ev: TimelineEvent) {
+        if let Some(timeline) = &mut self.timeline {
+            timeline.record(ev);
+        }
+    }
+
+    #[inline]
+    fn record_attr(&mut self, kind: AttrKind, line: u64, writer: u32, victim: u32) {
+        if let Some(attr) = &mut self.attribution {
+            attr.record(kind, line, writer, victim);
+        }
+    }
+
+    /// Records a send on the sender's track and the matching receive on
+    /// the victim's.
+    #[inline]
+    fn record_message(
+        &mut self,
+        kinds: (EventKind, EventKind),
+        sender: usize,
+        victim: usize,
+        line: u64,
+        cycle: u64,
+    ) {
+        for (kind, processor, peer) in [(kinds.0, sender, victim), (kinds.1, victim, sender)] {
+            self.record(TimelineEvent {
+                cycle,
+                dur: 0,
+                processor: processor as u32,
+                thread: NO_THREAD,
+                kind,
+                line,
+                detail: peer as u64,
+            });
+        }
+    }
+}
+
+impl Hooks for EngineObs {
+    #[inline]
+    fn wants_attribution(&self) -> bool {
+        self.attribution.is_some()
+    }
+
+    #[inline]
+    fn on_traffic(&mut self, a: usize, b: usize) {
+        if let Some(m) = &mut self.traffic {
+            if a != b {
+                m.add(a, b, 1);
+            }
+        }
+    }
+
+    #[inline]
+    fn on_pop(&mut self, events: &[u64]) {
+        if let Some(c) = &mut self.counters {
+            c.events += 1;
+            let depth = events.iter().filter(|&&e| e != NO_EVENT).count();
+            c.queue_depth.record(depth as u64);
+        }
+    }
+
+    #[inline]
+    fn on_hit_run(&mut self, hits: u64) {
+        if let Some(c) = &mut self.counters {
+            c.hit_run_hits.record(hits);
+        }
+    }
+
+    #[inline]
+    fn on_invalidation_fanout(&mut self, fanout: u64) {
+        if let Some(c) = &mut self.counters {
+            c.invalidation_fanout.record(fanout);
+        }
+    }
+
+    #[inline]
+    fn on_switch(&mut self, stall_cycles: u64) {
+        if let Some(c) = &mut self.counters {
+            c.context_switches += 1;
+            c.switch_stall_cycles += stall_cycles;
+        }
+    }
+
+    #[inline]
+    fn on_run_slice(&mut self, pi: usize, thread: u32, start: u64, end: u64, hits: u64) {
         if end > start {
             self.record(TimelineEvent {
                 cycle: start,
@@ -208,13 +282,8 @@ impl EngineObs {
         }
     }
 
-    /// A miss-induced context switch started at `at` on processor `pi`,
-    /// draining for `stall` cycles away from `thread`. Always paired
-    /// with an [`EngineObs::on_switch`] call at the same site.
     #[inline]
-    pub(crate) fn on_switch_slice(&mut self, pi: usize, thread: u32, at: u64, stall: u64) {
-        let _ = (pi, thread, at, stall);
-        #[cfg(feature = "obs")]
+    fn on_switch_slice(&mut self, pi: usize, thread: u32, at: u64, stall: u64) {
         self.record(TimelineEvent {
             cycle: at,
             dur: stall,
@@ -226,12 +295,8 @@ impl EngineObs {
         });
     }
 
-    /// `thread` on processor `pi` missed on `line` at `cycle`;
-    /// `kind_idx` is the [`crate::MissKind`] discriminant.
     #[inline]
-    pub(crate) fn on_miss(&mut self, pi: usize, thread: u32, cycle: u64, line: u64, kind_idx: u64) {
-        let _ = (pi, thread, cycle, line, kind_idx);
-        #[cfg(feature = "obs")]
+    fn on_miss(&mut self, pi: usize, thread: u32, cycle: u64, line: u64, kind_idx: u64) {
         self.record(TimelineEvent {
             cycle,
             dur: 0,
@@ -243,13 +308,8 @@ impl EngineObs {
         });
     }
 
-    /// The fill for `thread`'s miss on `line` completes at `ready_at`
-    /// (a future cycle: fills are recorded at issue, so the trace is
-    /// emission-ordered rather than timestamp-sorted).
     #[inline]
-    pub(crate) fn on_fill(&mut self, pi: usize, thread: u32, ready_at: u64, line: u64) {
-        let _ = (pi, thread, ready_at, line);
-        #[cfg(feature = "obs")]
+    fn on_fill(&mut self, pi: usize, thread: u32, ready_at: u64, line: u64) {
         self.record(TimelineEvent {
             cycle: ready_at,
             dur: 0,
@@ -261,113 +321,35 @@ impl EngineObs {
         });
     }
 
-    /// A directory write transaction by processor `sender` invalidated
-    /// `line` in processor `victim`'s cache at `cycle`. Emits the send
-    /// on the sender's track and the receive on the victim's.
     #[inline]
-    pub(crate) fn on_invalidation_pair(
-        &mut self,
-        sender: usize,
-        victim: usize,
-        line: u64,
-        cycle: u64,
-    ) {
-        let _ = (sender, victim, line, cycle);
-        #[cfg(feature = "obs")]
-        {
-            self.record(TimelineEvent {
-                cycle,
-                dur: 0,
-                processor: sender as u32,
-                thread: NO_THREAD,
-                kind: EventKind::InvalidationSend,
-                line,
-                detail: victim as u64,
-            });
-            self.record(TimelineEvent {
-                cycle,
-                dur: 0,
-                processor: victim as u32,
-                thread: NO_THREAD,
-                kind: EventKind::InvalidationReceive,
-                line,
-                detail: sender as u64,
-            });
-        }
+    fn on_invalidation_pair(&mut self, sender: usize, victim: usize, line: u64, cycle: u64) {
+        let kinds = (EventKind::InvalidationSend, EventKind::InvalidationReceive);
+        self.record_message(kinds, sender, victim, line, cycle);
     }
 
-    /// A Dragon write by processor `sender` pushed an update for `line`
-    /// to processor `victim`'s cache at `cycle`. Emits the send on the
-    /// sender's track and the receive on the victim's (the update
-    /// analogue of [`EngineObs::on_invalidation_pair`]).
     #[inline]
-    pub(crate) fn on_update_pair(&mut self, sender: usize, victim: usize, line: u64, cycle: u64) {
-        let _ = (sender, victim, line, cycle);
-        #[cfg(feature = "obs")]
-        {
-            self.record(TimelineEvent {
-                cycle,
-                dur: 0,
-                processor: sender as u32,
-                thread: NO_THREAD,
-                kind: EventKind::UpdateSend,
-                line,
-                detail: victim as u64,
-            });
-            self.record(TimelineEvent {
-                cycle,
-                dur: 0,
-                processor: victim as u32,
-                thread: NO_THREAD,
-                kind: EventKind::UpdateReceive,
-                line,
-                detail: sender as u64,
-            });
-        }
+    fn on_update_pair(&mut self, sender: usize, victim: usize, line: u64, cycle: u64) {
+        let kinds = (EventKind::UpdateSend, EventKind::UpdateReceive);
+        self.record_message(kinds, sender, victim, line, cycle);
     }
 
-    /// Routes one attributed coherence event to the attribution
-    /// collector, if this run keeps one.
-    #[cfg(feature = "obs")]
     #[inline]
-    fn record_attr(&mut self, kind: AttrKind, line: u64, writer: u32, victim: u32) {
-        if let Some(attr) = self.inner.as_mut().and_then(|i| i.attr.as_mut()) {
-            attr.record(kind, line, writer, victim);
-        }
-    }
-
-    /// A write by `writer` invalidated `line` in a remote cache whose
-    /// slot was last touched by `victim`.
-    #[inline]
-    pub(crate) fn on_attr_invalidation(&mut self, line: u64, writer: u32, victim: u32) {
-        let _ = (line, writer, victim);
-        #[cfg(feature = "obs")]
+    fn on_attr_invalidation(&mut self, line: u64, writer: u32, victim: u32) {
         self.record_attr(AttrKind::Invalidation, line, writer, victim);
     }
 
-    /// A Dragon write by `writer` updated `line` in a remote cache
-    /// whose slot was last touched by `victim`.
     #[inline]
-    pub(crate) fn on_attr_update(&mut self, line: u64, writer: u32, victim: u32) {
-        let _ = (line, writer, victim);
-        #[cfg(feature = "obs")]
+    fn on_attr_update(&mut self, line: u64, writer: u32, victim: u32) {
         self.record_attr(AttrKind::Update, line, writer, victim);
     }
 
-    /// `victim` missed on `line` because an earlier write by `writer`
-    /// invalidated its copy (a coherence miss).
     #[inline]
-    pub(crate) fn on_attr_coherence_miss(&mut self, line: u64, writer: u32, victim: u32) {
-        let _ = (line, writer, victim);
-        #[cfg(feature = "obs")]
+    fn on_attr_coherence_miss(&mut self, line: u64, writer: u32, victim: u32) {
         self.record_attr(AttrKind::CoherenceMiss, line, writer, victim);
     }
 
-    /// A directory transaction (fill or upgrade) on `line` by `thread`
-    /// on processor `pi` at `cycle`; `fanout` remote caches were
-    /// invalidated, `is_write` for write transactions.
     #[inline]
-    pub(crate) fn on_directory(
+    fn on_directory(
         &mut self,
         pi: usize,
         thread: u32,
@@ -376,8 +358,6 @@ impl EngineObs {
         fanout: u64,
         is_write: bool,
     ) {
-        let _ = (pi, thread, cycle, line, fanout, is_write);
-        #[cfg(feature = "obs")]
         self.record(TimelineEvent {
             cycle,
             dur: 0,
@@ -388,57 +368,12 @@ impl EngineObs {
             detail: (fanout << 1) | u64::from(is_write),
         });
     }
-
-    /// Finalizes the collector into its report.
-    pub(crate) fn report(self) -> EngineObsReport {
-        self.finish().0
-    }
-
-    /// Finalizes the collector into its report plus the event timeline,
-    /// if this run kept one.
-    pub(crate) fn finish(self) -> (EngineObsReport, Option<EventTrace>) {
-        let (report, timeline, _) = self.finish_all();
-        (report, timeline)
-    }
-
-    /// Finalizes the collector into its report, the event timeline and
-    /// the attribution collector, whichever of those this run kept.
-    #[cfg_attr(not(feature = "obs"), allow(clippy::unused_self))]
-    pub(crate) fn finish_all(
-        self,
-    ) -> (
-        EngineObsReport,
-        Option<EventTrace>,
-        Option<placesim_obs::AttrCollector>,
-    ) {
-        #[cfg(feature = "obs")]
-        if let Some(inner) = self.inner {
-            return (
-                EngineObsReport {
-                    enabled: true,
-                    events: inner.events,
-                    queue_depth: inner.queue_depth,
-                    hit_run_hits: inner.hit_run_hits,
-                    invalidation_fanout: inner.invalidation_fanout,
-                    context_switches: inner.context_switches,
-                    switch_stall_cycles: inner.switch_stall_cycles,
-                },
-                inner.timeline,
-                inner.attr,
-            );
-        }
-        (EngineObsReport::default(), None, None)
-    }
 }
 
-/// Distributions recorded by an instrumented simulation run.
-///
-/// Always available as a type; `enabled` is `false` (and every
-/// histogram empty) when the crate was built without the `obs` feature.
+/// The engine counters of an instrumented simulation run
+/// ([`EngineObs::counters`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineObsReport {
-    /// Whether the run actually recorded (feature `obs` on).
-    pub enabled: bool,
     /// Lookahead runs: event-queue pops plus the partial commits of a
     /// victim's scanned hits that a remote invalidation, downgrade or
     /// update forces first (batched dispatches, not references).
@@ -459,10 +394,11 @@ pub struct EngineObsReport {
 }
 
 impl EngineObsReport {
-    /// Writes the report as a JSON object value onto `w`.
+    /// Writes the report as a JSON object value onto `w`. The leading
+    /// `"enabled": true` is kept for `placesim-metrics-v1` readers.
     pub fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
-        w.field_bool("enabled", self.enabled);
+        w.field_bool("enabled", true);
         w.field_u64("events", self.events);
         w.field_u64("context_switches", self.context_switches);
         w.field_u64("switch_stall_cycles", self.switch_stall_cycles);
@@ -489,21 +425,24 @@ mod tests {
     use placesim_obs::json;
 
     #[test]
-    fn disabled_collector_reports_disabled() {
-        let mut obs = EngineObs::disabled();
+    fn idle_recorder_records_nothing() {
+        let mut obs = EngineObs::default();
+        assert!(obs.is_idle());
         obs.on_pop(&[1, NO_EVENT]);
         obs.on_hit_run(5);
         obs.on_invalidation_fanout(2);
         obs.on_switch(6);
-        let report = obs.report();
-        assert!(!report.enabled);
-        assert_eq!(report, EngineObsReport::default());
+        obs.on_traffic(0, 1);
+        obs.on_miss(0, 0, 3, 7, 0);
+        assert!(obs.is_idle());
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn enabled_collector_records() {
-        let mut obs = EngineObs::enabled();
+        let mut obs = EngineObs {
+            counters: Some(EngineObsReport::default()),
+            ..EngineObs::default()
+        };
         obs.on_pop(&[3, NO_EVENT, 7]);
         obs.on_pop(&[3, NO_EVENT, NO_EVENT]);
         obs.on_hit_run(0);
@@ -511,8 +450,7 @@ mod tests {
         obs.on_invalidation_fanout(2);
         obs.on_switch(6);
         obs.on_switch(6);
-        let report = obs.report();
-        assert!(report.enabled);
+        let report = obs.counters.unwrap();
         assert_eq!(report.events, 2);
         assert_eq!(report.queue_depth.max(), Some(2));
         assert_eq!(report.queue_depth.min(), Some(1));
@@ -521,6 +459,20 @@ mod tests {
         assert_eq!(report.invalidation_fanout.sum(), 2);
         assert_eq!(report.context_switches, 2);
         assert_eq!(report.switch_stall_cycles, 12);
+    }
+
+    #[test]
+    fn traffic_skips_the_diagonal() {
+        let mut obs = EngineObs {
+            traffic: Some(SymMatrix::new(3, 0)),
+            ..EngineObs::default()
+        };
+        obs.on_traffic(0, 2);
+        obs.on_traffic(2, 0);
+        obs.on_traffic(1, 1);
+        let m = obs.traffic.unwrap();
+        assert_eq!(m.get(0, 2), 2);
+        assert_eq!(m.iter_pairs().map(|(_, _, v)| v).sum::<u64>(), 2);
     }
 
     #[test]
@@ -541,6 +493,6 @@ mod tests {
             ],
         )
         .unwrap();
-        assert!(s.contains("\"enabled\": false"));
+        assert!(s.contains("\"enabled\": true"));
     }
 }

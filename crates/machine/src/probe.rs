@@ -13,7 +13,8 @@
 //! [`CoherenceTraffic`]: placesim_placement::PlacementAlgorithm::CoherenceTraffic
 
 use crate::config::ArchConfig;
-use crate::engine::{simulate_with_traffic, SimError};
+use crate::engine::{simulate_probed, SimError};
+use crate::obs::EngineObs;
 use crate::stats::SimStats;
 use placesim_analysis::SymMatrix;
 use placesim_placement::PlacementMap;
@@ -64,7 +65,12 @@ pub fn probe_coherence(prog: &ProgramTrace, config: &ArchConfig) -> Result<Probe
     let clusters: Vec<Vec<usize>> = (0..t).map(|i| vec![i]).collect();
     let map = PlacementMap::from_clusters(clusters)
         .expect("singleton clusters are always a valid placement");
-    let (stats, traffic) = simulate_with_traffic(prog, &map, config)?;
+    let mut obs = EngineObs {
+        traffic: Some(SymMatrix::new(t, 0)),
+        ..EngineObs::default()
+    };
+    let stats = simulate_probed(prog, &map, config, &mut obs)?;
+    let traffic = obs.traffic.expect("the recorder keeps its traffic matrix");
     Ok(ProbeResult { traffic, stats })
 }
 

@@ -3,8 +3,8 @@
 //! Three families of guarantees, over randomized programs, placements
 //! and geometries:
 //!
-//! * **Observer transparency** — [`simulate_attributed`] returns
-//!   [`SimStats`] bit-identical to [`simulate`] for every protocol:
+//! * **Observer transparency** — an attributed `simulate_probed` run
+//!   returns [`SimStats`] bit-identical to [`simulate`] for every protocol:
 //!   attribution never perturbs the machine.
 //! * **Conservation** — the collector's totals reconcile exactly with
 //!   the statistics: attributed invalidations ≡ `total_invalidations`,
@@ -15,11 +15,10 @@
 //!   hitter and honors its declared error bound against an exact run of
 //!   the same workload.
 
-#![cfg(feature = "obs")]
+mod common;
 
-use placesim_machine::{
-    simulate, simulate_attributed, ArchConfig, AttrKind, AttributionConfig, Protocol,
-};
+use common::{arb_placement, simulate_attributed};
+use placesim_machine::{simulate, ArchConfig, AttrKind, AttributionConfig, Protocol};
 use placesim_placement::PlacementMap;
 use placesim_trace::{Address, MemRef, ProgramTrace, ThreadTrace};
 use proptest::prelude::*;
@@ -47,17 +46,6 @@ fn arb_program() -> impl Strategy<Value = ProgramTrace> {
             .collect();
         ProgramTrace::new("attr-prop", traces)
     })
-}
-
-fn arb_placement(t: usize, seed: u64) -> PlacementMap {
-    let p = 1 + (seed as usize % t.max(1));
-    let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); p.min(t).max(1)];
-    for i in 0..t {
-        let k = (seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(i as u64) >> 7) as usize
-            % clusters.len();
-        clusters[k].push(i);
-    }
-    PlacementMap::from_clusters(clusters).expect("valid clusters")
 }
 
 /// Randomized geometry at associativity 1 and 2, per protocol.

@@ -10,7 +10,10 @@
 
 #![cfg(feature = "reference-engine")]
 
-use placesim_machine::{reference, simulate_with_traffic, ArchConfig};
+mod common;
+
+use common::{arb_placement, simulate_with_traffic};
+use placesim_machine::{reference, ArchConfig};
 use placesim_placement::PlacementMap;
 use placesim_trace::{Address, MemRef, ProgramTrace, ThreadTrace};
 use proptest::prelude::*;
@@ -71,18 +74,6 @@ fn arb_barrier_program() -> impl Strategy<Value = ProgramTrace> {
                 .collect();
             ProgramTrace::new("diff-barrier-prop", traces)
         })
-}
-
-fn arb_placement(t: usize, seed: u64) -> PlacementMap {
-    // Deterministic pseudo-random balanced clustering.
-    let p = 1 + (seed as usize % t.max(1));
-    let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); p.min(t).max(1)];
-    for i in 0..t {
-        let k = (seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(i as u64) >> 7) as usize
-            % clusters.len();
-        clusters[k].push(i);
-    }
-    PlacementMap::from_clusters(clusters).expect("valid clusters")
 }
 
 /// Randomized machine: cache geometry, latencies, channel occupancy and

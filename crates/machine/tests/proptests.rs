@@ -1,7 +1,10 @@
 //! Property-based tests: simulator conservation laws over random
 //! programs and placements.
 
-use placesim_machine::{simulate, simulate_with_traffic, ArchConfig};
+mod common;
+
+use common::{arb_placement, simulate_with_traffic};
+use placesim_machine::{simulate, ArchConfig};
 use placesim_placement::PlacementMap;
 use placesim_trace::{Address, MemRef, ProgramTrace, ThreadTrace};
 use proptest::prelude::*;
@@ -30,18 +33,6 @@ fn arb_program() -> impl Strategy<Value = ProgramTrace> {
             .collect();
         ProgramTrace::new("prop", traces)
     })
-}
-
-fn arb_placement(t: usize, seed: u64) -> PlacementMap {
-    // Deterministic pseudo-random balanced clustering.
-    let p = 1 + (seed as usize % t.max(1));
-    let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); p.min(t).max(1)];
-    for i in 0..t {
-        let k = (seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(i as u64) >> 7) as usize
-            % clusters.len();
-        clusters[k].push(i);
-    }
-    PlacementMap::from_clusters(clusters).expect("valid clusters")
 }
 
 fn tiny_config() -> ArchConfig {
@@ -238,11 +229,11 @@ mod barrier_props {
 /// Instrumented runs: the observation layer must never perturb the
 /// simulation, and its recorded distributions must obey the same
 /// conservation laws as the stats they describe. When the crate is
-/// built with `--features audit`, every `simulate*` call here also
-/// executes the internal post-drain auditor.
+/// built with `--features audit`, every run here also executes the
+/// internal post-drain auditor.
 mod observed_props {
     use super::*;
-    use placesim_machine::{simulate_observed, EngineObsReport};
+    use common::simulate_observed;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -255,30 +246,24 @@ mod observed_props {
             let (stats, report) = simulate_observed(&prog, &map, &config).unwrap();
             prop_assert_eq!(&stats, &plain);
 
-            if report.enabled {
-                // Feature `obs` on: the report's own conservation laws.
-                // Hit runs count plain hits; upgrades are accounted as
-                // stat hits outside the runs.
-                let upgrades: u64 = stats.per_proc().iter().map(|p| p.upgrades).sum();
-                prop_assert_eq!(report.hit_run_hits.sum() + upgrades, stats.total_hits());
-                // Read fills never invalidate, so every sent invalidation
-                // appears in the write-transaction fan-out.
-                prop_assert_eq!(
-                    report.invalidation_fanout.sum(),
-                    stats.total_invalidations()
-                );
-                // Switch stalls recorded = drain cycles charged.
-                let switching: u64 = stats.per_proc().iter().map(|p| p.switching).sum();
-                prop_assert_eq!(report.switch_stall_cycles, switching);
-                // Queue depth is bounded by the machine size and at least
-                // 1 at every pop.
-                if let Some(max) = report.queue_depth.max() {
-                    prop_assert!(max <= map.processor_count() as u64);
-                    prop_assert!(report.queue_depth.min() >= Some(1));
-                }
-            } else {
-                // Feature off: the stub records nothing at all.
-                prop_assert_eq!(report, EngineObsReport::default());
+            // The report's own conservation laws. Hit runs count plain
+            // hits; upgrades are accounted as stat hits outside the runs.
+            let upgrades: u64 = stats.per_proc().iter().map(|p| p.upgrades).sum();
+            prop_assert_eq!(report.hit_run_hits.sum() + upgrades, stats.total_hits());
+            // Read fills never invalidate, so every sent invalidation
+            // appears in the write-transaction fan-out.
+            prop_assert_eq!(
+                report.invalidation_fanout.sum(),
+                stats.total_invalidations()
+            );
+            // Switch stalls recorded = drain cycles charged.
+            let switching: u64 = stats.per_proc().iter().map(|p| p.switching).sum();
+            prop_assert_eq!(report.switch_stall_cycles, switching);
+            // Queue depth is bounded by the machine size and at least
+            // 1 at every pop.
+            if let Some(max) = report.queue_depth.max() {
+                prop_assert!(max <= map.processor_count() as u64);
+                prop_assert!(report.queue_depth.min() >= Some(1));
             }
         }
     }

@@ -22,7 +22,10 @@
 //! proptests here exercise all three protocols, so audit CI runs sweep
 //! those laws across the same randomized scenarios.
 
-use placesim_machine::{simulate_with_traffic, ArchConfig, Protocol, SimStats};
+mod common;
+
+use common::{arb_placement, simulate_with_traffic};
+use placesim_machine::{ArchConfig, Protocol, SimStats};
 use placesim_placement::PlacementMap;
 use placesim_trace::{Address, MemRef, ProgramTrace, ThreadTrace};
 use proptest::prelude::*;
@@ -50,17 +53,6 @@ fn arb_program() -> impl Strategy<Value = ProgramTrace> {
             .collect();
         ProgramTrace::new("protocol-prop", traces)
     })
-}
-
-fn arb_placement(t: usize, seed: u64) -> PlacementMap {
-    let p = 1 + (seed as usize % t.max(1));
-    let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); p.min(t).max(1)];
-    for i in 0..t {
-        let k = (seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(i as u64) >> 7) as usize
-            % clusters.len();
-        clusters[k].push(i);
-    }
-    PlacementMap::from_clusters(clusters).expect("valid clusters")
 }
 
 /// Randomized geometry at associativity 1 and 2, per protocol.

@@ -1,9 +1,11 @@
 //! Timeline tracing properties: traced runs are bit-identical to
-//! untraced ones, and (with the `obs` feature) the event counts
-//! reconcile exactly with the aggregate statistics — the same
+//! untraced ones, and the event counts reconcile exactly with the aggregate statistics — the same
 //! conservation discipline the invariant auditor enforces.
 
-use placesim_machine::{simulate, simulate_traced, ArchConfig};
+mod common;
+
+use common::{arb_placement, simulate_traced};
+use placesim_machine::{simulate, ArchConfig};
 use placesim_placement::PlacementMap;
 use placesim_trace::{Address, MemRef, ProgramTrace, ThreadTrace};
 use proptest::prelude::*;
@@ -33,17 +35,6 @@ fn arb_program() -> impl Strategy<Value = ProgramTrace> {
     })
 }
 
-fn arb_placement(t: usize, seed: u64) -> PlacementMap {
-    let p = 1 + (seed as usize % t.max(1));
-    let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); p.min(t).max(1)];
-    for i in 0..t {
-        let k = (seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(i as u64) >> 7) as usize
-            % clusters.len();
-        clusters[k].push(i);
-    }
-    PlacementMap::from_clusters(clusters).expect("valid clusters")
-}
-
 fn tiny_config() -> ArchConfig {
     ArchConfig::builder()
         .cache_size(256)
@@ -65,7 +56,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "obs")]
 mod traced_props {
     use super::*;
     use placesim_machine::EventKind;
@@ -81,7 +71,6 @@ mod traced_props {
             let map = arb_placement(prog.thread_count(), seed);
             let (stats, report, trace) =
                 simulate_traced(&prog, &map, &tiny_config(), 1 << 16).unwrap();
-            prop_assert!(report.enabled);
             // Generous capacity: nothing may have been overwritten, so
             // the retained window equals the full event stream.
             prop_assert_eq!(trace.dropped(), 0);

@@ -371,21 +371,9 @@ impl AttrCollector {
     /// address list (totals and pairs are always complete).
     pub fn report_json(&self, protocol: &str, threads: usize, top_n: usize) -> String {
         let mut w = JsonWriter::new();
-        self.write_report(&mut w, protocol, threads, top_n, true);
-        w.finish()
-    }
-
-    fn write_report(
-        &self,
-        w: &mut JsonWriter,
-        protocol: &str,
-        threads: usize,
-        top_n: usize,
-        enabled: bool,
-    ) {
         w.begin_object();
         w.field_str("schema", ATTRIBUTION_SCHEMA);
-        w.field_bool("enabled", enabled);
+        w.field_bool("enabled", true);
         w.field_str("protocol", protocol);
         w.field_u64("threads", threads as u64);
         w.field_str("mode", if self.sketch { "sketch" } else { "exact" });
@@ -420,7 +408,7 @@ impl AttrCollector {
             w.field_u64("updates", e.kinds[AttrKind::Update.index()]);
             w.field_u64("coherence_misses", e.kinds[AttrKind::CoherenceMiss.index()]);
             w.key("runs");
-            runs.write_json(w);
+            runs.write_json(&mut w);
             w.end_object();
         }
         w.end_array();
@@ -435,14 +423,6 @@ impl AttrCollector {
         }
         w.end_array();
         w.end_object();
-    }
-
-    /// An empty, `enabled: false` report for builds without the `obs`
-    /// feature (attribution hooks compiled out).
-    pub fn disabled_report_json(protocol: &str, threads: usize) -> String {
-        let c = AttrCollector::default();
-        let mut w = JsonWriter::new();
-        c.write_report(&mut w, protocol, threads, 0, false);
         w.finish()
     }
 }
@@ -806,9 +786,13 @@ mod tests {
         assert_eq!(p.pairs, vec![(0, 5, 2)]);
     }
 
+    /// Older builds could compile attribution out and wrote empty
+    /// `enabled: false` reports; such files stay valid input.
     #[test]
     fn disabled_report_is_valid_and_flagged() {
-        let s = AttrCollector::disabled_report_json("dragon", 3);
+        let s = AttrCollector::default()
+            .report_json("dragon", 3, 0)
+            .replace("\"enabled\": true", "\"enabled\": false");
         let p = parse(&s).unwrap();
         assert!(!p.enabled);
         assert_eq!(p.events(), 0);

@@ -18,9 +18,9 @@
 //!   metrics block.
 //!
 //! The crate itself is always compiled; *zero-overhead* instrumentation
-//! is achieved by the consumers (e.g. `placesim-machine`) gating their
-//! hook call sites behind their own `obs` cargo feature so the hooks
-//! compile to empty inlined bodies in default builds.
+//! is the consumers' job: `placesim-machine` monomorphises its engine
+//! over a no-op hook sink for uninstrumented runs, so the hooks compile
+//! to nothing there.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

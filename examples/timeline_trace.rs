@@ -6,16 +6,13 @@
 //! exactly the structure sharing-based placement harvests.
 //!
 //! ```sh
-//! cargo run --release --features obs --example timeline_trace -- water
+//! cargo run --release --example timeline_trace -- water
 //! ```
-//!
-//! Without `--features obs` the hooks compile to nothing and the
-//! timeline comes back empty; the example says so instead of failing.
 
 use placesim_repro::prelude::*;
 
 use placesim_repro::analysis::SharingAnalysis;
-use placesim_repro::machine::simulate_traced;
+use placesim_repro::machine::{simulate_probed, EngineObs, EventTrace};
 use placesim_repro::placement::thread_lengths;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -35,7 +32,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let algo = PlacementAlgorithm::ShareRefs;
     let map = algo.place(&inputs, 4)?;
 
-    let (stats, _, trace) = simulate_traced(&prog, &map, &ArchConfig::paper_default(), 1 << 20)?;
+    let mut obs = EngineObs {
+        timeline: Some(EventTrace::new(1 << 20)),
+        ..EngineObs::default()
+    };
+    let stats = simulate_probed(&prog, &map, &ArchConfig::paper_default(), &mut obs)?;
+    let trace = obs.timeline.expect("the recorder keeps its timeline");
     println!(
         "{name}: {} on 4 processors, {} cycles, {} timeline events ({} dropped)",
         algo.paper_name(),
@@ -43,11 +45,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace.len(),
         trace.dropped()
     );
-
-    if trace.total_recorded() == 0 {
-        println!("timeline empty: rebuild with `--features obs` to enable the hooks");
-        return Ok(());
-    }
 
     let out = std::env::temp_dir().join(format!("placesim-{name}-timeline.json"));
     std::fs::write(&out, trace.to_chrome_json())?;

@@ -26,8 +26,8 @@ use placesim::supervisor::SupervisorConfig;
 use placesim::{Error, PreparedApp};
 use placesim_analysis::{CharacteristicsRow, SharingAnalysis, SpillBudget};
 use placesim_machine::{
-    attribution_enabled, probe_coherence, simulate_attributed, simulate_observed, simulate_traced,
-    ArchConfig, AttrCollector, AttributionConfig, Protocol,
+    probe_coherence, simulate_probed, ArchConfig, AttrCollector, AttributionConfig, EngineObs,
+    EngineObsReport, EventTrace, Protocol,
 };
 use placesim_obs::{sink, SpanTimer};
 use placesim_placement::{thread_lengths, PlacementAlgorithm, PlacementInputs};
@@ -581,25 +581,20 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let inputs = PlacementInputs::new(&sharing, &lengths);
     let map = algo.place(&inputs, processors).map_err(|e| e.to_string())?;
 
+    // One pass records everything asked for; with no output flag the
+    // recorder is idle and the run takes the uninstrumented path.
     let timeline_path = raw_flag(args, "--timeline")?;
     let attribution_path = raw_flag(args, "--attribution")?;
-    let mut attr: Option<AttrCollector> = None;
-    let (stats, obs, trace) = if timeline_path.is_some() {
-        let (stats, obs, trace) =
-            simulate_traced(&prog, &map, &config, TIMELINE_CAPACITY).map_err(|e| e.to_string())?;
-        (stats, Some(obs), Some(trace))
-    } else if attribution_path.is_some() {
-        let (stats, collector) =
-            simulate_attributed(&prog, &map, &config, AttributionConfig::default())
-                .map_err(|e| e.to_string())?;
-        attr = Some(collector);
-        (stats, None, None)
-    } else {
-        let (stats, obs) = simulate_observed(&prog, &map, &config).map_err(|e| e.to_string())?;
-        (stats, Some(obs), None)
+    let metrics_path = raw_flag(args, "--metrics")?;
+    let mut obs = EngineObs {
+        counters: metrics_path.map(|_| EngineObsReport::default()),
+        timeline: timeline_path.map(|_| EventTrace::new(TIMELINE_CAPACITY)),
+        attribution: attribution_path.map(|_| AttrCollector::new(AttributionConfig::default())),
+        ..EngineObs::default()
     };
+    let stats = simulate_probed(&prog, &map, &config, &mut obs).map_err(|e| e.to_string())?;
 
-    if let (Some(path), Some(trace)) = (timeline_path, &trace) {
+    if let (Some(path), Some(trace)) = (timeline_path, &obs.timeline) {
         sink::write_atomic(Path::new(path), trace.to_chrome_json().as_bytes())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!(
@@ -607,52 +602,34 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
             trace.len(),
             trace.dropped()
         );
-        if trace.total_recorded() == 0 {
-            println!("  no events recorded: rebuild with `--features obs` to enable tracing");
-        } else {
-            let runs = trace.sharing_runs();
-            let longest = runs.iter().map(placesim_machine::SharingRun::cycles).max();
-            println!(
-                "  sequential-sharing runs: {}{}",
-                runs.len(),
-                longest.map_or_else(String::new, |c| format!(" (longest {c} cycles)"))
-            );
-        }
+        let runs = trace.sharing_runs();
+        let longest = runs.iter().map(placesim_machine::SharingRun::cycles).max();
+        println!(
+            "  sequential-sharing runs: {}{}",
+            runs.len(),
+            longest.map_or_else(String::new, |c| format!(" (longest {c} cycles)"))
+        );
     }
 
-    if attribution_path.is_some() && attr.is_none() {
-        // --timeline claimed the traced engine, so attribution takes
-        // its own serial pass (the engines produce identical stats, so
-        // the report describes the same run).
-        let (_, collector) =
-            simulate_attributed(&prog, &map, &config, AttributionConfig::default())
-                .map_err(|e| e.to_string())?;
-        attr = Some(collector);
-    }
-    if let (Some(path), Some(attr)) = (attribution_path, &attr) {
-        let protocol_name = config.protocol().to_string();
-        let body = if attribution_enabled() {
-            attr.report_json(&protocol_name, prog.thread_count(), ATTRIBUTION_TOP)
-        } else {
-            AttrCollector::disabled_report_json(&protocol_name, prog.thread_count())
-        };
+    if let (Some(path), Some(attr)) = (attribution_path, &obs.attribution) {
+        let body = attr.report_json(
+            &config.protocol().to_string(),
+            prog.thread_count(),
+            ATTRIBUTION_TOP,
+        );
         placesim_obs::attribution::validate(&body)
             .map_err(|e| format!("internal: attribution report invalid: {e}"))?;
         sink::write_atomic(Path::new(path), body.as_bytes())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
-        if attribution_enabled() {
-            println!(
-                "attribution:    {path} ({} events over {} addresses, {} mode)",
-                attr.total_events(),
-                attr.tracked_addresses(),
-                if attr.is_sketch() { "sketch" } else { "exact" }
-            );
-        } else {
-            println!("attribution:    {path} (disabled: rebuild with `--features obs`)");
-        }
+        println!(
+            "attribution:    {path} ({} events over {} addresses, {} mode)",
+            attr.total_events(),
+            attr.tracked_addresses(),
+            if attr.is_sketch() { "sketch" } else { "exact" }
+        );
     }
 
-    if let Some(metrics) = raw_flag(args, "--metrics")? {
+    if let Some(metrics) = metrics_path {
         let mut manifest = RunManifest::new("simulate", prog.name(), &config);
         manifest.wall_secs = timer.elapsed_secs();
         manifest.entries = vec![ManifestEntry::from_stats(
@@ -660,7 +637,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
             processors,
             &stats,
         )];
-        manifest.obs = obs;
+        manifest.obs = obs.counters;
         manifest.write(Path::new(metrics))?;
         println!("metrics:        {metrics}");
     }
@@ -698,8 +675,8 @@ fn cmd_attribute(args: &[String]) -> Result<(), CliError> {
 
     if !doc.enabled {
         println!(
-            "attribution was disabled in the producing build; rebuild with \
-             `--features obs` and re-run `simulate --attribution`"
+            "attribution was disabled in the producing build; re-run \
+             `simulate --attribution` to record it"
         );
         return Ok(());
     }
@@ -1021,16 +998,15 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
             .map_err(|e| CliError::Runtime(format!("cannot write {out}: {e}")))?;
         println!("report json: {out}");
     }
-    if let Some(out) = &attribution_out {
+    if let (Some(out), Some(attr)) = (&attribution_out, &sweep.attribution) {
         // The sweep-level collector merges every committed cell of this
         // run (resumed cells were attributed by the run that committed
         // them). Written even on a partial sweep, like --report.
-        let protocol_name = app.config.protocol().to_string();
-        let threads = app.prog.thread_count();
-        let body = match (&sweep.attribution, attribution_enabled()) {
-            (Some(attr), true) => attr.report_json(&protocol_name, threads, ATTRIBUTION_TOP),
-            _ => AttrCollector::disabled_report_json(&protocol_name, threads),
-        };
+        let body = attr.report_json(
+            &app.config.protocol().to_string(),
+            app.prog.thread_count(),
+            ATTRIBUTION_TOP,
+        );
         placesim_obs::attribution::validate(&body)
             .map_err(|e| CliError::Runtime(format!("internal: attribution report invalid: {e}")))?;
         sink::write_atomic(Path::new(out), body.as_bytes())
@@ -1707,9 +1683,10 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// `simulate --attribution` writes a report the strict parser
-    /// accepts in every build, and `attribute` renders it; with `obs` enabled the report
-    /// carries events.
+    /// `simulate --attribution` writes a report with events that the
+    /// strict parser accepts and `attribute` renders; combined with
+    /// `--timeline` in one pass, both files are byte-identical to the
+    /// single-flag runs.
     #[test]
     fn simulate_attribution_roundtrips_through_attribute() {
         let dir = std::env::temp_dir().join("placesim-cli-attribution-test");
@@ -1739,14 +1716,9 @@ mod tests {
 
         let doc = placesim_obs::attribution::parse(&body).unwrap();
         assert_eq!(doc.protocol, "mesi");
-        #[cfg(feature = "obs")]
-        {
-            assert!(doc.enabled);
-            assert!(doc.events() > 0, "water shares lines: events expected");
-            assert!(!doc.top.is_empty());
-        }
-        #[cfg(not(feature = "obs"))]
-        assert!(!doc.enabled);
+        assert!(doc.enabled);
+        assert!(doc.events() > 0, "water shares lines: events expected");
+        assert!(!doc.top.is_empty());
 
         // The renderer accepts the file; junk does not.
         run(&s(&["attribute", attr_path.to_str().unwrap()])).unwrap();
@@ -1776,6 +1748,23 @@ mod tests {
             std::fs::read_to_string(&both_attr).unwrap(),
             body,
             "attribution must not depend on --timeline"
+        );
+        let tl = dir.join("tl.json");
+        run(&s(&[
+            "simulate",
+            &trace_s,
+            "SHARE-REFS",
+            "4",
+            "--protocol",
+            "mesi",
+            "--timeline",
+            tl.to_str().unwrap(),
+        ]))
+        .unwrap();
+        assert_eq!(
+            std::fs::read(&both_tl).unwrap(),
+            std::fs::read(&tl).unwrap(),
+            "the timeline must not depend on --attribution"
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1813,13 +1802,8 @@ mod tests {
 
         let body = std::fs::read_to_string(&attr_out).unwrap();
         let doc = placesim_obs::attribution::parse(&body).unwrap();
-        #[cfg(feature = "obs")]
-        {
-            assert!(doc.enabled);
-            assert!(doc.events() > 0, "four attributed cells: events expected");
-        }
-        #[cfg(not(feature = "obs"))]
-        assert!(!doc.enabled);
+        assert!(doc.enabled);
+        assert!(doc.events() > 0, "four attributed cells: events expected");
 
         let live =
             placesim_obs::json::parse(&std::fs::read_to_string(&telemetry).unwrap()).unwrap();
@@ -1834,9 +1818,8 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// `simulate --timeline` writes a Chrome trace-event file that the
-    /// strict parser accepts, in every build; with `obs` enabled the
-    /// stream is non-empty.
+    /// `simulate --timeline` writes a non-empty Chrome trace-event file
+    /// that the strict parser accepts.
     #[test]
     fn simulate_timeline_writes_chrome_json() {
         let dir = std::env::temp_dir().join("placesim-cli-timeline-test");
@@ -1861,10 +1844,7 @@ mod tests {
         let body = std::fs::read_to_string(&out).unwrap();
         let doc = placesim_obs::json::parse(&body).unwrap();
         let events = doc.get("traceEvents").and_then(|v| v.as_array()).unwrap();
-        #[cfg(feature = "obs")]
-        assert!(events.len() > 1, "obs build must record events");
-        #[cfg(not(feature = "obs"))]
-        let _ = events;
+        assert!(events.len() > 1, "a traced run records events");
         assert!(!sink::tmp_sibling(&out).exists());
         std::fs::remove_file(&trace).ok();
         std::fs::remove_file(&out).ok();
