@@ -226,11 +226,7 @@ impl PlacementAlgorithm {
             lengths: inputs.lengths,
             tolerance: LB_TOLERANCE,
         });
-        let options = EngineOptions {
-            load,
-            score_mode,
-            ..EngineOptions::default()
-        };
+        let options = EngineOptions { load, score_mode };
         let sharing = inputs.sharing;
 
         let clusters = match self.base() {

@@ -2,17 +2,19 @@
 //!
 //! Starting from singleton clusters, the engine repeatedly combines the
 //! pair of clusters with the highest metric score, subject to the
-//! thread-balance constraint, until exactly `p` clusters remain. A pair
-//! whose combine would leave no thread-balanced completion is skipped
-//! for the next-highest-scoring one before it is combined; should a
-//! level run out of pairs (step 4 of the paper's algorithm),
-//! backtracking undoes the most recent combine and tries the next pair
-//! there.
+//! thread-balance constraint, until exactly `p` clusters remain: `t − p`
+//! greedy combines, none ever undone. A pair whose combine would leave
+//! no thread-balanced completion is skipped for the next-highest-scoring
+//! one before it is combined. The paper's step 4 backtracks when a level
+//! runs out of pairs; with that check no level does (an exhaustive test
+//! covers every reachable state for t ≤ 40), so the engine has no
+//! backtracking. Should a level ever run out, it returns a deterministic
+//! thread-balanced fill instead.
 //!
 //! With cached scores (the default) a level keeps no candidate list: it
 //! finds its pair by one scan of O(1) pair scores for the largest
-//! candidate key, and after a skip or an undo scans again for the
-//! largest key strictly below the one it last tried.
+//! candidate key, and after a skip scans again for the largest key
+//! strictly below the one it last tried.
 //!
 //! For the `+LB` algorithm variants, a load constraint acts as a *filter
 //! applied after the sharing criteria*: among candidate pairs in
@@ -47,7 +49,7 @@ pub struct LoadConstraint<'a> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScoreMode {
     /// O(1) per-pair scores from cluster aggregates maintained
-    /// incrementally through combines and undos (the default).
+    /// incrementally through combines (the default).
     #[default]
     Cached,
     /// Recompute every pair score from the thread matrices. The
@@ -60,10 +62,6 @@ pub enum ScoreMode {
 pub struct EngineOptions<'a> {
     /// Optional `+LB` load filter.
     pub load: Option<LoadConstraint<'a>>,
-    /// Maximum combine operations explored before giving up. The paper's
-    /// configurations need at most a few times `t`; the budget only
-    /// guards adversarial inputs.
-    pub node_budget: usize,
     /// Score evaluation strategy (cached by default).
     pub score_mode: ScoreMode,
 }
@@ -72,22 +70,18 @@ impl Default for EngineOptions<'_> {
     fn default() -> Self {
         EngineOptions {
             load: None,
-            node_budget: 500_000,
             score_mode: ScoreMode::Cached,
         }
     }
 }
 
 /// Runs the cluster-combining algorithm: `t` threads into exactly `p`
-/// thread-balanced clusters, maximizing `metric` greedily with
-/// backtracking.
+/// thread-balanced clusters, maximizing `metric` greedily.
 ///
 /// # Errors
 ///
 /// * [`PlacementError::ZeroProcessors`] if `p == 0`,
-/// * [`PlacementError::TooManyProcessors`] if `p > t`,
-/// * [`PlacementError::SearchExhausted`] if the node budget runs out
-///   (not reachable for realistic inputs).
+/// * [`PlacementError::TooManyProcessors`] if `p > t`.
 pub fn cluster<M: PairMetric>(
     metric: &M,
     threads: usize,
@@ -105,28 +99,32 @@ pub fn cluster<M: PairMetric>(
     }
     let spec = BalanceSpec::new(threads, processors);
     let mut part = Partition::singletons(threads);
-    let mut budget = options.node_budget;
     let ctx = SearchCtx::new(metric, spec, &mut part, &options);
-    if search(&ctx, &mut part, &mut budget) {
-        Ok(part.into_clusters())
-    } else if budget == 0 {
-        Err(PlacementError::SearchExhausted)
-    } else {
-        // The BFD completability pruner is heuristic; in the (practically
-        // unobserved) case it prunes every path, fall back to a
-        // deterministic thread-balanced fill in index order.
-        Ok(balanced_fill(threads, processors))
+    while part.len() > processors {
+        // Take the best pair from which a thread-balanced completion
+        // still exists (checked lazily, so the common case pays for one
+        // packing check per level, not one per candidate).
+        let mut candidates = Candidates::new(&ctx, &part);
+        let best = std::iter::from_fn(|| candidates.next_best(&ctx, &part))
+            .find(|&pair| bfd_completable(&part, pair, &spec));
+        match best {
+            Some((a, b)) => part.combine(a, b),
+            // The BFD check is a heuristic; should it ever reject every
+            // pair of a level (no reachable state for t ≤ 40 does), fall
+            // back to a deterministic thread-balanced fill.
+            None => return Ok(balanced_fill(&spec)),
+        }
     }
+    Ok(part.into_clusters())
 }
 
 /// Deterministic thread-balanced partition in index order: the first
 /// `t mod p` clusters get ⌈t/p⌉ threads, the rest ⌊t/p⌋.
-fn balanced_fill(threads: usize, processors: usize) -> Vec<Vec<usize>> {
-    let spec = BalanceSpec::new(threads, processors);
-    let mut clusters = Vec::with_capacity(processors);
+fn balanced_fill(spec: &BalanceSpec) -> Vec<Vec<usize>> {
+    let mut clusters = Vec::with_capacity(spec.processors());
     let mut next = 0;
-    for i in 0..processors {
-        let size = if i < spec.big_clusters() || spec.floor_size() == spec.ceil_size() {
+    for i in 0..spec.processors() {
+        let size = if i < spec.big_clusters() {
             spec.ceil_size()
         } else {
             spec.floor_size()
@@ -179,44 +177,14 @@ impl<'a, M: PairMetric> SearchCtx<'a, M> {
     }
 }
 
-/// Depth-first search over combine decisions. Returns `true` when `part`
-/// has been reduced to the target cluster count.
-fn search<M: PairMetric>(ctx: &SearchCtx<'_, M>, part: &mut Partition, budget: &mut usize) -> bool {
-    if part.len() == ctx.spec.processors() {
-        return true;
-    }
-    if *budget == 0 {
-        return false;
-    }
-
-    let mut candidates = Candidates::new(ctx, part);
-    while let Some((a, b)) = candidates.next_best(ctx, part) {
-        if *budget == 0 {
-            return false;
-        }
-        // Skip merges from which no thread-balanced completion exists
-        // (checked lazily here so the common case pays for one packing
-        // check per level, not one per candidate).
-        if !bfd_completable(part, (a, b), &ctx.spec) {
-            continue;
-        }
-        *budget -= 1;
-        let token = part.combine(a, b);
-        if search(ctx, part, budget) {
-            return true;
-        }
-        part.undo(token);
-    }
-    false
-}
-
 /// Whether a multiset of cluster sizes can still be packed into the
 /// final thread-balanced shape (`t mod p` bins of ⌈t/p⌉, the rest of
 /// ⌊t/p⌋), checked with best-fit-decreasing.
 ///
-/// BFD is a heuristic, so a `false` may over-prune a feasible state;
-/// the search's backtracking then simply tries another branch. In
-/// practice BFD is exact for these equal-capacity shapes.
+/// BFD is a heuristic, so a `false` may over-prune a feasible state.
+/// For these two-capacity shapes it never rejects every merge of a
+/// reachable state: `no_reachable_state_dead_ends` checks all of them
+/// for t ≤ 40.
 fn bfd_completable(part: &Partition, merged: (usize, usize), spec: &BalanceSpec) -> bool {
     let mut sizes: Vec<usize> = Vec::with_capacity(part.len() - 1);
     let merged_size = part.cluster(merged.0).len() + part.cluster(merged.1).len();
@@ -267,14 +235,14 @@ type CandKey = (bool, Score, Reverse<usize>, Reverse<usize>);
 /// Feasible candidate pairs, consumed best first.
 ///
 /// Scoring every pair is unavoidable (the maximum must be found), but
-/// *keeping* the scored pairs is not: the greedy search usually takes the
-/// first candidate and never looks back. In cached mode a level therefore
-/// holds only the last key it tried, and each step is one argmax scan of
-/// O(1) cached scores for the best key strictly below it — no allocation,
-/// and after a BFD rejection or an undo the next scan resumes exactly
-/// where the sorted order would. Fresh mode keeps the original full sort;
-/// it is the retained reference path that the differential tests (and
-/// the pipeline benchmark's old arm) hold fixed.
+/// *keeping* the scored pairs is not: a level usually takes the first
+/// candidate. In cached mode a level therefore holds only the last key it
+/// tried, and each step is one argmax scan of O(1) cached scores for the
+/// best key strictly below it — no allocation, and after a BFD rejection
+/// the next scan resumes exactly where the sorted order would. Fresh mode
+/// keeps the original full sort; it is the retained reference path that
+/// the differential tests (and the pipeline benchmark's old arm) hold
+/// fixed.
 enum Candidates {
     Sorted(std::vec::IntoIter<(usize, usize)>),
     Below(Option<CandKey>),
@@ -325,6 +293,18 @@ impl Candidates {
     }
 }
 
+/// Whether merging two clusters into one of `new_size` passes
+/// [`BalanceSpec::combine_allowed`], given `big_now` ceiling-sized
+/// clusters before the merge.
+fn merge_allowed(spec: &BalanceSpec, big_now: usize, new_size: usize) -> bool {
+    // A combine can only create one more ceiling-sized cluster; it may
+    // also consume ceiling-sized inputs, but inputs of size ceil can never
+    // legally grow, so both inputs are < ceil whenever new_size == ceil.
+    // (With even sizes the count is ignored.)
+    let big_after = big_now + usize::from(new_size == spec.ceil_size());
+    spec.combine_allowed(new_size, big_after)
+}
+
 /// Calls `f` with the key of every feasible candidate pair, in index
 /// order.
 fn for_each_candidate<M: PairMetric>(
@@ -333,27 +313,12 @@ fn for_each_candidate<M: PairMetric>(
     mut f: impl FnMut(CandKey),
 ) {
     let spec = &ctx.spec;
-    let ceil = spec.ceil_size();
-    let floor = spec.floor_size();
-    let big_now = if floor == ceil {
-        0
-    } else {
-        part.count_of_size(ceil)
-    };
+    let big_now = part.count_of_size(spec.ceil_size());
 
     for a in 0..part.len() {
         for b in (a + 1)..part.len() {
             let new_size = part.cluster(a).len() + part.cluster(b).len();
-            // A combine can only create one more ceiling-sized cluster; it
-            // may also consume ceiling-sized inputs, but inputs of size
-            // ceil can never legally grow, so both inputs are < ceil here
-            // whenever new_size == ceil.
-            let big_after = if floor != ceil && new_size == ceil {
-                big_now + 1
-            } else {
-                big_now
-            };
-            if !spec.combine_allowed(new_size, big_after) {
+            if !merge_allowed(spec, big_now, new_size) {
                 continue;
             }
             let load_ok = match ctx.load {
@@ -387,6 +352,7 @@ mod tests {
     use super::*;
     use crate::metrics::ShareRefsMetric;
     use placesim_analysis::SymMatrix;
+    use std::collections::HashSet;
 
     fn share_refs(n: usize, entries: &[(usize, usize, u64)]) -> SymMatrix<u64> {
         let mut m = SymMatrix::new(n, 0);
@@ -478,27 +444,22 @@ mod tests {
         // t = 8, p = 2, cap = 4. The greedy path builds {0,1,2} and
         // {3,4,5} (sizes 3,3) with threads 6,7 left; its best next pair,
         // {6,7}, leaves sizes 3,3,2, which no completion can pack. The
-        // BFD check rejects that pair before combining, so the search
-        // takes 3+1 twice and never undoes: it finishes within exactly
-        // t - p = 6 combines.
+        // BFD check rejects that pair before combining, so the engine
+        // takes 3+1 twice instead.
         let m = share_refs(
             8,
             &[(0, 1, 100), (1, 2, 90), (3, 4, 80), (4, 5, 70), (6, 7, 1)],
         );
         let metric = ShareRefsMetric { refs: &m };
-        let opts = EngineOptions {
-            node_budget: 6,
-            ..EngineOptions::default()
-        };
-        let clusters = cluster(&metric, 8, 2, opts).unwrap();
+        let clusters = cluster(&metric, 8, 2, EngineOptions::default()).unwrap();
         assert_eq!(clusters, vec![vec![0, 1, 2, 6], vec![3, 4, 5, 7]]);
     }
 
     /// The cached scan visits every feasible pair in exactly the fresh
-    /// path's sorted order, also when the partition is combined and
-    /// undone between steps as a backtracking search would.
+    /// path's sorted order, as a level does when the BFD check rejects
+    /// pair after pair.
     #[test]
-    fn scan_follows_sorted_order_across_undo() {
+    fn scan_follows_sorted_order() {
         let m = share_refs(
             9,
             &[
@@ -518,7 +479,6 @@ mod tests {
                 tolerance: 0.10,
             }),
             score_mode,
-            ..EngineOptions::default()
         };
         let spec = BalanceSpec::new(9, 4);
         let mut part = Partition::singletons(9);
@@ -532,8 +492,6 @@ mod tests {
         let mut steps = 0;
         while let Some(pair) = sorted.next_best(&fresh, &part) {
             assert_eq!(scan.next_best(&cached, &part), Some(pair), "step {steps}");
-            let token = part.combine(pair.0, pair.1);
-            part.undo(token);
             steps += 1;
         }
         assert_eq!(scan.next_best(&cached, &part), None);
@@ -566,21 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_exhaustion_reports() {
-        let m = share_refs(6, &[]);
-        let metric = ShareRefsMetric { refs: &m };
-        let opts = EngineOptions {
-            load: None,
-            node_budget: 0,
-            score_mode: ScoreMode::Cached,
-        };
-        assert_eq!(
-            cluster(&metric, 6, 2, opts).unwrap_err(),
-            PlacementError::SearchExhausted
-        );
-    }
-
-    #[test]
     fn load_filter_prefers_balanced_combines() {
         // Threads 0,1 share the most but are both long; with the load
         // filter the engine pairs long with short instead.
@@ -592,7 +535,6 @@ mod tests {
                 lengths: &lengths,
                 tolerance: 0.10,
             }),
-            node_budget: 100_000,
             score_mode: ScoreMode::Cached,
         };
         let clusters = cluster(&metric, 4, 2, opts).unwrap();
@@ -621,10 +563,119 @@ mod tests {
                 lengths: &lengths,
                 tolerance: 0.0,
             }),
-            node_budget: 100_000,
             score_mode: ScoreMode::Cached,
         };
         let clusters = cluster(&metric, 4, 2, opts).unwrap();
         assert_eq!(clusters.len(), 2);
+    }
+
+    #[test]
+    fn balanced_fill_has_the_balanced_shape() {
+        for t in 1..=40 {
+            for p in 1..=t {
+                let clusters = balanced_fill(&BalanceSpec::new(t, p));
+                assert_eq!(clusters.len(), p, "t={t} p={p}");
+                let mut threads = clusters.concat();
+                threads.sort_unstable();
+                assert_eq!(threads, (0..t).collect::<Vec<_>>(), "t={t} p={p}");
+                let (floor, ceil) = (t / p, t.div_ceil(p));
+                assert!(
+                    clusters.iter().all(|c| c.len() == floor || c.len() == ceil),
+                    "t={t} p={p}: {clusters:?}"
+                );
+                let big = clusters.iter().filter(|c| c.len() > floor).count();
+                assert_eq!(big, t % p, "t={t} p={p}: {clusters:?}");
+            }
+        }
+    }
+
+    /// Walks every cluster-size multiset reachable from `t` singletons
+    /// under the engine's own rules — `merge_allowed` on the merged
+    /// size, then `bfd_completable` — and asserts that every state with
+    /// more than `p` clusters has an accepted merge (so the greedy loop
+    /// never reaches `balanced_fill`) and that every state with `p`
+    /// clusters is balanced. Returns the number of states visited.
+    fn assert_no_dead_ends(t: usize, p: usize) -> usize {
+        let spec = BalanceSpec::new(t, p);
+        let (floor, ceil) = (spec.floor_size(), spec.ceil_size());
+        // States are size multisets, sorted descending.
+        let mut seen: HashSet<Vec<usize>> = HashSet::from([vec![1; t]]);
+        let mut stack = vec![vec![1; t]];
+        while let Some(sizes) = stack.pop() {
+            if sizes.len() == p {
+                let big = sizes.iter().filter(|&&s| s > floor).count();
+                assert!(
+                    sizes.iter().all(|&s| s == floor || s == ceil) && big == t % p,
+                    "t={t} p={p}: unbalanced final state {sizes:?}"
+                );
+                continue;
+            }
+            // `bfd_completable` reads only the cluster sizes.
+            let mut next = 0;
+            let part = Partition::from_clusters(
+                sizes
+                    .iter()
+                    .map(|&s| {
+                        next += s;
+                        (next - s..next).collect()
+                    })
+                    .collect(),
+            );
+            let big_now = part.count_of_size(ceil);
+            let mut accepted = 0;
+            // Equal-sized clusters are interchangeable, so each distinct
+            // pair of sizes is tried once: the first cluster of a size for
+            // `a`, the first after `a` of a size for `b`.
+            for a in 0..sizes.len() {
+                if a > 0 && sizes[a] == sizes[a - 1] {
+                    continue;
+                }
+                for b in (a + 1)..sizes.len() {
+                    if b > a + 1 && sizes[b] == sizes[b - 1] {
+                        continue;
+                    }
+                    let merged = sizes[a] + sizes[b];
+                    if !merge_allowed(&spec, big_now, merged)
+                        || !bfd_completable(&part, (a, b), &spec)
+                    {
+                        continue;
+                    }
+                    accepted += 1;
+                    let mut child: Vec<usize> = sizes
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, _)| i != a && i != b)
+                        .map(|(_, &s)| s)
+                        .chain([merged])
+                        .collect();
+                    child.sort_unstable_by(|x, y| y.cmp(x));
+                    if seen.insert(child.clone()) {
+                        stack.push(child);
+                    }
+                }
+            }
+            assert!(accepted > 0, "t={t} p={p}: dead end at sizes {sizes:?}");
+        }
+        seen.len()
+    }
+
+    /// Runs [`assert_no_dead_ends`] for every `2 ≤ t ≤ max_t` and
+    /// `1 ≤ p ≤ t`, returning the total number of states visited.
+    fn assert_no_dead_ends_up_to(max_t: usize) -> usize {
+        (2..=max_t)
+            .flat_map(|t| (1..=t).map(move |p| (t, p)))
+            .map(|(t, p)| assert_no_dead_ends(t, p))
+            .sum()
+    }
+
+    #[test]
+    fn no_reachable_state_dead_ends() {
+        assert_eq!(assert_no_dead_ends_up_to(24), 22_658);
+    }
+
+    #[test]
+    #[ignore = "exhaustive to t = 40 (~5 s in release): run with --ignored"]
+    fn no_reachable_state_dead_ends_up_to_t40() {
+        assert_eq!(assert_no_dead_ends_up_to(40), 727_210);
     }
 }

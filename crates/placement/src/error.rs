@@ -15,10 +15,6 @@ pub enum PlacementError {
         /// Processors requested.
         processors: usize,
     },
-    /// The clustering engine exhausted its search budget without finding
-    /// a thread-balanced partition (does not occur for the paper's
-    /// configurations; guards against adversarial inputs).
-    SearchExhausted,
     /// The coherence-traffic algorithm was run without a traffic matrix.
     MissingTraffic,
     /// A supplied input had the wrong dimension.
@@ -45,12 +41,6 @@ impl fmt::Display for PlacementError {
                 f,
                 "cannot thread-balance {threads} threads over {processors} processors"
             ),
-            PlacementError::SearchExhausted => {
-                write!(
-                    f,
-                    "clustering search budget exhausted without a balanced partition"
-                )
-            }
             PlacementError::MissingTraffic => {
                 write!(
                     f,

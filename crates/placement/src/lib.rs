@@ -17,9 +17,9 @@
 //! * [`PlacementInputs`] — the statically measured program
 //!   characteristics an algorithm consumes,
 //! * [`PlacementMap`] — the thread → processor map fed to the simulator,
-//! * [`engine`] — the generic cluster-combining engine with
-//!   thread-balance feasibility checking and backtracking (paper §2.1
-//!   step 4).
+//! * [`engine`] — the generic cluster-combining engine (paper §2.1):
+//!   greedy combines with a thread-balance feasibility check, which
+//!   replaces the paper's step-4 backtracking.
 //!
 //! # Example
 //!

@@ -55,8 +55,8 @@ impl BalanceSpec {
     ///
     /// Necessary conditions: the new cluster fits under the ceiling, and
     /// — when sizes are uneven — the count of ceiling-sized clusters never
-    /// exceeds `t mod p`. (Sufficiency is restored by the engine's
-    /// backtracking.)
+    /// exceeds `t mod p`. They are not sufficient: the engine also checks
+    /// that a best-fit-decreasing packing of the remaining sizes exists.
     pub fn combine_allowed(&self, new_size: usize, big_count_after: usize) -> bool {
         let ceil = self.ceil_size();
         if new_size > ceil {
@@ -107,8 +107,7 @@ fn tri_get_mut(tri: &mut [Vec<u64>], a: usize, b: usize) -> &mut u64 {
 ///
 /// Clusters are lists of thread indices. Combining removes the
 /// higher-indexed cluster and appends its members to the lower-indexed
-/// one, so an undo log of `(kept, merged_members)` supports the engine's
-/// backtracking.
+/// one.
 ///
 /// # Cached aggregates
 ///
@@ -116,8 +115,7 @@ fn tri_get_mut(tri: &mut [Vec<u64>], a: usize, b: usize) -> &mut u64 {
 /// a thread matrix ([`register_cross`](Self::register_cross)) or
 /// per-cluster sums of a weight vector
 /// ([`register_sum`](Self::register_sum)). The caches are maintained
-/// exactly through [`combine`](Self::combine) / [`undo`](Self::undo) by
-/// row folding: `cross(a ∪ b, c) = cross(a, c) + cross(b, c)`, an exact
+/// exactly through [`combine`](Self::combine) by row folding: `cross(a ∪ b, c) = cross(a, c) + cross(b, c)`, an exact
 /// `u64` identity, so a cached lookup always equals the freshly computed
 /// sum. This turns the engine's per-pair metric evaluation from
 /// O(|A|·|B|) matrix walks into O(1) lookups.
@@ -149,7 +147,7 @@ impl Partition {
 
     /// Registers a cross-sum cache over the per-thread matrix `m`:
     /// `cross(id, a, b)` then returns `m.cross_sum(cluster a, cluster b)`
-    /// in O(1), kept exact through combines and undos.
+    /// in O(1), kept exact through combines.
     ///
     /// # Panics
     ///
@@ -234,28 +232,21 @@ impl Partition {
     }
 
     /// Combines clusters `a` and `b` (`a != b`), keeping the smaller
-    /// index. Returns an undo token for [`Partition::undo`].
+    /// index.
     ///
     /// # Panics
     ///
     /// Panics if `a == b` or either index is out of range.
-    pub fn combine(&mut self, a: usize, b: usize) -> UndoToken {
+    pub fn combine(&mut self, a: usize, b: usize) {
         assert!(a != b, "cannot combine a cluster with itself");
         let (keep, remove) = if a < b { (a, b) } else { (b, a) };
         let len = self.clusters.len();
 
-        // Fold the removed cluster's aggregates into the kept one, saving
-        // the removed row so undo can subtract it back out exactly.
-        let mut cross_rows = Vec::with_capacity(self.cross.len());
+        // Fold the removed cluster's aggregates into the kept one.
         for cache in &mut self.cross {
-            let mut row = vec![0u64; len];
-            for (c, slot) in row.iter_mut().enumerate() {
-                if c != remove {
-                    *slot = tri_get(&cache.tri, remove, c);
-                }
-            }
-            for (c, &v) in row.iter().enumerate() {
+            for c in 0..len {
                 if c != keep && c != remove {
+                    let v = tri_get(&cache.tri, remove, c);
                     *tri_get_mut(&mut cache.tri, keep, c) += v;
                 }
             }
@@ -263,75 +254,20 @@ impl Partition {
             for r in cache.tri.iter_mut().skip(remove) {
                 r.remove(remove);
             }
-            cross_rows.push(row);
         }
-        let mut sum_vals = Vec::with_capacity(self.sums.len());
         for cache in &mut self.sums {
             let removed = cache.vals.remove(remove);
             cache.vals[keep] += removed;
-            sum_vals.push(removed);
         }
 
         let moved = self.clusters.remove(remove);
-        let moved_len = moved.len();
         self.clusters[keep].extend(moved);
-        UndoToken {
-            keep,
-            removed_at: remove,
-            moved_len,
-            cross_rows,
-            sum_vals,
-        }
-    }
-
-    /// Reverts the most recent [`Partition::combine`] described by `token`.
-    ///
-    /// Tokens must be undone in LIFO order. Registered caches are
-    /// restored exactly: the kept cluster's sums shrink by the saved row
-    /// (`u64` subtraction of what was added), and the removed cluster's
-    /// row is reinserted verbatim.
-    pub fn undo(&mut self, token: UndoToken) {
-        let keep_cluster = &mut self.clusters[token.keep];
-        let split = keep_cluster.len() - token.moved_len;
-        let moved: Vec<usize> = keep_cluster.split_off(split);
-        self.clusters.insert(token.removed_at, moved);
-
-        let len = self.clusters.len();
-        for (cache, row) in self.cross.iter_mut().zip(&token.cross_rows) {
-            cache
-                .tri
-                .insert(token.removed_at, row[..token.removed_at].to_vec());
-            for (i, r) in cache.tri.iter_mut().enumerate().skip(token.removed_at + 1) {
-                r.insert(token.removed_at, row[i]);
-            }
-            for (c, &v) in row.iter().enumerate().take(len) {
-                if c != token.keep && c != token.removed_at {
-                    *tri_get_mut(&mut cache.tri, token.keep, c) -= v;
-                }
-            }
-        }
-        for (cache, &val) in self.sums.iter_mut().zip(&token.sum_vals) {
-            cache.vals[token.keep] -= val;
-            cache.vals.insert(token.removed_at, val);
-        }
     }
 
     /// Consumes the partition, returning its clusters.
     pub fn into_clusters(self) -> Vec<Vec<usize>> {
         self.clusters
     }
-}
-
-/// Undo record for one combine step (LIFO). Carries the removed
-/// cluster's saved aggregate rows so [`Partition::undo`] restores every
-/// registered cache bit-exactly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UndoToken {
-    keep: usize,
-    removed_at: usize,
-    moved_len: usize,
-    cross_rows: Vec<Vec<u64>>,
-    sum_vals: Vec<u64>,
 }
 
 #[cfg(test)]
@@ -360,33 +296,11 @@ mod tests {
     }
 
     #[test]
-    fn combine_and_undo_roundtrip() {
-        let mut p = Partition::singletons(4);
-        let before = p.clone();
-        let tok = p.combine(1, 3);
-        assert_eq!(p.len(), 3);
-        assert_eq!(p.cluster(1), &[1, 3]);
-        p.undo(tok);
-        assert_eq!(p, before);
-    }
-
-    #[test]
     fn combine_keeps_lower_index() {
         let mut p = Partition::singletons(3);
         p.combine(2, 0);
         assert_eq!(p.cluster(0), &[0, 2]);
         assert_eq!(p.cluster(1), &[1]);
-    }
-
-    #[test]
-    fn nested_undo_lifo() {
-        let mut p = Partition::singletons(5);
-        let before = p.clone();
-        let t1 = p.combine(0, 1);
-        let t2 = p.combine(0, 2); // cluster 2 is thread 3 after first merge
-        p.undo(t2);
-        p.undo(t1);
-        assert_eq!(p, before);
     }
 
     #[test]
@@ -438,7 +352,7 @@ mod tests {
     }
 
     #[test]
-    fn caches_track_combines_and_undos() {
+    fn caches_track_combines() {
         let m = demo_matrix(6);
         let w = [3u64, 1, 4, 1, 5, 9];
         let mut p = Partition::singletons(6);
@@ -446,19 +360,19 @@ mod tests {
         let sid = p.register_sum(&w);
         assert_caches_fresh(&p, cid, sid, &m, &w);
 
-        let before = p.clone();
-        let t1 = p.combine(1, 4);
+        p.combine(1, 4);
         assert_caches_fresh(&p, cid, sid, &m, &w);
-        let t2 = p.combine(0, 1); // merges {0} with {1,4}
+        p.combine(0, 1); // merges {0} with {1,4}
         assert_caches_fresh(&p, cid, sid, &m, &w);
-        let t3 = p.combine(2, 3);
+        p.combine(2, 3);
         assert_caches_fresh(&p, cid, sid, &m, &w);
-
-        p.undo(t3);
-        p.undo(t2);
-        p.undo(t1);
-        // Exact restoration, caches included (derived PartialEq covers them).
-        assert_eq!(p, before);
+        // Down to one cluster, folding rows from both sides of the kept
+        // index.
+        while p.len() > 1 {
+            p.combine(p.len() - 1, (p.len() - 1) / 2);
+            assert_caches_fresh(&p, cid, sid, &m, &w);
+        }
+        assert_eq!(p.sum(sid, 0), w.iter().sum::<u64>());
     }
 
     #[test]

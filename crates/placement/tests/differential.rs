@@ -103,7 +103,6 @@ proptest! {
                 cluster(&metric, t, p, EngineOptions {
                     load,
                     score_mode: mode,
-                    ..EngineOptions::default()
                 }).unwrap()
             };
             prop_assert_eq!(
@@ -117,9 +116,7 @@ proptest! {
 
 /// The greedy-trap fixture from the engine's unit tests: after four
 /// combines the best pair leads to a dead end, so both modes must reject
-/// it at the completability check and take the same next-best pair. The
-/// check fires before the combine, so neither mode undoes anything: a
-/// budget of exactly t − p combines suffices.
+/// it at the completability check and take the same next-best pair.
 #[test]
 fn modes_agree_on_greedy_trap() {
     let mut m = SymMatrix::new(8, 0u64);
@@ -134,7 +131,6 @@ fn modes_agree_on_greedy_trap() {
             2,
             EngineOptions {
                 score_mode: mode,
-                node_budget: 8 - 2,
                 ..EngineOptions::default()
             },
         )
@@ -143,7 +139,7 @@ fn modes_agree_on_greedy_trap() {
     let cached = run(ScoreMode::Cached);
     assert_eq!(cached, run(ScoreMode::Fresh));
     let sizes: Vec<usize> = cached.iter().map(Vec::len).collect();
-    assert_eq!(sizes, vec![4, 4], "the search reached the balanced shape");
+    assert_eq!(sizes, vec![4, 4], "the engine reached the balanced shape");
 }
 
 /// Paper scale in thread count: the real 127-thread gauss sharing

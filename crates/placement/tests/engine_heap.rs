@@ -1,12 +1,11 @@
 //! Peak-heap regression test for the cluster-combining engine.
 //!
 //! A 127-thread gauss placement merges 125 times down to two clusters.
-//! The engine keeps no per-level candidate list: each search level holds
-//! only the last key it tried and finds the next by an argmax scan over
-//! the current pairs. A tracking allocator measures the heap growth of
-//! one such placement and bounds it, so a return to materializing every
-//! level's scored pairs (tens of thousands of keys per level, kept alive
-//! down the recursion) fails here.
+//! The engine keeps no per-level candidate list: each level holds only
+//! the last key it tried and finds the next by an argmax scan over the
+//! current pairs. A tracking allocator measures the heap growth of one
+//! such placement and bounds it, so a return to materializing a level's
+//! scored pairs (tens of thousands of keys per level) fails here.
 
 use placesim_analysis::SharingAnalysis;
 use placesim_placement::{PlacementAlgorithm, PlacementInputs};

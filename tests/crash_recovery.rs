@@ -29,8 +29,14 @@ const SWEEP: &[&str] = &[
     "2,4,8",
 ];
 
-fn tmp_dir() -> PathBuf {
-    let d = std::env::temp_dir().join(format!("placesim-crash-recovery-{}", std::process::id()));
+/// A fresh directory per test: the tests run concurrently and each
+/// deletes its own directory when done, so they must not share one.
+fn tmp_dir(tag: &str) -> PathBuf {
+    let d = std::env::temp_dir().join(format!(
+        "placesim-crash-recovery-{tag}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
     d
 }
@@ -60,7 +66,7 @@ fn journal_lines(path: &Path) -> usize {
 
 #[test]
 fn sigkilled_sweep_resumes_to_byte_identical_report() {
-    let dir = tmp_dir();
+    let dir = tmp_dir("sigkill");
 
     // Reference: the uninterrupted run.
     let full_journal = dir.join("full.journal");
@@ -126,7 +132,7 @@ fn sigkilled_sweep_resumes_to_byte_identical_report() {
 
 #[test]
 fn resume_against_a_mismatched_grid_exits_with_corrupt_journal_code() {
-    let dir = tmp_dir();
+    let dir = tmp_dir("mismatch");
     let journal = dir.join("grid.journal");
     let report = dir.join("grid-report.json");
     let status = sweep_cmd(&journal, &report, false)
