@@ -144,8 +144,8 @@ impl AddressProfile {
     ///
     /// This is the reference path: one hash-map probe per reference. It
     /// is kept byte-for-byte equivalent to [`Self::build_parallel`] (the
-    /// differential proptests compare the two) and used by tests and the
-    /// old-front-end arm of `bench_pipeline`.
+    /// differential proptests compare the two); it is the reference for
+    /// those differential tests.
     pub fn build(prog: &ProgramTrace) -> Self {
         let mut map: AddrMap<PerAddress> = AddrMap::default();
         for (tid, trace) in prog.iter() {

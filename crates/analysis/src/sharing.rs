@@ -368,8 +368,8 @@ impl SharingAnalysis {
     }
 
     /// The original serial path: build the full [`AddressProfile`], then
-    /// derive the metrics from it. Kept as the differential-testing
-    /// reference and the old-front-end arm of `bench_pipeline`.
+    /// derive the metrics from it. Kept as the reference for the
+    /// differential tests.
     pub fn measure_reference(prog: &ProgramTrace) -> Self {
         Self::from_profile(&AddressProfile::build(prog))
     }

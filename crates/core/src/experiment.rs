@@ -1,13 +1,11 @@
 //! Prepared applications and placement experiments.
 
 use crate::error::Error;
-use crate::manifest::{ManifestEntry, RunManifest};
 use placesim_analysis::{SharingAnalysis, SymMatrix};
 use placesim_machine::{
     probe_coherence, simulate, simulate_probed, ArchConfig, AttrCollector, AttributionConfig,
     EngineObs, ProbeResult, SimStats,
 };
-use placesim_obs::SpanTimer;
 use placesim_placement::{thread_lengths, PlacementAlgorithm, PlacementInputs, PlacementMap};
 use placesim_trace::par::try_parallel_map;
 use placesim_trace::ProgramTrace;
@@ -230,31 +228,6 @@ pub fn run_sweep(
     try_parallel_map(&combos, |&(algo, p)| run_placement(app, algo, p))
 }
 
-/// Like [`run_sweep`], but also returns a validated [`RunManifest`]
-/// recording the architecture, generation parameters, wall time and a
-/// per-combination summary — the machine-readable receipt of the sweep.
-///
-/// # Errors
-///
-/// Same as [`run_sweep`].
-pub fn run_sweep_manifested(
-    app: &PreparedApp,
-    algorithms: &[PlacementAlgorithm],
-    processor_counts: &[usize],
-) -> Result<(Vec<ExperimentResult>, RunManifest), Error> {
-    let timer = SpanTimer::start("run_sweep");
-    let results = run_sweep(app, algorithms, processor_counts)?;
-    let mut manifest = RunManifest::new("run_sweep", app.spec.name, &app.config);
-    manifest.scale = Some(app.gen.scale);
-    manifest.seed = Some(app.gen.seed);
-    manifest.wall_secs = timer.elapsed_secs();
-    manifest.entries = results
-        .iter()
-        .map(|r| ManifestEntry::from_stats(r.algorithm.paper_name(), r.processors, &r.stats))
-        .collect();
-    Ok((results, manifest))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,23 +301,6 @@ mod tests {
                 (PlacementAlgorithm::LoadBal, 4),
             ]
         );
-    }
-
-    #[test]
-    fn manifested_sweep_records_every_combination() {
-        let app = tiny("water");
-        let algos = [PlacementAlgorithm::Random, PlacementAlgorithm::LoadBal];
-        let procs = [2, 4];
-        let (results, manifest) = run_sweep_manifested(&app, &algos, &procs).unwrap();
-        assert_eq!(manifest.entries.len(), results.len());
-        assert_eq!(manifest.app, "water");
-        assert_eq!(manifest.scale, Some(0.002));
-        assert_eq!(manifest.seed, Some(3));
-        for (r, e) in results.iter().zip(&manifest.entries) {
-            assert_eq!(e.algorithm, r.algorithm.paper_name());
-            assert_eq!(e.execution_time, r.execution_time());
-        }
-        RunManifest::validate(&manifest.to_json()).unwrap();
     }
 
     #[test]

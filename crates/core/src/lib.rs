@@ -49,7 +49,7 @@ pub mod tables;
 pub use error::Error;
 pub use experiment::{
     run_placement, run_placement_attributed, run_placement_with_config, run_sweep,
-    run_sweep_manifested, ExperimentResult, PreparedApp,
+    ExperimentResult, PreparedApp,
 };
 pub use journal::{
     JournalError, JournalHeader, JournalRecovery, RecordLog, RecordRecovery, JOURNAL_SCHEMA,

@@ -1,10 +1,11 @@
 //! Run manifests: machine-readable records of what a run executed.
 //!
-//! Every experiment entry point (the CLI's `simulate --metrics`, the
-//! bench binaries, [`crate::run_sweep_manifested`]) can emit a manifest:
-//! a single JSON document recording the architecture configuration,
-//! generation parameters, wall time, per-combination results and — when
-//! the run recorded them — the engine counters (`EngineObsReport`). The
+//! Every experiment entry point (the CLI's `simulate --metrics`, a
+//! supervised sweep via [`crate::SupervisedSweep::manifest`]) can emit a
+//! manifest: a single JSON document recording the architecture
+//! configuration, generation parameters, wall time, per-combination
+//! results and — when the run recorded them — the engine counters
+//! (`EngineObsReport`). The
 //! schema is versioned via the [`METRICS_SCHEMA`] tag so downstream
 //! tooling can reject documents it does not understand.
 //!
@@ -76,7 +77,7 @@ impl ManifestEntry {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunManifest {
     /// Which entry point produced this manifest (`simulate`, `probe`,
-    /// `run_sweep`, `bench_engine`, ...).
+    /// `sweep`, ...).
     pub tool: String,
     /// Application (or trace) name.
     pub app: String,

@@ -2,12 +2,11 @@
 //!
 //! Like `placesim_machine::reference` for the simulation engine, this
 //! module preserves the original single-threaded emitter so that the
-//! optimised path in [`crate::gen::emit`] can be differentially tested
-//! (`generate` must stay bit-identical) and benchmarked against it
-//! (`bench_pipeline`'s "old front-end"). The shared planning stages
-//! (lengths, address plans, layout) are reused — the overhaul changed
-//! only emission, and sharing the inputs means the comparison cannot
-//! drift.
+//! optimised path in [`crate::gen::emit`] has a reference for the
+//! differential tests, which require `generate` to stay bit-identical.
+//! The shared planning stages (lengths, address plans, layout) are
+//! reused — the overhaul changed only emission, and sharing the inputs
+//! means the comparison cannot drift.
 
 use crate::gen::patterns::{SharedPlan, WritePolicy};
 use crate::gen::regions::{self, Layout};

@@ -140,7 +140,8 @@ proptest! {
     /// The fused front end — generate-with-profile plus the access-list
     /// analyzer — must be bit-identical to the retained reference
     /// paths: the serial emitter followed by the full-profile analyzer.
-    /// This is the end-to-end guarantee `bench_pipeline` leans on.
+    /// The retained paths are the references for this differential
+    /// test; this is the front end's end-to-end equivalence guarantee.
     #[test]
     fn fused_front_end_matches_reference(
         mut spec in arb_spec(),

@@ -1,20 +1,7 @@
 //! `placesim-cli`: command-line trace tooling for the reproduction.
 //!
-//! ```text
-//! placesim-cli suite
-//! placesim-cli gen <app> <out.trace> [--scale S] [--seed N] [--format v1|v2|v3]
-//! placesim-cli info <trace>
-//! placesim-cli analyze <trace> [--metrics out.json]
-//! placesim-cli place <trace> <algorithm> <processors> [--metrics out.json]
-//! placesim-cli simulate <trace> <algorithm> <processors> [--cache-kb K]
-//!              [--assoc W] [--latency L] [--switch C]
-//!              [--protocol wi|mesi|dragon]
-//!              [--metrics out.json] [--timeline out.json]
-//!              [--attribution out.json]
-//! placesim-cli attribute <report.json> [--top N] [--pairs N]
-//! placesim-cli probe <trace>
-//! placesim-cli report <manifest-or-dir...> [--baseline F] [--threshold PCT]
-//! ```
+//! Commands and flags are listed once, in the `USAGE` constant, which
+//! `main` prints.
 //!
 //! Traces use the `placesim-trace` binary format, so generated traces
 //! can be archived and re-analyzed like MPtrace outputs were.

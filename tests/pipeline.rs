@@ -93,13 +93,14 @@ fn context_count_follows_placement() {
 #[test]
 fn twelve_algorithm_manifested_sweep_emits_valid_metrics() {
     // The full clustering set (the twelve sharing-based algorithms) on
-    // one app, through the manifested sweep. Under `--features audit`
-    // every simulation in here is re-validated by the engine's
+    // one app, through the journaled sweep's manifest. Under `--features
+    // audit` every simulation in here is re-validated by the engine's
     // post-drain invariant auditor; the manifest must always pass its
     // own schema check and agree with the results it summarizes.
     use placesim::manifest::RunManifest;
+    use std::sync::Arc;
 
-    let app = PreparedApp::prepare(&spec("water").unwrap(), &opts());
+    let app = Arc::new(PreparedApp::prepare(&spec("water").unwrap(), &opts()));
     let algos: Vec<PlacementAlgorithm> = PlacementAlgorithm::SHARING_BASED
         .into_iter()
         .chain(PlacementAlgorithm::STATIC.into_iter().filter(|a| {
@@ -111,7 +112,22 @@ fn twelve_algorithm_manifested_sweep_emits_valid_metrics() {
         .collect();
     assert_eq!(algos.len(), 12, "the paper's twelve clustering algorithms");
 
-    let (results, manifest) = placesim::run_sweep_manifested(&app, &algos, &[4]).unwrap();
+    let dir = std::env::temp_dir().join(format!("placesim-pipeline-twelve-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let sweep = placesim::run_supervised_sweep(
+        &app,
+        &algos,
+        &[4],
+        &dir.join("sweep.journal"),
+        false,
+        &placesim::SupervisorConfig::new(),
+    )
+    .unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(sweep.is_complete());
+    let manifest = sweep.manifest();
+
+    let results = placesim::run_sweep(&app, &algos, &[4]).unwrap();
     assert_eq!(results.len(), 12);
     assert_eq!(manifest.entries.len(), 12);
     let json = manifest.to_json();
