@@ -109,6 +109,41 @@ impl PreparedApp {
     pub fn threads(&self) -> usize {
         self.prog.thread_count()
     }
+
+    /// Places the app's threads with `algorithm` onto `processors`
+    /// processors.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ProbeMissing`] for [`PlacementAlgorithm::CoherenceTraffic`]
+    /// before [`PreparedApp::run_probe`]; otherwise propagates placement
+    /// errors.
+    pub fn place(
+        &self,
+        algorithm: PlacementAlgorithm,
+        processors: usize,
+    ) -> Result<PlacementMap, Error> {
+        if algorithm == PlacementAlgorithm::CoherenceTraffic && self.traffic.is_none() {
+            return Err(Error::ProbeMissing);
+        }
+        Ok(algorithm.place(&self.placement_inputs(), processors)?)
+    }
+
+    /// Simulates `map` under the app's configuration with an online
+    /// [`AttrCollector`] attached (see [`run_placement_attributed`]).
+    pub(crate) fn simulate_attributed(
+        &self,
+        map: &PlacementMap,
+        acfg: AttributionConfig,
+    ) -> Result<(SimStats, AttrCollector), Error> {
+        let mut obs = EngineObs {
+            attribution: Some(AttrCollector::new(acfg)),
+            ..EngineObs::default()
+        };
+        let stats = simulate_probed(&self.prog, map, &self.config, &mut obs)?;
+        let attr = obs.attribution.expect("the recorder keeps its collector");
+        Ok((stats, attr))
+    }
 }
 
 /// Outcome of one placement + simulation run.
@@ -157,10 +192,7 @@ pub fn run_placement_with_config(
     processors: usize,
     config: &ArchConfig,
 ) -> Result<ExperimentResult, Error> {
-    if algorithm == PlacementAlgorithm::CoherenceTraffic && app.traffic.is_none() {
-        return Err(Error::ProbeMissing);
-    }
-    let map = algorithm.place(&app.placement_inputs(), processors)?;
+    let map = app.place(algorithm, processors)?;
     let stats = simulate(&app.prog, &map, config)?;
     Ok(ExperimentResult {
         algorithm,
@@ -184,16 +216,8 @@ pub fn run_placement_attributed(
     processors: usize,
     acfg: AttributionConfig,
 ) -> Result<(ExperimentResult, AttrCollector), Error> {
-    if algorithm == PlacementAlgorithm::CoherenceTraffic && app.traffic.is_none() {
-        return Err(Error::ProbeMissing);
-    }
-    let map = algorithm.place(&app.placement_inputs(), processors)?;
-    let mut obs = EngineObs {
-        attribution: Some(AttrCollector::new(acfg)),
-        ..EngineObs::default()
-    };
-    let stats = simulate_probed(&app.prog, &map, &app.config, &mut obs)?;
-    let attr = obs.attribution.expect("the recorder keeps its collector");
+    let map = app.place(algorithm, processors)?;
+    let (stats, attr) = app.simulate_attributed(&map, acfg)?;
     Ok((
         ExperimentResult {
             algorithm,
@@ -205,27 +229,94 @@ pub fn run_placement_attributed(
     ))
 }
 
+/// The cells of an `algorithms` × `processor_counts` grid in
+/// algorithm-major order: cell `i` of a sweep is element `i`.
+pub fn grid_cells(
+    algorithms: &[PlacementAlgorithm],
+    processor_counts: &[usize],
+) -> Vec<(PlacementAlgorithm, usize)> {
+    algorithms
+        .iter()
+        .flat_map(|&a| processor_counts.iter().map(move |&p| (a, p)))
+        .collect()
+}
+
+/// Groups the cells of one sweep by placement: each group lists the
+/// positions of one distinct map in `maps`, ascending, and groups come
+/// in order of their first (leading) position.
+///
+/// Within a sweep the trace and [`ArchConfig`] are fixed, so cells with
+/// equal maps have equal statistics and one simulation serves the whole
+/// group. The key is the exact map: two maps that differ only by
+/// processor labels stay apart, because per-processor statistics and
+/// the engine's tie order depend on the processor index.
+pub fn group_equal_maps<'a>(maps: impl IntoIterator<Item = &'a PlacementMap>) -> Vec<Vec<usize>> {
+    let mut leaders: Vec<&PlacementMap> = Vec::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, map) in maps.into_iter().enumerate() {
+        match leaders.iter().position(|&l| l == map) {
+            Some(g) => groups[g].push(i),
+            None => {
+                leaders.push(map);
+                groups.push(vec![i]);
+            }
+        }
+    }
+    groups
+}
+
 /// Runs every `(algorithm, processors)` combination in parallel worker
 /// threads and returns results in deterministic (algorithm-major) order.
 ///
-/// A failing combination short-circuits the sweep: the shared stop flag
-/// inside [`try_parallel_map`] keeps workers from claiming further
-/// combinations, so a bad grid fails in one simulation's time rather
-/// than the whole grid's.
+/// Every cell is placed first; then each group of cells with equal maps
+/// ([`group_equal_maps`]) is simulated once and every member gets the
+/// group's statistics. A failure short-circuits its phase: the shared
+/// stop flag inside [`try_parallel_map`] keeps workers from claiming
+/// further cells or groups.
 ///
 /// # Errors
 ///
-/// Returns the lowest-indexed (algorithm-major) error encountered.
+/// Returns the lowest-indexed (algorithm-major) placement error or,
+/// when every cell places, the simulation error of the lowest-indexed
+/// group.
 pub fn run_sweep(
     app: &PreparedApp,
     algorithms: &[PlacementAlgorithm],
     processor_counts: &[usize],
 ) -> Result<Vec<ExperimentResult>, Error> {
-    let combos: Vec<(PlacementAlgorithm, usize)> = algorithms
-        .iter()
-        .flat_map(|&a| processor_counts.iter().map(move |&p| (a, p)))
-        .collect();
-    try_parallel_map(&combos, |&(algo, p)| run_placement(app, algo, p))
+    sweep_with_config(app, algorithms, processor_counts, &app.config)
+}
+
+/// [`run_sweep`] under an explicit architecture.
+pub(crate) fn sweep_with_config(
+    app: &PreparedApp,
+    algorithms: &[PlacementAlgorithm],
+    processor_counts: &[usize],
+    config: &ArchConfig,
+) -> Result<Vec<ExperimentResult>, Error> {
+    let cells = grid_cells(algorithms, processor_counts);
+    let maps = try_parallel_map(&cells, |&(algo, p)| app.place(algo, p))?;
+    let groups = group_equal_maps(&maps);
+    let group_stats = try_parallel_map(&groups, |members| {
+        simulate(&app.prog, &maps[members[0]], config)
+    })?;
+    let mut stats: Vec<Option<SimStats>> = vec![None; cells.len()];
+    for (members, s) in groups.iter().zip(&group_stats) {
+        for &i in members {
+            stats[i] = Some(s.clone());
+        }
+    }
+    Ok(cells
+        .into_iter()
+        .zip(maps)
+        .zip(stats)
+        .map(|(((algorithm, processors), map), stats)| ExperimentResult {
+            algorithm,
+            processors,
+            map,
+            stats: stats.expect("every cell belongs to a group"),
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -309,5 +400,41 @@ mod tests {
         let inf = placesim_machine::ArchConfig::infinite_cache();
         let r = run_placement_with_config(&app, PlacementAlgorithm::LoadBal, 2, &inf).unwrap();
         assert_eq!(r.stats.total_misses().conflicts(), 0);
+    }
+
+    #[test]
+    fn groups_key_on_the_exact_map() {
+        let map = |clusters: Vec<Vec<usize>>| PlacementMap::from_clusters(clusters).unwrap();
+        let a = map(vec![vec![0, 1], vec![2]]);
+        // The same clusters on swapped processors are a different map.
+        let relabelled = map(vec![vec![2], vec![0, 1]]);
+        let maps = [
+            a.clone(),
+            relabelled.clone(),
+            a,
+            relabelled.clone(),
+            relabelled,
+        ];
+        assert_eq!(group_equal_maps(&maps), vec![vec![0, 2], vec![1, 3, 4]]);
+        assert!(group_equal_maps(&[]).is_empty());
+    }
+
+    #[test]
+    fn sweep_shares_simulations_without_changing_results() {
+        let app = tiny("gauss");
+        let algos = [
+            PlacementAlgorithm::ShareRefs,
+            PlacementAlgorithm::ShareAddr,
+            PlacementAlgorithm::MinPriv,
+        ];
+        let results = run_sweep(&app, &algos, &[2, 4]).unwrap();
+        let maps: Vec<&PlacementMap> = results.iter().map(|r| &r.map).collect();
+        assert!(group_equal_maps(maps).len() < results.len());
+        for (r, (algorithm, procs)) in results.iter().zip(grid_cells(&algos, &[2, 4])) {
+            let alone = run_placement(&app, algorithm, procs).unwrap();
+            assert_eq!((r.algorithm, r.processors), (algorithm, procs));
+            assert_eq!(r.map, alone.map);
+            assert_eq!(r.stats, alone.stats);
+        }
     }
 }

@@ -3,11 +3,10 @@
 //! tables.
 
 use crate::error::Error;
-use crate::experiment::{run_placement_with_config, PreparedApp};
+use crate::experiment::{sweep_with_config, PreparedApp};
 use crate::export::to_csv;
 use placesim_machine::{ArchConfig, MissBreakdown};
 use placesim_placement::PlacementAlgorithm;
-use placesim_trace::par::parallel_map;
 use serde::Serialize;
 
 /// One cell of an experiment grid.
@@ -33,7 +32,8 @@ pub struct GridRecord {
     pub coherence_traffic: u64,
 }
 
-/// Runs the full grid for one prepared application, in parallel.
+/// Runs the full grid for one prepared application, in parallel,
+/// simulating each distinct placement once (see [`crate::run_sweep`]).
 ///
 /// Uses `config` if given, the app's paper cache configuration
 /// otherwise.
@@ -47,17 +47,14 @@ pub fn run_grid(
     processor_counts: &[usize],
     config: Option<&ArchConfig>,
 ) -> Result<Vec<GridRecord>, Error> {
-    let cfg = config.copied().unwrap_or(app.config);
-    let combos: Vec<(PlacementAlgorithm, usize)> = algorithms
-        .iter()
-        .flat_map(|&a| processor_counts.iter().map(move |&p| (a, p)))
-        .collect();
-    parallel_map(&combos, |&(algo, p)| {
-        let r = run_placement_with_config(app, algo, p, &cfg)?;
-        Ok(GridRecord {
+    let cfg = config.unwrap_or(&app.config);
+    let results = sweep_with_config(app, algorithms, processor_counts, cfg)?;
+    Ok(results
+        .into_iter()
+        .map(|r| GridRecord {
             app: app.spec.name.to_owned(),
-            algorithm: algo,
-            processors: p,
+            algorithm: r.algorithm,
+            processors: r.processors,
             contexts: r.map.max_cluster_size(),
             execution_time: r.execution_time(),
             misses: r.stats.total_misses(),
@@ -65,9 +62,7 @@ pub fn run_grid(
             load_imbalance: r.map.load_imbalance(&app.lengths),
             coherence_traffic: r.stats.coherence_traffic(),
         })
-    })
-    .into_iter()
-    .collect()
+        .collect())
 }
 
 /// Renders grid records as long-format CSV.

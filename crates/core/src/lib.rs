@@ -10,7 +10,8 @@
 //! * [`PreparedApp`] — an application with its analysis cached, ready to
 //!   place and simulate many times,
 //! * [`run_placement`] / [`run_sweep`] — single runs and parallel
-//!   algorithm × processor-count sweeps,
+//!   algorithm × processor-count sweeps that simulate each distinct
+//!   placement once,
 //! * [`figures`] — the series behind the paper's Figures 2–5,
 //! * [`tables`] — the rows behind Tables 1–5,
 //! * [`report`] — plain-text table rendering.
@@ -48,8 +49,8 @@ pub mod tables;
 
 pub use error::Error;
 pub use experiment::{
-    run_placement, run_placement_attributed, run_placement_with_config, run_sweep,
-    ExperimentResult, PreparedApp,
+    grid_cells, group_equal_maps, run_placement, run_placement_attributed,
+    run_placement_with_config, run_sweep, ExperimentResult, PreparedApp,
 };
 pub use journal::{
     JournalError, JournalHeader, JournalRecovery, RecordLog, RecordRecovery, JOURNAL_SCHEMA,

@@ -3,33 +3,35 @@
 //! [`crate::journal`].
 //!
 //! [`run_supervised_sweep`] turns the all-or-nothing grid of
-//! [`crate::run_sweep`] into a small job scheduler. Every grid cell
-//! (algorithm × processor count) runs as an isolated attempt on its own
-//! worker thread: a panic is caught and classified, a wedged simulation
+//! [`crate::run_sweep`] into a small job scheduler. Every pending grid
+//! cell (algorithm × processor count) is placed first; cells whose
+//! placement maps are equal then form one **job**, simulated once. Each
+//! placement and each job simulation runs as an isolated attempt on its
+//! own worker thread: a panic is caught and classified, a wedged attempt
 //! is abandoned when the wall-clock watchdog fires, and both are
-//! retried a bounded number of times before the cell degrades into an
-//! annotated **hole**. Deterministic failures (typed placement or
-//! simulation errors) are never retried — re-running them would produce
-//! the same error. Each success is durably committed to the journal
-//! *before* the cell is reported done, so a crash at any instant loses
-//! at most the cells still in flight; resuming from the journal skips
-//! every committed cell and reproduces the uninterrupted run's entries
-//! bit-identically.
+//! retried a bounded number of times before the cell (or every member of
+//! the job) degrades into an annotated **hole**. Deterministic failures
+//! (typed placement or simulation errors) are never retried — re-running
+//! them would produce the same error. Each member is durably committed
+//! to the journal as its own cell *before* it is reported done, so a
+//! crash at any instant loses at most the cells still in flight;
+//! resuming from the journal skips every committed cell and reproduces
+//! the uninterrupted run's entries bit-identically.
 
 use crate::error::Error;
-use crate::experiment::{run_placement, run_placement_attributed, PreparedApp};
+use crate::experiment::{grid_cells, group_equal_maps, PreparedApp};
 use crate::journal::{DroppedLine, JournalCell, JournalError, JournalHeader, JournalWriter};
 use crate::manifest::{ManifestEntry, RunManifest};
-use placesim_machine::{AttrCollector, AttributionConfig};
+use placesim_machine::{simulate, AttrCollector, AttributionConfig};
 use placesim_obs::json::JsonWriter;
 use placesim_obs::{sink, FaultCounters};
-use placesim_placement::PlacementAlgorithm;
+use placesim_placement::{PlacementAlgorithm, PlacementMap};
 use placesim_trace::par::{
     panic_payload_summary, parallel_map_isolated, CancelToken, IsolatedOutcome,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Exponential retry backoff with deterministic, seeded jitter.
@@ -208,11 +210,15 @@ pub struct SupervisedSweep {
     pub faults: FaultCounters,
     /// Cells skipped because the journal had already committed them.
     pub resumed: usize,
+    /// Simulations this run executed: one per group of pending cells
+    /// with equal placement maps (retries of a group not counted).
+    pub simulations: usize,
     /// Sweep-level coherence attribution: every committed cell's
-    /// collector merged in commit order. `Some` exactly when
-    /// [`SupervisorConfig::attribution`] was set (resumed cells were
-    /// attributed by the run that committed them and are not re-run, so
-    /// their events are absent — the totals cover this run's cells).
+    /// collector merged in commit order (a group's collector once per
+    /// member). `Some` exactly when [`SupervisorConfig::attribution`]
+    /// was set (resumed cells were attributed by the run that committed
+    /// them and are not re-run, so their events are absent — the totals
+    /// cover this run's cells).
     pub attribution: Option<AttrCollector>,
 }
 
@@ -297,11 +303,13 @@ impl SweepMonitor {
         }
     }
 
-    fn record_done(&mut self, entry: &ManifestEntry, attr: Option<Box<AttrCollector>>) {
+    /// Counts one committed cell. A group's collector is merged once per
+    /// member, so the totals match one simulation per cell.
+    fn record_done(&mut self, entry: &ManifestEntry, attr: Option<&AttrCollector>) {
         self.done += 1;
         self.refs += entry.total_refs;
         if let (Some(merged), Some(cell)) = (&mut self.attr, attr) {
-            merged.merge(*cell);
+            merged.merge(cell.clone());
         }
         self.rewrite();
     }
@@ -375,11 +383,10 @@ impl SweepMonitor {
     }
 }
 
-/// What one supervised attempt produced.
-enum Attempt {
-    /// Success: the entry, plus the cell's collector when attribution
-    /// was requested (boxed — the collector dwarfs the other variants).
-    Done(ManifestEntry, Option<Box<AttrCollector>>),
+/// What one isolated attempt produced.
+enum Attempt<T> {
+    /// Success.
+    Done(T),
     /// A typed (deterministic) placement/simulation error.
     Failed(String),
     /// The attempt panicked; payload already summarized.
@@ -388,17 +395,38 @@ enum Attempt {
     TimedOut,
 }
 
-/// What one supervised cell produced.
-enum CellResult {
-    Committed(JournalCell),
-    Hole(SweepHole),
+/// A pending cell after the placement phase.
+struct Placed {
+    index: usize,
+    map: PlacementMap,
+    /// Placement attempts beyond the first (panics or timeouts retried).
+    retries: u32,
+}
+
+/// What one supervised group produced.
+enum GroupResult {
+    Committed(Vec<JournalCell>),
+    Holes(Vec<SweepHole>),
     /// The journal itself failed terminally; the sweep must stop.
     Fatal(JournalError),
+}
+
+/// Locks `m`, recovering the data of a poisoned lock: every guarded
+/// value stays consistent across a panic (counters, an append-only
+/// journal).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Runs a supervised, journaled sweep of `app` over `algorithms` ×
 /// `processors`, committing each completed cell to the journal at
 /// `journal_path`.
+///
+/// The sweep runs in two phases. First every pending cell is placed, in
+/// parallel, each placement an isolated attempt. Then the cells are
+/// grouped by equal [`PlacementMap`]s ([`crate::group_equal_maps`]) and
+/// each group is simulated once, as one supervised job, after which
+/// every member is committed as its own journal cell.
 ///
 /// With `resume` set and an existing journal at the path, committed
 /// cells are recovered (longest valid prefix) and skipped; otherwise a
@@ -436,56 +464,64 @@ pub fn run_supervised_sweep(
     let writer = writer.with_chaos(sup.chaos.clone());
     let resumed = cells.len();
 
-    let pending: Vec<usize> = (0..header.cell_count())
-        .filter(|i| !cells.iter().any(|c| c.index == *i))
+    let pending: Vec<(usize, PlacementAlgorithm, usize)> = grid_cells(algorithms, processors)
+        .into_iter()
+        .enumerate()
+        .filter(|(i, _)| !cells.iter().any(|c| c.index == *i))
+        .map(|(i, (algorithm, procs))| (i, algorithm, procs))
         .collect();
 
-    let writer = Mutex::new(writer);
-    let faults = Mutex::new(FaultCounters::new());
-    let monitor = Mutex::new(SweepMonitor::new(sup, &header, resumed));
+    let run = Supervision {
+        app,
+        header: &header,
+        sup,
+        writer: Mutex::new(writer),
+        faults: Mutex::new(FaultCounters::new()),
+        monitor: Mutex::new(SweepMonitor::new(sup, &header, resumed)),
+        cancel: CancelToken::new(),
+    };
     // Surface the telemetry file immediately (zero cells done) so
     // watchers can start polling before the first cell lands.
-    monitor.lock().unwrap_or_else(|p| p.into_inner()).rewrite();
-    let cancel = CancelToken::new();
-    let outcomes = parallel_map_isolated(&pending, Some(&cancel), |&index| {
-        supervise_cell(
-            app, algorithms, &header, index, sup, &writer, &faults, &monitor, &cancel,
-        )
-    });
+    lock(&run.monitor).rewrite();
 
     let mut holes = Vec::new();
-    let mut fatal: Option<JournalError> = None;
-    for (slot, outcome) in outcomes.into_iter().enumerate() {
-        let index = pending[slot];
+    let mut placed = Vec::new();
+    let placements = parallel_map_isolated(&pending, None, |&(index, algorithm, procs)| {
+        run.place_cell(index, algorithm, procs)
+    });
+    for (&(index, ..), outcome) in pending.iter().zip(placements) {
         match outcome {
-            IsolatedOutcome::Done(CellResult::Committed(cell)) => cells.push(cell),
-            IsolatedOutcome::Done(CellResult::Hole(hole)) => holes.push(hole),
-            IsolatedOutcome::Done(CellResult::Fatal(e)) => fatal = Some(e),
-            IsolatedOutcome::Panicked(payload) => {
-                // The supervision wrapper itself panicked — not an
-                // attempt (those are caught on their own threads). Keep
-                // the sweep alive and annotate the cell.
-                let (algorithm, procs) = grid_slot(&header, index);
-                holes.push(SweepHole {
-                    index,
-                    algorithm,
-                    processors: procs,
-                    attempts: 0,
-                    reason: format!(
-                        "supervisor worker panicked: {}",
-                        panic_payload_summary(payload.as_ref())
-                    ),
-                });
+            IsolatedOutcome::Done(Ok(p)) => placed.push(p),
+            IsolatedOutcome::Done(Err(hole)) => holes.push(hole),
+            lost => holes.push(run.hole(index, 0, lost_reason(&lost))),
+        }
+    }
+
+    let by_map = group_equal_maps(placed.iter().map(|p| &p.map));
+    let mut placed: Vec<Option<Placed>> = placed.into_iter().map(Some).collect();
+    let groups: Vec<Vec<Placed>> = by_map
+        .into_iter()
+        .map(|g| g.into_iter().filter_map(|i| placed[i].take()).collect())
+        .collect();
+    let outcomes = parallel_map_isolated(&groups, Some(&run.cancel), |members| {
+        run.supervise_group(members)
+    });
+
+    let mut simulations = 0;
+    let mut fatal: Option<JournalError> = None;
+    for (members, outcome) in groups.iter().zip(outcomes) {
+        match outcome {
+            IsolatedOutcome::Done(result) => {
+                simulations += 1;
+                match result {
+                    GroupResult::Committed(committed) => cells.extend(committed),
+                    GroupResult::Holes(lost) => holes.extend(lost),
+                    GroupResult::Fatal(e) => fatal = Some(e),
+                }
             }
-            IsolatedOutcome::Cancelled => {
-                let (algorithm, procs) = grid_slot(&header, index);
-                holes.push(SweepHole {
-                    index,
-                    algorithm,
-                    processors: procs,
-                    attempts: 0,
-                    reason: "cancelled before completion".into(),
-                });
+            lost => {
+                let reason = lost_reason(&lost);
+                holes.extend(members.iter().map(|m| run.hole(m.index, 0, reason.clone())));
             }
         }
     }
@@ -495,8 +531,11 @@ pub fn run_supervised_sweep(
 
     cells.sort_by_key(|c| c.index);
     holes.sort_by_key(|h| h.index);
-    let faults = faults.into_inner().unwrap_or_else(|p| p.into_inner());
-    let monitor = monitor.into_inner().unwrap_or_else(|p| p.into_inner());
+    let Supervision {
+        faults, monitor, ..
+    } = run;
+    let faults = faults.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let monitor = monitor.into_inner().unwrap_or_else(PoisonError::into_inner);
     // One final rewrite so the document on disk reflects the finished
     // sweep even if the last cell event raced with a reader.
     monitor.rewrite();
@@ -507,150 +546,198 @@ pub fn run_supervised_sweep(
         dropped,
         faults,
         resumed,
+        simulations,
         attribution: monitor.attr,
     })
 }
 
-/// The `(algorithm, processors)` labels of a cell index; falls back to
-/// placeholders if the index is somehow out of grid (cannot happen for
-/// indices drawn from `0..cell_count()`).
-fn grid_slot(header: &JournalHeader, index: usize) -> (String, usize) {
-    header
-        .cell(index)
-        .map(|(a, p)| (a.to_owned(), p))
-        .unwrap_or_else(|| ("?".to_owned(), 0))
+/// Why a supervision wrapper never returned: it panicked (not an
+/// attempt — those are caught on their own threads) or was cancelled
+/// before it started.
+fn lost_reason<R>(outcome: &IsolatedOutcome<R>) -> String {
+    match outcome {
+        IsolatedOutcome::Panicked(payload) => format!(
+            "supervisor worker panicked: {}",
+            panic_payload_summary(payload.as_ref())
+        ),
+        _ => "cancelled before completion".into(),
+    }
 }
 
-/// Supervises one cell to completion: retry loop, fault classification,
-/// journal commit.
-#[allow(clippy::too_many_arguments)]
-fn supervise_cell(
-    app: &Arc<PreparedApp>,
-    algorithms: &[PlacementAlgorithm],
-    header: &JournalHeader,
-    index: usize,
-    sup: &SupervisorConfig,
-    writer: &Mutex<JournalWriter>,
-    faults: &Mutex<FaultCounters>,
-    monitor: &Mutex<SweepMonitor>,
-    cancel: &CancelToken,
-) -> CellResult {
-    let algorithm = algorithms[index / header.processors.len()];
-    let processors = header.processors[index % header.processors.len()];
-    let bound = sup.attempt_bound();
-    let mut attempt = 0u32;
-    loop {
-        let outcome = {
-            #[cfg(feature = "chaos")]
-            {
-                let fault = sup
-                    .chaos
-                    .as_ref()
-                    .and_then(|plan| plan.worker_fault(index, attempt));
-                run_attempt(
-                    app,
-                    algorithm,
-                    processors,
-                    sup.watchdog,
-                    sup.attribution,
-                    fault,
-                )
-            }
-            #[cfg(not(feature = "chaos"))]
-            {
-                run_attempt(app, algorithm, processors, sup.watchdog, sup.attribution)
-            }
-        };
-        let reason = match outcome {
-            Attempt::Done(entry, attr) => {
-                let cell = JournalCell {
-                    index,
-                    attempts: attempt + 1,
-                    entry,
-                };
-                let committed = {
-                    let mut w = writer.lock().unwrap_or_else(|p| p.into_inner());
-                    let mut f = faults.lock().unwrap_or_else(|p| p.into_inner());
-                    w.commit_cell(&cell, &mut f)
-                };
-                return match committed {
-                    Ok(()) => {
-                        // Fold the cell into the live state only after
-                        // it is durable, so telemetry never reports a
-                        // cell the journal could still lose.
-                        monitor
-                            .lock()
-                            .unwrap_or_else(|p| p.into_inner())
-                            .record_done(&cell.entry, attr);
-                        CellResult::Committed(cell)
-                    }
-                    Err(e) => {
-                        // The journal is unwritable: nothing further can
-                        // be made durable, so stop claiming new cells.
-                        cancel.cancel();
-                        CellResult::Fatal(e)
-                    }
-                };
-            }
-            Attempt::Failed(msg) => {
-                // Typed errors are deterministic — retrying replays the
-                // same failure, so degrade to a hole immediately.
-                let mut f = faults.lock().unwrap_or_else(|p| p.into_inner());
-                f.errors += 1;
-                drop(f);
-                monitor
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .record_failed();
-                return CellResult::Hole(SweepHole {
-                    index,
-                    algorithm: algorithm.paper_name().to_owned(),
-                    processors,
-                    attempts: attempt + 1,
-                    reason: format!("deterministic error: {msg}"),
-                });
-            }
-            Attempt::Panicked(msg) => {
-                let mut f = faults.lock().unwrap_or_else(|p| p.into_inner());
-                f.panics += 1;
-                format!("worker panicked: {msg}")
-            }
-            Attempt::TimedOut => {
-                let mut f = faults.lock().unwrap_or_else(|p| p.into_inner());
-                f.timeouts += 1;
-                // The timed-out attempt's thread was detached, not
-                // joined — account for it so leaked workers show up in
-                // sweep and service reports instead of vanishing.
-                f.abandoned += 1;
-                format!(
-                    "watchdog fired after {:?} (attempt thread abandoned)",
-                    sup.watchdog.unwrap_or_default()
-                )
-            }
-        };
-        attempt += 1;
-        if attempt >= bound || cancel.is_cancelled() {
-            monitor
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .record_failed();
-            return CellResult::Hole(SweepHole {
-                index,
-                algorithm: algorithm.paper_name().to_owned(),
-                processors,
-                attempts: attempt,
-                reason,
-            });
+/// The shared state of one supervised sweep.
+struct Supervision<'a> {
+    app: &'a Arc<PreparedApp>,
+    header: &'a JournalHeader,
+    sup: &'a SupervisorConfig,
+    writer: Mutex<JournalWriter>,
+    faults: Mutex<FaultCounters>,
+    monitor: Mutex<SweepMonitor>,
+    cancel: CancelToken,
+}
+
+impl Supervision<'_> {
+    /// A hole for cell `index`, labelled from the journal header.
+    fn hole(&self, index: usize, attempts: u32, reason: String) -> SweepHole {
+        let (algorithm, processors) = self
+            .header
+            .cell(index)
+            .map_or_else(|| ("?".to_owned(), 0), |(a, p)| (a.to_owned(), p));
+        SweepHole {
+            index,
+            algorithm,
+            processors,
+            attempts,
+            reason,
         }
-        let mut f = faults.lock().unwrap_or_else(|p| p.into_inner());
-        f.retries += 1;
-        drop(f);
-        monitor
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .record_retry();
-        if let Some(backoff) = &sup.backoff {
-            std::thread::sleep(backoff.delay(index as u64, attempt));
+    }
+
+    /// Places one cell under supervision.
+    fn place_cell(
+        &self,
+        index: usize,
+        algorithm: PlacementAlgorithm,
+        processors: usize,
+    ) -> Result<Placed, SweepHole> {
+        let outcome = self.retry(index as u64, |_| {
+            let app = Arc::clone(self.app);
+            move || app.place(algorithm, processors)
+        });
+        match outcome {
+            Ok((map, attempts)) => Ok(Placed {
+                index,
+                map,
+                retries: attempts - 1,
+            }),
+            Err((attempts, reason)) => {
+                lock(&self.monitor).record_failed();
+                Err(self.hole(index, attempts, reason))
+            }
+        }
+    }
+
+    /// Simulates one group of equal-map cells under supervision and
+    /// commits every member. A worker fault planned for any member fires
+    /// on the group's attempt; every member gets the group's attempts.
+    fn supervise_group(&self, members: &[Placed]) -> GroupResult {
+        let map = Arc::new(members[0].map.clone());
+        let acfg = self.sup.attribution;
+        // Only chaos builds read the attempt number.
+        let outcome = self.retry(members[0].index as u64, |_attempt| {
+            #[cfg(feature = "chaos")]
+            let fault = self.sup.chaos.as_ref().and_then(|plan| {
+                members
+                    .iter()
+                    .find_map(|m| plan.worker_fault(m.index, _attempt))
+            });
+            let app = Arc::clone(self.app);
+            let map = Arc::clone(&map);
+            move || {
+                #[cfg(feature = "chaos")]
+                match fault {
+                    Some(crate::chaos::WorkerFault::Panic) => {
+                        panic!("chaos: injected worker panic")
+                    }
+                    Some(crate::chaos::WorkerFault::Stall(d)) => std::thread::sleep(d),
+                    None => {}
+                }
+                match acfg {
+                    Some(acfg) => app
+                        .simulate_attributed(&map, acfg)
+                        .map(|(stats, attr)| (stats, Some(attr))),
+                    None => Ok((simulate(&app.prog, &map, &app.config)?, None)),
+                }
+            }
+        });
+        let ((stats, attr), attempts) = match outcome {
+            Ok(done) => done,
+            Err((attempts, reason)) => {
+                let mut monitor = lock(&self.monitor);
+                return GroupResult::Holes(
+                    members
+                        .iter()
+                        .map(|m| {
+                            monitor.record_failed();
+                            self.hole(m.index, attempts + m.retries, reason.clone())
+                        })
+                        .collect(),
+                );
+            }
+        };
+        let mut committed = Vec::with_capacity(members.len());
+        for m in members {
+            let (algorithm, processors) = self.header.cell(m.index).unwrap_or(("?", 0));
+            let cell = JournalCell {
+                index: m.index,
+                attempts: attempts + m.retries,
+                entry: ManifestEntry::from_stats(algorithm, processors, &stats),
+            };
+            let result = {
+                let mut w = lock(&self.writer);
+                let mut f = lock(&self.faults);
+                w.commit_cell(&cell, &mut f)
+            };
+            if let Err(e) = result {
+                // The journal is unwritable: nothing further can be made
+                // durable, so stop claiming new groups.
+                self.cancel.cancel();
+                return GroupResult::Fatal(e);
+            }
+            // Fold the cell into the live state only after it is
+            // durable, so telemetry never reports a cell the journal
+            // could still lose.
+            lock(&self.monitor).record_done(&cell.entry, attr.as_ref());
+            committed.push(cell);
+        }
+        GroupResult::Committed(committed)
+    }
+
+    /// Runs the work `attempt(n)` builds (n is 0-based) as isolated
+    /// attempts until one succeeds, one fails deterministically, or the
+    /// attempt bound is spent. Returns the value and the attempts used,
+    /// or the attempts used and the final reason. `job` keys the backoff
+    /// jitter.
+    fn retry<T, W>(&self, job: u64, attempt: impl Fn(u32) -> W) -> Result<(T, u32), (u32, String)>
+    where
+        T: Send + 'static,
+        W: FnOnce() -> Result<T, Error> + Send + 'static,
+    {
+        let bound = self.sup.attempt_bound();
+        let mut n = 0u32;
+        loop {
+            let reason = match run_attempt(self.sup.watchdog, attempt(n)) {
+                Attempt::Done(value) => return Ok((value, n + 1)),
+                Attempt::Failed(msg) => {
+                    // Typed errors are deterministic — retrying replays
+                    // the same failure, so give up immediately.
+                    lock(&self.faults).errors += 1;
+                    return Err((n + 1, format!("deterministic error: {msg}")));
+                }
+                Attempt::Panicked(msg) => {
+                    lock(&self.faults).panics += 1;
+                    format!("worker panicked: {msg}")
+                }
+                Attempt::TimedOut => {
+                    let mut f = lock(&self.faults);
+                    f.timeouts += 1;
+                    // The timed-out attempt's thread was detached, not
+                    // joined — account for it so leaked workers show up
+                    // in sweep and service reports instead of vanishing.
+                    f.abandoned += 1;
+                    format!(
+                        "watchdog fired after {:?} (attempt thread abandoned)",
+                        self.sup.watchdog.unwrap_or_default()
+                    )
+                }
+            };
+            n += 1;
+            if n >= bound || self.cancel.is_cancelled() {
+                return Err((n, reason));
+            }
+            lock(&self.faults).retries += 1;
+            lock(&self.monitor).record_retry();
+            if let Some(backoff) = &self.sup.backoff {
+                std::thread::sleep(backoff.delay(job, n));
+            }
         }
     }
 }
@@ -659,59 +746,35 @@ fn supervise_cell(
 /// on that thread and come back classified; when the watchdog fires the
 /// thread is abandoned (it parks on a dead channel and exits whenever
 /// the wedged work finishes, if ever) and the supervisor moves on.
-fn run_attempt(
-    app: &Arc<PreparedApp>,
-    algorithm: PlacementAlgorithm,
-    processors: usize,
-    watchdog: Option<Duration>,
-    attribution: Option<AttributionConfig>,
-    #[cfg(feature = "chaos")] fault: Option<crate::chaos::WorkerFault>,
-) -> Attempt {
+fn run_attempt<T, W>(watchdog: Option<Duration>, work: W) -> Attempt<T>
+where
+    T: Send + 'static,
+    W: FnOnce() -> Result<T, Error> + Send + 'static,
+{
     let (tx, rx) = mpsc::channel();
-    let app = Arc::clone(app);
     std::thread::spawn(move || {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            #[cfg(feature = "chaos")]
-            match fault {
-                Some(crate::chaos::WorkerFault::Panic) => {
-                    panic!("chaos: injected worker panic")
-                }
-                Some(crate::chaos::WorkerFault::Stall(d)) => std::thread::sleep(d),
-                None => {}
-            }
-            match attribution {
-                Some(acfg) => run_placement_attributed(&app, algorithm, processors, acfg)
-                    .map(|(r, attr)| (r, Some(Box::new(attr)))),
-                None => run_placement(&app, algorithm, processors).map(|r| (r, None)),
-            }
-        }));
-        let outcome = match result {
-            Ok(Ok((r, attr))) => Attempt::Done(
-                ManifestEntry::from_stats(algorithm.paper_name(), processors, &r.stats),
-                attr,
-            ),
+        let outcome = match catch_unwind(AssertUnwindSafe(work)) {
+            Ok(Ok(value)) => Attempt::Done(value),
             Ok(Err(e)) => Attempt::Failed(e.to_string()),
             Err(payload) => Attempt::Panicked(panic_payload_summary(payload.as_ref())),
         };
         let _ = tx.send(outcome);
     });
+    let vanished = || Attempt::Panicked("attempt thread vanished without reporting".into());
     match watchdog {
         Some(budget) => match rx.recv_timeout(budget) {
             Ok(outcome) => outcome,
             Err(mpsc::RecvTimeoutError::Timeout) => Attempt::TimedOut,
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                Attempt::Panicked("attempt thread vanished without reporting".into())
-            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => vanished(),
         },
-        None => rx.recv().unwrap_or_else(|_| {
-            Attempt::Panicked("attempt thread vanished without reporting".into())
-        }),
+        None => rx.recv().unwrap_or_else(|_| vanished()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::{run_placement, run_placement_attributed};
     use crate::journal::read_journal;
     use placesim_workloads::{spec, GenOptions};
     use std::path::PathBuf;
@@ -735,6 +798,14 @@ mod tests {
 
     const ALGOS: [PlacementAlgorithm; 2] =
         [PlacementAlgorithm::Random, PlacementAlgorithm::LoadBal];
+
+    /// A grid with equal maps: on tiny gauss these three metrics place
+    /// identically, so the six cells form two groups.
+    const SAME_MAP_ALGOS: [PlacementAlgorithm; 3] = [
+        PlacementAlgorithm::ShareRefs,
+        PlacementAlgorithm::ShareAddr,
+        PlacementAlgorithm::MinPriv,
+    ];
 
     #[test]
     fn healthy_sweep_commits_every_cell() {
@@ -854,6 +925,119 @@ mod tests {
             .unwrap();
         assert!(sweep.is_complete());
         assert_eq!(sweep.resumed, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn equal_maps_are_simulated_once_and_committed_per_cell() {
+        let dir = tmp_dir("groups");
+        let path = dir.join("sweep.journal");
+        let app = tiny("gauss");
+        let sweep = run_supervised_sweep(
+            &app,
+            &SAME_MAP_ALGOS,
+            &[2, 4],
+            &path,
+            false,
+            &SupervisorConfig::new(),
+        )
+        .unwrap();
+        assert!(sweep.is_complete());
+        assert!(
+            sweep.simulations < sweep.cells.len(),
+            "{} simulations for {} cells",
+            sweep.simulations,
+            sweep.cells.len()
+        );
+        // Every member is its own cell, with the statistics a separate
+        // run of its algorithm produces.
+        for (cell, &(algorithm, procs)) in sweep
+            .cells
+            .iter()
+            .zip(&grid_cells(&SAME_MAP_ALGOS, &[2, 4]))
+        {
+            let alone = run_placement(&app, algorithm, procs).unwrap();
+            let want = ManifestEntry::from_stats(algorithm.paper_name(), procs, &alone.stats);
+            assert_eq!(cell.entry, want);
+            assert_eq!(cell.attempts, 1);
+        }
+        assert_eq!(read_journal(&path).unwrap().cells.len(), 6);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_simulates_the_missing_members_of_a_partial_group() {
+        let dir = tmp_dir("partial-group");
+        let full_path = dir.join("full.journal");
+        let app = tiny("gauss");
+        let sup = SupervisorConfig::new();
+        let full =
+            run_supervised_sweep(&app, &SAME_MAP_ALGOS, &[2, 4], &full_path, false, &sup).unwrap();
+        assert!(full.is_complete());
+
+        // A journal holding the leader of the first group and none of
+        // its followers: the kill landed between the group's commits.
+        let maps: Vec<PlacementMap> = grid_cells(&SAME_MAP_ALGOS, &[2, 4])
+            .into_iter()
+            .map(|(a, p)| app.place(a, p).unwrap())
+            .collect();
+        let group = &group_equal_maps(&maps)[0];
+        assert!(group.len() > 1, "the grid must have a multi-cell group");
+        let part_path = dir.join("part.journal");
+        let leader = full.cells.iter().find(|c| c.index == group[0]).unwrap();
+        std::fs::write(&part_path, full.header.to_line() + &leader.to_line()).unwrap();
+
+        let resumed =
+            run_supervised_sweep(&app, &SAME_MAP_ALGOS, &[2, 4], &part_path, true, &sup).unwrap();
+        assert_eq!(resumed.resumed, 1);
+        assert!(resumed.is_complete());
+        assert!(resumed.simulations >= 1, "the followers were simulated");
+        assert_eq!(resumed.manifest().to_json(), full.manifest().to_json());
+
+        let report = |m: &RunManifest| {
+            let r = crate::Report::from_manifests([m]);
+            (r.to_json(), r.render_text())
+        };
+        let rec = read_journal(&part_path).unwrap();
+        assert!(rec.dropped.is_empty());
+        let mut from_journal = resumed.manifest();
+        let mut cells = rec.cells;
+        cells.sort_by_key(|c| c.index);
+        from_journal.entries = cells.into_iter().map(|c| c.entry).collect();
+        assert_eq!(report(&from_journal), report(&full.manifest()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn group_attribution_counts_once_per_member() {
+        let dir = tmp_dir("group-attr");
+        let path = dir.join("sweep.journal");
+        let app = tiny("gauss");
+        let acfg = AttributionConfig::default();
+        let sup = SupervisorConfig::new()
+            .with_attribution(acfg)
+            .with_telemetry(dir.join("live.json"));
+        let sweep =
+            run_supervised_sweep(&app, &SAME_MAP_ALGOS, &[2, 4], &path, false, &sup).unwrap();
+        assert!(sweep.simulations < sweep.cells.len());
+
+        let mut want = AttrCollector::new(acfg);
+        for (algorithm, procs) in grid_cells(&SAME_MAP_ALGOS, &[2, 4]) {
+            let (_, attr) = run_placement_attributed(&app, algorithm, procs, acfg).unwrap();
+            want.merge(attr);
+        }
+        let got = sweep.attribution.expect("attribution was requested");
+        assert!(got.total_events() > 0);
+        assert_eq!(got, want);
+
+        // Telemetry counts cells, not simulations.
+        let live = std::fs::read_to_string(dir.join("live.json")).unwrap();
+        assert!(live.contains("\"cells_done\": 6"), "{live}");
+        let refs = 6 * app.prog.total_refs();
+        assert!(
+            live.contains(&format!("\"refs_simulated\": {refs}")),
+            "{live}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use placesim::chaos::ChaosPlan;
 use placesim::journal::read_journal;
-use placesim::{run_supervised_sweep, PreparedApp, SupervisorConfig};
+use placesim::{grid_cells, group_equal_maps, run_supervised_sweep, PreparedApp, SupervisorConfig};
 use placesim_obs::FaultCounters;
 use placesim_placement::PlacementAlgorithm;
 use placesim_workloads::{spec, GenOptions};
@@ -46,9 +46,9 @@ fn healthy_manifest(app: &Arc<PreparedApp>, dir: &std::path::Path) -> String {
 }
 
 /// Asserts the on-disk journal is pristine: full grid, nothing dropped.
-fn assert_journal_clean(path: &std::path::Path) {
+fn assert_journal_clean(path: &std::path::Path, cells: u64) {
     let rec = read_journal(path).unwrap();
-    assert_eq!(rec.cells.len(), CELLS as usize, "journal missing cells");
+    assert_eq!(rec.cells.len(), cells as usize, "journal missing cells");
     assert!(
         rec.dropped.is_empty(),
         "journal left torn on disk: {:?}",
@@ -76,7 +76,7 @@ fn worker_panics_are_retried_to_identical_results() {
         assert_eq!(cell.attempts, 2, "cell {} retried exactly once", cell.index);
     }
     assert_eq!(sweep.manifest().to_json(), want);
-    assert_journal_clean(&path);
+    assert_journal_clean(&path, CELLS);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -105,7 +105,7 @@ fn stalled_workers_trip_the_watchdog_and_are_retried() {
         assert_eq!(cell.attempts, 2);
     }
     assert_eq!(sweep.manifest().to_json(), want);
-    assert_journal_clean(&path);
+    assert_journal_clean(&path, CELLS);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -128,7 +128,7 @@ fn journal_io_faults_are_absorbed_without_tearing_the_file() {
     // Short writes leave torn bytes mid-commit; the writer must truncate
     // them before retrying, so the settled file recovers cleanly.
     assert_eq!(sweep.manifest().to_json(), want);
-    assert_journal_clean(&path);
+    assert_journal_clean(&path, CELLS);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -161,7 +161,7 @@ fn persistent_failure_becomes_a_hole_and_resume_heals_it() {
     assert_eq!(healed.resumed, 3);
     assert!(healed.is_complete());
     assert_eq!(healed.manifest().to_json(), want);
-    assert_journal_clean(&path);
+    assert_journal_clean(&path, CELLS);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -184,7 +184,7 @@ fn mixed_fault_classes_all_converge() {
     assert_eq!(sweep.faults.io_errors, CELLS);
     assert!(sweep.faults.total() > FaultCounters::new().total());
     assert_eq!(sweep.manifest().to_json(), want);
-    assert_journal_clean(&path);
+    assert_journal_clean(&path, CELLS);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -255,6 +255,152 @@ fn backoff_spaces_chaos_retries_without_changing_results() {
     );
     // Backoff delays retries; it must not change what they compute.
     assert_eq!(sweep.manifest().to_json(), want);
-    assert_journal_clean(&path);
+    assert_journal_clean(&path, CELLS);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A grid with equal maps: on tiny gauss these three metrics place
+/// identically at each processor count, so the six cells form two
+/// groups, each simulated once.
+const GROUP_ALGOS: [PlacementAlgorithm; 3] = [
+    PlacementAlgorithm::ShareRefs,
+    PlacementAlgorithm::ShareAddr,
+    PlacementAlgorithm::MinPriv,
+];
+const GROUP_CELLS: u64 = 6;
+const GROUPS: u64 = 2;
+
+/// Tiny gauss and its grouping, checked: cells {0, 2, 4} (p = 2) and
+/// {1, 3, 5} (p = 4) share maps.
+fn tiny_gauss() -> Arc<PreparedApp> {
+    let app = Arc::new(PreparedApp::prepare(
+        &spec("gauss").unwrap(),
+        &GenOptions {
+            scale: 0.002,
+            seed: 3,
+        },
+    ));
+    let maps: Vec<_> = grid_cells(&GROUP_ALGOS, &PROCS)
+        .into_iter()
+        .map(|(a, p)| app.place(a, p).unwrap())
+        .collect();
+    assert_eq!(
+        group_equal_maps(&maps),
+        vec![vec![0, 2, 4], vec![1, 3, 5]],
+        "the test grid must keep its equal maps"
+    );
+    app
+}
+
+fn healthy_group_manifest(app: &Arc<PreparedApp>, dir: &std::path::Path) -> String {
+    let path = dir.join("healthy.journal");
+    let sweep = run_supervised_sweep(
+        app,
+        &GROUP_ALGOS,
+        &PROCS,
+        &path,
+        false,
+        &SupervisorConfig::new(),
+    )
+    .unwrap();
+    assert!(sweep.is_complete());
+    assert_eq!(sweep.simulations as u64, GROUPS);
+    sweep.manifest().to_json()
+}
+
+#[test]
+fn a_group_retries_as_one_job_and_every_member_gets_its_attempts() {
+    let dir = tmp_dir("group-panics");
+    let app = tiny_gauss();
+    let want = healthy_group_manifest(&app, &dir);
+
+    let path = dir.join("sweep.journal");
+    let sup = SupervisorConfig::new()
+        .with_max_attempts(3)
+        .with_chaos(ChaosPlan::new(7).with_panics(1000));
+    let sweep = run_supervised_sweep(&app, &GROUP_ALGOS, &PROCS, &path, false, &sup).unwrap();
+
+    assert!(sweep.is_complete());
+    assert_eq!(sweep.simulations as u64, GROUPS);
+    // Every member plans a first-attempt panic; each group's first
+    // attempt panics once, however many members planned it.
+    assert_eq!(sweep.faults.panics, GROUPS);
+    assert_eq!(sweep.faults.retries, GROUPS);
+    for cell in &sweep.cells {
+        assert_eq!(
+            cell.attempts, 2,
+            "cell {} carries its group's attempts",
+            cell.index
+        );
+    }
+    assert_eq!(sweep.manifest().to_json(), want);
+    assert_journal_clean(&path, GROUP_CELLS);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_persistent_failure_in_one_member_holes_its_group_and_resume_heals_it() {
+    let dir = tmp_dir("group-persistent");
+    let app = tiny_gauss();
+    let want = healthy_group_manifest(&app, &dir);
+
+    // Cell 2 is a follower of the p = 2 group, not its leader: the
+    // fault planned for it must still fire on the group's attempts.
+    let path = dir.join("sweep.journal");
+    let sup = SupervisorConfig::new()
+        .with_max_attempts(2)
+        .with_chaos(ChaosPlan::new(17).with_persistent_failure(2));
+    let sweep = run_supervised_sweep(&app, &GROUP_ALGOS, &PROCS, &path, false, &sup).unwrap();
+
+    assert!(!sweep.is_complete());
+    let holes: Vec<usize> = sweep.holes.iter().map(|h| h.index).collect();
+    assert_eq!(holes, vec![0, 2, 4], "the whole group is lost");
+    for hole in &sweep.holes {
+        assert_eq!(hole.attempts, 2, "exhausted the retry budget");
+        assert_eq!(hole.reason, sweep.holes[0].reason);
+        assert!(hole.reason.contains("panic"), "reason: {}", hole.reason);
+    }
+    assert_eq!(
+        sweep.faults.panics, 2,
+        "the group panicked once per attempt"
+    );
+    let cells: Vec<usize> = sweep.cells.iter().map(|c| c.index).collect();
+    assert_eq!(cells, vec![1, 3, 5], "the other group survives");
+
+    let healed = run_supervised_sweep(
+        &app,
+        &GROUP_ALGOS,
+        &PROCS,
+        &path,
+        true,
+        &SupervisorConfig::new(),
+    )
+    .unwrap();
+    assert_eq!(healed.resumed, 3);
+    assert_eq!(healed.simulations, 1);
+    assert!(healed.is_complete());
+    assert_eq!(healed.manifest().to_json(), want);
+    assert_journal_clean(&path, GROUP_CELLS);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn journal_faults_stay_per_cell_inside_a_group() {
+    let dir = tmp_dir("group-journal-io");
+    let app = tiny_gauss();
+    let want = healthy_group_manifest(&app, &dir);
+
+    let path = dir.join("sweep.journal");
+    let sup = SupervisorConfig::new().with_chaos(ChaosPlan::new(13).with_journal_faults(1000));
+    let sweep = run_supervised_sweep(&app, &GROUP_ALGOS, &PROCS, &path, false, &sup).unwrap();
+
+    assert!(sweep.is_complete());
+    assert_eq!(sweep.simulations as u64, GROUPS);
+    assert_eq!(
+        sweep.faults.io_errors, GROUP_CELLS,
+        "every member's commit faults once"
+    );
+    assert_eq!(sweep.manifest().to_json(), want);
+    assert_journal_clean(&path, GROUP_CELLS);
     std::fs::remove_dir_all(&dir).ok();
 }
