@@ -10,6 +10,7 @@
 //! "exhausted into a hole". Cells listed as persistent failures panic on
 //! *every* attempt, exercising the hole path.
 
+use crate::attempt::splitmix64;
 use std::time::Duration;
 
 /// A fault injected into a sweep worker attempt.
@@ -139,16 +140,12 @@ impl ChaosPlan {
     /// A uniform roll in `0..1000`, a pure function of
     /// `(seed, cell, class)`.
     fn roll(&self, cell: usize, class: FaultClass) -> u32 {
-        let mut x = self
+        let key = self
             .seed
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add((cell as u64) << 8)
             .wrapping_add(class as u64);
-        // splitmix64 finalizer: avalanche the combined key.
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
-        (x % 1000) as u32
+        (splitmix64(key) % 1000) as u32
     }
 }
 
@@ -164,6 +161,34 @@ mod tests {
             assert_eq!(a.worker_fault(cell, 0), b.worker_fault(cell, 0));
             assert_eq!(a.journal_fault(cell), b.journal_fault(cell));
         }
+    }
+
+    #[test]
+    fn rolls_are_pinned() {
+        // The exact fault sets of two half-rate plans: a change to the
+        // roll hash would silently re-deal every chaos test's faults.
+        let plan = ChaosPlan::new(7)
+            .with_panics(500)
+            .with_stalls(500, 1)
+            .with_journal_faults(500);
+        let worker: String = (0..24)
+            .map(|c| match plan.worker_fault(c, 0) {
+                Some(WorkerFault::Panic) => 'P',
+                Some(WorkerFault::Stall(_)) => 'S',
+                None => '.',
+            })
+            .collect();
+        let journal: String = (0..24)
+            .map(|c| match plan.journal_fault(c) {
+                Some(JournalFault::ShortWrite) => 'W',
+                Some(JournalFault::Error) => 'E',
+                None => '.',
+            })
+            .collect();
+        assert_eq!(
+            (worker.as_str(), journal.as_str()),
+            ("P.PP..PPPPPSP.PSSPPSP..P", "W..EE.W..EEEWEW.W..E.EEE")
+        );
     }
 
     #[test]

@@ -1,32 +1,41 @@
-//! Append-only checkpoint journal for supervised sweeps
-//! (`placesim-journal-v1`).
+//! Checksummed, fsync-durable record logs: the sweep journal
+//! (`placesim-journal-v1`) and the [`RecordLog`] the placement service
+//! keeps its job queue in.
 //!
-//! A sweep journal is a line-oriented text file. The first line is a
-//! **header** describing the exact grid being swept (app, generation
-//! parameters, architecture, algorithm × processor-count axes); every
-//! subsequent line commits one completed grid cell. Each line is
+//! Both are line-oriented text files in one format. Each line is
 //! self-validating: a 16-hex-digit FNV-1a checksum of the JSON payload,
-//! one space, then a single strictly-parsed JSON document:
+//! one space, then a single strictly-parsed JSON document carrying the
+//! log's schema tag:
 //!
 //! ```text
 //! <crc16hex> {"schema": "placesim-journal-v1", "kind": "header", ...}
 //! <crc16hex> {"schema": "placesim-journal-v1", "kind": "cell", "index": 0, ...}
 //! ```
 //!
-//! Lines are appended with [`JournalWriter::commit_cell`], which writes,
-//! flushes and fsyncs before reporting success — a committed cell
-//! survives `SIGKILL` and power loss. Recovery ([`recover`]) keeps the
-//! **longest valid prefix**: the first torn, corrupt, out-of-grid or
-//! duplicate line ends the prefix, and everything from there on is
-//! dropped with a per-line reason. [`JournalWriter::resume`] truncates
-//! the file back to that prefix, so a crashed sweep restarts from
-//! exactly the set of cells whose commits are provably durable.
+//! One scan recovers either log: it keeps the **longest valid prefix**,
+//! and the first torn, corrupt or rejected line ends it. Everything from
+//! there on is dropped with a per-line reason. One append loop writes
+//! either log: write, fsync, and on failure truncate back to the last
+//! committed byte and retry, a bounded number of times. A committed line
+//! survives `SIGKILL` and power loss.
+//!
+//! A sweep journal is a [`RecordLog`] whose first record is a
+//! **header** describing the exact grid being swept (app, generation
+//! parameters, architecture, algorithm × processor-count axes); every
+//! later record commits one completed grid cell
+//! ([`JournalWriter::commit_cell`]). Its recovery ([`recover`]) adds the
+//! sweep's own rules to the shared scan: the header comes first, and
+//! each cell is in the grid and appears once. [`JournalWriter::resume`]
+//! truncates the file back to the valid prefix, so a crashed sweep
+//! restarts from exactly the set of cells whose commits are provably
+//! durable.
 
-use crate::manifest::ManifestEntry;
+use crate::manifest::{write_config, ManifestEntry};
 use placesim_machine::{ArchConfig, MissBreakdown, Protocol};
 use placesim_obs::json::{self, JsonValue, JsonWriter};
 use placesim_obs::sink;
 use placesim_obs::FaultCounters;
+use placesim_trace::hash::fnv1a64;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Seek, SeekFrom, Write};
@@ -36,22 +45,11 @@ use std::path::Path;
 /// changes.
 pub const JOURNAL_SCHEMA: &str = "placesim-journal-v1";
 
-/// Bounded retries [`JournalWriter::commit_cell`] spends absorbing
-/// transient append failures before giving up.
+/// Bounded attempts an append spends absorbing transient write
+/// failures before giving up.
 const MAX_COMMIT_ATTEMPTS: u32 = 3;
 
-/// FNV-1a 64-bit hash, the per-line checksum.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Renders a payload as a checksummed journal line (with trailing
-/// newline).
+/// Renders a payload as a checksummed log line (with trailing newline).
 fn to_line(payload: &str) -> String {
     format!("{:016x} {payload}\n", fnv1a64(payload.as_bytes()))
 }
@@ -141,15 +139,7 @@ impl JournalHeader {
         w.field_f64("scale", self.scale);
         w.field_u64("seed", self.seed);
         w.key("config");
-        w.begin_object();
-        w.field_u64("cache_bytes", self.config.cache_size());
-        w.field_u64("line_bytes", self.config.line_size());
-        w.field_u64("associativity", u64::from(self.config.associativity()));
-        w.field_u64("memory_latency", self.config.memory_latency());
-        w.field_u64("memory_occupancy", self.config.memory_occupancy());
-        w.field_u64("context_switch", self.config.context_switch());
-        w.field_str("protocol", self.config.protocol().as_str());
-        w.end_object();
+        write_config(&mut w, &self.config);
         w.key("algorithms");
         w.begin_array();
         for a in &self.algorithms {
@@ -261,25 +251,13 @@ pub struct JournalCell {
 impl JournalCell {
     /// The cell as a checksummed journal line (with trailing newline).
     pub fn to_line(&self) -> String {
-        let e = &self.entry;
         let mut w = JsonWriter::new();
         w.begin_object();
         w.field_str("schema", JOURNAL_SCHEMA);
         w.field_str("kind", "cell");
         w.field_u64("index", self.index as u64);
         w.field_u64("attempts", u64::from(self.attempts));
-        w.field_str("algorithm", &e.algorithm);
-        w.field_u64("processors", e.processors as u64);
-        w.field_u64("execution_time", e.execution_time);
-        w.field_u64("total_refs", e.total_refs);
-        w.field_u64("total_misses", e.total_misses);
-        w.field_f64("miss_rate", e.miss_rate);
-        w.field_u64("coherence_traffic", e.coherence_traffic);
-        w.field_u64("update_traffic", e.update_traffic);
-        w.field_u64("compulsory", e.misses.compulsory);
-        w.field_u64("intra_thread_conflict", e.misses.intra_thread_conflict);
-        w.field_u64("inter_thread_conflict", e.misses.inter_thread_conflict);
-        w.field_u64("invalidation", e.misses.invalidation);
+        self.entry.write_fields(&mut w);
         w.end_object();
         to_line(&w.finish())
     }
@@ -363,8 +341,53 @@ impl JournalRecovery {
     }
 }
 
-/// Parses one checksummed line into its JSON document.
-fn parse_line(body: &str) -> Result<JsonValue, String> {
+/// Scans a checksummed line log, keeping the longest valid prefix.
+/// `accept` sees each line's verified payload in order and may reject
+/// it; the first malformed or rejected line ends the prefix, and it and
+/// every later line are dropped with a reason. Returns the dropped lines
+/// and the byte length of the prefix.
+fn scan(
+    data: &[u8],
+    schema: &str,
+    mut accept: impl FnMut(JsonValue) -> Result<(), String>,
+) -> (Vec<DroppedLine>, u64) {
+    let mut dropped = Vec::new();
+    let mut valid_bytes = 0u64;
+    let mut invalid_at: Option<usize> = None;
+    // Newline-terminated chunks plus any unterminated tail; splitting
+    // bytes, not text, keeps offsets exact across invalid UTF-8.
+    for (i, chunk) in data.split_inclusive(|&b| b == b'\n').enumerate() {
+        let line = i + 1;
+        let reason = match invalid_at {
+            Some(first_bad) => format!("discarded: follows invalid line {first_bad}"),
+            None => match parse_line(chunk, schema).and_then(&mut accept) {
+                Ok(()) => {
+                    valid_bytes += chunk.len() as u64;
+                    continue;
+                }
+                Err(reason) => {
+                    invalid_at = Some(line);
+                    reason
+                }
+            },
+        };
+        dropped.push(DroppedLine { line, reason });
+    }
+    (dropped, valid_bytes)
+}
+
+/// Verifies one chunk's framing — a `\n` or `\r\n` terminator, UTF-8,
+/// a matching checksum, one strict JSON document, the schema tag — and
+/// returns the document.
+fn parse_line(chunk: &[u8], schema: &str) -> Result<JsonValue, String> {
+    let body = chunk
+        .strip_suffix(b"\n")
+        .map(|line| line.strip_suffix(b"\r").unwrap_or(line))
+        .and_then(|line| std::str::from_utf8(line).ok())
+        .ok_or("torn line (no terminating newline or invalid UTF-8)")?;
+    if body.is_empty() {
+        return Err("empty line".into());
+    }
     let (crc_hex, payload) = body
         .split_once(' ')
         .ok_or("missing checksum prefix".to_owned())?;
@@ -377,8 +400,8 @@ fn parse_line(body: &str) -> Result<JsonValue, String> {
         return Err("checksum mismatch (torn or corrupted line)".into());
     }
     let doc = json::parse(payload).map_err(|e| format!("payload rejected: {e}"))?;
-    if doc.get("schema").and_then(JsonValue::as_str) != Some(JOURNAL_SCHEMA) {
-        return Err(format!("payload is not schema {JOURNAL_SCHEMA}"));
+    if doc.get("schema").and_then(JsonValue::as_str) != Some(schema) {
+        return Err(format!("payload is not schema {schema}"));
     }
     Ok(doc)
 }
@@ -387,73 +410,46 @@ fn parse_line(body: &str) -> Result<JsonValue, String> {
 /// prefix. The header line must be intact — without it the journal
 /// cannot be attributed to a sweep and is [`JournalError::Corrupt`].
 /// Every later defect (torn final line, interleaved garbage, bad
-/// checksum, invalid UTF-8, duplicate or out-of-grid cells, CRLF
-/// endings are tolerated) ends the prefix: that line and everything
-/// after it are reported in [`JournalRecovery::dropped`].
+/// checksum, invalid UTF-8, empty line, duplicate or out-of-grid cells;
+/// CRLF endings are tolerated) ends the prefix: that line and
+/// everything after it are reported in [`JournalRecovery::dropped`].
 ///
 /// # Errors
 ///
 /// [`JournalError::Corrupt`] when the header line is missing or
 /// unreadable.
 pub fn recover(data: &[u8]) -> Result<JournalRecovery, JournalError> {
-    // Split into newline-terminated chunks by hand so byte offsets stay
-    // exact even across invalid UTF-8.
-    let mut chunks: Vec<&[u8]> = Vec::new();
-    let mut start = 0usize;
-    for (i, &b) in data.iter().enumerate() {
-        if b == b'\n' {
-            chunks.push(&data[start..=i]);
-            start = i + 1;
-        }
-    }
-    if start < data.len() {
-        chunks.push(&data[start..]); // unterminated tail
-    }
-
-    // Line 1: the header. Unreadable header = unrecoverable journal.
-    let first = chunks
-        .first()
-        .ok_or_else(|| JournalError::Corrupt("journal is empty".into()))?;
-    let header_body = line_body(first)
-        .ok_or_else(|| JournalError::Corrupt("header line is torn or not UTF-8".into()))?;
-    let header_doc =
-        parse_line(header_body).map_err(|e| JournalError::Corrupt(format!("header {e}")))?;
-    if header_doc.get("kind").and_then(JsonValue::as_str) != Some("header") {
-        return Err(JournalError::Corrupt(
-            "first line is not a header record".into(),
-        ));
-    }
-    let header = JournalHeader::from_doc(&header_doc).map_err(JournalError::Corrupt)?;
-
+    let mut header: Option<JournalHeader> = None;
+    let mut header_fault: Option<String> = None;
     let mut cells: Vec<JournalCell> = Vec::new();
-    let mut dropped = Vec::new();
-    let mut valid_bytes = first.len() as u64;
-    let mut invalid_at: Option<usize> = None;
-
-    for (i, chunk) in chunks.iter().enumerate().skip(1) {
-        let line_no = i + 1;
-        if let Some(first_bad) = invalid_at {
-            dropped.push(DroppedLine {
-                line: line_no,
-                reason: format!("discarded: follows invalid line {first_bad}"),
-            });
-            continue;
+    let (dropped, valid_bytes) = scan(data, JOURNAL_SCHEMA, |doc| {
+        if let Some(h) = &header {
+            cells.push(validate_cell(&doc, h, &cells)?);
+            return Ok(());
         }
-        match validate_cell_line(chunk, &header, &cells) {
-            Ok(cell) => {
-                cells.push(cell);
-                valid_bytes += chunk.len() as u64;
+        let parsed = if doc.get("kind").and_then(JsonValue::as_str) == Some("header") {
+            JournalHeader::from_doc(&doc)
+        } else {
+            Err("first line is not a header record".into())
+        };
+        match parsed {
+            Ok(h) => {
+                header = Some(h);
+                Ok(())
             }
-            Err(reason) => {
-                dropped.push(DroppedLine {
-                    line: line_no,
-                    reason,
-                });
-                invalid_at = Some(line_no);
+            Err(e) => {
+                header_fault = Some(e.clone());
+                Err(e)
             }
         }
-    }
-
+    });
+    let Some(header) = header else {
+        // Line 1 was dropped: rejected as a header, or not a line at all.
+        return Err(JournalError::Corrupt(match dropped.first() {
+            None => "journal is empty".into(),
+            Some(d) => header_fault.unwrap_or_else(|| format!("header {}", d.reason)),
+        }));
+    };
     Ok(JournalRecovery {
         header,
         cells,
@@ -462,33 +458,19 @@ pub fn recover(data: &[u8]) -> Result<JournalRecovery, JournalError> {
     })
 }
 
-/// The UTF-8 body of a newline-terminated chunk, with the line
-/// terminator (`\n` or `\r\n`) stripped. `None` if the chunk is
-/// unterminated (torn) or not UTF-8.
-fn line_body(chunk: &[u8]) -> Option<&str> {
-    let without_nl = chunk.strip_suffix(b"\n")?;
-    let body = without_nl.strip_suffix(b"\r").unwrap_or(without_nl);
-    std::str::from_utf8(body).ok()
-}
-
-/// Validates one cell chunk against the header grid and the cells
+/// Validates one cell record against the header grid and the cells
 /// already accepted.
-fn validate_cell_line(
-    chunk: &[u8],
+fn validate_cell(
+    doc: &JsonValue,
     header: &JournalHeader,
     accepted: &[JournalCell],
 ) -> Result<JournalCell, String> {
-    let body = line_body(chunk).ok_or("torn line (no terminating newline or invalid UTF-8)")?;
-    if body.is_empty() {
-        return Err("empty line".into());
-    }
-    let doc = parse_line(body)?;
     match doc.get("kind").and_then(JsonValue::as_str) {
         Some("cell") => {}
         Some(other) => return Err(format!("unexpected record kind {other:?}")),
         None => return Err("record has no kind".into()),
     }
-    let cell = JournalCell::from_doc(&doc)?;
+    let cell = JournalCell::from_doc(doc)?;
     let (algo, procs) = header
         .cell(cell.index)
         .ok_or_else(|| format!("cell index {} is outside the grid", cell.index))?;
@@ -514,18 +496,11 @@ pub fn read_journal(path: &Path) -> Result<JournalRecovery, JournalError> {
     recover(&fs::read(path)?)
 }
 
-/// An open, fsync-durable sweep journal. Every commit is flushed and
-/// fsynced before it is reported durable; failed appends are truncated
-/// back to the last committed byte so a transient I/O error never
-/// leaves a torn line for the *same* process to trip over (a crash
-/// mid-append is handled by [`recover`] instead).
+/// An open, fsync-durable sweep journal: a [`RecordLog`] whose first
+/// record is the [`JournalHeader`] and whose later records are
+/// [`JournalCell`]s.
 #[derive(Debug)]
-pub struct JournalWriter {
-    file: File,
-    committed: u64,
-    #[cfg(feature = "chaos")]
-    chaos: Option<crate::chaos::ChaosPlan>,
-}
+pub struct JournalWriter(RecordLog);
 
 impl JournalWriter {
     /// Creates (truncating) a journal at `path` and durably writes the
@@ -535,21 +510,18 @@ impl JournalWriter {
     ///
     /// Propagates filesystem errors.
     pub fn create(path: &Path, header: &JournalHeader) -> Result<Self, JournalError> {
-        let mut file = File::options()
+        let file = File::options()
             .write(true)
             .create(true)
             .truncate(true)
             .open(path)?;
-        let line = header.to_line();
-        file.write_all(line.as_bytes())?;
-        file.sync_data()?;
+        // The header's own fsync makes the truncation durable too: one
+        // file sync per sweep start, not one for the cut and one for
+        // the header.
+        let mut log = RecordLog::new(file, 0);
+        log.append_line(&header.to_line(), None, &mut FaultCounters::new())?;
         sink::fsync_dir(sink::parent_dir(path))?;
-        Ok(JournalWriter {
-            file,
-            committed: line.len() as u64,
-            #[cfg(feature = "chaos")]
-            chaos: None,
-        })
+        Ok(JournalWriter(log))
     }
 
     /// Opens an existing journal for resumption: recovers the longest
@@ -579,34 +551,22 @@ impl JournalWriter {
                 recovery.header.processors.len(),
             )));
         }
-        let mut file = File::options().write(true).open(path)?;
-        file.set_len(recovery.valid_bytes)?;
-        file.seek(SeekFrom::Start(recovery.valid_bytes))?;
-        file.sync_data()?;
-        Ok((
-            JournalWriter {
-                file,
-                committed: recovery.valid_bytes,
-                #[cfg(feature = "chaos")]
-                chaos: None,
-            },
-            recovery,
-        ))
+        let log = RecordLog::at(path, recovery.valid_bytes)?;
+        Ok((JournalWriter(log), recovery))
     }
 
     /// Arms this writer with a chaos plan: journal faults from the plan
     /// are injected into first append attempts.
     #[cfg(feature = "chaos")]
     pub fn with_chaos(mut self, plan: Option<crate::chaos::ChaosPlan>) -> Self {
-        self.chaos = plan;
+        self.0.chaos = plan;
         self
     }
 
-    /// Durably commits one cell: append, flush, fsync. Transient append
-    /// failures (including injected chaos faults) are absorbed with
-    /// bounded retries, truncating back to the last committed byte
-    /// between attempts; `faults` records every absorbed error and
-    /// retry.
+    /// Durably commits one cell through [`RecordLog`]'s append loop:
+    /// append, flush, fsync, with transient failures (including
+    /// injected chaos faults) absorbed by bounded retries; `faults`
+    /// records every absorbed error and retry.
     ///
     /// # Errors
     ///
@@ -616,10 +576,137 @@ impl JournalWriter {
         cell: &JournalCell,
         faults: &mut FaultCounters,
     ) -> Result<(), JournalError> {
-        let line = cell.to_line();
+        self.0
+            .append_line(&cell.to_line(), Some(cell.index), faults)
+    }
+
+    /// Bytes durably committed so far.
+    pub fn committed_bytes(&self) -> u64 {
+        self.0.committed_bytes()
+    }
+}
+
+/// The result of recovering a [`RecordLog`]: the longest valid prefix
+/// of records plus an exact account of everything dropped.
+#[derive(Debug)]
+pub struct RecordRecovery {
+    /// Parsed records in append order.
+    pub records: Vec<JsonValue>,
+    /// Lines discarded (empty when the log is pristine).
+    pub dropped: Vec<DroppedLine>,
+    /// Byte length of the valid prefix; everything past this offset is
+    /// garbage that [`RecordLog::open`] truncates away.
+    pub valid_bytes: u64,
+}
+
+/// Recovers a record log from raw bytes, keeping the longest valid
+/// prefix. There is no mandatory header: an empty file is a valid,
+/// empty log. A line survives when its checksum verifies, its payload
+/// strictly parses, and the payload carries `"schema": <schema>`; the
+/// first defect ends the prefix.
+pub fn recover_records(data: &[u8], schema: &str) -> RecordRecovery {
+    let mut records = Vec::new();
+    let (dropped, valid_bytes) = scan(data, schema, |doc| {
+        records.push(doc);
+        Ok(())
+    });
+    RecordRecovery {
+        records,
+        dropped,
+        valid_bytes,
+    }
+}
+
+/// An append-only checksummed record log (`<crc16hex> <json>\n` lines)
+/// parametrized over the payload schema. Every append is flushed and
+/// fsynced before it is reported durable; a failed append is truncated
+/// back to the last committed byte and retried, so a transient I/O
+/// error never leaves a torn line for the *same* process to trip over
+/// (a crash mid-append is handled by recovery instead). The placement
+/// service layers its durable job queue on this; the sweep journal is
+/// one too ([`JournalWriter`]).
+#[derive(Debug)]
+pub struct RecordLog {
+    file: File,
+    committed: u64,
+    #[cfg(feature = "chaos")]
+    chaos: Option<crate::chaos::ChaosPlan>,
+}
+
+impl RecordLog {
+    /// Opens (creating if absent) the log at `path`: recovers the
+    /// longest valid prefix of `schema` records, truncates any garbage
+    /// tail, and positions the writer for further appends.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn open(path: &Path, schema: &str) -> Result<(Self, RecordRecovery), JournalError> {
+        let data = match fs::read(path) {
+            Ok(data) => data,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(JournalError::Io(e)),
+        };
+        let recovery = recover_records(&data, schema);
+        Ok((Self::at(path, recovery.valid_bytes)?, recovery))
+    }
+
+    /// Opens (creating if absent) the file at `path` for appending after
+    /// its first `valid_bytes`, durably cutting off anything beyond.
+    fn at(path: &Path, valid_bytes: u64) -> Result<Self, JournalError> {
+        let mut file = File::options()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)?;
+        file.set_len(valid_bytes)?;
+        file.seek(SeekFrom::Start(valid_bytes))?;
+        file.sync_data()?;
+        sink::fsync_dir(sink::parent_dir(path))?;
+        Ok(Self::new(file, valid_bytes))
+    }
+
+    /// A log appending to `file`, whose first `committed` bytes are
+    /// durable and where the file is positioned.
+    fn new(file: File, committed: u64) -> Self {
+        RecordLog {
+            file,
+            committed,
+            #[cfg(feature = "chaos")]
+            chaos: None,
+        }
+    }
+
+    /// Durably appends one record: checksum-frame, write, flush, fsync.
+    /// `payload` must be one strict JSON document carrying the log's
+    /// schema tag — recovery drops anything else. Transient append
+    /// failures are absorbed with bounded retries, truncating back to
+    /// the last committed byte between attempts; `faults` records every
+    /// absorbed error and retry.
+    ///
+    /// # Errors
+    ///
+    /// The last I/O error when every retry is exhausted.
+    pub fn append(
+        &mut self,
+        payload: &str,
+        faults: &mut FaultCounters,
+    ) -> Result<(), JournalError> {
+        self.append_line(&to_line(payload), None, faults)
+    }
+
+    /// The append loop: write + fsync, and on failure rewind to the last
+    /// committed byte and retry, up to [`MAX_COMMIT_ATTEMPTS`]. `cell`
+    /// keys the chaos plan's journal faults (sweep cells only).
+    fn append_line(
+        &mut self,
+        line: &str,
+        cell: Option<usize>,
+        faults: &mut FaultCounters,
+    ) -> Result<(), JournalError> {
         let mut attempt = 0u32;
         loop {
-            match self.append_once(line.as_bytes(), cell.index, attempt) {
+            match self.write_once(line.as_bytes(), cell, attempt) {
                 Ok(()) => {
                     self.committed += line.len() as u64;
                     return Ok(());
@@ -641,213 +728,32 @@ impl JournalWriter {
     }
 
     /// One raw append attempt: write + fsync, with chaos faults
-    /// injected on first attempts when a plan is armed.
-    fn append_once(&mut self, bytes: &[u8], cell_index: usize, attempt: u32) -> io::Result<()> {
+    /// injected on a cell's first attempt when a plan is armed.
+    fn write_once(&mut self, bytes: &[u8], cell: Option<usize>, attempt: u32) -> io::Result<()> {
         #[cfg(feature = "chaos")]
         if attempt == 0 {
-            if let Some(fault) = self
-                .chaos
-                .as_ref()
-                .and_then(|plan| plan.journal_fault(cell_index))
-            {
-                match fault {
-                    crate::chaos::JournalFault::ShortWrite => {
-                        // Make the torn state real on disk before
-                        // failing, exactly as a crashed write would.
-                        let half = bytes.len() / 2;
-                        self.file.write_all(&bytes[..half])?;
-                        self.file.sync_data()?;
-                        return Err(io::Error::other("chaos: injected short write"));
-                    }
-                    crate::chaos::JournalFault::Error => {
-                        return Err(io::Error::other("chaos: injected append error"));
-                    }
+            let fault = cell
+                .zip(self.chaos.as_ref())
+                .and_then(|(cell, plan)| plan.journal_fault(cell));
+            match fault {
+                Some(crate::chaos::JournalFault::ShortWrite) => {
+                    // Make the torn state real on disk before failing,
+                    // exactly as a crashed write would.
+                    let half = bytes.len() / 2;
+                    self.file.write_all(&bytes[..half])?;
+                    self.file.sync_data()?;
+                    return Err(io::Error::other("chaos: injected short write"));
                 }
+                Some(crate::chaos::JournalFault::Error) => {
+                    return Err(io::Error::other("chaos: injected append error"));
+                }
+                None => {}
             }
         }
         #[cfg(not(feature = "chaos"))]
-        let _ = (cell_index, attempt);
+        let _ = (cell, attempt);
         self.file.write_all(bytes)?;
         self.file.sync_data()
-    }
-
-    /// Bytes durably committed so far.
-    pub fn committed_bytes(&self) -> u64 {
-        self.committed
-    }
-}
-
-/// The result of recovering a [`RecordLog`]: the longest valid prefix
-/// of records plus an exact account of everything dropped.
-#[derive(Debug)]
-pub struct RecordRecovery {
-    /// Parsed records in append order.
-    pub records: Vec<JsonValue>,
-    /// Lines discarded (empty when the log is pristine).
-    pub dropped: Vec<DroppedLine>,
-    /// Byte length of the valid prefix; everything past this offset is
-    /// garbage that [`RecordLog::open`] truncates away.
-    pub valid_bytes: u64,
-}
-
-/// Recovers a generic record log from raw bytes, keeping the longest
-/// valid prefix. Unlike sweep journals there is no mandatory header:
-/// an empty file is a valid, empty log. A line survives when its
-/// checksum verifies, its payload strictly parses, and the payload
-/// carries `"schema": <schema>`; the first defect ends the prefix.
-pub fn recover_records(data: &[u8], schema: &str) -> RecordRecovery {
-    let mut chunks: Vec<&[u8]> = Vec::new();
-    let mut start = 0usize;
-    for (i, &b) in data.iter().enumerate() {
-        if b == b'\n' {
-            chunks.push(&data[start..=i]);
-            start = i + 1;
-        }
-    }
-    if start < data.len() {
-        chunks.push(&data[start..]); // unterminated tail
-    }
-
-    let mut records = Vec::new();
-    let mut dropped = Vec::new();
-    let mut valid_bytes = 0u64;
-    let mut invalid_at: Option<usize> = None;
-    for (i, chunk) in chunks.iter().enumerate() {
-        let line_no = i + 1;
-        if let Some(first_bad) = invalid_at {
-            dropped.push(DroppedLine {
-                line: line_no,
-                reason: format!("discarded: follows invalid line {first_bad}"),
-            });
-            continue;
-        }
-        let parsed = line_body(chunk)
-            .ok_or("torn line (no terminating newline or invalid UTF-8)".to_owned())
-            .and_then(|body| {
-                if body.is_empty() {
-                    return Err("empty line".into());
-                }
-                let (crc_hex, payload) = body
-                    .split_once(' ')
-                    .ok_or("missing checksum prefix".to_owned())?;
-                if crc_hex.len() != 16 {
-                    return Err("checksum prefix is not 16 hex digits".into());
-                }
-                let crc = u64::from_str_radix(crc_hex, 16)
-                    .map_err(|_| "checksum prefix is not hex".to_owned())?;
-                if crc != fnv1a64(payload.as_bytes()) {
-                    return Err("checksum mismatch (torn or corrupted line)".into());
-                }
-                let doc = json::parse(payload).map_err(|e| format!("payload rejected: {e}"))?;
-                if doc.get("schema").and_then(JsonValue::as_str) != Some(schema) {
-                    return Err(format!("payload is not schema {schema}"));
-                }
-                Ok(doc)
-            });
-        match parsed {
-            Ok(doc) => {
-                records.push(doc);
-                valid_bytes += chunk.len() as u64;
-            }
-            Err(reason) => {
-                dropped.push(DroppedLine {
-                    line: line_no,
-                    reason,
-                });
-                invalid_at = Some(line_no);
-            }
-        }
-    }
-    RecordRecovery {
-        records,
-        dropped,
-        valid_bytes,
-    }
-}
-
-/// A generic append-only checksummed record log, sharing the sweep
-/// journal's line format (`<crc16hex> <json>\n`) and durability
-/// discipline (append + flush + fsync, bounded retries rewinding to the
-/// last committed byte) but parametrized over the payload schema. The
-/// placement service layers its durable job queue on this.
-#[derive(Debug)]
-pub struct RecordLog {
-    file: File,
-    committed: u64,
-}
-
-impl RecordLog {
-    /// Opens (creating if absent) the log at `path`: recovers the
-    /// longest valid prefix of `schema` records, truncates any garbage
-    /// tail, and positions the writer for further appends.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn open(path: &Path, schema: &str) -> Result<(Self, RecordRecovery), JournalError> {
-        let data = match fs::read(path) {
-            Ok(data) => data,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(JournalError::Io(e)),
-        };
-        let recovery = recover_records(&data, schema);
-        let mut file = File::options()
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)?;
-        file.set_len(recovery.valid_bytes)?;
-        file.seek(SeekFrom::Start(recovery.valid_bytes))?;
-        file.sync_data()?;
-        sink::fsync_dir(sink::parent_dir(path))?;
-        Ok((
-            RecordLog {
-                file,
-                committed: recovery.valid_bytes,
-            },
-            recovery,
-        ))
-    }
-
-    /// Durably appends one record: checksum-frame, write, flush, fsync.
-    /// `payload` must be one strict JSON document carrying the log's
-    /// schema tag — recovery drops anything else. Transient append
-    /// failures are absorbed with bounded retries, truncating back to
-    /// the last committed byte between attempts; `faults` records every
-    /// absorbed error and retry.
-    ///
-    /// # Errors
-    ///
-    /// The last I/O error when every retry is exhausted.
-    pub fn append(
-        &mut self,
-        payload: &str,
-        faults: &mut FaultCounters,
-    ) -> Result<(), JournalError> {
-        let line = to_line(payload);
-        let mut attempt = 0u32;
-        loop {
-            let res = self
-                .file
-                .write_all(line.as_bytes())
-                .and_then(|()| self.file.sync_data());
-            match res {
-                Ok(()) => {
-                    self.committed += line.len() as u64;
-                    return Ok(());
-                }
-                Err(e) => {
-                    faults.io_errors += 1;
-                    self.file.set_len(self.committed)?;
-                    self.file.seek(SeekFrom::Start(self.committed))?;
-                    attempt += 1;
-                    if attempt >= MAX_COMMIT_ATTEMPTS {
-                        return Err(JournalError::Io(e));
-                    }
-                    faults.retries += 1;
-                }
-            }
-        }
     }
 
     /// Bytes durably committed so far.

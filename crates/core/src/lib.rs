@@ -33,6 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod attempt;
 #[cfg(feature = "chaos")]
 pub mod chaos;
 mod error;

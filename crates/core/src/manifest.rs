@@ -71,6 +71,38 @@ impl ManifestEntry {
             misses: stats.total_misses(),
         }
     }
+
+    /// Writes the entry's fields, in their one canonical order, into the
+    /// JSON object open on `w`. Manifests, sweep-journal cells and the
+    /// service's simulate and sweep results all share this layout.
+    pub(crate) fn write_fields(&self, w: &mut JsonWriter) {
+        w.field_str("algorithm", &self.algorithm);
+        w.field_u64("processors", self.processors as u64);
+        w.field_u64("execution_time", self.execution_time);
+        w.field_u64("total_refs", self.total_refs);
+        w.field_u64("total_misses", self.total_misses);
+        w.field_f64("miss_rate", self.miss_rate);
+        w.field_u64("coherence_traffic", self.coherence_traffic);
+        w.field_u64("update_traffic", self.update_traffic);
+        w.field_u64("compulsory", self.misses.compulsory);
+        w.field_u64("intra_thread_conflict", self.misses.intra_thread_conflict);
+        w.field_u64("inter_thread_conflict", self.misses.inter_thread_conflict);
+        w.field_u64("invalidation", self.misses.invalidation);
+    }
+}
+
+/// Writes `config` as a JSON object value onto `w`: the `config` block
+/// of manifests and sweep-journal headers.
+pub(crate) fn write_config(w: &mut JsonWriter, config: &ArchConfig) {
+    w.begin_object();
+    w.field_u64("cache_bytes", config.cache_size());
+    w.field_u64("line_bytes", config.line_size());
+    w.field_u64("associativity", u64::from(config.associativity()));
+    w.field_u64("memory_latency", config.memory_latency());
+    w.field_u64("memory_occupancy", config.memory_occupancy());
+    w.field_u64("context_switch", config.context_switch());
+    w.field_str("protocol", config.protocol().as_str());
+    w.end_object();
 }
 
 /// A complete run manifest; see the module docs for the intent.
@@ -128,32 +160,13 @@ impl RunManifest {
             None => w.value_null(),
         }
         w.key("config");
-        w.begin_object();
-        w.field_u64("cache_bytes", self.config.cache_size());
-        w.field_u64("line_bytes", self.config.line_size());
-        w.field_u64("associativity", u64::from(self.config.associativity()));
-        w.field_u64("memory_latency", self.config.memory_latency());
-        w.field_u64("memory_occupancy", self.config.memory_occupancy());
-        w.field_u64("context_switch", self.config.context_switch());
-        w.field_str("protocol", self.config.protocol().as_str());
-        w.end_object();
+        write_config(&mut w, &self.config);
         w.field_f64("wall_secs", self.wall_secs);
         w.key("results");
         w.begin_array();
         for e in &self.entries {
             w.begin_object();
-            w.field_str("algorithm", &e.algorithm);
-            w.field_u64("processors", e.processors as u64);
-            w.field_u64("execution_time", e.execution_time);
-            w.field_u64("total_refs", e.total_refs);
-            w.field_u64("total_misses", e.total_misses);
-            w.field_f64("miss_rate", e.miss_rate);
-            w.field_u64("coherence_traffic", e.coherence_traffic);
-            w.field_u64("update_traffic", e.update_traffic);
-            w.field_u64("compulsory", e.misses.compulsory);
-            w.field_u64("intra_thread_conflict", e.misses.intra_thread_conflict);
-            w.field_u64("inter_thread_conflict", e.misses.inter_thread_conflict);
-            w.field_u64("invalidation", e.misses.invalidation);
+            e.write_fields(&mut w);
             w.end_object();
         }
         w.end_array();

@@ -16,13 +16,15 @@
 //! * **Admission control** — the queue is bounded; a submit beyond
 //!   capacity gets a typed `overload` rejection instead of an
 //!   allocation. Load is shed, memory stays bounded.
-//! * **Supervised execution** — each job attempt runs on a detached
-//!   thread behind `catch_unwind` and an optional wall-clock watchdog,
-//!   with bounded retries spaced by the supervisor's [`BackoffPolicy`]
-//!   (exponential, deterministically jittered). Panics and timeouts
-//!   are transient (retried); domain errors are deterministic (failed
-//!   immediately). Watchdog-abandoned threads are counted in
-//!   [`FaultCounters::abandoned`].
+//! * **Supervised execution** — jobs run through the same attempt
+//!   runner as the sweep supervisor: each attempt on a detached thread
+//!   behind `catch_unwind` and an optional wall-clock watchdog, with
+//!   bounded retries spaced by a [`BackoffPolicy`] (exponential,
+//!   deterministically jittered). Panics and timeouts are transient
+//!   (retried; a job that exhausts them fails with `gave up after N
+//!   attempts: <reason>`); domain errors are deterministic (failed
+//!   immediately with their own message). Watchdog-abandoned threads
+//!   are counted in [`FaultCounters::abandoned`].
 //! * **Exclusive lockfile** — a second daemon on the same directory
 //!   gets a typed [`ServiceError::Locked`]; a stale lock left by a
 //!   dead PID is reclaimed.
@@ -40,9 +42,9 @@
 //! socket loop and the tests share: one request line in, one response
 //! line out, never a panic.
 
+use crate::attempt::{lock, BackoffPolicy, GaveUp, RetryPolicy};
 use crate::journal::{JournalError, RecordLog};
 use crate::manifest::ManifestEntry;
-use crate::supervisor::BackoffPolicy;
 use crate::{run_placement_with_config, PreparedApp};
 use placesim_machine::Protocol;
 use placesim_obs::json::{JsonValue, JsonWriter};
@@ -55,10 +57,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Write};
-use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -311,12 +311,6 @@ pub struct PlacementService {
     inner: Arc<Inner>,
 }
 
-/// Locks a poisoned-or-not mutex: a panicking worker must not wedge
-/// the daemon.
-fn lock<'a>(m: &'a Mutex<State>) -> std::sync::MutexGuard<'a, State> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 impl PlacementService {
     /// Starts a service over `dir`: acquires the lockfile, opens (or
     /// creates) the journal, replays it, and spawns the worker pool.
@@ -371,7 +365,7 @@ impl PlacementService {
         let service = PlacementService {
             inner: Arc::clone(&inner),
         };
-        let mut handles = inner.workers.lock().unwrap_or_else(|p| p.into_inner());
+        let mut handles = lock(&inner.workers);
         for _ in 0..inner.config.workers {
             let worker = Arc::clone(&inner);
             handles.push(thread::spawn(move || worker_loop(&worker)));
@@ -534,13 +528,7 @@ impl PlacementService {
     /// Waits for every worker to exit (call after [`Self::begin_drain`];
     /// without a drain this blocks until the workers are told to stop).
     pub fn join(&self) {
-        let handles: Vec<_> = self
-            .inner
-            .workers
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .drain(..)
-            .collect();
+        let handles: Vec<_> = lock(&self.inner.workers).drain(..).collect();
         for h in handles {
             let _ = h.join();
         }
@@ -652,99 +640,49 @@ fn worker_loop(inner: &Arc<Inner>) {
             }
         };
         let started = Instant::now();
-        let outcome = run_job_with_retries(inner, id, &spec);
-        let wall_ms = started.elapsed().as_millis().min(u128::from(u64::MAX)) as u64;
-        finish_job(inner, id, outcome, wall_ms);
-    }
-}
-
-/// One attempt's outcome, as seen by the retry loop.
-enum AttemptOutcome {
-    Ok(String),
-    /// Deterministic failure: retrying cannot help.
-    Err(String),
-    Panicked(String),
-    TimedOut,
-}
-
-/// Runs one attempt on a detached thread: panic-isolated, watchdogged.
-/// On timeout the thread is abandoned, not joined — it may still burn
-/// a core, which is why the caller counts it in
-/// [`FaultCounters::abandoned`].
-fn run_attempt(spec: &JobSpec, timeout: Option<Duration>) -> AttemptOutcome {
-    let (tx, rx) = mpsc::channel();
-    let spec = spec.clone();
-    thread::spawn(move || {
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| execute_job(&spec)));
-        let _ = tx.send(result);
-    });
-    let received = match timeout {
-        Some(t) => match rx.recv_timeout(t) {
-            Ok(r) => r,
-            Err(mpsc::RecvTimeoutError::Timeout) => return AttemptOutcome::TimedOut,
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return AttemptOutcome::Panicked("attempt thread died".into())
-            }
-        },
-        None => match rx.recv() {
-            Ok(r) => r,
-            Err(_) => return AttemptOutcome::Panicked("attempt thread died".into()),
-        },
-    };
-    match received {
-        Ok(Ok(result)) => AttemptOutcome::Ok(result),
-        Ok(Err(reason)) => AttemptOutcome::Err(reason),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".into());
-            AttemptOutcome::Panicked(msg)
-        }
-    }
-}
-
-fn run_job_with_retries(inner: &Arc<Inner>, id: u64, spec: &JobSpec) -> Result<String, String> {
-    let bound = inner.config.max_attempts.max(1);
-    let mut attempt = 0u32;
-    loop {
-        let reason = match run_attempt(spec, inner.config.job_timeout) {
-            AttemptOutcome::Ok(result) => return Ok(result),
-            AttemptOutcome::Err(reason) => {
-                lock(&inner.state).faults.errors += 1;
-                return Err(reason);
-            }
-            AttemptOutcome::Panicked(msg) => {
-                lock(&inner.state).faults.panics += 1;
-                format!("attempt panicked: {msg}")
-            }
-            AttemptOutcome::TimedOut => {
-                let mut st = lock(&inner.state);
-                st.faults.timeouts += 1;
-                st.faults.abandoned += 1;
-                format!(
-                    "watchdog fired after {:?} (attempt thread abandoned)",
-                    inner.config.job_timeout.unwrap_or_default()
-                )
-            }
+        let policy = RetryPolicy {
+            max_attempts: inner.config.max_attempts,
+            watchdog: inner.config.job_timeout,
+            backoff: inner.config.backoff.as_ref(),
+            cancel: None,
         };
-        attempt += 1;
-        if attempt >= bound {
-            return Err(format!("gave up after {attempt} attempts: {reason}"));
-        }
-        lock(&inner.state).faults.retries += 1;
-        if let Some(backoff) = &inner.config.backoff {
-            thread::sleep(backoff.delay(id, attempt));
-        }
+        let mut faults = FaultCounters::new();
+        let outcome = policy
+            .run(
+                id,
+                &mut faults,
+                |_| {
+                    let spec = spec.clone();
+                    move || execute_job(&spec)
+                },
+                || {},
+            )
+            .map(|(result, _)| result)
+            .map_err(|(attempts, gave_up)| match gave_up {
+                // Deterministic failures pass their message through raw.
+                GaveUp::Error(reason) => reason,
+                GaveUp::Transient(reason) => {
+                    format!("gave up after {attempts} attempts: {reason}")
+                }
+            });
+        let wall_ms = started.elapsed().as_millis().min(u128::from(u64::MAX)) as u64;
+        finish_job(inner, id, outcome, &faults, wall_ms);
     }
 }
 
-/// Journals and applies a job's terminal state. A journal append
-/// failure at this point degrades the result to an in-memory-only
-/// failure (counted, reported) rather than tearing the daemon down.
-fn finish_job(inner: &Arc<Inner>, id: u64, outcome: Result<String, String>, wall_ms: u64) {
+/// Journals and applies a job's terminal state, folding in the faults
+/// its attempts absorbed. A journal append failure at this point
+/// degrades the result to an in-memory-only failure (counted, reported)
+/// rather than tearing the daemon down.
+fn finish_job(
+    inner: &Arc<Inner>,
+    id: u64,
+    outcome: Result<String, String>,
+    attempt_faults: &FaultCounters,
+    wall_ms: u64,
+) {
     let mut st = lock(&inner.state);
+    st.faults.merge(attempt_faults);
     let payload = match &outcome {
         Ok(result) => done_record(id, result),
         Err(reason) => failed_record(id, reason),
@@ -881,23 +819,6 @@ fn parse_algorithm(name: &str) -> Result<PlacementAlgorithm, String> {
         .ok_or_else(|| format!("unknown algorithm {name:?}"))
 }
 
-/// Writes a simulation's manifest-entry fields (shared by simulate
-/// results and sweep cells; field order mirrors the sweep journal).
-fn write_entry_fields(w: &mut JsonWriter, e: &ManifestEntry) {
-    w.field_str("algorithm", &e.algorithm);
-    w.field_u64("processors", e.processors as u64);
-    w.field_u64("execution_time", e.execution_time);
-    w.field_u64("total_refs", e.total_refs);
-    w.field_u64("total_misses", e.total_misses);
-    w.field_f64("miss_rate", e.miss_rate);
-    w.field_u64("coherence_traffic", e.coherence_traffic);
-    w.field_u64("update_traffic", e.update_traffic);
-    w.field_u64("compulsory", e.misses.compulsory);
-    w.field_u64("intra_thread_conflict", e.misses.intra_thread_conflict);
-    w.field_u64("inter_thread_conflict", e.misses.inter_thread_conflict);
-    w.field_u64("invalidation", e.misses.invalidation);
-}
-
 /// Executes one job to its canonical result JSON. Deterministic: the
 /// trace is regenerated from `(app, scale, seed)` and the writer emits
 /// a fixed field order, so the same spec always produces the same
@@ -972,7 +893,7 @@ fn execute_job(spec: &JobSpec) -> Result<String, String> {
                 .map_err(|e| e.to_string())?;
             let entry =
                 ManifestEntry::from_stats(algorithm.paper_name(), processors, &result.stats);
-            write_entry_fields(&mut w, &entry);
+            entry.write_fields(&mut w);
         }
         JobOp::Sweep => {
             w.key("cells");
@@ -988,7 +909,7 @@ fn execute_job(spec: &JobSpec) -> Result<String, String> {
                         &result.stats,
                     );
                     w.begin_object();
-                    write_entry_fields(&mut w, &entry);
+                    entry.write_fields(&mut w);
                     w.end_object();
                 }
             }

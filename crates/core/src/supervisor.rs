@@ -6,18 +6,21 @@
 //! [`crate::run_sweep`] into a small job scheduler. Every pending grid
 //! cell (algorithm × processor count) is placed first; cells whose
 //! placement maps are equal then form one **job**, simulated once. Each
-//! placement and each job simulation runs as an isolated attempt on its
-//! own worker thread: a panic is caught and classified, a wedged attempt
-//! is abandoned when the wall-clock watchdog fires, and both are
-//! retried a bounded number of times before the cell (or every member of
-//! the job) degrades into an annotated **hole**. Deterministic failures
-//! (typed placement or simulation errors) are never retried — re-running
-//! them would produce the same error. Each member is durably committed
-//! to the journal as its own cell *before* it is reported done, so a
-//! crash at any instant loses at most the cells still in flight;
-//! resuming from the journal skips every committed cell and reproduces
-//! the uninterrupted run's entries bit-identically.
+//! placement and each job simulation runs through the crate's one
+//! attempt runner, which the placement service shares: every attempt is
+//! isolated on its own worker thread, a panic is caught and classified,
+//! a wedged attempt is abandoned when the wall-clock watchdog fires, and
+//! both are retried a bounded number of times before the cell (or every
+//! member of the job) degrades into an annotated **hole**. Deterministic
+//! failures (typed placement or simulation errors) are never retried —
+//! re-running them would produce the same error. Each member is durably
+//! committed to the journal as its own cell *before* it is reported
+//! done, so a crash at any instant loses at most the cells still in
+//! flight; resuming from the journal skips every committed cell and
+//! reproduces the uninterrupted run's entries bit-identically.
 
+pub use crate::attempt::BackoffPolicy;
+use crate::attempt::{lock, GaveUp, RetryPolicy};
 use crate::error::Error;
 use crate::experiment::{grid_cells, group_equal_maps, PreparedApp};
 use crate::journal::{DroppedLine, JournalCell, JournalError, JournalHeader, JournalWriter};
@@ -29,66 +32,9 @@ use placesim_placement::{PlacementAlgorithm, PlacementMap};
 use placesim_trace::par::{
     panic_payload_summary, parallel_map_isolated, CancelToken, IsolatedOutcome,
 };
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Exponential retry backoff with deterministic, seeded jitter.
-///
-/// The delay before retry attempt `n` (1-based count of failures so
-/// far) is `min(cap, base · 2^(n-1))` plus a jitter drawn uniformly
-/// from `[0, delay/2]` — but the "draw" is a pure splitmix64 hash of
-/// `(seed, job, n)`, so the whole schedule is a deterministic function
-/// of the policy and the job: chaos tests can assert it exactly, and
-/// two supervisors with the same seed de-synchronize their retries
-/// per-job instead of stampeding together.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BackoffPolicy {
-    base: Duration,
-    cap: Duration,
-    seed: u64,
-}
-
-impl BackoffPolicy {
-    /// A policy backing off from `base` doubling up to `cap`, with
-    /// jitter seeded by `seed`.
-    pub fn new(base: Duration, cap: Duration, seed: u64) -> Self {
-        BackoffPolicy { base, cap, seed }
-    }
-
-    /// The delay before the next attempt of `job`, after
-    /// `failed_attempts` failures (so the first retry passes 1).
-    /// `failed_attempts == 0` means nothing failed yet: zero delay.
-    pub fn delay(&self, job: u64, failed_attempts: u32) -> Duration {
-        if failed_attempts == 0 {
-            return Duration::ZERO;
-        }
-        let base_ms = self.base.as_millis().min(u128::from(u64::MAX)) as u64;
-        let cap_ms = self.cap.as_millis().min(u128::from(u64::MAX)) as u64;
-        // 2^(n-1) with the shift clamped so a huge attempt count
-        // saturates at the cap instead of overflowing.
-        let exp = base_ms
-            .saturating_mul(1u64 << u64::from(failed_attempts - 1).min(32))
-            .min(cap_ms);
-        let jitter = splitmix64(
-            self.seed
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(job << 8)
-                .wrapping_add(u64::from(failed_attempts)),
-        ) % (exp / 2 + 1);
-        Duration::from_millis(exp + jitter)
-    }
-}
-
-/// The splitmix64 finalizer: avalanches a combined key into a uniform
-/// 64-bit value. Shared by the backoff jitter and (in spirit) the
-/// chaos plan's fault rolls.
-fn splitmix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Supervision policy for a sweep.
 #[derive(Debug, Clone, Default)]
@@ -168,10 +114,6 @@ impl SupervisorConfig {
     pub fn with_chaos(mut self, plan: crate::chaos::ChaosPlan) -> Self {
         self.chaos = Some(plan);
         self
-    }
-
-    fn attempt_bound(&self) -> u32 {
-        self.max_attempts.max(1)
     }
 }
 
@@ -383,18 +325,6 @@ impl SweepMonitor {
     }
 }
 
-/// What one isolated attempt produced.
-enum Attempt<T> {
-    /// Success.
-    Done(T),
-    /// A typed (deterministic) placement/simulation error.
-    Failed(String),
-    /// The attempt panicked; payload already summarized.
-    Panicked(String),
-    /// The watchdog fired; the attempt thread was abandoned.
-    TimedOut,
-}
-
 /// A pending cell after the placement phase.
 struct Placed {
     index: usize,
@@ -409,13 +339,6 @@ enum GroupResult {
     Holes(Vec<SweepHole>),
     /// The journal itself failed terminally; the sweep must stop.
     Fatal(JournalError),
-}
-
-/// Locks `m`, recovering the data of a poisoned lock: every guarded
-/// value stays consistent across a panic (counters, an append-only
-/// journal).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Runs a supervised, journaled sweep of `app` over `algorithms` ×
@@ -691,83 +614,33 @@ impl Supervision<'_> {
         GroupResult::Committed(committed)
     }
 
-    /// Runs the work `attempt(n)` builds (n is 0-based) as isolated
-    /// attempts until one succeeds, one fails deterministically, or the
-    /// attempt bound is spent. Returns the value and the attempts used,
-    /// or the attempts used and the final reason. `job` keys the backoff
-    /// jitter.
+    /// Runs the work `attempt(n)` builds (n is 0-based) through the
+    /// shared attempt runner under this sweep's policy and cancel token.
+    /// Returns the value and the attempts used, or the attempts used and
+    /// the final reason. `job` keys the backoff jitter.
     fn retry<T, W>(&self, job: u64, attempt: impl Fn(u32) -> W) -> Result<(T, u32), (u32, String)>
     where
         T: Send + 'static,
         W: FnOnce() -> Result<T, Error> + Send + 'static,
     {
-        let bound = self.sup.attempt_bound();
-        let mut n = 0u32;
-        loop {
-            let reason = match run_attempt(self.sup.watchdog, attempt(n)) {
-                Attempt::Done(value) => return Ok((value, n + 1)),
-                Attempt::Failed(msg) => {
-                    // Typed errors are deterministic — retrying replays
-                    // the same failure, so give up immediately.
-                    lock(&self.faults).errors += 1;
-                    return Err((n + 1, format!("deterministic error: {msg}")));
-                }
-                Attempt::Panicked(msg) => {
-                    lock(&self.faults).panics += 1;
-                    format!("worker panicked: {msg}")
-                }
-                Attempt::TimedOut => {
-                    let mut f = lock(&self.faults);
-                    f.timeouts += 1;
-                    // The timed-out attempt's thread was detached, not
-                    // joined — account for it so leaked workers show up
-                    // in sweep and service reports instead of vanishing.
-                    f.abandoned += 1;
-                    format!(
-                        "watchdog fired after {:?} (attempt thread abandoned)",
-                        self.sup.watchdog.unwrap_or_default()
-                    )
-                }
-            };
-            n += 1;
-            if n >= bound || self.cancel.is_cancelled() {
-                return Err((n, reason));
-            }
-            lock(&self.faults).retries += 1;
-            lock(&self.monitor).record_retry();
-            if let Some(backoff) = &self.sup.backoff {
-                std::thread::sleep(backoff.delay(job, n));
-            }
-        }
-    }
-}
-
-/// One isolated attempt on a fresh, detached thread. Panics are caught
-/// on that thread and come back classified; when the watchdog fires the
-/// thread is abandoned (it parks on a dead channel and exits whenever
-/// the wedged work finishes, if ever) and the supervisor moves on.
-fn run_attempt<T, W>(watchdog: Option<Duration>, work: W) -> Attempt<T>
-where
-    T: Send + 'static,
-    W: FnOnce() -> Result<T, Error> + Send + 'static,
-{
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let outcome = match catch_unwind(AssertUnwindSafe(work)) {
-            Ok(Ok(value)) => Attempt::Done(value),
-            Ok(Err(e)) => Attempt::Failed(e.to_string()),
-            Err(payload) => Attempt::Panicked(panic_payload_summary(payload.as_ref())),
+        let policy = RetryPolicy {
+            max_attempts: self.sup.max_attempts,
+            watchdog: self.sup.watchdog,
+            backoff: self.sup.backoff.as_ref(),
+            cancel: Some(&self.cancel),
         };
-        let _ = tx.send(outcome);
-    });
-    let vanished = || Attempt::Panicked("attempt thread vanished without reporting".into());
-    match watchdog {
-        Some(budget) => match rx.recv_timeout(budget) {
-            Ok(outcome) => outcome,
-            Err(mpsc::RecvTimeoutError::Timeout) => Attempt::TimedOut,
-            Err(mpsc::RecvTimeoutError::Disconnected) => vanished(),
-        },
-        None => rx.recv().unwrap_or_else(|_| vanished()),
+        let mut faults = FaultCounters::new();
+        let outcome = policy.run(job, &mut faults, attempt, || {
+            lock(&self.monitor).record_retry();
+        });
+        lock(&self.faults).merge(&faults);
+        outcome.map_err(|(attempts, gave_up)| {
+            let reason = match gave_up {
+                GaveUp::Error(e) => format!("deterministic error: {e}"),
+                GaveUp::Transient(reason) => reason,
+            };
+            (attempts, reason)
+        })
     }
 }
 

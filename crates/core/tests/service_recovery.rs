@@ -3,7 +3,9 @@
 //! resume to byte-identical results; a service directory admits one
 //! daemon at a time; stale locks from dead PIDs are reclaimed.
 
-use placesim::service::{LockFile, PlacementService, ServiceConfig, ServiceError, SERVICE_LOCK};
+use placesim::service::{
+    LockFile, PlacementService, ServiceConfig, ServiceError, SERVICE_JOURNAL, SERVICE_LOCK,
+};
 use placesim_obs::json::{self, JsonValue};
 use std::fs;
 use std::path::PathBuf;
@@ -230,5 +232,53 @@ fn watchdog_timeouts_count_abandoned_threads() {
     assert_eq!(faults.abandoned, 2);
     assert_eq!(faults.retries, 1);
     svc.drain_and_join();
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn journal_records_are_pinned_byte_for_byte() {
+    // The service journal's on-disk bytes, checksum included, for each
+    // record kind: `job` on submit, then `done` or `failed`. A daemon
+    // must resume journals written by any earlier build.
+    let dir = tmp_dir("pinned");
+    let (svc, _) = PlacementService::start(&dir, quick(1)).unwrap();
+    let analyze = "{\"op\": \"analyze\", \"app\": \"water\", \"scale\": 0.002, \"seed\": 3}";
+    run_to_result(&svc, analyze);
+    let resp = svc.handle_request(&submit_line(&analyze.replace("water", "no-such-app")));
+    let id = json::parse(&resp)
+        .unwrap()
+        .get("id")
+        .and_then(JsonValue::as_u64)
+        .unwrap();
+    let resp = svc.handle_request(&wait_line(id));
+    assert!(resp.contains("\"state\": \"failed\""), "{resp}");
+    svc.drain_and_join();
+    drop(svc);
+
+    let journal = fs::read_to_string(dir.join(SERVICE_JOURNAL)).unwrap();
+    let lines: Vec<&str> = journal.lines().collect();
+    let job1 = concat!(
+        r#"5f7a130c74aaae5f {"schema": "placesim-service-v1", "kind": "job", "id": 1, "#,
+        r#""job": {"op": "analyze", "app": "water", "scale": 0.002, "seed": 3, "#,
+        r#""protocol": null, "algorithms": [], "processors": []}}"#
+    );
+    let done1 = concat!(
+        r#"93ecda1b19e7b185 {"schema": "placesim-service-v1", "kind": "done", "id": 1, "#,
+        r#""result": "{\"schema\": \"placesim-service-v1\", \"kind\": \"job-result\", "#,
+        r#"\"op\": \"analyze\", \"app\": \"water\", "#,
+        r#"\"trace_fingerprint\": \"649b09581c006cee\", \"threads\": 16, "#,
+        r#"\"total_refs\": 19446, \"shared_addresses\": 16, \"total_addresses\": 59}"}"#
+    );
+    let job2 = concat!(
+        r#"fee2688b246420de {"schema": "placesim-service-v1", "kind": "job", "id": 2, "#,
+        r#""job": {"op": "analyze", "app": "no-such-app", "scale": 0.002, "seed": 3, "#,
+        r#""protocol": null, "algorithms": [], "processors": []}}"#
+    );
+    let failed2 = concat!(
+        r#"77cd028b02a9d860 {"schema": "placesim-service-v1", "kind": "failed", "id": 2, "#,
+        r#""reason": "unknown app \"no-such-app\""}"#
+    );
+    assert_eq!(lines, [job1, done1, job2, failed2]);
+    assert!(journal.ends_with('\n'));
     fs::remove_dir_all(&dir).ok();
 }

@@ -16,7 +16,7 @@ use placesim_machine::{
     probe_coherence, simulate_probed, ArchConfig, AttrCollector, AttributionConfig, EngineObs,
     EngineObsReport, EventTrace, Protocol,
 };
-use placesim_obs::{sink, SpanTimer};
+use placesim_obs::{sink, FaultCounters, SpanTimer};
 use placesim_placement::{thread_lengths, PlacementAlgorithm, PlacementInputs};
 use placesim_trace::{compress, io as trace_io, stream, ProgramTrace};
 use placesim_workloads::{generate, generate_streamed, suite, GenOptions};
@@ -899,12 +899,12 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
     };
 
     let mut sup = SupervisorConfig::new();
-    if let Some(n) = uint_flag(args, "--max-attempts")? {
-        sup.max_attempts =
-            u32::try_from(n).map_err(|_| format!("--max-attempts value {n} exceeds u32"))?;
+    let (max_attempts, timeout) = retry_flags(args)?;
+    if let Some(n) = max_attempts {
+        sup.max_attempts = n;
     }
-    if let Some(ms) = uint_flag(args, "--timeout-ms")? {
-        sup.watchdog = Some(Duration::from_millis(ms));
+    if timeout.is_some() {
+        sup.watchdog = timeout;
     }
     let attribution_out = raw_flag(args, "--attribution")?.map(str::to_owned);
     if attribution_out.is_some() {
@@ -972,14 +972,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
         })
         .collect();
     print!("{}", report.render_text());
-    let f = &sweep.faults;
-    if f.total() > 0 {
-        println!(
-            "faults absorbed: {} panics, {} timeouts ({} threads abandoned), {} errors, \
-             {} journal I/O errors, {} retries",
-            f.panics, f.timeouts, f.abandoned, f.errors, f.io_errors, f.retries
-        );
-    }
+    print_faults(&sweep.faults);
     if let Some(out) = raw_flag(args, "--report")? {
         sink::write_atomic(Path::new(out), report.to_json().as_bytes())
             .map_err(|e| CliError::Runtime(format!("cannot write {out}: {e}")))?;
@@ -1012,6 +1005,31 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
             sweep.holes.len(),
             sweep.header.cell_count()
         )))
+    }
+}
+
+/// The retry flags `sweep` and `serve` share: `--max-attempts N` and
+/// `--timeout-ms T` (the per-attempt watchdog).
+fn retry_flags(args: &[String]) -> Result<(Option<u32>, Option<Duration>), CliError> {
+    let max_attempts = match uint_flag(args, "--max-attempts")? {
+        Some(n) => {
+            Some(u32::try_from(n).map_err(|_| format!("--max-attempts value {n} exceeds u32"))?)
+        }
+        None => None,
+    };
+    let timeout = uint_flag(args, "--timeout-ms")?.map(Duration::from_millis);
+    Ok((max_attempts, timeout))
+}
+
+/// Prints the one-line fault summary of a sweep or a drained daemon,
+/// when anything was absorbed.
+fn print_faults(f: &FaultCounters) {
+    if f.total() > 0 {
+        println!(
+            "faults absorbed: {} panics, {} timeouts ({} threads abandoned), {} errors, \
+             {} journal I/O errors, {} retries",
+            f.panics, f.timeouts, f.abandoned, f.errors, f.io_errors, f.retries
+        );
     }
 }
 
@@ -1062,12 +1080,12 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         cfg.queue_capacity =
             usize::try_from(n).map_err(|_| format!("--queue value {n} exceeds usize"))?;
     }
-    if let Some(ms) = uint_flag(args, "--timeout-ms")? {
-        cfg.job_timeout = Some(Duration::from_millis(ms));
+    let (max_attempts, timeout) = retry_flags(args)?;
+    if let Some(n) = max_attempts {
+        cfg.max_attempts = n;
     }
-    if let Some(n) = uint_flag(args, "--max-attempts")? {
-        cfg.max_attempts =
-            u32::try_from(n).map_err(|_| format!("--max-attempts value {n} exceeds u32"))?;
+    if timeout.is_some() {
+        cfg.job_timeout = timeout;
     }
     if let Some(n) = uint_flag(args, "--cache")? {
         cfg.cache_capacity =
@@ -1097,14 +1115,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     // stay journaled either way.
     svc.drain_and_join();
     served.map_err(|e| CliError::Runtime(e.to_string()))?;
-    let f = svc.fault_counters();
-    if f.total() > 0 {
-        println!(
-            "faults absorbed: {} panics, {} timeouts ({} threads abandoned), {} errors, \
-             {} journal I/O errors, {} retries",
-            f.panics, f.timeouts, f.abandoned, f.errors, f.io_errors, f.retries
-        );
-    }
+    print_faults(&svc.fault_counters());
     println!("drained");
     Ok(())
 }
