@@ -22,8 +22,8 @@ pub struct MetricCache {
 
 /// A pairwise cluster-combining metric.
 ///
-/// Implementations receive the current partition and the indices of the
-/// two candidate clusters; higher scores are combined first.
+/// Implementations receive the current partition and the ids of the two
+/// candidate clusters; higher scores are combined first.
 ///
 /// [`prepare`](Self::prepare) / [`score_cached`](Self::score_cached) are
 /// the O(1) fast path: the metric registers its cross-sum and weight-sum
@@ -378,8 +378,8 @@ mod tests {
         let mut part = Partition::singletons(threads);
         let cache = metric.prepare(&mut part);
         let check = |part: &Partition| {
-            for a in 0..part.len() {
-                for b in (a + 1)..part.len() {
+            for &a in part.ids() {
+                for &b in part.ids_after(a) {
                     assert_eq!(
                         metric.score_cached(part, &cache, a, b),
                         metric.score(part, a, b),

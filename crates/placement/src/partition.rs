@@ -79,35 +79,38 @@ pub struct CrossId(usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SumId(usize);
 
-/// Per-cluster-pair cross-sums of one thread matrix, stored as a strict
-/// lower triangle (`tri[i][j]` with `j < i`) so row/column deletion on
-/// combine is a pair of `Vec::remove`s.
+/// Per-cluster-pair cross-sums of one thread matrix over cluster ids,
+/// stored as a flat strict upper triangle: the entries `(a, b)` with
+/// `b > a` are contiguous in `b`, so one cluster's scan against every
+/// later cluster reads memory in order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct CrossCache {
-    tri: Vec<Vec<u64>>,
+    upper: Vec<u64>,
 }
 
-/// Per-cluster sums of one per-thread weight vector.
+/// Per-cluster sums of one per-thread weight vector, by cluster id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct SumCache {
     vals: Vec<u64>,
 }
 
-fn tri_get(tri: &[Vec<u64>], a: usize, b: usize) -> u64 {
-    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-    tri[hi][lo]
-}
-
-fn tri_get_mut(tri: &mut [Vec<u64>], a: usize, b: usize) -> &mut u64 {
-    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-    &mut tri[hi][lo]
+/// Index of `(a, b)`, `a < b < ids`, in a flat strict upper triangle:
+/// row `a` starts after the `a·ids − a(a+1)/2` entries of the rows
+/// before it.
+#[inline]
+fn upper_index(ids: usize, a: usize, b: usize) -> usize {
+    debug_assert!(a < b && b < ids, "({a},{b}) of {ids}");
+    a * (2 * ids - a - 3) / 2 + b - 1
 }
 
 /// A working partition of threads into clusters during cluster combining.
 ///
-/// Clusters are lists of thread indices. Combining removes the
-/// higher-indexed cluster and appends its members to the lower-indexed
-/// one.
+/// Clusters are lists of thread indices, named by *cluster ids*: the
+/// clusters a partition starts with get ids `0..n`. Combining two
+/// clusters keeps the smaller id and retires the larger one for good, so
+/// an id never changes meaning and the live ids, in increasing order
+/// ([`ids`](Self::ids)), list the clusters in the order they were built
+/// from. Nothing is shifted on a combine.
 ///
 /// # Cached aggregates
 ///
@@ -115,30 +118,32 @@ fn tri_get_mut(tri: &mut [Vec<u64>], a: usize, b: usize) -> &mut u64 {
 /// a thread matrix ([`register_cross`](Self::register_cross)) or
 /// per-cluster sums of a weight vector
 /// ([`register_sum`](Self::register_sum)). The caches are maintained
-/// exactly through [`combine`](Self::combine) by row folding: `cross(a ∪ b, c) = cross(a, c) + cross(b, c)`, an exact
-/// `u64` identity, so a cached lookup always equals the freshly computed
-/// sum. This turns the engine's per-pair metric evaluation from
-/// O(|A|·|B|) matrix walks into O(1) lookups.
+/// exactly through [`combine`](Self::combine) by row folding:
+/// `cross(a ∪ b, c) = cross(a, c) + cross(b, c)`, an exact `u64`
+/// identity, so a cached lookup always equals the freshly computed sum.
+/// This turns the engine's per-pair metric evaluation from O(|A|·|B|)
+/// matrix walks into O(1) lookups.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
+    /// Members by cluster id; a retired id's list is empty.
     clusters: Vec<Vec<usize>>,
+    /// Live cluster ids, increasing.
+    live: Vec<usize>,
     cross: Vec<CrossCache>,
     sums: Vec<SumCache>,
 }
 
 impl Partition {
-    /// The initial partition: each of `t` threads in its own cluster.
+    /// The initial partition: each of `t` threads in its own cluster,
+    /// thread `i` in cluster `i`.
     pub fn singletons(t: usize) -> Self {
-        Partition {
-            clusters: (0..t).map(|i| vec![i]).collect(),
-            cross: Vec::new(),
-            sums: Vec::new(),
-        }
+        Self::from_clusters((0..t).map(|i| vec![i]).collect())
     }
 
-    /// Builds a partition from explicit clusters (used in tests).
+    /// Builds a partition from explicit clusters; cluster `i` gets id `i`.
     pub fn from_clusters(clusters: Vec<Vec<usize>>) -> Self {
         Partition {
+            live: (0..clusters.len()).collect(),
             clusters,
             cross: Vec::new(),
             sums: Vec::new(),
@@ -153,14 +158,14 @@ impl Partition {
     ///
     /// Panics if a thread index in the partition is out of range for `m`.
     pub fn register_cross(&mut self, m: &SymMatrix<u64>) -> CrossId {
-        let tri = (0..self.clusters.len())
-            .map(|i| {
-                (0..i)
-                    .map(|j| m.cross_sum(&self.clusters[i], &self.clusters[j]))
-                    .collect()
-            })
-            .collect();
-        self.cross.push(CrossCache { tri });
+        let ids = self.clusters.len();
+        let mut upper = vec![0; ids * ids.saturating_sub(1) / 2];
+        for &a in &self.live {
+            for &b in self.ids_after(a) {
+                upper[upper_index(ids, a, b)] = m.cross_sum(&self.clusters[a], &self.clusters[b]);
+            }
+        }
+        self.cross.push(CrossCache { upper });
         CrossId(self.cross.len() - 1)
     }
 
@@ -181,92 +186,114 @@ impl Partition {
         SumId(self.sums.len() - 1)
     }
 
-    /// Cached cross-sum between clusters `a` and `b` (0 when `a == b`).
+    /// Cached cross-sum between live clusters `a` and `b` (0 when
+    /// `a == b`).
     ///
     /// # Panics
     ///
-    /// Panics if either index is out of range.
+    /// Panics if either id is out of range.
+    #[inline]
     pub fn cross(&self, id: CrossId, a: usize, b: usize) -> u64 {
-        if a == b {
-            return 0;
-        }
-        tri_get(&self.cross[id.0].tri, a, b)
+        let (lo, hi) = match a.cmp(&b) {
+            std::cmp::Ordering::Less => (a, b),
+            std::cmp::Ordering::Greater => (b, a),
+            std::cmp::Ordering::Equal => return 0,
+        };
+        self.cross[id.0].upper[upper_index(self.clusters.len(), lo, hi)]
     }
 
-    /// Cached weight sum of cluster `c`.
+    /// Cached weight sum of live cluster `c`.
     ///
     /// # Panics
     ///
     /// Panics if `c` is out of range.
+    #[inline]
     pub fn sum(&self, id: SumId, c: usize) -> u64 {
         self.sums[id.0].vals[c]
     }
 
-    /// Number of clusters.
+    /// Number of live clusters.
     pub fn len(&self) -> usize {
-        self.clusters.len()
+        self.live.len()
     }
 
     /// `true` if there are no clusters.
     pub fn is_empty(&self) -> bool {
-        self.clusters.is_empty()
+        self.live.is_empty()
     }
 
-    /// Members of cluster `i`.
+    /// Live cluster ids, increasing.
+    pub fn ids(&self) -> &[usize] {
+        &self.live
+    }
+
+    /// Live cluster ids greater than `a`, increasing.
+    #[inline]
+    pub fn ids_after(&self, a: usize) -> &[usize] {
+        &self.live[self.live.partition_point(|&c| c <= a)..]
+    }
+
+    /// Members of cluster `i` (empty once `i` has been combined away).
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
+    #[inline]
     pub fn cluster(&self, i: usize) -> &[usize] {
         &self.clusters[i]
     }
 
-    /// All clusters.
-    pub fn clusters(&self) -> &[Vec<usize>] {
-        &self.clusters
-    }
-
-    /// Number of clusters whose size equals `size`.
+    /// Number of live clusters whose size equals `size`.
     pub fn count_of_size(&self, size: usize) -> usize {
-        self.clusters.iter().filter(|c| c.len() == size).count()
+        self.live
+            .iter()
+            .filter(|&&c| self.clusters[c].len() == size)
+            .count()
     }
 
-    /// Combines clusters `a` and `b` (`a != b`), keeping the smaller
-    /// index.
+    /// Combines live clusters `a` and `b` (`a != b`) under the smaller
+    /// id, retiring the larger.
     ///
     /// # Panics
     ///
-    /// Panics if `a == b` or either index is out of range.
+    /// Panics if `a == b` or either id is out of range or retired.
     pub fn combine(&mut self, a: usize, b: usize) {
         assert!(a != b, "cannot combine a cluster with itself");
         let (keep, remove) = if a < b { (a, b) } else { (b, a) };
-        let len = self.clusters.len();
+        let slot = self
+            .live
+            .binary_search(&remove)
+            .expect("combined cluster is live");
+        assert!(
+            self.live.binary_search(&keep).is_ok(),
+            "kept cluster is live"
+        );
+        self.live.remove(slot);
 
-        // Fold the removed cluster's aggregates into the kept one.
+        // Fold the retired cluster's aggregates into the kept one.
+        let ids = self.clusters.len();
         for cache in &mut self.cross {
-            for c in 0..len {
-                if c != keep && c != remove {
-                    let v = tri_get(&cache.tri, remove, c);
-                    *tri_get_mut(&mut cache.tri, keep, c) += v;
+            for &c in &self.live {
+                if c != keep {
+                    let from = cache.upper[upper_index(ids, c.min(remove), c.max(remove))];
+                    cache.upper[upper_index(ids, c.min(keep), c.max(keep))] += from;
                 }
-            }
-            cache.tri.remove(remove);
-            for r in cache.tri.iter_mut().skip(remove) {
-                r.remove(remove);
             }
         }
         for cache in &mut self.sums {
-            let removed = cache.vals.remove(remove);
-            cache.vals[keep] += removed;
+            cache.vals[keep] += std::mem::take(&mut cache.vals[remove]);
         }
 
-        let moved = self.clusters.remove(remove);
+        let moved = std::mem::take(&mut self.clusters[remove]);
         self.clusters[keep].extend(moved);
     }
 
-    /// Consumes the partition, returning its clusters.
-    pub fn into_clusters(self) -> Vec<Vec<usize>> {
-        self.clusters
+    /// Consumes the partition, returning its live clusters in id order.
+    pub fn into_clusters(mut self) -> Vec<Vec<usize>> {
+        self.live
+            .iter()
+            .map(|&c| std::mem::take(&mut self.clusters[c]))
+            .collect()
     }
 }
 
@@ -301,6 +328,19 @@ mod tests {
         p.combine(2, 0);
         assert_eq!(p.cluster(0), &[0, 2]);
         assert_eq!(p.cluster(1), &[1]);
+        assert_eq!(p.ids(), &[0, 1]);
+        assert_eq!(p.into_clusters(), vec![vec![0, 2], vec![1]]);
+    }
+
+    #[test]
+    fn ids_after_skips_retired_ids() {
+        let mut p = Partition::singletons(5);
+        p.combine(1, 3);
+        assert_eq!(p.ids(), &[0, 1, 2, 4]);
+        assert_eq!(p.ids_after(0), &[1, 2, 4]);
+        assert_eq!(p.ids_after(2), &[4]);
+        assert_eq!(p.ids_after(4), &[] as &[usize]);
+        assert!(p.cluster(3).is_empty());
     }
 
     #[test]
@@ -332,13 +372,13 @@ mod tests {
 
     /// Every cached cross/sum equals the freshly computed value.
     fn assert_caches_fresh(p: &Partition, cid: CrossId, sid: SumId, m: &SymMatrix<u64>, w: &[u64]) {
-        for a in 0..p.len() {
+        for &a in p.ids() {
             assert_eq!(
                 p.sum(sid, a),
                 p.cluster(a).iter().map(|&t| w[t]).sum::<u64>(),
                 "sum({a})"
             );
-            for b in 0..p.len() {
+            for &b in p.ids() {
                 if a == b {
                     continue; // the cache defines the diagonal as 0
                 }
@@ -367,9 +407,11 @@ mod tests {
         p.combine(2, 3);
         assert_caches_fresh(&p, cid, sid, &m, &w);
         // Down to one cluster, folding rows from both sides of the kept
-        // index.
+        // id.
         while p.len() > 1 {
-            p.combine(p.len() - 1, (p.len() - 1) / 2);
+            let ids = p.ids();
+            let (last, mid) = (ids[ids.len() - 1], ids[(ids.len() - 1) / 2]);
+            p.combine(last, mid);
             assert_caches_fresh(&p, cid, sid, &m, &w);
         }
         assert_eq!(p.sum(sid, 0), w.iter().sum::<u64>());

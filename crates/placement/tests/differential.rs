@@ -14,7 +14,10 @@
 use placesim_analysis::{SharingAnalysis, SymMatrix};
 use placesim_machine::{probe_coherence, ArchConfig};
 use placesim_placement::engine::{cluster, EngineOptions, LoadConstraint};
-use placesim_placement::{PlacementAlgorithm, PlacementInputs, ScoreMode, ShareRefsMetric};
+use placesim_placement::{
+    CoherenceMetric, MaxWritesMetric, MinInvsMetric, MinPrivMetric, MinShareMetric, PairMetric,
+    PlacementAlgorithm, PlacementInputs, ScoreMode, ShareAddrMetric, ShareRefsMetric,
+};
 use placesim_trace::{Address, MemRef, ProgramTrace, ThreadTrace};
 use placesim_workloads::{generate, spec, GenOptions};
 use proptest::prelude::*;
@@ -81,37 +84,88 @@ proptest! {
         }
     }
 
-    /// Uneven cluster shapes (t not divisible by p) exercise the
-    /// big-cluster accounting; +LB variants exercise the cached load
-    /// sums. Randomized matrices drive them directly through the engine.
+    /// All seven metrics through the engine directly, cached against
+    /// fresh, on up to 40 threads. Shapes are uneven (t mod p ≠ 0) where
+    /// they can be, so the merge rule tightens once every ceiling-sized
+    /// cluster is made and many candidate rows lose pairs at once.
+    /// `+LB` runs on and off, so levels skip pairs. The matrices come in
+    /// three shapes: random sparse, additive `g(i) + g(j)` (every row
+    /// ranks its partners alike, so most rows share one "hub" best
+    /// partner), and all-zero (every score ties and only the cluster ids
+    /// decide). MIN-INVS is un-averaged and MIN-SHARE negated, so their
+    /// scores order differently from the averaged metrics'.
     #[test]
     fn engine_modes_agree_on_random_matrices(
-        entries in proptest::collection::vec((0usize..9, 0usize..9, 0u64..50), 0..30),
-        lengths in proptest::collection::vec(1u64..100, 9),
-        p in 2usize..8,
+        t in 2usize..41,
+        p_frac in 0.0f64..1.0,
+        shape in 0u8..3,
+        g in proptest::collection::vec(0u64..1000, 40),
+        entries in proptest::collection::vec((0usize..40, 0usize..40, 0u64..50), 0..400),
+        lengths in proptest::collection::vec(1u64..100, 40),
+        private in proptest::collection::vec(0u64..20, 40),
     ) {
-        let t = 9;
-        let mut m = SymMatrix::new(t, 0u64);
-        for (i, j, v) in entries {
-            if i != j {
-                m.add(i, j, v);
-            }
+        let mut p = 1 + ((t - 1) as f64 * p_frac) as usize;
+        if t.is_multiple_of(p) && p + 1 < t {
+            p += 1;
         }
-        let metric = ShareRefsMetric { refs: &m };
-        for load in [None, Some(LoadConstraint { lengths: &lengths, tolerance: 0.10 })] {
-            let run = |mode| {
-                cluster(&metric, t, p, EngineOptions {
-                    load,
-                    score_mode: mode,
-                }).unwrap()
-            };
-            prop_assert_eq!(
-                run(ScoreMode::Cached),
-                run(ScoreMode::Fresh),
-                "p={} load={} diverged", p, load.is_some()
+        // Four matrices of the chosen shape, told apart by `salt`.
+        let matrix = |salt: usize| {
+            let mut m = SymMatrix::new(t, 0u64);
+            match shape {
+                0 => {
+                    for (k, &(i, j, v)) in entries.iter().enumerate() {
+                        if i < t && j < t && i != j && !(k + salt).is_multiple_of(4) {
+                            m.add(i, j, v);
+                        }
+                    }
+                }
+                1 => {
+                    for i in 0..t {
+                        for j in (i + 1)..t {
+                            m.set(i, j, g[(i + salt) % 40] + g[(j + salt) % 40]);
+                        }
+                    }
+                }
+                _ => {}
+            }
+            m
+        };
+        let (refs, addrs, write_refs, traffic) = (matrix(0), matrix(1), matrix(2), matrix(3));
+        for load in [None, Some(LoadConstraint { lengths: &lengths[..t], tolerance: 0.10 })] {
+            let case = format!("t={t} p={p} shape={shape} load={}", load.is_some());
+            modes_agree(&ShareRefsMetric { refs: &refs }, t, p, load, &case);
+            modes_agree(&ShareAddrMetric { refs: &refs, addrs: &addrs }, t, p, load, &case);
+            modes_agree(
+                &MinPrivMetric { refs: &refs, private_addrs: &private[..t] },
+                t,
+                p,
+                load,
+                &case,
             );
+            modes_agree(&MinInvsMetric { write_refs: &write_refs }, t, p, load, &case);
+            modes_agree(&MaxWritesMetric { write_refs: &write_refs }, t, p, load, &case);
+            modes_agree(&MinShareMetric { refs: &refs }, t, p, load, &case);
+            modes_agree(&CoherenceMetric { traffic: &traffic }, t, p, load, &case);
         }
     }
+}
+
+/// Asserts that cached and fresh scoring cluster `t` threads onto `p`
+/// identically under `metric`.
+fn modes_agree<M: PairMetric>(
+    metric: &M,
+    t: usize,
+    p: usize,
+    load: Option<LoadConstraint<'_>>,
+    case: &str,
+) {
+    let run = |score_mode| cluster(metric, t, p, EngineOptions { load, score_mode }).unwrap();
+    assert_eq!(
+        run(ScoreMode::Cached),
+        run(ScoreMode::Fresh),
+        "{} diverged: {case}",
+        std::any::type_name::<M>()
+    );
 }
 
 /// The greedy-trap fixture from the engine's unit tests: after four

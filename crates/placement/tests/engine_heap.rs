@@ -1,11 +1,12 @@
 //! Peak-heap regression test for the cluster-combining engine.
 //!
 //! A 127-thread gauss placement merges 125 times down to two clusters.
-//! The engine keeps no per-level candidate list: each level holds only
-//! the last key it tried and finds the next by an argmax scan over the
-//! current pairs. A tracking allocator measures the heap growth of one
-//! such placement and bounds it, so a return to materializing a level's
-//! scored pairs (tens of thousands of keys per level) fails here.
+//! The engine's candidate state is O(t): per cluster the best key (or a
+//! bound on the keys) of its pairs with higher-id clusters, and a
+//! max-tree over those; a level holds only the last key it tried. A
+//! tracking allocator measures the heap growth of one such placement and
+//! bounds it, so a return to materializing scored pairs fails here:
+//! a level's sorted list, or a global heap of all ~t²/2 = 8k pair keys.
 
 use placesim_analysis::SharingAnalysis;
 use placesim_placement::{PlacementAlgorithm, PlacementInputs};
@@ -80,9 +81,9 @@ fn paper_scale_placement_heap_growth_is_bounded() {
     let growth = PEAK.load(Ordering::Relaxed) - before;
     assert_eq!(map.thread_count(), 127);
 
-    // Measured at 87 KB (partition, caches and the result); the cap
-    // leaves 3x headroom. Keeping every level's scored pairs alive grew
-    // the heap by 18.7 MB on this input.
+    // Measured at 88 KB (partition, caches, candidate rows and the
+    // result); the cap leaves 3x headroom. Keeping every level's scored
+    // pairs alive grew the heap by 18.7 MB on this input.
     const CAP: usize = 256 << 10;
     assert!(
         growth <= CAP,

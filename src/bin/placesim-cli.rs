@@ -27,6 +27,34 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// `println!` for this binary's output. When stdout is a pipe whose
+/// reader has gone (`placesim-cli suite | head -1`), the process ends
+/// quietly with status 0, as a reader that stopped reading expects;
+/// `println!` would panic and exit with 101.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `print!` with [`outln!`]'s handling of a closed stdout.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 /// A CLI failure carrying its process exit code. The taxonomy (documented
 /// in the README):
 ///
@@ -251,12 +279,16 @@ fn open_streamed(path: &str) -> Result<stream::FileReader, String> {
 }
 
 fn cmd_suite() -> Result<(), String> {
-    println!(
+    outln!(
         "{:<14} {:<8} {:>8} {:>16} {:>14}",
-        "app", "grain", "threads", "mean length", "shared refs %"
+        "app",
+        "grain",
+        "threads",
+        "mean length",
+        "shared refs %"
     );
     for s in suite() {
-        println!(
+        outln!(
             "{:<14} {:<8} {:>8} {:>16} {:>13.1}%",
             s.name,
             format!("{:?}", s.granularity),
@@ -328,7 +360,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
             return Err(e);
         }
     };
-    println!(
+    outln!(
         "wrote {out}: {threads} threads, {total_refs} references (scale {}, seed {}, {} format)",
         opts.scale,
         opts.seed,
@@ -350,30 +382,30 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         let per_thread: Vec<stream::KindTotals> = (0..reader.thread_count())
             .map(|t| reader.totals(placesim_trace::ThreadId::from_index(t)))
             .collect();
-        println!("program:      {}", reader.name());
-        println!("threads:      {}", reader.thread_count());
-        println!("references:   {}", reader.total_refs());
-        println!(
+        outln!("program:      {}", reader.name());
+        outln!("threads:      {}", reader.thread_count());
+        outln!("references:   {}", reader.total_refs());
+        outln!(
             "instructions: {}",
             per_thread.iter().map(|k| k.instr).sum::<u64>()
         );
-        println!(
+        outln!(
             "data refs:    {}",
             per_thread.iter().map(|k| k.reads + k.writes).sum::<u64>()
         );
-        println!(
+        outln!(
             "chunks:       {} ({} checksummed payload bytes)",
             reader.total_chunks(),
             reader.total_payload_bytes()
         );
-        println!(
+        outln!(
             "footer:       {} index bytes at offset {}",
             reader.footer_bytes(),
             reader.footer_start()
         );
         for (t, k) in per_thread.iter().enumerate() {
             let tid = placesim_trace::ThreadId::from_index(t);
-            println!(
+            outln!(
                 "  T{t}: {} instrs, {} reads, {} writes, {} chunks ({} bytes)",
                 k.instr,
                 k.reads,
@@ -385,13 +417,13 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let prog = load_trace(path)?;
-    println!("program:      {}", prog.name());
-    println!("threads:      {}", prog.thread_count());
-    println!("references:   {}", prog.total_refs());
-    println!("instructions: {}", prog.total_instrs());
-    println!("data refs:    {}", prog.total_data_refs());
+    outln!("program:      {}", prog.name());
+    outln!("threads:      {}", prog.thread_count());
+    outln!("references:   {}", prog.total_refs());
+    outln!("instructions: {}", prog.total_instrs());
+    outln!("data refs:    {}", prog.total_data_refs());
     for (id, t) in prog.iter() {
-        println!(
+        outln!(
             "  {id}: {} instrs, {} reads, {} writes",
             t.instr_len(),
             t.read_len(),
@@ -433,35 +465,35 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         let mut manifest = RunManifest::new("analyze", &row.app, &ArchConfig::paper_default());
         manifest.wall_secs = timer.elapsed_secs();
         manifest.write(Path::new(metrics))?;
-        println!("metrics: {metrics}");
+        outln!("metrics: {metrics}");
     }
 
-    println!("app: {}", row.app);
-    println!(
+    outln!("app: {}", row.app);
+    outln!(
         "pairwise sharing:      mean {:.0}  dev {:.1}%",
         row.pairwise_sharing.mean,
         row.pairwise_sharing.dev_percent()
     );
-    println!(
+    outln!(
         "n-way sharing:         mean {:.0}  dev {:.1}%",
         row.nway_sharing.mean,
         row.nway_sharing.dev_percent()
     );
-    println!(
+    outln!(
         "refs per shared addr:  mean {:.1}  dev {:.1}%",
         row.refs_per_shared_addr.mean,
         row.refs_per_shared_addr.dev_percent()
     );
-    println!(
+    outln!(
         "shared refs:           {:.1}%",
         row.shared_refs_percent.mean
     );
-    println!(
+    outln!(
         "thread length:         mean {:.0}  dev {:.1}%",
         row.thread_length.mean,
         row.thread_length.dev_percent()
     );
-    println!(
+    outln!(
         "shared addresses:      {} of {}",
         sharing.shared_address_count(),
         sharing.total_address_count()
@@ -519,13 +551,13 @@ fn cmd_place(args: &[String]) -> Result<(), String> {
             misses: placesim_machine::MissBreakdown::default(),
         }];
         manifest.write(Path::new(metrics))?;
-        println!("metrics: {metrics}");
+        outln!("metrics: {metrics}");
     }
 
-    println!("{} onto {processors} processors:", algo.paper_name());
-    print!("{map}");
-    println!("loads: {:?}", map.loads(&lengths));
-    println!("load imbalance: {:.3}", map.load_imbalance(&lengths));
+    outln!("{} onto {processors} processors:", algo.paper_name());
+    out!("{map}");
+    outln!("loads: {:?}", map.loads(&lengths));
+    outln!("load imbalance: {:.3}", map.load_imbalance(&lengths));
     Ok(())
 }
 
@@ -584,14 +616,14 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     if let (Some(path), Some(trace)) = (timeline_path, &obs.timeline) {
         sink::write_atomic(Path::new(path), trace.to_chrome_json().as_bytes())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!(
+        outln!(
             "timeline:       {path} ({} events retained, {} dropped)",
             trace.len(),
             trace.dropped()
         );
         let runs = trace.sharing_runs();
         let longest = runs.iter().map(placesim_machine::SharingRun::cycles).max();
-        println!(
+        outln!(
             "  sequential-sharing runs: {}{}",
             runs.len(),
             longest.map_or_else(String::new, |c| format!(" (longest {c} cycles)"))
@@ -608,7 +640,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("internal: attribution report invalid: {e}"))?;
         sink::write_atomic(Path::new(path), body.as_bytes())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!(
+        outln!(
             "attribution:    {path} ({} events over {} addresses, {} mode)",
             attr.total_events(),
             attr.tracked_addresses(),
@@ -626,20 +658,20 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         )];
         manifest.obs = obs.counters;
         manifest.write(Path::new(metrics))?;
-        println!("metrics:        {metrics}");
+        outln!("metrics:        {metrics}");
     }
 
     let m = stats.total_misses();
-    println!("execution time: {} cycles", stats.execution_time());
-    println!("references:     {}", stats.total_refs());
-    println!("miss rate:      {:.3}%", 100.0 * stats.miss_rate());
-    println!("misses:");
-    println!("  compulsory            {}", m.compulsory);
-    println!("  intra-thread conflict {}", m.intra_thread_conflict);
-    println!("  inter-thread conflict {}", m.inter_thread_conflict);
-    println!("  invalidation          {}", m.invalidation);
-    println!("coherence traffic: {}", stats.coherence_traffic());
-    println!("update traffic:    {}", stats.total_updates());
+    outln!("execution time: {} cycles", stats.execution_time());
+    outln!("references:     {}", stats.total_refs());
+    outln!("miss rate:      {:.3}%", 100.0 * stats.miss_rate());
+    outln!("misses:");
+    outln!("  compulsory            {}", m.compulsory);
+    outln!("  intra-thread conflict {}", m.intra_thread_conflict);
+    outln!("  inter-thread conflict {}", m.inter_thread_conflict);
+    outln!("  invalidation          {}", m.invalidation);
+    outln!("coherence traffic: {}", stats.coherence_traffic());
+    outln!("update traffic:    {}", stats.total_updates());
     Ok(())
 }
 
@@ -661,33 +693,46 @@ fn cmd_attribute(args: &[String]) -> Result<(), CliError> {
         .map_err(|e| CliError::Runtime(format!("{path}: {e}")))?;
 
     if !doc.enabled {
-        println!(
+        outln!(
             "attribution was disabled in the producing build; re-run \
              `simulate --attribution` to record it"
         );
         return Ok(());
     }
-    println!(
+    outln!(
         "coherence attribution: protocol {}, {} threads, {} mode ({} addresses tracked)",
-        doc.protocol, doc.threads, doc.mode, doc.tracked_addresses
+        doc.protocol,
+        doc.threads,
+        doc.mode,
+        doc.tracked_addresses
     );
     if doc.mode == "sketch" {
-        println!(
+        outln!(
             "  sketch counts may undercount by up to {} events per address",
             doc.error_bound
         );
     }
-    println!(
+    outln!(
         "totals: {} invalidations, {} updates, {} coherence misses ({} unattributed)",
-        doc.invalidations, doc.updates, doc.coherence_misses, doc.unattributed
+        doc.invalidations,
+        doc.updates,
+        doc.coherence_misses,
+        doc.unattributed
     );
-    println!("hot shared lines:");
-    println!(
+    outln!("hot shared lines:");
+    outln!(
         "  {:<14} {:>9} {:>9} {:>9} {:>9} {:>7} {:>9} {:>8}",
-        "line", "events", "inval", "update", "miss", "runs", "mean-run", "max-run"
+        "line",
+        "events",
+        "inval",
+        "update",
+        "miss",
+        "runs",
+        "mean-run",
+        "max-run"
     );
     for a in doc.top.iter().take(top_n) {
-        println!(
+        outln!(
             "  {:<#14x} {:>9} {:>9} {:>9} {:>9} {:>7} {:>9.1} {:>8}",
             a.line,
             a.events,
@@ -700,14 +745,14 @@ fn cmd_attribute(args: &[String]) -> Result<(), CliError> {
         );
     }
     if doc.top.is_empty() {
-        println!("  (no attributed events)");
+        outln!("  (no attributed events)");
     }
-    println!("hottest thread pairs:");
+    outln!("hottest thread pairs:");
     for (a, b, c) in doc.pairs.iter().take(pairs_n) {
-        println!("  T{a} <-> T{b}: {c}");
+        outln!("  T{a} <-> T{b}: {c}");
     }
     if doc.pairs.is_empty() {
-        println!("  (none)");
+        outln!("  (none)");
     }
     Ok(())
 }
@@ -728,22 +773,22 @@ fn cmd_probe(args: &[String]) -> Result<(), String> {
             &result.stats,
         )];
         manifest.write(Path::new(metrics))?;
-        println!("metrics: {metrics}");
+        outln!("metrics: {metrics}");
     }
 
-    println!("one-thread-per-processor coherence probe:");
-    println!("  compulsory misses: {}", result.compulsory_misses());
-    println!("  coherence traffic: {}", result.total_traffic());
-    println!(
+    outln!("one-thread-per-processor coherence probe:");
+    outln!("  compulsory misses: {}", result.compulsory_misses());
+    outln!("  coherence traffic: {}", result.total_traffic());
+    outln!(
         "  traffic fraction:  {:.4}% of references",
         100.0 * result.traffic_fraction()
     );
     // Top-5 hottest thread pairs.
     let mut pairs: Vec<(usize, usize, u64)> = result.traffic.iter_pairs().collect();
     pairs.sort_by_key(|&(_, _, v)| std::cmp::Reverse(v));
-    println!("  hottest thread pairs:");
+    outln!("  hottest thread pairs:");
     for (a, b, v) in pairs.into_iter().take(5) {
-        println!("    T{a} <-> T{b}: {v}");
+        outln!("    T{a} <-> T{b}: {v}");
     }
     Ok(())
 }
@@ -818,12 +863,12 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         return Err("no valid manifests found".into());
     }
     let report = Report::from_manifests(&manifests);
-    print!("{}", report.render_text());
+    out!("{}", report.render_text());
 
     if let Some(out) = raw_flag(args, "--json")? {
         sink::write_atomic(Path::new(out), report.to_json().as_bytes())
             .map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("report json: {out}");
+        outln!("report json: {out}");
     }
 
     if let Some(base) = raw_flag(args, "--baseline")? {
@@ -835,7 +880,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         let baseline = Report::from_manifests(&base_manifests);
         let regressions = report.compare(&baseline, threshold);
         if regressions.is_empty() {
-            println!("baseline check: no regressions beyond {threshold:.1}%");
+            outln!("baseline check: no regressions beyond {threshold:.1}%");
         } else {
             for r in &regressions {
                 eprintln!(
@@ -951,7 +996,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
         eprintln!("journal recovery dropped {d}");
     }
     if sweep.resumed > 0 {
-        println!(
+        outln!(
             "resumed: {} of {} cells recovered from {journal}",
             sweep.resumed,
             sweep.header.cell_count()
@@ -971,12 +1016,12 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
             reason: h.reason.clone(),
         })
         .collect();
-    print!("{}", report.render_text());
+    out!("{}", report.render_text());
     print_faults(&sweep.faults);
     if let Some(out) = raw_flag(args, "--report")? {
         sink::write_atomic(Path::new(out), report.to_json().as_bytes())
             .map_err(|e| CliError::Runtime(format!("cannot write {out}: {e}")))?;
-        println!("report json: {out}");
+        outln!("report json: {out}");
     }
     if let (Some(out), Some(attr)) = (&attribution_out, &sweep.attribution) {
         // The sweep-level collector merges every committed cell of this
@@ -991,9 +1036,9 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
             .map_err(|e| CliError::Runtime(format!("internal: attribution report invalid: {e}")))?;
         sink::write_atomic(Path::new(out), body.as_bytes())
             .map_err(|e| CliError::Runtime(format!("cannot write {out}: {e}")))?;
-        println!("attribution json: {out}");
+        outln!("attribution json: {out}");
     }
-    println!("journal: {journal}");
+    outln!("journal: {journal}");
 
     if sweep.is_complete() {
         Ok(())
@@ -1025,10 +1070,15 @@ fn retry_flags(args: &[String]) -> Result<(Option<u32>, Option<Duration>), CliEr
 /// when anything was absorbed.
 fn print_faults(f: &FaultCounters) {
     if f.total() > 0 {
-        println!(
+        outln!(
             "faults absorbed: {} panics, {} timeouts ({} threads abandoned), {} errors, \
              {} journal I/O errors, {} retries",
-            f.panics, f.timeouts, f.abandoned, f.errors, f.io_errors, f.retries
+            f.panics,
+            f.timeouts,
+            f.abandoned,
+            f.errors,
+            f.io_errors,
+            f.retries
         );
     }
 }
@@ -1101,7 +1151,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         other => CliError::Runtime(other.to_string()),
     })?;
     if !recovery.resumed.is_empty() || recovery.completed > 0 {
-        println!(
+        outln!(
             "recovered from journal: {} finished, {} failed, {} resumed, {} line(s) dropped",
             recovery.completed,
             recovery.failed,
@@ -1109,14 +1159,14 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             recovery.dropped
         );
     }
-    println!("serving on {}", socket.display());
+    outln!("serving on {}", socket.display());
     let served = service::serve_unix(&svc, &socket, &term::STOP);
     // Drain even when the socket loop failed: accepted jobs finish or
     // stay journaled either way.
     svc.drain_and_join();
     served.map_err(|e| CliError::Runtime(e.to_string()))?;
     print_faults(&svc.fault_counters());
-    println!("drained");
+    outln!("drained");
     Ok(())
 }
 
@@ -1229,9 +1279,9 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
             .get("result")
             .and_then(JsonValue::as_str)
             .ok_or_else(|| CliError::Runtime(format!("no result in response: {response}")))?;
-        println!("{result}");
+        outln!("{result}");
     } else {
-        println!("{response}");
+        outln!("{response}");
     }
     if doc.get("ok").and_then(JsonValue::as_bool) != Some(true) {
         return Err(CliError::Runtime(format!(
