@@ -12,12 +12,13 @@ use placesim::report::{fmt_f, TextTable};
 use placesim::run_placement_with_config;
 use placesim_bench::{harness_opts, prepare};
 use placesim_machine::{simulate, ArchConfig, ArchConfigBuilder};
+use placesim_obs::outln;
 use placesim_placement::{kl, PlacementAlgorithm};
 
 fn main() {
     let apps = ["locusroute", "fft"];
     let processors = 8;
-    println!(
+    outln!(
         "Ablation: robustness of the placement conclusion to architectural\n\
          knobs (p = {processors}, scale {})\n",
         harness_opts().scale
@@ -92,7 +93,7 @@ fn main() {
 
     for app_name in apps {
         let app = prepare(app_name);
-        println!("== {app_name} ==");
+        outln!("== {app_name} ==");
         let mut t = TextTable::new(["knob", "LOAD-BAL/RANDOM", "SHARE-REFS/RANDOM"]);
         for (label, base) in &knobs {
             // Use the app's paper cache size with the knob applied.
@@ -116,7 +117,7 @@ fn main() {
                 fmt_f(sr.execution_time() as f64 / r, 3),
             ]);
         }
-        println!("{t}");
+        outln!("{t}");
 
         // A stronger sharing optimizer: Kernighan-Lin refinement of the
         // SHARE-REFS placement (maximizes in-cluster shared references
@@ -140,7 +141,7 @@ fn main() {
             run_placement_with_config(&app, PlacementAlgorithm::Random, processors, &config)
                 .expect("random")
                 .execution_time();
-        println!(
+        outln!(
             "KL-refined SHARE-REFS: in-cluster sharing {} -> {} (+{:.1}%), exec/RANDOM = {:.3}\n",
             before,
             after,

@@ -11,13 +11,14 @@ use placesim::report::{fmt_f, TextTable};
 use placesim::run_placement;
 use placesim_bench::{harness_opts, prepare};
 use placesim_machine::{simulated_efficiency, EfficiencyModel};
+use placesim_obs::outln;
 use placesim_placement::PlacementAlgorithm;
 
 fn main() {
     let app_name = std::env::args().nth(1).unwrap_or_else(|| "mp3d".into());
     let app = prepare(&app_name);
     let threads = app.threads();
-    println!(
+    outln!(
         "Processor efficiency vs. hardware contexts — {app_name} ({} threads, scale {})\n",
         threads,
         harness_opts().scale
@@ -48,8 +49,8 @@ fn main() {
             None => t.row([p.to_string(), contexts.to_string(), fmt_f(sim_eff, 3)]),
         };
     }
-    println!("{t}");
-    println!(
+    outln!("{t}");
+    outln!(
         "More contexts per processor push efficiency toward the R/(R+C)\n\
          saturation ceiling — multithreading hides the memory latency, at\n\
          the cost of the cache interference the main experiments measure."

@@ -12,6 +12,7 @@ use placesim::figures::default_processor_counts;
 use placesim::grid::{grid_to_csv, run_grid};
 use placesim_bench::{harness_opts, prepare};
 use placesim_machine::ArchConfig;
+use placesim_obs::out;
 use placesim_placement::PlacementAlgorithm;
 use placesim_workloads::SUITE_NAMES;
 
@@ -66,5 +67,5 @@ fn main() {
         let records = run_grid(&app, &algos, &pcs, config.as_ref()).expect("grid cell failed");
         all.extend(records);
     }
-    print!("{}", grid_to_csv(&all));
+    out!("{}", grid_to_csv(&all));
 }

@@ -9,6 +9,7 @@
 use placesim::report::TextTable;
 use placesim::run_placement;
 use placesim_bench::prepare;
+use placesim_obs::outln;
 use placesim_placement::{PlacementAlgorithm, PlacementQuality, ProcessorId};
 
 fn main() {
@@ -31,7 +32,7 @@ fn main() {
     }
     let r = run_placement(&app, algo, processors).expect("experiment");
 
-    println!(
+    outln!(
         "{name} × {} × {processors} processors — execution time {} cycles\n",
         algo.paper_name(),
         r.execution_time()
@@ -69,15 +70,15 @@ fn main() {
             ps.misses.invalidation.to_string(),
         ]);
     }
-    println!("{t}");
+    outln!("{t}");
 
     let q = PlacementQuality::measure(&r.map, &app.sharing, &app.lengths);
-    println!(
+    outln!(
         "quality: sharing captured {:.1}% (write-shared {:.1}%), load imbalance {:.3}, contexts {}\n",
         100.0 * q.sharing_captured,
         100.0 * q.write_sharing_captured,
         q.load_imbalance,
         q.max_contexts
     );
-    println!("placement map:\n{}", r.map);
+    outln!("placement map:\n{}", r.map);
 }

@@ -17,6 +17,7 @@ use placesim::tables::{
 };
 use placesim::{scale_from_env, PreparedApp};
 use placesim_machine::MissKind;
+use placesim_obs::outln;
 use placesim_placement::PlacementAlgorithm;
 use placesim_workloads::{spec, suite, GenOptions};
 
@@ -44,7 +45,7 @@ pub fn prepare(name: &str) -> PreparedApp {
 /// Prints Table 1 (the application suite).
 pub fn print_table1() {
     let opts = harness_opts();
-    println!("Table 1: The application suite (scale {})\n", opts.scale);
+    outln!("Table 1: The application suite (scale {})\n", opts.scale);
     let apps = prepare_suite(&suite(), &opts);
     let mut t = TextTable::new([
         "Application",
@@ -62,13 +63,13 @@ pub fn print_table1() {
             fmt_f(row.mean_thread_length, 0),
         ]);
     }
-    println!("{t}");
+    outln!("{t}");
 }
 
 /// Prints Table 2 (measured characteristics).
 pub fn print_table2() {
     let opts = harness_opts();
-    println!("Table 2: Measured characteristics (scale {})\n", opts.scale);
+    outln!("Table 2: Measured characteristics (scale {})\n", opts.scale);
     let apps = prepare_suite(&suite(), &opts);
     let mut t = TextTable::new([
         "Application",
@@ -96,23 +97,23 @@ pub fn print_table2() {
             fmt_f(row.thread_length.dev_percent(), 1),
         ]);
     }
-    println!("{t}");
+    outln!("{t}");
 }
 
 /// Prints Table 3 (architectural inputs).
 pub fn print_table3() {
-    println!("Table 3: Architectural inputs to the simulator\n");
+    outln!("Table 3: Architectural inputs to the simulator\n");
     let mut t = TextTable::new(["Parameter", "Value"]);
     for row in table3() {
         t.row([row.parameter.to_string(), row.value]);
     }
-    println!("{t}");
+    outln!("{t}");
 }
 
 /// Prints Table 4 (static sharing vs. measured coherence traffic).
 pub fn print_table4() {
     let opts = harness_opts();
-    println!(
+    outln!(
         "Table 4: Statically counted sharing vs. dynamically measured\n\
          coherence traffic, one thread per processor (scale {})\n",
         opts.scale
@@ -143,13 +144,13 @@ pub fn print_table4() {
             }
         }
     }
-    println!("{t}");
+    outln!("{t}");
 }
 
 /// Prints Table 5 (infinite-cache study, normalized to LOAD-BAL).
 pub fn print_table5() {
     let opts = harness_opts();
-    println!(
+    outln!(
         "Table 5: Execution times normalized to LOAD-BAL with an 8 MB cache\n\
          (best sharing-based algorithm / coherence-traffic algorithm, scale {})\n",
         opts.scale
@@ -185,7 +186,7 @@ pub fn print_table5() {
         }
         t.row(cells);
     }
-    println!("{t}");
+    outln!("{t}");
 }
 
 /// Runs and prints one Figure 2/3/4-style execution-time chart.
@@ -193,7 +194,7 @@ pub fn print_exec_time_figure(app_name: &str, figure_label: &str) {
     let opts = harness_opts();
     let app = prepare(app_name);
     let procs = default_processor_counts(app.threads());
-    println!(
+    outln!(
         "{figure_label}: Execution time for {app_name}, normalized to RANDOM\n\
          (threads = {}, scale {})\n",
         app.threads(),
@@ -217,22 +218,22 @@ pub fn print_exec_figure(fig: &ExecTimeFigure) {
         }
         t.row(cells);
     }
-    println!("{t}");
+    outln!("{t}");
 
     // Bar view of the last processor-count column, like the paper's
     // figures (1.0 = RANDOM).
     if let Some(last) = fig.processor_counts.last() {
-        println!("bars at p={last} (full bar = RANDOM):");
+        outln!("bars at p={last} (full bar = RANDOM):");
         for (a, &algo) in fig.algorithms.iter().enumerate() {
             let v = *fig.normalized[a].last().expect("non-empty row");
-            println!(
+            outln!(
                 "  {:<14} {:<6} {}",
                 algo.paper_name(),
                 fmt_f(v, 3),
                 ascii_bar(v, 1.0, 40)
             );
         }
-        println!();
+        outln!();
     }
 }
 
@@ -241,7 +242,7 @@ pub fn print_miss_components_figure(app_name: &str) {
     let opts = harness_opts();
     let app = prepare(app_name);
     let procs = default_processor_counts(app.threads());
-    println!(
+    outln!(
         "Figure 5: Cache-miss components for {app_name} across placement\n\
          algorithms and configurations (scale {})\n",
         opts.scale
@@ -260,7 +261,7 @@ pub fn print_miss_components_figure(app_name: &str) {
 /// Prints a [`MissComponentsFigure`], one block per processor count.
 pub fn print_miss_figure(fig: &MissComponentsFigure) {
     for (p, &procs) in fig.processor_counts.iter().enumerate() {
-        println!("-- {procs} processors --");
+        outln!("-- {procs} processors --");
         let mut t = TextTable::new([
             "Algorithm",
             "Compulsory",
@@ -280,7 +281,7 @@ pub fn print_miss_figure(fig: &MissComponentsFigure) {
                 b.total().to_string(),
             ]);
         }
-        println!("{t}");
+        outln!("{t}");
     }
 }
 

@@ -70,8 +70,10 @@ struct Slot {
     line: u64,
     state: LineState,
     /// Last local thread to reference the line (set at fill, refreshed
-    /// on every hit). Coherence attribution reads this as the victim
-    /// thread when a remote write invalidates or updates the slot.
+    /// on every hit of a run that records attribution). Coherence
+    /// attribution reads this as the victim thread when a remote write
+    /// invalidates or updates the slot; nothing else reads it, so a run
+    /// without attribution may leave it stale.
     owner: ThreadId,
 }
 
@@ -255,7 +257,10 @@ impl ProcessorCache {
     /// Nothing changes, not even LRU order: a run of plain hits never
     /// evicts, so its outcome does not depend on LRU order, and a write
     /// hit on Exclusive leaves the line Modified, which hits again.
-    /// The engine's lookahead scan relies on both.
+    /// The engine's lookahead scan relies on both. On a direct-mapped
+    /// write-invalidate cache without attribution, this scan is the only
+    /// lookup a scanned hit gets: the engine commits the run without
+    /// calling [`ProcessorCache::access`] again.
     #[inline]
     pub fn hits_locally(&self, line: u64, is_write: bool) -> bool {
         let (idx, base) = self.set_bounds(line);

@@ -75,6 +75,23 @@
 //! * Re-arming a slot (a reschedule, a barrier release) drops its
 //!   lookahead, and the next pop rescans it.
 //!
+//! Committing a scanned run, at its pop or in a catch-up, would look
+//! each hit up a second time. On the paper's machine it need not: with a
+//! direct-mapped cache (`associativity() == 1`), under write-invalidate,
+//! and with no attribution recorded, committing a plain hit changes
+//! nothing that is read later. A one-way set has no LRU order to
+//! refresh. Write-invalidate has no silent Exclusive→Modified step: a
+//! write hits only on Modified. The slot's owner, which a hit refreshes,
+//! is read only by attribution. `run` decides this once, and then
+//! commits `n` scanned hits in O(1): it advances the trace by `n`
+//! ([`ThreadTraceIter::nth`]) and adds `n` to the counters. Set-associative
+//! caches (a hit reorders LRU), MESI and Dragon (a write hit on
+//! Exclusive turns Modified) and attributed runs keep the per-reference
+//! commit. Statistics, traffic matrices, timelines and attribution
+//! reports cannot tell the two apart, because the skipped accesses had
+//! no effect that anything reads. Debug builds still check each skipped
+//! reference with [`ProcessorCache::hits_locally`].
+//!
 //! Every globally visible action still executes in exact
 //! `(time, processor)` order, so statistics, traffic matrices and the
 //! attribution event order match the per-reference engine bit for bit —
@@ -355,6 +372,9 @@ struct Slots {
     /// `ahead[q]` counts the plain local hits that q's current context
     /// issues from `events[q]` on, or [`UNSCANNED`].
     ahead: Vec<u64>,
+    /// Committing a scanned plain hit changes nothing that is read later,
+    /// so [`commit_scanned`] skips the references (see the module docs).
+    inert_hits: bool,
 }
 
 impl Slots {
@@ -390,12 +410,7 @@ impl Slots {
         let ctx = &mut proc.contexts[proc.current];
         if n > 0 {
             obs.on_pop(&self.events);
-            for _ in 0..n {
-                let r = ctx.refs.next().expect("scanned reference");
-                let access =
-                    cache.access(r.addr.line(line_size).raw(), r.kind.is_write(), ctx.thread);
-                debug_assert_eq!(access, Access::Hit, "scanned hit must still hit");
-            }
+            commit_scanned(ctx, cache, n, line_size, self.inert_hits);
             proc.stats.busy += n;
             proc.stats.hits += n;
             proc.stats.finish_time = start + n;
@@ -470,6 +485,59 @@ fn scan(proc: &Processor<'_>, cache: &ProcessorCache, line_size: u64) -> u64 {
         .count() as u64
 }
 
+/// Commits `n` of `ctx`'s scanned plain hits to `cache`; the caller
+/// accounts them. With `inert` hits (see the module docs, "Hit-run
+/// lookahead") the commit has no effect that is read later, so it only
+/// advances the trace in O(1). Otherwise each reference is accessed again,
+/// which refreshes LRU order, silent Exclusive→Modified transitions and
+/// the slot's owner.
+#[inline(always)]
+fn commit_scanned(
+    ctx: &mut Context<'_>,
+    cache: &mut ProcessorCache,
+    n: u64,
+    line_size: u64,
+    inert: bool,
+) {
+    if n == 0 {
+        return;
+    }
+    if inert {
+        #[cfg(debug_assertions)]
+        for r in ctx.refs.clone().take(n as usize) {
+            assert!(
+                r.kind != RefKind::Barrier
+                    && cache.hits_locally(r.addr.line(line_size).raw(), r.kind.is_write()),
+                "scanned hit must still hit"
+            );
+        }
+        ctx.refs.nth(n as usize - 1).expect("scanned reference");
+    } else {
+        for _ in 0..n {
+            let r = ctx.refs.next().expect("scanned reference");
+            #[cfg(test)]
+            commit_counter::COMMIT_ACCESSES.with(|c| c.set(c.get() + 1));
+            let access = cache.access(r.addr.line(line_size).raw(), r.kind.is_write(), ctx.thread);
+            debug_assert_eq!(access, Access::Hit, "scanned hit must still hit");
+        }
+    }
+    #[cfg(test)]
+    commit_counter::SCANNED_COMMITS.with(|c| c.set(c.get() + n));
+}
+
+/// Test-only counters of [`commit_scanned`]'s work on this thread.
+#[cfg(test)]
+mod commit_counter {
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Scanned hits committed.
+        pub(super) static SCANNED_COMMITS: Cell<u64> = const { Cell::new(0) };
+        /// Cache accesses made to commit them.
+        pub(super) static COMMIT_ACCESSES: Cell<u64> = const { Cell::new(0) };
+    }
+}
+
 /// Why a hit run ended; every variant is a reference with global
 /// effects (or an end-of-trace) handled by the slow path.
 enum Stop {
@@ -535,12 +603,15 @@ fn run<H: Hooks>(
     // lookahead. One event = run the processor's current context up to
     // and including its next globally visible reference. With the
     // paper's small machines a linear argmin scan beats a binary heap.
+    let protocol = config.protocol();
     let mut slots = Slots {
         events: vec![NO_EVENT; p],
         ahead: vec![UNSCANNED; p],
+        inert_hits: config.associativity() == 1
+            && protocol == Protocol::Wi
+            && !obs.wants_attribution(),
     };
     let mut procs = build_processors(prog, map, |pi, at| slots.arm(pi, at));
-    let protocol = config.protocol();
     let mut caches: Vec<ProcessorCache> = (0..p)
         .map(|_| {
             ProcessorCache::with_protocol(
@@ -604,9 +675,9 @@ fn run<H: Hooks>(
         // Fast path: consume the current context's consecutive hitting
         // references without touching the event queue. Counters
         // accumulate in locals and flush once per run, so a hit costs no
-        // stat stores at all. No bound is needed: a scanned run hits
-        // exactly `scanned` times and then reaches its stop reference,
-        // and a lone run may go on until its own first stop.
+        // stat stores at all. A scanned run commits its `scanned` hits at
+        // once, and the loop then starts at its stop reference; a lone
+        // run is unscanned and may go on until its own first stop.
         let mut run_busy = 0u64;
         let mut run_hits = 0u64;
         let stop = {
@@ -614,6 +685,12 @@ fn run<H: Hooks>(
             let ctx = &mut procs[pi].contexts[ctx_idx];
             debug_assert!(!ctx.done);
             debug_assert!(ctx.ready_at <= t);
+            if !lone {
+                commit_scanned(ctx, cache, scanned, line_size, slots.inert_hits);
+                run_busy = scanned;
+                run_hits = scanned;
+                now += scanned;
+            }
             let thread = ctx.thread;
             loop {
                 let r: MemRef = ctx
@@ -1951,5 +2028,62 @@ mod lookahead_tests {
         assert_eq!(p0.misses.total(), 2);
         assert_eq!(p0.hits, 12);
         assert_eq!(p0.accounted_cycles(), p0.finish_time);
+    }
+}
+
+/// The O(1) commit of scanned hits: on the paper's machine a plain run
+/// re-accesses none of them, and a run that records attribution, which
+/// reads each slot's owner, re-accesses every one.
+#[cfg(test)]
+mod commit_tests {
+    use super::commit_counter::{COMMIT_ACCESSES, SCANNED_COMMITS};
+    use super::*;
+    use placesim_obs::AttrCollector;
+    use placesim_workloads::{generate, spec, GenOptions};
+
+    /// `(scanned hits committed, accesses made to commit them)` over one
+    /// run of `sim`.
+    fn count_commits(sim: impl FnOnce() -> SimStats) -> (SimStats, u64, u64) {
+        SCANNED_COMMITS.with(|c| c.set(0));
+        COMMIT_ACCESSES.with(|c| c.set(0));
+        let stats = sim();
+        (
+            stats,
+            SCANNED_COMMITS.with(std::cell::Cell::get),
+            COMMIT_ACCESSES.with(std::cell::Cell::get),
+        )
+    }
+
+    #[test]
+    fn paper_machine_commits_scanned_hits_without_accessing_them() {
+        let prog = generate(
+            &spec("gauss").expect("suite app"),
+            &GenOptions {
+                scale: 0.005,
+                seed: 1,
+            },
+        );
+        let clusters = (0..4)
+            .map(|q| (q..prog.thread_count()).step_by(4).collect())
+            .collect();
+        let map = PlacementMap::from_clusters(clusters).unwrap();
+        let config = ArchConfig::paper_default();
+        assert_eq!(config.associativity(), 1);
+        assert_eq!(config.protocol(), Protocol::Wi);
+
+        let (plain, scanned, accesses) = count_commits(|| simulate(&prog, &map, &config).unwrap());
+        assert!(scanned > 0, "the run must commit scanned hits");
+        assert_eq!(accesses, 0, "a plain run re-accessed scanned hits");
+
+        let (attributed, attr_scanned, attr_accesses) = count_commits(|| {
+            let mut obs = EngineObs {
+                attribution: Some(AttrCollector::default()),
+                ..EngineObs::default()
+            };
+            simulate_probed(&prog, &map, &config, &mut obs).unwrap()
+        });
+        assert_eq!(attributed, plain);
+        assert_eq!(attr_scanned, scanned);
+        assert_eq!(attr_accesses, scanned, "one access per scanned hit");
     }
 }

@@ -11,8 +11,9 @@
 //!   helpers. The workspace's vendored `serde` is a no-op stand-in, so
 //!   every JSON artifact in the repo is built and checked through this
 //!   module.
-//! * [`sink`] — JSONL append sinks and an atomic write-then-rename
-//!   file helper used for manifests and metrics outputs.
+//! * [`sink`] — JSONL append sinks, an atomic write-then-rename
+//!   file helper used for manifests and metrics outputs, and the
+//!   [`outln!`] / [`out!`] stdout writers of the binaries.
 //! * [`proto`] — the `placesim-service-v1` wire protocol: bounded
 //!   framing, a hardened request parser, and the placement service's
 //!   metrics block.
@@ -36,6 +37,27 @@ pub use proto::{JobOp, JobSpec, ProtoError, Request, ServiceMetrics, SERVICE_SCH
 pub use timeline::{EventKind, EventTrace, SharingRun, TimelineEvent};
 
 use std::time::Instant;
+
+/// `println!` for a binary's output, through [`sink::write_stdout`]:
+/// when stdout is a pipe whose reader has gone, the process ends quietly
+/// with status 0 instead of panicking.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::sink::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::sink::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `print!` with [`outln!`]'s handling of a closed stdout.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::sink::write_stdout(format_args!($($arg)*))
+    };
+}
 
 /// A named monotonic counter.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -1,4 +1,5 @@
-//! Output sinks: JSONL appenders and atomic single-file writes.
+//! Output sinks: JSONL appenders, atomic single-file writes and a
+//! stdout writer that ends quietly when its reader has gone.
 
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};
@@ -65,6 +66,21 @@ pub fn tmp_sibling(path: &Path) -> PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(".tmp");
     path.with_file_name(name)
+}
+
+/// Writes `args` to stdout, the target of [`crate::outln!`] and
+/// [`crate::out!`]. When stdout is a pipe whose reader has gone
+/// (`placesim-cli suite | head -1`), the process ends quietly with
+/// status 0, as a reader that stopped reading expects; `println!` would
+/// panic and exit with 101. Any other write error ends it with status 1.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = io::stdout().lock().write_fmt(args) {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
 }
 
 /// An append-only JSON-lines sink: one complete JSON document per line.

@@ -284,6 +284,16 @@ impl Iterator for ThreadTraceIter<'_> {
             .map(|&p| MemRef::unpack(p).expect("trace contains only packed MemRefs"))
     }
 
+    /// Skips `n` references in O(1) and unpacks only the one it
+    /// returns: the simulation engine commits a run of scanned cache
+    /// hits this way.
+    #[inline]
+    fn nth(&mut self, n: usize) -> Option<MemRef> {
+        self.inner
+            .nth(n)
+            .map(|&p| MemRef::unpack(p).expect("trace contains only packed MemRefs"))
+    }
+
     fn size_hint(&self) -> (usize, Option<usize>) {
         self.inner.size_hint()
     }
@@ -325,6 +335,25 @@ mod tests {
         assert_eq!(refs[0], MemRef::instr(Address::new(0x100)));
         assert_eq!(refs[3], MemRef::write(Address::new(0x8000)));
         assert_eq!(t.iter().len(), 5);
+    }
+
+    #[test]
+    fn nth_matches_repeated_next() {
+        let t = sample();
+        for k in 0..t.len() {
+            let mut stepped = t.iter();
+            let mut want = None;
+            for _ in 0..=k {
+                want = stepped.next();
+            }
+            let mut skipped = t.iter();
+            assert_eq!(skipped.nth(k), want, "nth({k})");
+            assert_eq!(skipped.len(), stepped.len(), "len after nth({k})");
+        }
+        let mut past = t.iter();
+        assert_eq!(past.nth(t.len()), None);
+        assert_eq!(past.len(), 0);
+        assert_eq!(t.iter().nth(t.len() + 3), None);
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Custom workload: build a program trace by hand — a producer/consumer
-//! pipeline with deliberately extreme, *non-sequential* sharing — and
-//! watch sharing-based placement finally earn its keep.
+//! Custom workload: a program trace built by hand
+//! ([`placesim_repro::pingpong`]) with deliberately extreme,
+//! *non-sequential* sharing, on which sharing-based placement finally
+//! earns its keep.
 //!
 //! The paper's negative result hinges on real programs sharing data
 //! sequentially and uniformly. This example constructs the opposite: a
@@ -14,60 +15,13 @@
 //! cargo run --release --example custom_workload
 //! ```
 
-use placesim::PreparedApp;
+use placesim_repro::pingpong::pingpong_app;
 use placesim_repro::prelude::*;
-use placesim_workloads::{AppSpec, Granularity, SharingPattern, TargetStat};
-
-/// Threads `2k` and `2k+1` ping-pong a dedicated block of lines.
-fn pingpong_pair(pair: usize, role: usize, rounds: usize) -> ThreadTrace {
-    let base = 0x1_0000 + (pair as u64) * 0x1000;
-    let mut t = ThreadTrace::new();
-    for round in 0..rounds {
-        // A little private compute between exchanges.
-        for i in 0..8u64 {
-            t.push(MemRef::instr(Address::new(4 * i)));
-        }
-        // Alternate writes to the pair's mailbox lines.
-        for line in 0..4u64 {
-            let addr = Address::new(base + 32 * line);
-            if (round + role).is_multiple_of(2) {
-                t.push(MemRef::write(addr));
-            } else {
-                t.push(MemRef::read(addr));
-            }
-        }
-    }
-    t
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pairs = 8;
     let rounds = 2_000;
-    let threads: Vec<ThreadTrace> = (0..pairs * 2)
-        .map(|tid| pingpong_pair(tid / 2, tid % 2, rounds))
-        .collect();
-    let prog = ProgramTrace::new("pingpong", threads);
-
-    // Describe the workload so PreparedApp can pick a cache size.
-    let spec = AppSpec {
-        name: "pingpong",
-        granularity: Granularity::Medium,
-        threads: pairs * 2,
-        thread_length: TargetStat::new((rounds * 8) as f64, 0.0),
-        shared_percent: 100.0,
-        refs_per_shared_addr: 4.0,
-        data_ratio: 0.5,
-        pattern: SharingPattern::UniformAllShare {
-            write_fraction: 0.5,
-        },
-        cache_kb: 64,
-        phases: 1,
-    };
-    let opts = GenOptions {
-        scale: 1.0,
-        seed: 1,
-    };
-    let app = PreparedApp::from_trace(&spec, prog, &opts);
+    let app = pingpong_app(pairs, rounds);
 
     println!(
         "pathological ping-pong workload: {} thread pairs, {} rounds\n",

@@ -16,7 +16,7 @@ use placesim_machine::{
     probe_coherence, simulate_probed, ArchConfig, AttrCollector, AttributionConfig, EngineObs,
     EngineObsReport, EventTrace, Protocol,
 };
-use placesim_obs::{sink, FaultCounters, SpanTimer};
+use placesim_obs::{out, outln, sink, FaultCounters, SpanTimer};
 use placesim_placement::{thread_lengths, PlacementAlgorithm, PlacementInputs};
 use placesim_trace::{compress, io as trace_io, stream, ProgramTrace};
 use placesim_workloads::{generate, generate_streamed, suite, GenOptions};
@@ -26,34 +26,6 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// `println!` for this binary's output. When stdout is a pipe whose
-/// reader has gone (`placesim-cli suite | head -1`), the process ends
-/// quietly with status 0, as a reader that stopped reading expects;
-/// `println!` would panic and exit with 101.
-macro_rules! outln {
-    ($($arg:tt)*) => {
-        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
-    };
-}
-
-/// `print!` with [`outln!`]'s handling of a closed stdout.
-macro_rules! out {
-    ($($arg:tt)*) => {
-        write_stdout(format_args!($($arg)*))
-    };
-}
-
-fn write_stdout(args: std::fmt::Arguments<'_>) {
-    use std::io::Write;
-    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
-        if e.kind() == std::io::ErrorKind::BrokenPipe {
-            std::process::exit(0);
-        }
-        eprintln!("error: writing to stdout: {e}");
-        std::process::exit(1);
-    }
-}
 
 /// A CLI failure carrying its process exit code. The taxonomy (documented
 /// in the README):

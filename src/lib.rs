@@ -10,12 +10,15 @@
 //! * [`analysis`] — static sharing analysis,
 //! * [`placement`] — the placement algorithms,
 //! * [`machine`] — the multithreaded multiprocessor simulator,
-//! * [`runner`] — the high-level experiment runner.
+//! * [`runner`] — the high-level experiment runner,
+//! * [`pingpong`] — the positive-control workload.
 //!
 //! See `README.md` for a tour and `examples/` for runnable entry points.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod pingpong;
 
 pub use placesim as runner;
 pub use placesim_analysis as analysis;

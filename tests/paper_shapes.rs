@@ -228,3 +228,43 @@ fn kl_refinement_does_not_rescue_sharing_placement() {
         lb.execution_time()
     );
 }
+
+/// The positive control (`placesim_repro::pingpong`): on ping-pong
+/// thread pairs the pipeline must see a sharing effect. SHARE-REFS
+/// co-locates every pair, so it removes all coherence traffic at every
+/// processor count, and MIN-SHARE, its designed opposite, never has
+/// fewer invalidation misses than RANDOM. The removed traffic buys
+/// execution time at p = 4 and 8 but not at p = 2. LOAD-BAL is not
+/// compared: it runs faster still at p = 4 and 8.
+#[test]
+fn sharing_placement_wins_on_ping_pong_pairs() {
+    let app = placesim_repro::pingpong::pingpong_app(8, 2_000);
+    for p in [2, 4, 8] {
+        let run = |algo| placesim::run_placement(&app, algo, p).unwrap();
+        let share = run(PlacementAlgorithm::ShareRefs);
+        let random = run(PlacementAlgorithm::Random);
+        let min_share = run(PlacementAlgorithm::MinShare);
+        let inv = |r: &ExperimentResult| r.stats.total_misses().invalidation;
+        assert_eq!(inv(&share), 0, "p={p}: SHARE-REFS invalidation misses");
+        assert_eq!(
+            share.stats.coherence_traffic(),
+            0,
+            "p={p}: SHARE-REFS traffic"
+        );
+        assert!(inv(&random) > 0, "p={p}: RANDOM must split some pair");
+        assert!(
+            inv(&min_share) >= inv(&random),
+            "p={p}: MIN-SHARE {} invalidation misses, fewer than RANDOM's {}",
+            inv(&min_share),
+            inv(&random)
+        );
+        let faster = share.execution_time() < random.execution_time();
+        assert_eq!(
+            faster,
+            p != 2,
+            "p={p}: SHARE-REFS {} vs RANDOM {} cycles",
+            share.execution_time(),
+            random.execution_time()
+        );
+    }
+}
