@@ -53,7 +53,7 @@ use placesim_obs::FaultCounters;
 use placesim_placement::PlacementAlgorithm;
 use placesim_trace::hash::{fnv1a64, program_fingerprint};
 use placesim_workloads::GenOptions;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Write};
@@ -257,6 +257,12 @@ enum JobState {
 }
 
 impl JobState {
+    /// Queued, running or done: a resubmission of the same spec is
+    /// answered with this job.
+    fn is_live(&self) -> bool {
+        !matches!(self, JobState::Failed(_) | JobState::Evicted)
+    }
+
     fn name(&self) -> &'static str {
         match self {
             JobState::Queued => "queued",
@@ -282,7 +288,11 @@ struct State {
     _lock: LockFile,
     /// Queued job ids in submission order.
     queue: VecDeque<u64>,
+    /// Every job accepted. Add jobs and change their states only
+    /// through [`State::insert_job`] and [`State::set_job_state`], which
+    /// keep `index` in step.
     jobs: BTreeMap<u64, Job>,
+    index: JobIndex,
     /// LRU of in-memory results: `(spec_fp, job_id)`, newest at the
     /// back. Overflow evicts the front job's result bytes.
     cache: VecDeque<(u64, u64)>,
@@ -290,6 +300,74 @@ struct State {
     faults: FaultCounters,
     next_id: u64,
     draining: bool,
+}
+
+/// What `submit` and `status` need to know about the job table without
+/// walking it.
+#[derive(Debug, Default)]
+struct JobIndex {
+    /// `(spec_fp, id)` of every live job. Replay can leave two live jobs
+    /// with one fingerprint (a job re-queued from the journal next to its
+    /// resubmission); dedup answers with the lower id, the first in this
+    /// order.
+    live: BTreeSet<(u64, u64)>,
+    /// Jobs in [`JobState::Running`]. (The queued ones are `State::queue`.)
+    running: u64,
+}
+
+impl JobIndex {
+    /// Counts job `id`, with spec fingerprint `fp`, entering (`add`) or
+    /// leaving `state`.
+    fn update(&mut self, id: u64, fp: u64, state: &JobState, add: bool) {
+        if state.is_live() {
+            if add {
+                self.live.insert((fp, id));
+            } else {
+                self.live.remove(&(fp, id));
+            }
+        }
+        if matches!(state, JobState::Running) {
+            if add {
+                self.running += 1;
+            } else {
+                self.running -= 1;
+            }
+        }
+    }
+
+    /// The live job with spec fingerprint `fp`, lowest id first.
+    fn live_job(&self, fp: u64) -> Option<u64> {
+        self.live
+            .range((fp, 0)..=(fp, u64::MAX))
+            .next()
+            .map(|&(_, id)| id)
+    }
+}
+
+impl State {
+    /// Adds job `id` as queued. A replayed journal that names an id twice
+    /// keeps the later job.
+    fn insert_job(&mut self, id: u64, spec: JobSpec, spec_fp: u64) {
+        let job = Job {
+            spec,
+            spec_fp,
+            state: JobState::Queued,
+        };
+        if let Some(old) = self.jobs.insert(id, job) {
+            self.index.update(id, old.spec_fp, &old.state, false);
+        }
+        self.index.update(id, spec_fp, &JobState::Queued, true);
+    }
+
+    /// Moves job `id` to `next`; unknown ids are ignored.
+    fn set_job_state(&mut self, id: u64, next: JobState) {
+        let Some(job) = self.jobs.get_mut(&id) else {
+            return;
+        };
+        self.index.update(id, job.spec_fp, &job.state, false);
+        self.index.update(id, job.spec_fp, &next, true);
+        job.state = next;
+    }
 }
 
 #[derive(Debug)]
@@ -332,6 +410,7 @@ impl PlacementService {
             _lock: lockfile,
             queue: VecDeque::new(),
             jobs: BTreeMap::new(),
+            index: JobIndex::default(),
             cache: VecDeque::new(),
             metrics: ServiceMetrics::new(),
             faults: FaultCounters::new(),
@@ -417,11 +496,7 @@ impl PlacementService {
         }
         // Dedup: an identical spec that is queued, running or done is
         // answered with the existing job id — the journal sees nothing.
-        let existing = st.jobs.iter().find_map(|(&id, j)| {
-            (j.spec_fp == fp && !matches!(j.state, JobState::Failed(_) | JobState::Evicted))
-                .then_some(id)
-        });
-        if let Some(id) = existing {
+        if let Some(id) = st.index.live_job(fp) {
             st.metrics.cache_hits += 1;
             return submit_ok(id, true);
         }
@@ -443,14 +518,7 @@ impl PlacementService {
             return reject("journal", &format!("could not journal the job: {e}"));
         }
         st.next_id += 1;
-        st.jobs.insert(
-            id,
-            Job {
-                spec,
-                spec_fp: fp,
-                state: JobState::Queued,
-            },
-        );
+        st.insert_job(id, spec, fp);
         st.queue.push_back(id);
         st.metrics.accepted += 1;
         drop(st);
@@ -460,14 +528,6 @@ impl PlacementService {
 
     fn status(&self) -> String {
         let st = lock(&self.inner.state);
-        let (mut queued, mut running) = (0u64, 0u64);
-        for j in st.jobs.values() {
-            match j.state {
-                JobState::Queued => queued += 1,
-                JobState::Running => running += 1,
-                _ => {}
-            }
-        }
         let mut w = JsonWriter::new();
         w.begin_object();
         w.field_str("schema", proto::SERVICE_SCHEMA);
@@ -475,8 +535,8 @@ impl PlacementService {
         w.field_str("op", "status");
         w.field_u64("pid", u64::from(std::process::id()));
         w.field_bool("draining", st.draining);
-        w.field_u64("queued", queued);
-        w.field_u64("running", running);
+        w.field_u64("queued", st.queue.len() as u64);
+        w.field_u64("running", st.index.running);
         w.field_u64("workers", self.inner.config.workers as u64);
         w.field_u64("queue_capacity", self.inner.config.queue_capacity as u64);
         w.key("metrics");
@@ -568,14 +628,7 @@ fn replay_record(
                 return false;
             };
             let fp = fnv1a64(spec.canonical_json().as_bytes());
-            state.jobs.insert(
-                id,
-                Job {
-                    spec,
-                    spec_fp: fp,
-                    state: JobState::Queued,
-                },
-            );
+            state.insert_job(id, spec, fp);
             state.next_id = state.next_id.max(id + 1);
             true
         }
@@ -583,11 +636,10 @@ fn replay_record(
             let Some(result) = doc.get("result").and_then(JsonValue::as_str) else {
                 return false;
             };
-            let Some(job) = state.jobs.get_mut(&id) else {
+            let Some(fp) = state.jobs.get(&id).map(|j| j.spec_fp) else {
                 return false;
             };
-            job.state = JobState::Done(result.to_owned());
-            let fp = job.spec_fp;
+            state.set_job_state(id, JobState::Done(result.to_owned()));
             retain_result(state, fp, id, cache_capacity);
             recovery.completed += 1;
             true
@@ -596,10 +648,10 @@ fn replay_record(
             let Some(reason) = doc.get("reason").and_then(JsonValue::as_str) else {
                 return false;
             };
-            let Some(job) = state.jobs.get_mut(&id) else {
+            if !state.jobs.contains_key(&id) {
                 return false;
-            };
-            job.state = JobState::Failed(reason.to_owned());
+            }
+            state.set_job_state(id, JobState::Failed(reason.to_owned()));
             recovery.failed += 1;
             true
         }
@@ -614,10 +666,11 @@ fn retain_result(state: &mut State, spec_fp: u64, id: u64, capacity: usize) {
     state.cache.push_back((spec_fp, id));
     while state.cache.len() > capacity.max(1) {
         if let Some((_, old)) = state.cache.pop_front() {
-            if let Some(job) = state.jobs.get_mut(&old) {
-                if matches!(job.state, JobState::Done(_)) {
-                    job.state = JobState::Evicted;
-                }
+            if matches!(
+                state.jobs.get(&old).map(|j| &j.state),
+                Some(JobState::Done(_))
+            ) {
+                state.set_job_state(old, JobState::Evicted);
             }
         }
     }
@@ -632,8 +685,8 @@ fn worker_loop(inner: &Arc<Inner>) {
                     return;
                 }
                 if let Some(id) = st.queue.pop_front() {
-                    let job = st.jobs.get_mut(&id).expect("queued id has a job");
-                    job.state = JobState::Running;
+                    st.set_job_state(id, JobState::Running);
+                    let job = st.jobs.get(&id).expect("queued id has a job");
                     break (id, job.spec.clone());
                 }
                 st = inner.work.wait(st).unwrap_or_else(|p| p.into_inner());
@@ -692,24 +745,21 @@ fn finish_job(
     match (appended, outcome) {
         (Ok(()), Ok(result)) => {
             let fp = st.jobs.get(&id).map_or(0, |j| j.spec_fp);
-            if let Some(job) = st.jobs.get_mut(&id) {
-                job.state = JobState::Done(result);
-            }
+            st.set_job_state(id, JobState::Done(result));
             retain_result(&mut st, fp, id, inner.config.cache_capacity);
             st.metrics.completed += 1;
             st.metrics.job_wall_ms.record(wall_ms);
         }
         (Ok(()), Err(reason)) => {
-            if let Some(job) = st.jobs.get_mut(&id) {
-                job.state = JobState::Failed(reason);
-            }
+            st.set_job_state(id, JobState::Failed(reason));
             st.metrics.failed += 1;
         }
         (Err(je), _) => {
             // io_errors/retries were already counted by append().
-            if let Some(job) = st.jobs.get_mut(&id) {
-                job.state = JobState::Failed(format!("result could not be journaled: {je}"));
-            }
+            st.set_job_state(
+                id,
+                JobState::Failed(format!("result could not be journaled: {je}")),
+            );
             st.metrics.failed += 1;
         }
     }
@@ -1137,6 +1187,99 @@ mod tests {
             .and_then(|m| m.get("rejected_malformed"))
             .and_then(JsonValue::as_u64);
         assert_eq!(malformed, Some(3));
+        svc.drain_and_join();
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The dedup answer and the counts the service used to get by
+    /// walking every job, compared with its index.
+    fn assert_index_matches_scan(svc: &PlacementService) {
+        let st = lock(&svc.inner.state);
+        for fp in st.jobs.values().map(|j| j.spec_fp) {
+            let scan = st.jobs.iter().find_map(|(&id, j)| {
+                (j.spec_fp == fp && !matches!(j.state, JobState::Failed(_) | JobState::Evicted))
+                    .then_some(id)
+            });
+            assert_eq!(st.index.live_job(fp), scan);
+        }
+        let count = |f: fn(&JobState) -> bool| st.jobs.values().filter(|j| f(&j.state)).count();
+        assert_eq!(st.index.live.len(), count(JobState::is_live));
+        assert_eq!(st.queue.len(), count(|s| matches!(s, JobState::Queued)));
+        assert_eq!(
+            st.index.running as usize,
+            count(|s| matches!(s, JobState::Running))
+        );
+    }
+
+    /// Submits `job`, checks the index, and returns `(id, cached)`.
+    fn submit_checked(svc: &PlacementService, job: &str) -> (u64, bool) {
+        let doc = json::parse(&svc.handle_request(&submit_line(job))).unwrap();
+        assert_index_matches_scan(svc);
+        (
+            doc.get("id").and_then(JsonValue::as_u64).unwrap(),
+            doc.get("cached").and_then(JsonValue::as_bool).unwrap(),
+        )
+    }
+
+    /// Waits for job `id` to finish, checks the index, and returns its
+    /// state.
+    fn wait_checked(svc: &PlacementService, id: u64) -> String {
+        let wait = format!(
+            "{{\"schema\": \"{}\", \"op\": \"wait\", \"id\": {id}, \"timeout_ms\": 30000}}",
+            proto::SERVICE_SCHEMA
+        );
+        let doc = json::parse(&svc.handle_request(&wait)).unwrap();
+        assert_index_matches_scan(svc);
+        doc.get("state")
+            .and_then(JsonValue::as_str)
+            .unwrap()
+            .to_owned()
+    }
+
+    #[test]
+    fn dedup_index_agrees_with_a_scan_through_failures_evictions_and_restart() {
+        let dir = tmp_dir("dedup-index");
+        let a = ANALYZE_JOB.replace("\"seed\": 3", "\"seed\": 1");
+        let b = ANALYZE_JOB.replace("\"seed\": 3", "\"seed\": 2");
+        let bad = ANALYZE_JOB.replace("water", "no-such-app");
+        let mut cfg = quick_config();
+        cfg.cache_capacity = 1;
+        let (svc, _) = PlacementService::start(&dir, cfg).unwrap();
+        assert_index_matches_scan(&svc);
+
+        let (a1, cached) = submit_checked(&svc, &a);
+        assert!(!cached);
+        assert_eq!(wait_checked(&svc, a1), "done");
+        let (f1, _) = submit_checked(&svc, &bad);
+        assert_eq!(wait_checked(&svc, f1), "failed");
+        assert_eq!(submit_checked(&svc, &a), (a1, true));
+        // B's result evicts A's, so A's next submission is a new job.
+        let (b1, _) = submit_checked(&svc, &b);
+        assert_eq!(wait_checked(&svc, b1), "done");
+        assert_eq!(wait_checked(&svc, a1), "evicted");
+        let (a2, cached) = submit_checked(&svc, &a);
+        assert!(!cached && a2 > b1);
+        assert_eq!(wait_checked(&svc, a2), "done");
+        // A failed job is never the dedup answer.
+        let (f2, cached) = submit_checked(&svc, &bad);
+        assert!(!cached && f2 > f1);
+        assert_eq!(wait_checked(&svc, f2), "failed");
+        svc.drain_and_join();
+        drop(svc); // releases the lockfile
+
+        // A restart with room for every result keeps A's first job live
+        // next to its resubmission; dedup answers with the lower id.
+        let mut cfg = quick_config();
+        cfg.workers = 0;
+        let (svc, rec) = PlacementService::start(&dir, cfg).unwrap();
+        assert_eq!((rec.completed, rec.failed), (3, 2));
+        assert_index_matches_scan(&svc);
+        assert_eq!(submit_checked(&svc, &a), (a1, true));
+        let c = ANALYZE_JOB.replace("\"seed\": 3", "\"seed\": 4");
+        let (c1, cached) = submit_checked(&svc, &c);
+        assert!(!cached);
+        assert_eq!(submit_checked(&svc, &c), (c1, true));
+        assert_eq!(lock(&svc.inner.state).queue.len(), 1);
         svc.drain_and_join();
         fs::remove_dir_all(&dir).ok();
     }

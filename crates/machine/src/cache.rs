@@ -13,7 +13,10 @@
 //! # Layout
 //!
 //! Ways live in one flat slab: set `s` occupies
-//! `slots[s * assoc .. s * assoc + lens[s]]`, most recently used first.
+//! `slots[s * assoc .. (s + 1) * assoc]`, most recently used first. The
+//! resident ways come first; every way past the set's occupancy holds the
+//! line id [`EMPTY`], which no resident line can have. A lookup therefore
+//! compares all `assoc` ways of its set and needs no occupancy count.
 //! One slab keeps every lookup inside a single allocation (the hot path
 //! of the simulation engine), where the earlier `Vec<Vec<Slot>>` layout
 //! paid a pointer chase into a separately-allocated set on every
@@ -32,7 +35,13 @@ use crate::protocol::{Protocol, WriteHit};
 use crate::stats::MissKind;
 use placesim_placement::ProcessorId;
 use placesim_trace::hash::FastMap;
-use placesim_trace::ThreadId;
+use placesim_trace::{Address, ThreadId};
+
+/// Line id of a way past its set's occupancy. No resident line has it:
+/// addresses are at most [`Address::MAX_BITS`] bits wide, so every line id
+/// is below `2^62`.
+const EMPTY: u64 = u64::MAX;
+const _: () = assert!(Address::MAX_BITS < 64);
 
 /// Local coherence state of a resident line (Invalid is "not
 /// resident"). Which states are reachable depends on the protocol
@@ -51,6 +60,14 @@ pub enum LineState {
     /// Dragon's Sm: shared with other caches but this copy is the dirty
     /// owner responsible for propagating updates.
     SharedDirty,
+}
+
+impl LineState {
+    /// This state's bit in a mask of states.
+    #[inline]
+    fn bit(self) -> u8 {
+        1 << self as u8
+    }
 }
 
 /// Why a previously-resident line is no longer in the cache.
@@ -75,6 +92,17 @@ struct Slot {
     /// invalidates or updates the slot; nothing else reads it, so a run
     /// without attribution may leave it stale.
     owner: ThreadId,
+}
+
+impl Slot {
+    /// A way past its set's occupancy.
+    fn empty() -> Self {
+        Slot {
+            line: EMPTY,
+            state: LineState::Shared,
+            owner: ThreadId::new(0),
+        }
+    }
 }
 
 /// Outcome of a cache access, before any fill.
@@ -125,11 +153,9 @@ pub enum Access {
 /// (associativity 1 = the paper's direct-mapped configuration).
 #[derive(Debug)]
 pub struct ProcessorCache {
-    /// Flat way slab: set `s` is `slots[s * assoc ..][..lens[s]]`,
-    /// MRU first.
+    /// Flat way slab: set `s` is `slots[s * assoc ..][..assoc]`, resident
+    /// ways MRU first, then [`EMPTY`] ways.
     slots: Vec<Slot>,
-    /// Occupied ways per set.
-    lens: Vec<u32>,
     assoc: usize,
     /// Departure reason of every previously-resident, non-resident line.
     /// Doubles as the "ever seen" record: see the module docs.
@@ -142,6 +168,10 @@ pub struct ProcessorCache {
     /// (cache-side) half of the protocol lives here; the directory-side
     /// half lives in the engine's miss path.
     protocol: Protocol,
+    /// [`LineState::bit`]s of the states a write hits in without the
+    /// directory: Modified, and Exclusive where the protocol upgrades it
+    /// silently. Built once from the protocol's write-hit table.
+    writable: u8,
 }
 
 impl ProcessorCache {
@@ -177,19 +207,20 @@ impl ProcessorCache {
             "set count must be a power of two"
         );
         assert!(assoc > 0, "associativity must be positive");
-        let empty = Slot {
-            line: u64::MAX,
-            state: LineState::Shared,
-            owner: ThreadId::new(0),
-        };
+        let writable = protocol
+            .semantics()
+            .lattice()
+            .iter()
+            .filter(|&&s| matches!(protocol.write_hit(s), WriteHit::Hit | WriteHit::Silent(_)))
+            .fold(0, |mask, s| mask | s.bit());
         ProcessorCache {
-            slots: vec![empty; num_sets as usize * assoc],
-            lens: vec![0; num_sets as usize],
+            slots: vec![Slot::empty(); num_sets as usize * assoc],
             assoc,
             gone: FastMap::default(),
             set_mask: num_sets - 1,
             fills: 0,
             protocol,
+            writable,
         }
     }
 
@@ -203,10 +234,35 @@ impl ProcessorCache {
         self.assoc
     }
 
+    /// Start of `line`'s set in the way slab.
     #[inline]
-    fn set_bounds(&self, line: u64) -> (usize, usize) {
-        let idx = (line & self.set_mask) as usize;
-        (idx, idx * self.assoc)
+    fn set_base(&self, line: u64) -> usize {
+        (line & self.set_mask) as usize * self.assoc
+    }
+
+    /// All ways of `line`'s set, resident ones first.
+    #[inline]
+    fn set(&self, line: u64) -> &[Slot] {
+        let base = self.set_base(line);
+        &self.slots[base..base + self.assoc]
+    }
+
+    /// The resident way holding `line`, if any.
+    #[inline]
+    fn slot_mut(&mut self, line: u64) -> Option<&mut Slot> {
+        let base = self.set_base(line);
+        self.slots[base..base + self.assoc]
+            .iter_mut()
+            .find(|s| s.line == line)
+    }
+
+    /// Occupied ways of the set starting at `base`.
+    #[inline]
+    fn occupancy(&self, base: usize) -> usize {
+        self.slots[base..base + self.assoc]
+            .iter()
+            .position(|s| s.line == EMPTY)
+            .unwrap_or(self.assoc)
     }
 
     /// One-pass access: classifies a reference to `line`, updates LRU
@@ -218,9 +274,8 @@ impl ProcessorCache {
     /// reference.
     #[inline(always)]
     pub fn access(&mut self, line: u64, is_write: bool, thread: ThreadId) -> Access {
-        let (idx, base) = self.set_bounds(line);
-        let len = self.lens[idx] as usize;
-        let set = &mut self.slots[base..base + len];
+        let base = self.set_base(line);
+        let set = &mut self.slots[base..base + self.assoc];
         if let Some(pos) = set.iter().position(|s| s.line == line) {
             let mut slot = set[pos];
             if pos > 0 {
@@ -261,20 +316,17 @@ impl ProcessorCache {
     /// write-invalidate cache without attribution, this scan is the only
     /// lookup a scanned hit gets: the engine commits the run without
     /// calling [`ProcessorCache::access`] again.
+    ///
+    /// A write checks the way's state against the protocol's mask of
+    /// locally writable states. A state outside the protocol's lattice is
+    /// not in the mask, so the scan stops there and the engine's
+    /// [`ProcessorCache::access`] meets it in [`Protocol::write_hit`].
     #[inline]
     pub fn hits_locally(&self, line: u64, is_write: bool) -> bool {
-        let (idx, base) = self.set_bounds(line);
-        let len = self.lens[idx] as usize;
-        self.slots[base..base + len]
+        let writable = if is_write { self.writable } else { u8::MAX };
+        self.set(line)
             .iter()
-            .find(|s| s.line == line)
-            .is_some_and(|s| {
-                !is_write
-                    || matches!(
-                        self.protocol.write_hit(s.state),
-                        WriteHit::Hit | WriteHit::Silent(_)
-                    )
-            })
+            .any(|s| s.line == line && writable & s.state.bit() != 0)
     }
 
     /// Classifies an access to `line` and updates LRU order on hits.
@@ -283,9 +335,8 @@ impl ProcessorCache {
     /// calls [`ProcessorCache::fill`] (for misses) or relies on
     /// [`ProcessorCache::set_modified`] (for upgrades).
     pub fn probe(&mut self, line: u64, is_write: bool) -> AccessOutcome {
-        let (idx, base) = self.set_bounds(line);
-        let len = self.lens[idx] as usize;
-        let set = &mut self.slots[base..base + len];
+        let base = self.set_base(line);
+        let set = &mut self.slots[base..base + self.assoc];
         if let Some(pos) = set.iter().position(|s| s.line == line) {
             let mut slot = set[pos];
             set.copy_within(..pos, 1); // MRU to front
@@ -305,11 +356,10 @@ impl ProcessorCache {
             set[0] = slot;
             return outcome;
         }
-        let victim = if len == self.assoc {
-            set.last().map(|s| (s.line, s.state))
-        } else {
-            None
-        };
+        let victim = set
+            .last()
+            .filter(|s| s.line != EMPTY)
+            .map(|s| (s.line, s.state));
         AccessOutcome::Miss { victim }
     }
 
@@ -356,19 +406,19 @@ impl ProcessorCache {
         state: LineState,
         thread: ThreadId,
     ) -> Option<(u64, LineState)> {
-        let (idx, base) = self.set_bounds(line);
-        let len = self.lens[idx] as usize;
+        debug_assert!(line != EMPTY, "line id {line:#x} is the empty-way marker");
         debug_assert!(
-            self.slots[base..base + len].iter().all(|s| s.line != line),
+            self.set(line).iter().all(|s| s.line != line),
             "fill of resident line"
         );
+        let base = self.set_base(line);
+        let len = self.occupancy(base);
         self.fills += 1;
         let victim = if len == self.assoc {
             let lru = self.slots[base + len - 1];
             self.gone.insert(lru.line, GoneReason::EvictedBy(thread));
             Some((lru.line, lru.state))
         } else {
-            self.lens[idx] = (len + 1) as u32;
             None
         };
         let occupied = if victim.is_some() { len - 1 } else { len };
@@ -390,16 +440,13 @@ impl ProcessorCache {
     /// Panics (debug builds) if the line is not resident — the directory's
     /// sharer sets are exact, so spurious invalidations indicate a bug.
     pub fn invalidate(&mut self, line: u64, by: ProcessorId, writer: ThreadId) {
-        let (idx, base) = self.set_bounds(line);
-        let len = self.lens[idx] as usize;
-        match self.slots[base..base + len]
-            .iter()
-            .position(|s| s.line == line)
-        {
+        let base = self.set_base(line);
+        let end = base + self.assoc;
+        match self.set(line).iter().position(|s| s.line == line) {
             Some(pos) => {
-                self.slots
-                    .copy_within(base + pos + 1..base + len, base + pos);
-                self.lens[idx] = (len - 1) as u32;
+                // Close the gap and mark the vacated last way empty.
+                self.slots.copy_within(base + pos + 1..end, base + pos);
+                self.slots[end - 1] = Slot::empty();
                 self.gone
                     .insert(line, GoneReason::InvalidatedBy(by, writer));
             }
@@ -417,19 +464,15 @@ impl ProcessorCache {
     /// Panics (debug builds) if the line is not resident in an exclusive
     /// state (Modified, or Exclusive under MESI/Dragon).
     pub fn downgrade(&mut self, line: u64) {
-        let (idx, base) = self.set_bounds(line);
-        let len = self.lens[idx] as usize;
-        match self.slots[base..base + len]
-            .iter_mut()
-            .find(|s| s.line == line)
-        {
+        let protocol = self.protocol;
+        match self.slot_mut(line) {
             Some(slot) => {
                 debug_assert!(
                     matches!(slot.state, LineState::Modified | LineState::Exclusive),
                     "downgrade of non-exclusive line {line:#x} in state {:?}",
                     slot.state
                 );
-                slot.state = self.protocol.downgrade_target(slot.state);
+                slot.state = protocol.downgrade_target(slot.state);
             }
             None => debug_assert!(false, "downgrade for non-resident line {line:#x}"),
         }
@@ -443,12 +486,7 @@ impl ProcessorCache {
     ///
     /// Panics (debug builds) if the line is not resident.
     pub fn receive_update(&mut self, line: u64) {
-        let (idx, base) = self.set_bounds(line);
-        let len = self.lens[idx] as usize;
-        match self.slots[base..base + len]
-            .iter_mut()
-            .find(|s| s.line == line)
-        {
+        match self.slot_mut(line) {
             Some(slot) => slot.state = LineState::Shared,
             None => debug_assert!(false, "update for non-resident line {line:#x}"),
         }
@@ -461,12 +499,7 @@ impl ProcessorCache {
     ///
     /// Panics (debug builds) if the line is not resident.
     pub fn set_shared_dirty(&mut self, line: u64) {
-        let (idx, base) = self.set_bounds(line);
-        let len = self.lens[idx] as usize;
-        match self.slots[base..base + len]
-            .iter_mut()
-            .find(|s| s.line == line)
-        {
+        match self.slot_mut(line) {
             Some(slot) => slot.state = LineState::SharedDirty,
             None => debug_assert!(false, "shared-dirty mark for non-resident line {line:#x}"),
         }
@@ -479,12 +512,7 @@ impl ProcessorCache {
     ///
     /// Panics (debug builds) if the line is not resident.
     pub fn set_modified(&mut self, line: u64) {
-        let (idx, base) = self.set_bounds(line);
-        let len = self.lens[idx] as usize;
-        match self.slots[base..base + len]
-            .iter_mut()
-            .find(|s| s.line == line)
-        {
+        match self.slot_mut(line) {
             Some(slot) => slot.state = LineState::Modified,
             None => debug_assert!(false, "upgrade for non-resident line {line:#x}"),
         }
@@ -493,9 +521,7 @@ impl ProcessorCache {
     /// Last local thread to reference a resident line (the victim
     /// thread from an attribution standpoint), if the line is resident.
     pub fn owner_of(&self, line: u64) -> Option<ThreadId> {
-        let (idx, base) = self.set_bounds(line);
-        let len = self.lens[idx] as usize;
-        self.slots[base..base + len]
+        self.set(line)
             .iter()
             .find(|s| s.line == line)
             .map(|s| s.owner)
@@ -513,9 +539,7 @@ impl ProcessorCache {
 
     /// State of a resident line, if present (for tests).
     pub fn state_of(&self, line: u64) -> Option<LineState> {
-        let (idx, base) = self.set_bounds(line);
-        let len = self.lens[idx] as usize;
-        self.slots[base..base + len]
+        self.set(line)
             .iter()
             .find(|s| s.line == line)
             .map(|s| s.state)
@@ -523,7 +547,7 @@ impl ProcessorCache {
 
     /// Number of resident lines (for tests).
     pub fn resident_lines(&self) -> usize {
-        self.lens.iter().map(|&l| l as usize).sum()
+        self.iter_resident().count()
     }
 
     /// Lifetime number of line fills (= misses served by this cache).
@@ -533,12 +557,10 @@ impl ProcessorCache {
 
     /// Iterates over every resident `(line, state)` pair, set by set.
     pub fn iter_resident(&self) -> impl Iterator<Item = (u64, LineState)> + '_ {
-        self.lens.iter().enumerate().flat_map(move |(idx, &len)| {
-            let base = idx * self.assoc;
-            self.slots[base..base + len as usize]
-                .iter()
-                .map(|s| (s.line, s.state))
-        })
+        self.slots
+            .iter()
+            .filter(|s| s.line != EMPTY)
+            .map(|s| (s.line, s.state))
     }
 }
 
@@ -699,6 +721,42 @@ mod tests {
         c.invalidate(0, p(1), t(2));
         assert_eq!(c.state_of(0), None);
         assert_eq!(c.state_of(8), Some(LineState::Modified));
+        // The vacated way is free again: the next fill evicts nothing.
+        assert_eq!(c.probe(16, false), AccessOutcome::Miss { victim: None });
+        assert_eq!(c.fill(16, LineState::Shared, t(0)), None);
+        assert_eq!(c.resident_lines(), 2);
+        assert_eq!(
+            c.fill(24, LineState::Shared, t(0)),
+            Some((8, LineState::Modified))
+        );
+    }
+
+    #[test]
+    fn writable_mask_follows_the_write_hit_table() {
+        for protocol in Protocol::ALL {
+            for &state in protocol.semantics().lattice() {
+                let mut c = ProcessorCache::with_protocol(8, 2, protocol);
+                c.fill(3, state, t(0));
+                let plain = matches!(
+                    protocol.write_hit(state),
+                    WriteHit::Hit | WriteHit::Silent(_)
+                );
+                assert_eq!(c.hits_locally(3, true), plain, "{protocol} {state:?}");
+                assert!(c.hits_locally(3, false), "{protocol} {state:?}");
+                assert!(!c.hits_locally(11, false), "{protocol}: empty way");
+            }
+        }
+    }
+
+    /// A state outside the protocol's lattice is not locally writable,
+    /// so the engine's scan stops before it and `access` meets it.
+    #[test]
+    #[should_panic(expected = "outside the wi lattice")]
+    fn out_of_lattice_write_reaches_the_write_hit_table() {
+        let mut c = ProcessorCache::new(8);
+        c.fill(3, LineState::Exclusive, t(0));
+        assert!(!c.hits_locally(3, true));
+        c.access(3, true, t(0));
     }
 
     #[test]

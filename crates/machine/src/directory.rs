@@ -63,13 +63,45 @@ impl SharerSet {
     }
 
     /// Iterates over members in ascending processor order.
-    pub fn iter(&self) -> impl Iterator<Item = ProcessorId> + '_ {
-        let bits = self.0;
-        (0..MAX_PROCESSORS)
-            .filter(move |i| bits & (1u128 << i) != 0)
-            .map(ProcessorId::from_index)
+    pub fn iter(&self) -> SharerIter {
+        SharerIter(self.0)
     }
 }
+
+impl IntoIterator for SharerSet {
+    type Item = ProcessorId;
+    type IntoIter = SharerIter;
+
+    fn into_iter(self) -> SharerIter {
+        SharerIter(self.0)
+    }
+}
+
+/// Iterator over a [`SharerSet`]'s members in ascending processor order:
+/// one `trailing_zeros` per member, however sparse the set.
+#[derive(Debug, Clone)]
+pub struct SharerIter(u128);
+
+impl Iterator for SharerIter {
+    type Item = ProcessorId;
+
+    #[inline]
+    fn next(&mut self) -> Option<ProcessorId> {
+        if self.0 == 0 {
+            return None;
+        }
+        let i = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(ProcessorId::from_index(i))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.0.count_ones() as usize;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for SharerIter {}
 
 /// Directory state of one line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,10 +113,10 @@ enum DirState {
 }
 
 /// What a cache must do after a directory transaction.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transaction {
     /// Remote caches that must invalidate the line.
-    pub invalidate: Vec<ProcessorId>,
+    pub invalidate: SharerSet,
     /// Remote cache that must downgrade the line Modified → Shared.
     pub downgrade: Option<ProcessorId>,
 }
@@ -93,7 +125,7 @@ impl Transaction {
     /// The empty transaction (no remote action required).
     pub(crate) fn none() -> Self {
         Transaction {
-            invalidate: Vec::new(),
+            invalidate: SharerSet::empty(),
             downgrade: None,
         }
     }
@@ -152,16 +184,13 @@ impl Directory {
         let state = self.lines.entry(line).or_insert(DirState::Modified(p));
         match state {
             DirState::Shared(sharers) => {
-                for sharer in sharers.iter() {
-                    if sharer != p {
-                        tx.invalidate.push(sharer);
-                    }
-                }
+                tx.invalidate = *sharers;
+                tx.invalidate.remove(p);
                 *state = DirState::Modified(p);
             }
             DirState::Modified(owner) => {
                 if *owner != p {
-                    tx.invalidate.push(*owner);
+                    tx.invalidate = SharerSet::single(*owner);
                     *state = DirState::Modified(p);
                 }
             }
@@ -192,15 +221,16 @@ impl Directory {
     /// directory keeps every copy resident; if `p` ends up the sole
     /// holder the line is recorded as Modified, otherwise the sharer set
     /// (including `p`, who holds it SharedDirty) stays Shared.
-    pub fn update_fill(&mut self, p: ProcessorId, line: u64) -> Vec<ProcessorId> {
-        let mut others = Vec::new();
+    pub fn update_fill(&mut self, p: ProcessorId, line: u64) -> SharerSet {
+        let mut others = SharerSet::empty();
         let state = self
             .lines
             .entry(line)
             .or_insert(DirState::Shared(SharerSet::empty()));
         match state {
             DirState::Shared(sharers) => {
-                others.extend(sharers.iter().filter(|&s| s != p));
+                others = *sharers;
+                others.remove(p);
                 if others.is_empty() {
                     *state = DirState::Modified(p);
                 } else {
@@ -215,7 +245,7 @@ impl Directory {
                     "owner re-updating must upgrade silently in its own cache"
                 );
                 if *owner != p {
-                    others.push(*owner);
+                    others = SharerSet::single(*owner);
                     let mut sharers = SharerSet::single(*owner);
                     sharers.insert(p);
                     *state = DirState::Shared(sharers);
@@ -283,6 +313,11 @@ mod tests {
         ProcessorId::from_index(i)
     }
 
+    /// A transaction's processor set as the ascending list it iterates.
+    fn members(s: SharerSet) -> Vec<ProcessorId> {
+        s.iter().collect()
+    }
+
     #[test]
     fn sharer_set_ops() {
         let mut s = SharerSet::empty();
@@ -314,9 +349,7 @@ mod tests {
         d.read_fill(p(1), 10);
         d.read_fill(p(2), 10);
         let tx = d.write_fill(p(1), 10);
-        let mut inv: Vec<usize> = tx.invalidate.iter().map(|x| x.index()).collect();
-        inv.sort_unstable();
-        assert_eq!(inv, vec![0, 2]);
+        assert_eq!(members(tx.invalidate), vec![p(0), p(2)]);
         assert!(tx.downgrade.is_none());
         assert!(d.holds(p(1), 10));
         assert!(!d.holds(p(0), 10));
@@ -337,7 +370,7 @@ mod tests {
         let mut d = Directory::new();
         d.write_fill(p(0), 30);
         let tx = d.write_fill(p(1), 30);
-        assert_eq!(tx.invalidate, vec![p(0)]);
+        assert_eq!(members(tx.invalidate), vec![p(0)]);
         assert!(d.holds(p(1), 30));
         assert!(!d.holds(p(0), 30));
     }
@@ -375,7 +408,7 @@ mod tests {
         d.read_fill(p(1), 60);
         // p0 upgrades its own Shared copy.
         let tx = d.write_fill(p(0), 60);
-        assert_eq!(tx.invalidate, vec![p(1)]);
+        assert_eq!(members(tx.invalidate), vec![p(1)]);
     }
 
     #[test]
@@ -397,9 +430,8 @@ mod tests {
         d.read_fill(p(1), 80);
         d.read_fill(p(2), 80);
         // p1 writes: p0 and p2 get updates and *stay* sharers.
-        let mut others = d.update_fill(p(1), 80);
-        others.sort_unstable_by_key(|x| x.index());
-        assert_eq!(others, vec![p(0), p(2)]);
+        let others = d.update_fill(p(1), 80);
+        assert_eq!(members(others), vec![p(0), p(2)]);
         assert_eq!(d.sharers(80).len(), 3);
         assert_eq!(d.owner(80), None);
     }
@@ -412,7 +444,7 @@ mod tests {
         assert_eq!(d.owner(90), Some(p(0)));
         // A remote write update steals nothing: both stay resident.
         let others = d.update_fill(p(1), 90);
-        assert_eq!(others, vec![p(0)]);
+        assert_eq!(members(others), vec![p(0)]);
         assert_eq!(d.sharers(90).len(), 2);
         assert_eq!(d.owner(90), None);
     }

@@ -51,6 +51,15 @@
 //! skips the scan and runs its hits in one mutating pass until its own
 //! first stop.
 //!
+//! A pop costs O(log p), not O(p). The keys sit in a min tournament tree
+//! over the slots, and a pending count says whether a pop is lone. A slot
+//! is scanned once per arming, at the first pop after it was armed: a pop
+//! scans only the slots armed since the previous pop, re-keys their
+//! leaves, and reads the root. A catch-up that cuts a lookahead re-keys
+//! that slot's leaf. With the 127 processors of the §4.2 coherence probe a
+//! linear argmin spent most of the simulation in two passes over every
+//! slot per pop.
+//!
 //! Why this is exact and not an approximation:
 //!
 //! * A plain hit touches only its own cache, and a run of them never
@@ -71,7 +80,13 @@
 //!   lookahead stays valid up to v's first reference to L (invalidation)
 //!   or first write to L (downgrade, update), where the catch-up cuts it.
 //!   Cutting instead of rescanning keeps Dragon's frequent updates from
-//!   rescanning the same run over and over.
+//!   rescanning the same run over and over. The scan also records two
+//!   64-bit filters of the lookahead's lines: one bit per line number
+//!   modulo 64 for every line it references, and the same for every line
+//!   it writes. When L's bit is clear in the filter that matters, the
+//!   lookahead has no reference to cut at, and the catch-up skips the
+//!   walk. A filter is a superset of the lookahead's lines, so skipping
+//!   is exact; a colliding bit only costs the walk.
 //! * Re-arming a slot (a reschedule, a barrier release) drops its
 //!   lookahead, and the next pop rescans it.
 //!
@@ -346,7 +361,7 @@ fn build_processors<'a>(
 }
 
 /// Absent event marker in the batched engine's slot queue.
-pub(crate) const NO_EVENT: u64 = u64::MAX;
+const NO_EVENT: u64 = u64::MAX;
 
 /// "Unknown thread" marker in the attribution hooks (the numeric value
 /// of [`placesim_obs::timeline::NO_THREAD`]).
@@ -363,6 +378,59 @@ fn owner_u32(cache: &ProcessorCache, line: u64) -> u32 {
 /// Lookahead not computed yet: the next pop scans it.
 const UNSCANNED: u64 = u64::MAX;
 
+/// `line`'s bit in a 64-bit line filter. Lines that share a bit collide,
+/// so a filter is a superset of the lines it was built from.
+#[inline]
+fn line_bit(line: u64) -> u64 {
+    1 << (line & 63)
+}
+
+/// A min tournament tree over one `u64` key per slot: `min` is the
+/// smallest `(key, slot)`, so ties go to the lower slot. Node 1 is the
+/// root, node `i` holds the smaller of nodes `2i` and `2i + 1`, and slot
+/// q's leaf is node `leaves + q`, with the slot count rounded up to a
+/// power of two. Every key starts at [`NO_EVENT`], as do the padding
+/// leaves.
+struct KeyTree {
+    nodes: Vec<(u64, usize)>,
+    leaves: usize,
+}
+
+impl KeyTree {
+    fn new(slots: usize) -> Self {
+        let leaves = slots.next_power_of_two();
+        KeyTree {
+            nodes: (0..2 * leaves)
+                .map(|i| (NO_EVENT, i.saturating_sub(leaves)))
+                .collect(),
+            leaves,
+        }
+    }
+
+    /// Sets slot `q`'s key and replays the matches above its leaf,
+    /// stopping at the first node whose winner does not change.
+    fn set(&mut self, q: usize, key: u64) {
+        let mut i = self.leaves + q;
+        self.nodes[i] = (key, q);
+        while i > 1 {
+            i >>= 1;
+            let (left, right) = (self.nodes[2 * i], self.nodes[2 * i + 1]);
+            // Every slot under the left child is below every slot under
+            // the right one, so a tie goes left.
+            let winner = if right.0 < left.0 { right } else { left };
+            if self.nodes[i] == winner {
+                break;
+            }
+            self.nodes[i] = winner;
+        }
+    }
+
+    /// The smallest `(key, slot)`.
+    fn min(&self) -> (u64, usize) {
+        self.nodes[1]
+    }
+}
+
 /// The batched engine's event queue: one slot per processor (see the
 /// module docs, "Hit-run lookahead").
 struct Slots {
@@ -372,25 +440,102 @@ struct Slots {
     /// `ahead[q]` counts the plain local hits that q's current context
     /// issues from `events[q]` on, or [`UNSCANNED`].
     ahead: Vec<u64>,
+    /// Keys `events[q] + ahead[q]` of the scanned pending slots; a slot
+    /// with no pending event holds [`NO_EVENT`]. A slot armed or popped
+    /// since the last pop is re-keyed at the next one, after its scan.
+    tree: KeyTree,
+    /// Slots with a pending event.
+    pending: usize,
+    /// Slots armed or popped since the last pop: the only slots a pop
+    /// has to scan or re-key.
+    dirty: Vec<usize>,
+    /// `lines[q]` and `writes[q]`: [`line_bit`] filters of the lines q's
+    /// scanned lookahead references and writes. A catch-up walks the
+    /// lookahead only when the touched line's bit is set.
+    lines: Vec<u64>,
+    writes: Vec<u64>,
     /// Committing a scanned plain hit changes nothing that is read later,
     /// so [`commit_scanned`] skips the references (see the module docs).
     inert_hits: bool,
 }
 
 impl Slots {
+    /// An empty queue for `p` processors.
+    fn new(p: usize, inert_hits: bool) -> Self {
+        Slots {
+            events: vec![NO_EVENT; p],
+            ahead: vec![UNSCANNED; p],
+            tree: KeyTree::new(p),
+            pending: 0,
+            dirty: Vec::with_capacity(p + 1),
+            lines: vec![0; p],
+            writes: vec![0; p],
+            inert_hits,
+        }
+    }
+
     /// Schedules processor `q`'s next reference at `at`, dropping its
     /// lookahead: the scan belonged to the old slot.
     fn arm(&mut self, q: usize, at: u64) {
+        if self.events[q] == NO_EVENT {
+            self.pending += 1;
+        }
         self.events[q] = at;
         self.ahead[q] = UNSCANNED;
+        self.dirty.push(q);
+    }
+
+    /// The processor whose next globally visible reference comes first —
+    /// the argmin of `(events[q] + ahead[q], q)` — and whether it is the
+    /// only one pending; `None` when no event is left. A lone pending
+    /// processor wins whatever its key, so it is not scanned. Otherwise
+    /// `scan` first looks ahead of the slots armed since the last pop.
+    fn select(&mut self, mut scan: impl FnMut(usize) -> Lookahead) -> Option<(usize, bool)> {
+        if self.pending == 0 {
+            return None;
+        }
+        let lone = self.pending == 1;
+        for k in 0..self.dirty.len() {
+            let q = self.dirty[k];
+            if self.ahead[q] != UNSCANNED {
+                continue; // listed twice, keyed already
+            }
+            let key = if self.events[q] == NO_EVENT || lone {
+                self.events[q]
+            } else {
+                let look = scan(q);
+                self.ahead[q] = look.hits;
+                self.lines[q] = look.lines;
+                self.writes[q] = look.writes;
+                self.events[q] + look.hits
+            };
+            self.tree.set(q, key);
+        }
+        self.dirty.clear();
+        let (_, pi) = self.tree.min();
+        debug_assert!(self.events[pi] != NO_EVENT, "the root is a pending slot");
+        Some((pi, lone))
+    }
+
+    /// Removes processor `pi`'s event, returning its issue cycle and
+    /// lookahead. Its leaf keeps the old key until the next pop re-keys
+    /// it: by then `pi` is usually armed again.
+    fn take(&mut self, pi: usize) -> (u64, u64) {
+        let t = std::mem::replace(&mut self.events[pi], NO_EVENT);
+        let scanned = std::mem::replace(&mut self.ahead[pi], UNSCANNED);
+        self.pending -= 1;
+        self.dirty.push(pi);
+        (t, scanned)
     }
 
     /// Brings processor `v` up to `touch`, which is about to change `v`'s
     /// copy of `touch.line`: commits `v`'s scanned hits that issue before
     /// the touch in `(cycle, processor)` order, then cuts the rest of the
     /// lookahead before the first reference the change turns into a
-    /// globally visible one. References to other lines still hit.
-    /// Kept out of line: it is cold next to the hit loop in `run`.
+    /// globally visible one. References to other lines still hit, so
+    /// when the line filter rules the line out the rest stays whole
+    /// without a walk. Kept out of line: it is cold next to the hit loop
+    /// in `run`.
     #[inline(never)]
     fn catch_up<H: Hooks>(
         &mut self,
@@ -409,7 +554,7 @@ impl Slots {
         let n = ahead.min((touch.now + u64::from(v < touch.by)).saturating_sub(start));
         let ctx = &mut proc.contexts[proc.current];
         if n > 0 {
-            obs.on_pop(&self.events);
+            obs.on_pop(self.pending);
             commit_scanned(ctx, cache, n, line_size, self.inert_hits);
             proc.stats.busy += n;
             proc.stats.hits += n;
@@ -419,14 +564,43 @@ impl Slots {
             obs.on_run_slice(v, ctx.thread.index() as u32, start, start + n, n);
         }
         let rest = ahead - n;
-        self.ahead[v] = ctx
-            .refs
-            .clone()
-            .take(rest as usize)
-            .position(|r| {
-                r.addr.line(line_size).raw() == touch.line && (touch.removes || r.kind.is_write())
-            })
-            .map_or(rest, |k| k as u64);
+        self.ahead[v] = rest;
+        let filter = if touch.removes {
+            self.lines[v]
+        } else {
+            self.writes[v]
+        };
+        if filter & line_bit(touch.line) == 0 {
+            return;
+        }
+        let cut = ctx.refs.clone().take(rest as usize).position(|r| {
+            #[cfg(test)]
+            walk_counter::WALKED.with(|c| c.set(c.get() + 1));
+            r.addr.line(line_size).raw() == touch.line && (touch.removes || r.kind.is_write())
+        });
+        if let Some(cut) = cut {
+            self.cut(v, cut as u64);
+        }
+    }
+
+    /// Shortens pending slot `v`'s lookahead to `hits`, which moves its
+    /// key earlier.
+    fn cut(&mut self, v: usize, hits: u64) {
+        debug_assert!(hits <= self.ahead[v], "a cut never lengthens a lookahead");
+        self.ahead[v] = hits;
+        self.tree.set(v, self.events[v] + hits);
+    }
+}
+
+/// Test-only count of the references [`Slots::catch_up`] walks to find
+/// its cut, on this thread.
+#[cfg(test)]
+mod walk_counter {
+    use std::cell::Cell;
+
+    thread_local! {
+        /// References inspected by catch-up walks.
+        pub(super) static WALKED: Cell<u64> = const { Cell::new(0) };
     }
 }
 
@@ -470,19 +644,36 @@ impl Touch {
     }
 }
 
+/// A scanned lookahead: its plain local hits and the [`line_bit`]
+/// filters of the lines they reference and write.
+#[derive(Default)]
+struct Lookahead {
+    hits: u64,
+    lines: u64,
+    writes: u64,
+}
+
 /// Processor `proc`'s lookahead: how many of its current context's next
 /// references are plain local hits. Read-only. Stops before a barrier,
 /// before the context's final reference (its completion switches
 /// contexts) and before the first reference that needs the directory.
-fn scan(proc: &Processor<'_>, cache: &ProcessorCache, line_size: u64) -> u64 {
+fn scan(proc: &Processor<'_>, cache: &ProcessorCache, line_size: u64) -> Lookahead {
     let refs = &proc.contexts[proc.current].refs;
-    refs.clone()
-        .take(refs.len().saturating_sub(1))
-        .take_while(|r| {
-            r.kind != RefKind::Barrier
-                && cache.hits_locally(r.addr.line(line_size).raw(), r.kind.is_write())
-        })
-        .count() as u64
+    let mut look = Lookahead::default();
+    for r in refs.clone().take(refs.len().saturating_sub(1)) {
+        let line = r.addr.line(line_size).raw();
+        let is_write = r.kind.is_write();
+        if r.kind == RefKind::Barrier || !cache.hits_locally(line, is_write) {
+            break;
+        }
+        let bit = line_bit(line);
+        look.hits += 1;
+        look.lines |= bit;
+        if is_write {
+            look.writes |= bit;
+        }
+    }
+    look
 }
 
 /// Commits `n` of `ctx`'s scanned plain hits to `cache`; the caller
@@ -601,16 +792,14 @@ fn run<H: Hooks>(
 
     // Slot queue: one pending event per processor, each with its
     // lookahead. One event = run the processor's current context up to
-    // and including its next globally visible reference. With the
-    // paper's small machines a linear argmin scan beats a binary heap.
+    // and including its next globally visible reference. A tournament
+    // tree over the slots' keys makes a pop O(log p); only the slots
+    // armed since the last pop are scanned.
     let protocol = config.protocol();
-    let mut slots = Slots {
-        events: vec![NO_EVENT; p],
-        ahead: vec![UNSCANNED; p],
-        inert_hits: config.associativity() == 1
-            && protocol == Protocol::Wi
-            && !obs.wants_attribution(),
-    };
+    let mut slots = Slots::new(
+        p,
+        config.associativity() == 1 && protocol == Protocol::Wi && !obs.wants_attribution(),
+    );
     let mut procs = build_processors(prog, map, |pi, at| slots.arm(pi, at));
     let mut caches: Vec<ProcessorCache> = (0..p)
         .map(|_| {
@@ -627,45 +816,12 @@ fn run<H: Hooks>(
     let mut barrier_arrivals = 0u64;
     let mut parked: Vec<Option<u64>> = vec![None; p]; // Some(park time)
 
-    'events: loop {
-        // Pop the processor whose next globally visible reference comes
-        // first: argmin of `(events[q] + ahead[q], q)`, ties to the lower
-        // index. A lone pending processor wins whatever its key, so it
-        // skips the scan and its run below is bounded by its own trace.
-        let mut pending = 0;
-        let mut pi = usize::MAX;
-        for (q, &e) in slots.events.iter().enumerate() {
-            if e != NO_EVENT {
-                pending += 1;
-                pi = q;
-            }
-        }
-        if pending == 0 {
-            break;
-        }
-        let lone = pending == 1;
-        if !lone {
-            let mut best = NO_EVENT;
-            for q in 0..p {
-                let e = slots.events[q];
-                if e == NO_EVENT {
-                    continue;
-                }
-                if slots.ahead[q] == UNSCANNED {
-                    slots.ahead[q] = scan(&procs[q], &caches[q], line_size);
-                }
-                let key = e + slots.ahead[q];
-                if key < best {
-                    best = key;
-                    pi = q;
-                }
-            }
-        }
-        obs.on_pop(&slots.events);
-        let t = slots.events[pi];
-        let scanned = slots.ahead[pi];
-        slots.events[pi] = NO_EVENT;
-        slots.ahead[pi] = UNSCANNED;
+    // Pop the processor whose next globally visible reference comes
+    // first. A lone pending processor is not scanned, and its run below
+    // is bounded by its own trace.
+    'events: while let Some((pi, lone)) = slots.select(|q| scan(&procs[q], &caches[q], line_size)) {
+        obs.on_pop(slots.pending);
+        let (t, scanned) = slots.take(pi);
         let ctx_idx = procs[pi].current;
         // Timeline hooks want the dispatched thread; a scheduled event
         // always has a live current context.
@@ -847,7 +1003,7 @@ fn run<H: Hooks>(
                 procs[pi].stats.updates_sent += others.len() as u64;
                 obs.on_directory(pi, cur_thread, now, line, others.len() as u64, true);
                 let touch = Touch::demoting(now, pi, line);
-                for sharer in &others {
+                for sharer in others {
                     let v = sharer.index();
                     slots.catch_up(v, touch, &mut procs[v], &mut caches[v], line_size, obs);
                     if obs.wants_attribution() {
@@ -910,7 +1066,7 @@ fn run<H: Hooks>(
                         let others = directory.update_fill(me, line);
                         procs[pi].stats.updates_sent += others.len() as u64;
                         let touch = Touch::demoting(now, pi, line);
-                        for sharer in &others {
+                        for sharer in others {
                             let v = sharer.index();
                             slots.catch_up(v, touch, &mut procs[v], &mut caches[v], line_size, obs);
                             if obs.wants_attribution() {
@@ -1216,7 +1372,7 @@ pub mod reference {
                     let others = directory.update_fill(me, line);
                     let had_remote = !others.is_empty();
                     procs[pi].stats.updates_sent += others.len() as u64;
-                    for sharer in &others {
+                    for sharer in others {
                         caches[sharer.index()].receive_update(line);
                         procs[sharer.index()].stats.updates_received += 1;
                         record_pair(&mut traffic, sharer.index(), pi);
@@ -1256,7 +1412,7 @@ pub mod reference {
                         (Protocol::Dragon, true) => {
                             let others = directory.update_fill(me, line);
                             procs[pi].stats.updates_sent += others.len() as u64;
-                            for sharer in &others {
+                            for sharer in others {
                                 caches[sharer.index()].receive_update(line);
                                 procs[sharer.index()].stats.updates_received += 1;
                                 record_pair(&mut traffic, sharer.index(), pi);
@@ -2085,5 +2241,236 @@ mod commit_tests {
         assert_eq!(attributed, plain);
         assert_eq!(attr_scanned, scanned);
         assert_eq!(attr_accesses, scanned, "one access per scanned hit");
+    }
+}
+
+/// The slot queue against a linear argmin, and the line filters that let
+/// a catch-up skip its walk.
+#[cfg(test)]
+mod queue_tests {
+    use super::walk_counter::WALKED;
+    use super::*;
+    use placesim_trace::{Address, ThreadTrace};
+
+    /// Deterministic xorshift64* stream for the random sequences.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+        }
+    }
+
+    /// The pending slot a pop must take: the only one, or else the
+    /// argmin of `(events[q] + ahead[q], q)`.
+    fn linear_pop(slots: &Slots) -> Option<usize> {
+        let pending: Vec<usize> = (0..slots.events.len())
+            .filter(|&q| slots.events[q] != NO_EVENT)
+            .collect();
+        if pending.len() == 1 {
+            return Some(pending[0]);
+        }
+        pending
+            .into_iter()
+            .min_by_key(|&q| (slots.events[q] + slots.ahead[q], q))
+    }
+
+    #[test]
+    fn key_tree_min_is_the_linear_argmin() {
+        for p in [1, 2, 3, 16, 127, 128] {
+            let mut rng = Rng(0x9e37_79b9 + p as u64);
+            let mut tree = KeyTree::new(p);
+            let mut keys = vec![NO_EVENT; p];
+            for _ in 0..4000 {
+                let q = rng.below(p as u64) as usize;
+                // Few distinct keys, so ties are common.
+                keys[q] = match rng.below(4) {
+                    0 => NO_EVENT,
+                    _ => rng.below(6),
+                };
+                tree.set(q, keys[q]);
+                let want = (0..p).map(|q| (keys[q], q)).min().expect("p > 0");
+                assert_eq!(tree.min(), want, "p = {p}");
+            }
+        }
+    }
+
+    #[test]
+    fn slot_pops_follow_the_linear_argmin() {
+        for p in [1, 2, 3, 16, 127, 128] {
+            let mut rng = Rng(0x51ed_270b + p as u64);
+            let mut slots = Slots::new(p, true);
+            let mut now = 0u64;
+            let mut pops = 0;
+            for _ in 0..6000 {
+                match rng.below(3) {
+                    // Arm an idle slot at or after the clock.
+                    0 => {
+                        let q = rng.below(p as u64) as usize;
+                        if slots.events[q] == NO_EVENT {
+                            slots.arm(q, now + rng.below(4));
+                        }
+                    }
+                    // Catch-up: cut a scanned slot's lookahead short.
+                    1 => {
+                        let v = rng.below(p as u64) as usize;
+                        if slots.ahead[v] != UNSCANNED && slots.ahead[v] > 0 {
+                            let hits = rng.below(slots.ahead[v]);
+                            slots.cut(v, hits);
+                        }
+                    }
+                    // Pop, scanning armed slots with random lookaheads.
+                    _ => {
+                        let looks: Vec<u64> = (0..p).map(|_| rng.below(5)).collect();
+                        let lone = slots.pending == 1;
+                        let got = slots.select(|q| Lookahead {
+                            hits: looks[q],
+                            ..Lookahead::default()
+                        });
+                        let want = linear_pop(&slots);
+                        assert_eq!(got.map(|(pi, _)| pi), want, "p = {p}");
+                        let Some((pi, got_lone)) = got else {
+                            continue;
+                        };
+                        assert_eq!(got_lone, lone);
+                        if !lone {
+                            for q in 0..p {
+                                assert!(
+                                    slots.events[q] == NO_EVENT || slots.ahead[q] != UNSCANNED,
+                                    "pending slot {q} left unscanned"
+                                );
+                            }
+                        }
+                        let (t, _) = slots.take(pi);
+                        now = now.max(t);
+                        pops += 1;
+                    }
+                }
+                let pending = slots.events.iter().filter(|&&e| e != NO_EVENT).count();
+                assert_eq!(slots.pending, pending);
+            }
+            assert!(pops > 100, "p = {p}: only {pops} pops");
+        }
+    }
+
+    fn cfg() -> ArchConfig {
+        ArchConfig::builder().cache_size(1 << 16).build().unwrap()
+    }
+
+    /// Processor 0 runs `refs` with every line of `resident` in its
+    /// cache, and processor 1 is pending too, so the pop scans
+    /// processor 0's lookahead. Returns the queue, processor 0 and its
+    /// cache after that pop has taken processor 1's event.
+    fn scanned_victim<'a>(
+        trace: &'a ThreadTrace,
+        resident: &[u64],
+    ) -> (Slots, Processor<'a>, ProcessorCache) {
+        let config = cfg();
+        let mut cache = ProcessorCache::new(config.num_sets());
+        for &line in resident {
+            cache.fill(line, LineState::Shared, ThreadId::new(0));
+        }
+        let proc = Processor {
+            contexts: vec![Context {
+                thread: ThreadId::new(0),
+                refs: trace.iter(),
+                ready_at: 0,
+                done: false,
+                waiting: false,
+            }],
+            current: 0,
+            stats: ProcStats::default(),
+        };
+        let mut slots = Slots::new(2, true);
+        slots.arm(0, 10);
+        slots.arm(1, 0);
+        let (pi, lone) = slots
+            .select(|q| match q {
+                0 => scan(&proc, &cache, config.line_size()),
+                _ => Lookahead::default(),
+            })
+            .unwrap();
+        assert_eq!((pi, lone), (1, false));
+        slots.take(1);
+        (slots, proc, cache)
+    }
+
+    /// Reads of lines 0, 1 and 2 in turn, plus a final reference.
+    fn reads_of_three_lines(line_size: u64) -> ThreadTrace {
+        (0..31)
+            .map(|i| MemRef::read(Address::new((i % 3) * line_size)))
+            .collect()
+    }
+
+    /// The cut the pre-filter catch-up made: the first reference of the
+    /// remaining lookahead that the touch turns globally visible.
+    fn walked_cut(refs: &ThreadTraceIter<'_>, rest: u64, touch: Touch, line_size: u64) -> u64 {
+        refs.clone()
+            .take(rest as usize)
+            .position(|r| {
+                r.addr.line(line_size).raw() == touch.line && (touch.removes || r.kind.is_write())
+            })
+            .map_or(rest, |k| k as u64)
+    }
+
+    #[test]
+    fn touch_outside_the_lookahead_walks_nothing() {
+        let line_size = cfg().line_size();
+        let trace = reads_of_three_lines(line_size);
+        // Line 5 is resident but the lookahead never references it.
+        let (mut slots, mut proc, mut cache) = scanned_victim(&trace, &[0, 1, 2, 5]);
+        assert_eq!(slots.ahead[0], 30);
+        WALKED.with(|c| c.set(0));
+        let touch = Touch::removing(0, 1, 5);
+        slots.catch_up(0, touch, &mut proc, &mut cache, line_size, &mut NoHooks);
+        assert_eq!(WALKED.with(std::cell::Cell::get), 0);
+        assert_eq!(slots.ahead[0], 30, "the lookahead stays whole");
+        // A demoting touch of a line the lookahead only reads walks
+        // nothing either: reads still hit.
+        let touch = Touch::demoting(0, 1, 1);
+        slots.catch_up(0, touch, &mut proc, &mut cache, line_size, &mut NoHooks);
+        assert_eq!(WALKED.with(std::cell::Cell::get), 0);
+        assert_eq!(slots.ahead[0], 30);
+    }
+
+    #[test]
+    fn colliding_filter_bit_walks_and_cuts_where_the_old_walk_did() {
+        let line_size = cfg().line_size();
+        let trace = reads_of_three_lines(line_size);
+        // Line 64 shares line 0's filter bit and is resident, but the
+        // lookahead never references it.
+        assert_eq!(line_bit(64), line_bit(0));
+        let (mut slots, mut proc, mut cache) = scanned_victim(&trace, &[0, 1, 2, 64]);
+        WALKED.with(|c| c.set(0));
+        let touch = Touch::removing(0, 1, 64);
+        let want = walked_cut(&proc.contexts[0].refs, 30, touch, line_size);
+        slots.catch_up(0, touch, &mut proc, &mut cache, line_size, &mut NoHooks);
+        assert_eq!(
+            WALKED.with(std::cell::Cell::get),
+            30,
+            "the walk ran to the end"
+        );
+        assert_eq!(slots.ahead[0], want);
+        assert_eq!(want, 30);
+
+        // A touch of line 0 at cycle 14 by processor 1 commits the five
+        // hits issued at cycles 10..=14 (at the tied cycle the lower
+        // index goes first), then cuts before the next read of line 0.
+        WALKED.with(|c| c.set(0));
+        let touch = Touch::removing(14, 1, 0);
+        let mut rest = proc.contexts[0].refs.clone();
+        rest.nth(4);
+        let want = walked_cut(&rest, 25, touch, line_size);
+        slots.catch_up(0, touch, &mut proc, &mut cache, line_size, &mut NoHooks);
+        assert_eq!(proc.stats.hits, 5);
+        assert_eq!(slots.events[0], 15);
+        assert_eq!(slots.ahead[0], want);
+        assert_eq!(want, 1, "cycle 15 reads line 2, cycle 16 line 0");
+        assert_eq!(WALKED.with(std::cell::Cell::get), want + 1);
+        let leaf = slots.tree.nodes[slots.tree.leaves];
+        assert_eq!(leaf, (16, 0), "the cut re-keys the slot");
     }
 }

@@ -16,7 +16,6 @@
 //! runtime-configured recorder: each of its recordings is an `Option`,
 //! and a hook does its work only for the recordings that are `Some`.
 
-use crate::engine::NO_EVENT;
 use placesim_analysis::SymMatrix;
 use placesim_obs::json::JsonWriter;
 use placesim_obs::timeline::NO_THREAD;
@@ -38,10 +37,10 @@ pub(crate) trait Hooks {
     fn on_traffic(&mut self, _a: usize, _b: usize) {}
 
     /// An event was popped, or a victim's scanned hits are about to be
-    /// committed early; `events` is the slot queue with the running
-    /// processor's slot still set, so the recorded depth includes it.
+    /// committed early; `depth` counts the pending events, the popped
+    /// one included.
     #[inline]
-    fn on_pop(&mut self, _events: &[u64]) {}
+    fn on_pop(&mut self, _depth: usize) {}
 
     /// A hit run ended after `hits` consecutive cache hits (possibly
     /// zero, when the dispatched reference immediately missed), or a
@@ -237,10 +236,9 @@ impl Hooks for EngineObs {
     }
 
     #[inline]
-    fn on_pop(&mut self, events: &[u64]) {
+    fn on_pop(&mut self, depth: usize) {
         if let Some(c) = &mut self.counters {
             c.events += 1;
-            let depth = events.iter().filter(|&&e| e != NO_EVENT).count();
             c.queue_depth.record(depth as u64);
         }
     }
@@ -428,7 +426,7 @@ mod tests {
     fn idle_recorder_records_nothing() {
         let mut obs = EngineObs::default();
         assert!(obs.is_idle());
-        obs.on_pop(&[1, NO_EVENT]);
+        obs.on_pop(1);
         obs.on_hit_run(5);
         obs.on_invalidation_fanout(2);
         obs.on_switch(6);
@@ -443,8 +441,8 @@ mod tests {
             counters: Some(EngineObsReport::default()),
             ..EngineObs::default()
         };
-        obs.on_pop(&[3, NO_EVENT, 7]);
-        obs.on_pop(&[3, NO_EVENT, NO_EVENT]);
+        obs.on_pop(2);
+        obs.on_pop(1);
         obs.on_hit_run(0);
         obs.on_hit_run(12);
         obs.on_invalidation_fanout(2);
