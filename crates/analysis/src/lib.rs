@@ -5,14 +5,16 @@
 //! metrics extracted by analyzing each thread's trace separately (the
 //! paper's §3.1, Table 2). This crate computes all of them:
 //!
-//! * [`AddressProfile`] — per-address, per-thread reference counts, the
-//!   single pass over the traces everything else derives from (with a
-//!   sharded sort-merge fast path, `build_parallel`),
 //! * [`SharingAnalysis`] — pairwise shared-reference matrices
 //!   (all-shared, write-shared, common-address counts) and per-thread
-//!   aggregates (% shared refs, private footprints); `measure` fuses the
-//!   profiling scan and matrix build, `measure_reference` keeps the
-//!   original two-pass path for differential testing,
+//!   aggregates (% shared refs, private footprints). One sharded
+//!   sort-merge address scan feeds them from any of three sources: an
+//!   in-memory trace (`measure`), a generator's per-thread access lists
+//!   (`measure_access`), or a streaming v3 file read chunk by chunk under
+//!   a [`SpillBudget`] (`measure_streamed`),
+//! * [`AddressProfile`] — per-address, per-thread reference counts built
+//!   by one hash-map probe per reference; `measure_reference` derives the
+//!   metrics from it, and it is the reference the scan is tested against,
 //! * [`nway`] — group ("N-way") sharing metrics over clusters of threads,
 //! * [`write_runs`] — write-run and migratory-data analysis over an
 //!   interleaved reference stream (the paper's §4.2 FFT discussion),
@@ -44,15 +46,14 @@ pub mod locality;
 mod matrix;
 pub mod nway;
 mod profile;
-mod shard;
+mod scan;
 mod sharing;
-mod stream;
 mod summary;
 pub mod write_runs;
 
 pub use locality::{LocalityProfile, WorkingSetSummary};
 pub use matrix::SymMatrix;
 pub use profile::{AddressProfile, PerAddress, PerThreadCount};
+pub use scan::SpillBudget;
 pub use sharing::{SharingAnalysis, ThreadSharing};
-pub use stream::SpillBudget;
 pub use summary::CharacteristicsRow;

@@ -12,13 +12,12 @@
 //! the worst case (in practice reuse is near the stack top).
 
 use placesim_trace::{ProgramTrace, ThreadTrace};
-use serde::{Deserialize, Serialize};
 
 /// Maximum exactly-tracked stack distance.
 pub const STACK_CAP: usize = 4096;
 
 /// Reuse-distance histogram of one reference stream.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocalityProfile {
     /// References analyzed (data + instruction, as line accesses).
     pub refs: u64,
@@ -114,7 +113,7 @@ impl LocalityProfile {
 }
 
 /// Working-set summary of a whole program, per thread and combined.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkingSetSummary {
     /// Per-thread distinct lines.
     pub per_thread: Vec<u64>,

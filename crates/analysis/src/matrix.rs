@@ -1,7 +1,5 @@
 //! A symmetric matrix with zero diagonal, stored triangularly.
 
-use serde::{Deserialize, Serialize};
-
 /// A symmetric `n × n` matrix over `T` with an implicit zero diagonal.
 ///
 /// Pairwise sharing metrics between threads (and clusters) are symmetric
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(m.get(2, 0), 7);
 /// assert_eq!(m.get(1, 1), 0); // diagonal is always the zero element
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SymMatrix<T> {
     n: usize,
     zero: T,

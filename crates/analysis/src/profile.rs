@@ -3,12 +3,11 @@
 
 use placesim_trace::hash::FastMap;
 use placesim_trace::{ProgramTrace, ThreadId};
-use serde::{Deserialize, Serialize};
 
 type AddrMap<V> = FastMap<u64, V>;
 
 /// Reference counts of one thread at one address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PerThreadCount {
     /// The thread.
     pub thread: ThreadId,
@@ -26,7 +25,7 @@ impl PerThreadCount {
 }
 
 /// All per-thread counts at one address, ordered by thread id.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PerAddress {
     counts: Vec<PerThreadCount>,
 }
@@ -104,20 +103,14 @@ impl PerAddress {
             slot.reads += 1;
         }
     }
-
-    /// Builds the entry from counts already sorted by ascending thread
-    /// id (the sharded merge produces them in exactly that order).
-    pub(crate) fn from_sorted_counts(counts: Vec<PerThreadCount>) -> Self {
-        debug_assert!(counts.windows(2).all(|w| w[0].thread < w[1].thread));
-        PerAddress { counts }
-    }
 }
 
 /// Per-address, per-thread reference counts over a whole program.
 ///
-/// One linear pass over every thread's data references; everything in
-/// [`crate::SharingAnalysis`] is derived from this profile. Instruction
-/// references are excluded — the paper's sharing metrics are over data.
+/// One linear pass over every thread's data references;
+/// [`crate::SharingAnalysis::measure_reference`] derives every sharing
+/// metric from it. Instruction references are excluded — the paper's
+/// sharing metrics are over data.
 ///
 /// # Example
 ///
@@ -142,10 +135,10 @@ pub struct AddressProfile {
 impl AddressProfile {
     /// Builds the profile by scanning every thread's data references.
     ///
-    /// This is the reference path: one hash-map probe per reference. It
-    /// is kept byte-for-byte equivalent to [`Self::build_parallel`] (the
-    /// differential proptests compare the two); it is the reference for
-    /// those differential tests.
+    /// One hash-map probe per reference. This is the reference the
+    /// sharded scan behind [`crate::SharingAnalysis::measure`] is tested
+    /// against: its proptests check that each of the scan's sources
+    /// visits exactly this profile's addresses and per-thread counts.
     pub fn build(prog: &ProgramTrace) -> Self {
         let mut map: AddrMap<PerAddress> = AddrMap::default();
         for (tid, trace) in prog.iter() {
@@ -161,61 +154,6 @@ impl AddressProfile {
             map,
             threads: prog.thread_count(),
         }
-    }
-
-    /// Builds the same profile via the sharded sort-merge pass
-    /// ([`crate::shard`]): per-thread sorted run extraction, then a
-    /// parallel k-way merge over disjoint address shards. One hash-map
-    /// insert per *distinct* address instead of one probe per reference.
-    pub fn build_parallel(prog: &ProgramTrace) -> Self {
-        let shards = crate::shard::sharded_scan(
-            prog,
-            Vec::new,
-            |acc: &mut Vec<(u64, PerAddress)>, addr, counts| {
-                acc.push((addr, PerAddress::from_sorted_counts(counts.to_vec())));
-            },
-        );
-        let mut map: AddrMap<PerAddress> = AddrMap::default();
-        map.reserve(shards.iter().map(Vec::len).sum());
-        for shard in shards {
-            map.extend(shard);
-        }
-        AddressProfile {
-            map,
-            threads: prog.thread_count(),
-        }
-    }
-
-    /// Builds the same profile out-of-core from a streaming (v3) trace
-    /// file, with stage-1 memory bounded by `budget` (see
-    /// [`crate::SpillBudget`]). Bit-identical to [`Self::build_parallel`]
-    /// on the decoded trace for any budget.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and format errors from the trace file and the
-    /// spill files.
-    pub fn build_parallel_streamed(
-        reader: &placesim_trace::stream::FileReader,
-        budget: &crate::SpillBudget,
-    ) -> Result<Self, placesim_trace::TraceError> {
-        let shards = crate::stream::sharded_scan_streamed(
-            reader,
-            budget,
-            Vec::new,
-            |acc: &mut Vec<(u64, PerAddress)>, addr, counts| {
-                acc.push((addr, PerAddress::from_sorted_counts(counts.to_vec())));
-            },
-        )?;
-        let mut map: AddrMap<PerAddress> = AddrMap::default();
-        map.reserve(shards.iter().map(Vec::len).sum());
-        for shard in shards {
-            map.extend(shard);
-        }
-        Ok(AddressProfile {
-            map,
-            threads: reader.thread_count(),
-        })
     }
 
     /// Number of threads in the profiled program.
@@ -297,15 +235,6 @@ mod tests {
         assert_eq!(p.address_count(), 3);
         assert_eq!(p.shared_address_count(), 2);
         assert!(p.get(0x4).is_none(), "instruction addresses are excluded");
-    }
-
-    #[test]
-    fn parallel_build_matches_reference() {
-        let p = prog();
-        assert_eq!(
-            AddressProfile::build_parallel(&p),
-            AddressProfile::build(&p)
-        );
     }
 
     #[test]

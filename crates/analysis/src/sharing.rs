@@ -2,12 +2,12 @@
 
 use crate::matrix::SymMatrix;
 use crate::profile::AddressProfile;
+use crate::scan::{sharded_scan, Source};
 use placesim_trace::hash::FastMap;
 use placesim_trace::{AddrCounts, ProgramTrace, ThreadId};
-use serde::{Deserialize, Serialize};
 
 /// Per-thread sharing aggregates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ThreadSharing {
     /// Data references to shared addresses (addresses touched by ≥ 2 threads).
     pub shared_refs: u64,
@@ -60,7 +60,7 @@ impl ThreadSharing {
 ///   (SHARE-ADDR's refs-per-shared-address denominator),
 /// * per-thread aggregates ([`ThreadSharing`]) for MIN-PRIV's private
 ///   footprint and Table 2's "% shared refs".
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SharingAnalysis {
     pair_refs: SymMatrix<u64>,
     pair_write_refs: SymMatrix<u64>,
@@ -283,7 +283,7 @@ impl SharingAnalysis {
     /// Profiles `prog` and computes all sharing metrics.
     ///
     /// This is the fused fast path: the sharded sort-merge scan
-    /// ([`crate::shard`]) feeds each address's per-thread counts straight
+    /// (`crate::scan`) feeds each address's per-thread counts straight
     /// into per-shard [`GroupedAccum`]s — no intermediate
     /// [`AddressProfile`] map is materialized, and the O(k²) pairwise
     /// update runs once per sharer-set group instead of once per
@@ -292,15 +292,7 @@ impl SharingAnalysis {
     /// exact `u64` sum, so neither sharding, nor grouping, nor visit
     /// order can change them.
     pub fn measure(prog: &ProgramTrace) -> Self {
-        let threads = prog.thread_count();
-        Self::from_grouped_shards(
-            threads,
-            crate::shard::sharded_scan(
-                prog,
-                || GroupedAccum::new(threads),
-                |acc, _addr, counts| acc.record(counts),
-            ),
-        )
+        Self::measure_source(Source::Trace(prog)).expect("an in-memory scan reads no file")
     }
 
     /// Computes all sharing metrics from a streaming (v3) trace file
@@ -323,16 +315,7 @@ impl SharingAnalysis {
         reader: &placesim_trace::stream::FileReader,
         budget: &crate::SpillBudget,
     ) -> Result<Self, placesim_trace::TraceError> {
-        let threads = reader.thread_count();
-        Ok(Self::from_grouped_shards(
-            threads,
-            crate::stream::sharded_scan_streamed(
-                reader,
-                budget,
-                || GroupedAccum::new(threads),
-                |acc, _addr, counts| acc.record(counts),
-            )?,
-        ))
+        Self::measure_source(Source::File(reader, budget))
     }
 
     /// Computes all sharing metrics straight from per-thread access
@@ -346,25 +329,24 @@ impl SharingAnalysis {
     /// lists (e.g. `generate_with_access` in `placesim-workloads`) skip
     /// the full trace scan entirely.
     pub fn measure_access(access: &[Vec<AddrCounts>]) -> Self {
-        let threads = access.len();
-        Self::from_grouped_shards(
-            threads,
-            crate::shard::sharded_scan_access(
-                access,
-                || GroupedAccum::new(threads),
-                |acc, _addr, counts| acc.record(counts),
-            ),
-        )
+        Self::measure_source(Source::Access(access)).expect("an in-memory scan reads no file")
     }
 
-    /// Reduces per-shard grouped accumulators to the final analysis.
-    fn from_grouped_shards(threads: usize, shards: Vec<GroupedAccum>) -> Self {
+    /// Runs the sharded scan over `source` into per-shard grouped
+    /// accumulators and reduces them to the final analysis.
+    fn measure_source(source: Source<'_>) -> Result<Self, placesim_trace::TraceError> {
+        let threads = source.thread_count();
+        let shards = sharded_scan(
+            source,
+            || GroupedAccum::new(threads),
+            |acc, _addr, counts| acc.record(counts),
+        )?;
         let mut iter = shards.into_iter().map(GroupedAccum::into_accum);
         let mut total = iter.next().unwrap_or_else(|| SharingAccum::new(threads));
         for shard in iter {
             total.merge(&shard);
         }
-        total.finish()
+        Ok(total.finish())
     }
 
     /// The original serial path: build the full [`AddressProfile`], then

@@ -4,13 +4,12 @@ use crate::nway::{nway_stats, pairwise_stats};
 use crate::sharing::SharingAnalysis;
 use placesim_trace::stats::MeanDev;
 use placesim_trace::{ProgramTrace, ThreadTrace};
-use serde::{Deserialize, Serialize};
 
 /// One row of the paper's Table 2 ("Measured Characteristics"):
 /// pairwise and N-way sharing, references per shared address, percentage
 /// of shared references, and simulated thread length — each as a mean
 /// with a percentage deviation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CharacteristicsRow {
     /// Application name.
     pub app: String,

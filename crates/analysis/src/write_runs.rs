@@ -15,11 +15,10 @@
 //! the fine-grain interleaving of a multiprocessor execution.
 
 use placesim_trace::{ProgramTrace, ThreadId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Per-program write-run statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WriteRunStats {
     /// Number of shared addresses examined.
     pub shared_addresses: u64,

@@ -32,13 +32,10 @@ fn main() {
         Some(names) => names
             .iter()
             .map(|n| {
-                PlacementAlgorithm::ALL
-                    .into_iter()
-                    .find(|a| a.paper_name().eq_ignore_ascii_case(n))
-                    .unwrap_or_else(|| {
-                        eprintln!("unknown algorithm {n}");
-                        std::process::exit(2);
-                    })
+                PlacementAlgorithm::from_paper_name(n).unwrap_or_else(|| {
+                    eprintln!("unknown algorithm {n}");
+                    std::process::exit(2);
+                })
             })
             .collect(),
     };

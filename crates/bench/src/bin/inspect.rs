@@ -18,13 +18,10 @@ fn main() {
     let algo_name = args.next().unwrap_or_else(|| "LOAD-BAL".into());
     let processors: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
 
-    let algo = PlacementAlgorithm::ALL
-        .into_iter()
-        .find(|a| a.paper_name().eq_ignore_ascii_case(&algo_name))
-        .unwrap_or_else(|| {
-            eprintln!("unknown algorithm {algo_name}; use a paper name like SHARE-REFS");
-            std::process::exit(2);
-        });
+    let algo = PlacementAlgorithm::from_paper_name(&algo_name).unwrap_or_else(|| {
+        eprintln!("unknown algorithm {algo_name}; use a paper name like SHARE-REFS");
+        std::process::exit(2);
+    });
 
     let mut app = prepare(&name);
     if algo == PlacementAlgorithm::CoherenceTraffic {

@@ -4,7 +4,6 @@ use crate::error::Error;
 use crate::experiment::{run_sweep, PreparedApp};
 use placesim_machine::MissBreakdown;
 use placesim_placement::PlacementAlgorithm;
-use serde::Serialize;
 
 /// Processor counts the paper sweeps, filtered to those feasible for a
 /// `threads`-thread application (at least one thread per processor).
@@ -18,7 +17,7 @@ pub fn default_processor_counts(threads: usize) -> Vec<usize> {
 /// Execution time of every static placement algorithm, normalized to
 /// RANDOM, across processor configurations — one of the paper's
 /// Figure 2/3/4 bar charts.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ExecTimeFigure {
     /// Application name.
     pub app: String,
@@ -90,7 +89,7 @@ pub fn exec_time_figure(
 
 /// Cache-miss components per algorithm per configuration — the paper's
 /// Figure 5.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MissComponentsFigure {
     /// Application name.
     pub app: String,

@@ -7,10 +7,9 @@ use crate::experiment::{sweep_with_config, PreparedApp};
 use crate::export::to_csv;
 use placesim_machine::{ArchConfig, MissBreakdown};
 use placesim_placement::PlacementAlgorithm;
-use serde::Serialize;
 
 /// One cell of an experiment grid.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct GridRecord {
     /// Application name.
     pub app: String,

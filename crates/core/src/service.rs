@@ -863,10 +863,7 @@ fn result_resp(id: u64, state: &str, result: Option<&str>, reason: Option<&str>)
 // ---- job execution --------------------------------------------------
 
 fn parse_algorithm(name: &str) -> Result<PlacementAlgorithm, String> {
-    PlacementAlgorithm::ALL
-        .into_iter()
-        .find(|a| a.paper_name().eq_ignore_ascii_case(name))
-        .ok_or_else(|| format!("unknown algorithm {name:?}"))
+    PlacementAlgorithm::from_paper_name(name).ok_or_else(|| format!("unknown algorithm {name:?}"))
 }
 
 /// Executes one job to its canonical result JSON. Deterministic: the

@@ -7,10 +7,9 @@ use placesim_machine::ArchConfig;
 use placesim_placement::PlacementAlgorithm;
 use placesim_trace::par::parallel_map;
 use placesim_workloads::{AppSpec, GenOptions, Granularity};
-use serde::Serialize;
 
 /// One row of Table 1: the application suite.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     /// Application name.
     pub app: String,
@@ -45,7 +44,7 @@ pub fn table2(apps: &[PreparedApp]) -> Vec<CharacteristicsRow> {
 }
 
 /// One row of Table 3: an architectural parameter and its value range.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table3Row {
     /// Parameter name.
     pub parameter: &'static str,
@@ -105,7 +104,7 @@ pub fn table3() -> Vec<Table3Row> {
 
 /// One row of Table 4: statically counted sharing vs. dynamically
 /// measured coherence traffic (one thread per processor).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table4Row {
     /// Application name.
     pub app: String,
@@ -148,7 +147,7 @@ pub const TABLE5_APPS: [&str; 6] = ["water", "locusroute", "pverify", "grav", "f
 
 /// One row of Table 5: infinite-cache execution times normalized to
 /// LOAD-BAL.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table5Row {
     /// Application name.
     pub app: String,

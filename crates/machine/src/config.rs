@@ -1,7 +1,6 @@
 //! Architectural parameters (the paper's Table 3).
 
 use crate::protocol::Protocol;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors from building an [`ArchConfig`].
@@ -77,7 +76,7 @@ impl std::error::Error for ConfigError {}
 /// context switch (pipeline drain), direct-mapped caches of 32 KB or
 /// 64 KB (8 MB ≈ infinite), round-robin switch-on-miss scheduling and a
 /// distributed directory-based invalidation protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArchConfig {
     cache_size: u64,
     line_size: u64,

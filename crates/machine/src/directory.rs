@@ -15,7 +15,6 @@
 
 use placesim_placement::ProcessorId;
 use placesim_trace::hash::FastMap;
-use serde::{Deserialize, Serialize};
 
 /// Maximum number of processors the directory supports (the sharer set
 /// is a `u128` bitmask). The paper's largest configuration is 127
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 pub const MAX_PROCESSORS: usize = 128;
 
 /// A set of processors holding a line, as a bitmask.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharerSet(u128);
 
 impl SharerSet {

@@ -22,10 +22,9 @@
 
 use crate::config::ArchConfig;
 use crate::stats::SimStats;
-use serde::{Deserialize, Serialize};
 
 /// Analytic efficiency model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EfficiencyModel {
     /// Mean useful cycles between misses of one context (`R`).
     pub run_length: f64,

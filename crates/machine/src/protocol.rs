@@ -34,9 +34,7 @@ use std::fmt;
 use std::str::FromStr;
 
 /// Coherence-protocol selector carried by [`crate::ArchConfig`].
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Protocol {
     /// Directory write-invalidate MSI (the paper's machine, the default).
     #[default]

@@ -1,13 +1,12 @@
 //! Cycle accounting and the four-way cache-miss taxonomy.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::AddAssign;
 
 /// The paper's cache-miss classification (§3.2: "separate statistics on
 /// the individual cache miss components of compulsory, intra-thread
 /// conflict, inter-thread conflict and invalidation misses").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MissKind {
     /// First reference to the line by this processor's cache, ever.
     Compulsory,
@@ -48,7 +47,7 @@ impl fmt::Display for MissKind {
 }
 
 /// Miss counts by [`MissKind`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MissBreakdown {
     /// Compulsory misses.
     pub compulsory: u64,
@@ -116,7 +115,7 @@ impl AddAssign for MissBreakdown {
 }
 
 /// Per-processor cycle and event counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProcStats {
     /// Cycles spent executing references (one per completed reference).
     pub busy: u64,
@@ -161,7 +160,7 @@ impl ProcStats {
 }
 
 /// Result of one simulation run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimStats {
     per_proc: Vec<ProcStats>,
 }

@@ -9,7 +9,6 @@ use crate::metrics::{
 };
 use placesim_analysis::{SharingAnalysis, SymMatrix};
 use placesim_trace::ProgramTrace;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The `+LB` tolerance: combined cluster load may exceed the ideal
@@ -22,7 +21,7 @@ pub const LB_TOLERANCE: f64 = 0.10;
 /// of item 8, and [`PlacementAlgorithm::CoherenceTraffic`] is the §4.2
 /// "best possible" placement built from dynamically measured coherence
 /// traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // each variant is described by `description`
 pub enum PlacementAlgorithm {
     ShareRefs,
@@ -110,6 +109,14 @@ impl PlacementAlgorithm {
             PlacementAlgorithm::Random => "RANDOM",
             PlacementAlgorithm::CoherenceTraffic => "COHERENCE",
         }
+    }
+
+    /// The algorithm whose [`paper_name`](Self::paper_name) is `name`,
+    /// ignoring ASCII case.
+    pub fn from_paper_name(name: &str) -> Option<Self> {
+        Self::ALL
+            .into_iter()
+            .find(|a| a.paper_name().eq_ignore_ascii_case(name))
     }
 
     /// One-line description of the clustering criterion.
@@ -585,6 +592,24 @@ mod tests {
         for a in PlacementAlgorithm::ALL {
             assert!(!a.description().is_empty());
         }
+    }
+
+    #[test]
+    fn paper_names_round_trip_in_either_case() {
+        for a in PlacementAlgorithm::ALL {
+            let name = a.paper_name();
+            assert_eq!(PlacementAlgorithm::from_paper_name(name), Some(a));
+            assert_eq!(
+                PlacementAlgorithm::from_paper_name(&name.to_ascii_lowercase()),
+                Some(a)
+            );
+            assert_eq!(
+                PlacementAlgorithm::from_paper_name(&name.to_ascii_uppercase()),
+                Some(a)
+            );
+        }
+        assert_eq!(PlacementAlgorithm::from_paper_name("SHARE-NOTHING"), None);
+        assert_eq!(PlacementAlgorithm::from_paper_name(""), None);
     }
 
     #[test]

@@ -2,13 +2,10 @@
 
 use crate::error::PlacementError;
 use placesim_trace::ThreadId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a processor in the simulated machine.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ProcessorId(u16);
 
 impl ProcessorId {
@@ -58,7 +55,7 @@ impl fmt::Display for ProcessorId {
 /// assert_eq!(map.max_cluster_size(), 2);
 /// # Ok::<(), placesim_placement::PlacementError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlacementMap {
     /// `assignment[thread] == processor`.
     assignment: Vec<ProcessorId>,

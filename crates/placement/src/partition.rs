@@ -2,14 +2,13 @@
 //! maintained cluster aggregates.
 
 use placesim_analysis::SymMatrix;
-use serde::{Deserialize, Serialize};
 
 /// The thread-balance shape for `t` threads on `p` processors: final
 /// cluster sizes must be ⌊t/p⌋ or ⌈t/p⌉, with exactly `t mod p` clusters
 /// of the larger size (paper §2: "each cluster must have t/p threads if p
 /// divides evenly into t; otherwise some processors will have ⌊t/p⌋
 /// threads and others ⌈t/p⌉").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BalanceSpec {
     threads: usize,
     processors: usize,

@@ -7,10 +7,9 @@
 
 use crate::map::PlacementMap;
 use placesim_analysis::SharingAnalysis;
-use serde::Serialize;
 
 /// Quality summary of one placement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacementQuality {
     /// Fraction (0–1) of all pairwise shared references whose thread
     /// pair is co-located.

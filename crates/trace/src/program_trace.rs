@@ -2,7 +2,6 @@
 
 use crate::record::ThreadId;
 use crate::thread_trace::ThreadTrace;
-use serde::{Deserialize, Serialize};
 
 /// The complete trace of one explicitly parallel application: one
 /// [`ThreadTrace`] per thread plus a human-readable name.
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(prog.thread_count(), 2);
 /// assert_eq!(prog.thread(ThreadId::new(1)).write_len(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProgramTrace {
     name: String,
     threads: Vec<ThreadTrace>,

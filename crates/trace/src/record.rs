@@ -1,6 +1,5 @@
 //! Core record types: references, addresses and thread identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of a memory reference.
@@ -9,7 +8,7 @@ use std::fmt;
 /// contain both instruction and data references; thread *length* is
 /// measured in instructions, while the sharing metrics are computed over
 /// data references only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RefKind {
     /// An instruction fetch.
     Instr,
@@ -79,9 +78,7 @@ impl fmt::Display for RefKind {
 ///
 /// Addresses are at most [`Address::MAX_BITS`] (62) bits wide so that a
 /// reference packs together with its 2-bit kind tag into a single `u64`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Address(u64);
 
 impl Address {
@@ -145,9 +142,7 @@ impl From<Address> for u64 {
 }
 
 /// A cache-line address: an [`Address`] shifted right by the line-size bits.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LineAddr(u64);
 
 impl LineAddr {
@@ -194,9 +189,7 @@ impl fmt::Display for LineAddr {
 ///
 /// Thread ids are dense indices `0..t`; the placement algorithms map them
 /// onto processors.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ThreadId(u16);
 
 impl ThreadId {
@@ -236,7 +229,7 @@ impl fmt::Display for ThreadId {
 }
 
 /// A single memory reference: a kind plus an address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemRef {
     /// What kind of access this is.
     pub kind: RefKind,

@@ -5,11 +5,10 @@
 //! mean); [`MeanDev`] captures that convention.
 
 use crate::{ProgramTrace, ThreadTrace};
-use serde::{Deserialize, Serialize};
 
 /// A sample mean together with its standard deviation, reported the way
 /// the paper's Table 2 does: deviation as a percentage of the mean.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MeanDev {
     /// Arithmetic mean of the sample.
     pub mean: f64,
@@ -59,7 +58,7 @@ impl MeanDev {
 }
 
 /// Per-thread length/recount statistics for a whole program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProgramStats {
     /// Number of threads.
     pub threads: usize,

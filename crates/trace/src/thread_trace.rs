@@ -1,7 +1,6 @@
 //! The packed, append-only reference trace of a single thread.
 
 use crate::record::{Address, MemRef, RefKind};
-use serde::{Deserialize, Serialize};
 
 /// The complete memory-reference trace of one thread.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// let kinds: Vec<_> = trace.iter().map(|r| r.kind).collect();
 /// assert_eq!(kinds.len(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ThreadTrace {
     packed: Vec<u64>,
     instr: u64,

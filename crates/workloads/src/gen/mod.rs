@@ -9,10 +9,9 @@ pub(crate) mod regions;
 use crate::spec::AppSpec;
 use placesim_trace::par::parallel_map;
 use placesim_trace::{AddrCounts, ProgramTrace};
-use serde::{Deserialize, Serialize};
 
 /// Generation options.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenOptions {
     /// Length scale factor: 1.0 reproduces the paper's simulated thread
     /// lengths (Table 2); smaller values shrink traces proportionally

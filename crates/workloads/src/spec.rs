@@ -1,10 +1,8 @@
 //! Application specifications: the target characteristics of each model.
 
-use serde::{Deserialize, Serialize};
-
 /// A target mean with a percentage deviation, matching how the paper's
 /// Table 2 reports program characteristics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TargetStat {
     /// Target mean.
     pub mean: f64,
@@ -26,7 +24,7 @@ impl TargetStat {
 
 /// Workload granularity (paper §3.1): coarse-grain programs have fewer,
 /// longer threads; medium-grain programs have more, shorter threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Granularity {
     /// SPLASH-style programs, millions of instructions per thread.
     Coarse,
@@ -40,7 +38,7 @@ pub enum Granularity {
 /// of them share data *sequentially* (long same-thread access runs,
 /// staggered across threads) — the property §4.2 identifies as the cause
 /// of the tiny runtime coherence traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SharingPattern {
     /// Every thread draws from the same shared pool (e.g. Gauss, whose
     /// "threads all shared the same data"; Water/MP3D's uniform
@@ -113,7 +111,7 @@ impl SharingPattern {
 /// per-application prose; thread counts are not legible in the source
 /// scan and are chosen to be consistent with the granularity description
 /// (documented per app in [`crate::suite`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppSpec {
     /// Application name, lowercase (e.g. `"locusroute"`).
     pub name: &'static str,

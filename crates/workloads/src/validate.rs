@@ -6,10 +6,9 @@
 use crate::spec::AppSpec;
 use placesim_trace::stats::MeanDev;
 use placesim_trace::ProgramTrace;
-use serde::{Deserialize, Serialize};
 
 /// How one measured quantity compares against its target.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Check {
     /// Target value from the spec.
     pub target: f64,
@@ -34,7 +33,7 @@ impl Check {
 }
 
 /// Validation report for one generated application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ValidationReport {
     /// Application name.
     pub app: String,

@@ -204,19 +204,16 @@ fn protocol_flag(args: &[String]) -> Result<Option<Protocol>, String> {
 }
 
 fn parse_algorithm(name: &str) -> Result<PlacementAlgorithm, String> {
-    PlacementAlgorithm::ALL
-        .into_iter()
-        .find(|a| a.paper_name().eq_ignore_ascii_case(name))
-        .ok_or_else(|| {
-            let names: Vec<&str> = PlacementAlgorithm::ALL
-                .iter()
-                .map(|a| a.paper_name())
-                .collect();
-            format!(
-                "unknown algorithm {name}; choose one of {}",
-                names.join(", ")
-            )
-        })
+    PlacementAlgorithm::from_paper_name(name).ok_or_else(|| {
+        let names: Vec<&str> = PlacementAlgorithm::ALL
+            .iter()
+            .map(|a| a.paper_name())
+            .collect();
+        format!(
+            "unknown algorithm {name}; choose one of {}",
+            names.join(", ")
+        )
+    })
 }
 
 fn load_trace(path: &str) -> Result<ProgramTrace, String> {
@@ -405,30 +402,32 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_analyze(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("analyze needs a trace path")?;
-    let timer = SpanTimer::start("analyze");
-    // v3 traces are profiled out-of-core: the sharded scan reads chunk
-    // iterators and spills past the PLACESIM_SPILL_ADDRS budget, so the
-    // trace never has to fit in memory. Results are bit-identical to
-    // the in-memory path.
-    let (sharing, row) = if trace_version(path)? == Some(stream::VERSION) {
+/// Profiles the trace at `path` for `analyze` and `place`: its name,
+/// total references, per-thread instruction counts and sharing analysis.
+/// v3 traces are profiled out of core: the sharded scan reads chunk
+/// iterators and spills past the `PLACESIM_SPILL_ADDRS` budget, and the
+/// rest comes from the footer, so the trace never has to fit in memory.
+/// Results are bit-identical to the in-memory path.
+fn profile_trace(path: &str) -> Result<(String, u64, Vec<u64>, SharingAnalysis), String> {
+    if trace_version(path)? == Some(stream::VERSION) {
         let reader = open_streamed(path)?;
         let sharing = SharingAnalysis::measure_streamed(&reader, &SpillBudget::from_env())
             .map_err(|e| format!("cannot analyze {path}: {e}"))?;
-        let row = CharacteristicsRow::from_sharing_parts(
-            reader.name(),
-            reader.instr_lengths(),
-            &sharing,
-            1994,
-        );
-        (sharing, row)
+        let name = reader.name().to_owned();
+        Ok((name, reader.total_refs(), reader.instr_lengths(), sharing))
     } else {
         let prog = load_trace(path)?;
         let sharing = SharingAnalysis::measure(&prog);
-        let row = CharacteristicsRow::from_sharing(&prog, &sharing, 1994);
-        (sharing, row)
-    };
+        let name = prog.name().to_owned();
+        Ok((name, prog.total_refs(), thread_lengths(&prog), sharing))
+    }
+}
+
+fn cmd_analyze(args: &[String]) -> Result<(), String> {
+    let path = args.first().ok_or("analyze needs a trace path")?;
+    let timer = SpanTimer::start("analyze");
+    let (name, _, lengths, sharing) = profile_trace(path)?;
+    let row = CharacteristicsRow::from_sharing_parts(&name, lengths, &sharing, 1994);
 
     if let Some(metrics) = raw_flag(args, "--metrics")? {
         // Analysis runs no simulation: the manifest records the tool,
@@ -482,26 +481,7 @@ fn cmd_place(args: &[String]) -> Result<(), String> {
         .parse()
         .map_err(|_| "processor count must be an integer".to_string())?;
     let timer = SpanTimer::start("place");
-    // Placement needs only the sharing matrices and per-thread lengths;
-    // for v3 both come from the streaming scan and the footer, so the
-    // trace is never materialized.
-    let (name, total_refs, sharing, lengths) = if trace_version(path)? == Some(stream::VERSION) {
-        let reader = open_streamed(path)?;
-        let sharing = SharingAnalysis::measure_streamed(&reader, &SpillBudget::from_env())
-            .map_err(|e| format!("cannot analyze {path}: {e}"))?;
-        let lengths = reader.instr_lengths();
-        (
-            reader.name().to_owned(),
-            reader.total_refs(),
-            sharing,
-            lengths,
-        )
-    } else {
-        let prog = load_trace(path)?;
-        let sharing = SharingAnalysis::measure(&prog);
-        let lengths = thread_lengths(&prog);
-        (prog.name().to_owned(), prog.total_refs(), sharing, lengths)
-    };
+    let (name, total_refs, lengths, sharing) = profile_trace(path)?;
     let inputs = PlacementInputs::new(&sharing, &lengths);
     let map = algo.place(&inputs, processors).map_err(|e| e.to_string())?;
 
