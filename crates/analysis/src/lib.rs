@@ -10,7 +10,7 @@
 //!   aggregates (% shared refs, private footprints). One sharded
 //!   sort-merge address scan feeds them from any of three sources: an
 //!   in-memory trace (`measure`), a generator's per-thread access lists
-//!   (`measure_access`), or a streaming v3 file read chunk by chunk under
+//!   (`measure_access`), or a streaming v4 file read chunk by chunk under
 //!   a [`SpillBudget`] (`measure_streamed`),
 //! * [`AddressProfile`] — per-address, per-thread reference counts built
 //!   by one hash-map probe per reference; `measure_reference` derives the

@@ -16,7 +16,7 @@
 //!    list is then sorted by address, once. A thread's references come
 //!    from one of three [`Source`]s: an in-memory trace (the whole thread
 //!    is one chunk), a generator's access lists (one entry per run, so
-//!    an address may recur), or the chunks of a v3 file. Only the file
+//!    an address may recur), or the chunks of a v4 file. Only the file
 //!    source has a memory bound: whenever its fold holds
 //!    [`SpillBudget`] distinct addresses, the sorted entries are flushed
 //!    as one *segment* of a per-thread spill file and the fold restarts
@@ -108,15 +108,19 @@ impl SpillBudget {
     }
 
     /// Reads the cap from [`Self::ENV_VAR`], falling back to
-    /// [`Self::DEFAULT_RESIDENT_ADDRS`] when unset or unparsable.
+    /// [`Self::DEFAULT_RESIDENT_ADDRS`] when unset, unparsable or zero.
     #[must_use]
     pub fn from_env() -> Self {
-        let cap = std::env::var(Self::ENV_VAR)
-            .ok()
+        Self::new(Self::cap_from(std::env::var(Self::ENV_VAR).ok().as_deref()))
+    }
+
+    /// The cap a value of [`Self::ENV_VAR`] asks for (`None` when it is
+    /// unset).
+    fn cap_from(value: Option<&str>) -> usize {
+        value
             .and_then(|s| s.parse::<usize>().ok())
             .filter(|&n| n >= 1)
-            .unwrap_or(Self::DEFAULT_RESIDENT_ADDRS);
-        Self::new(cap)
+            .unwrap_or(Self::DEFAULT_RESIDENT_ADDRS)
     }
 
     /// The distinct-address cap.
@@ -166,7 +170,7 @@ pub(crate) enum Source<'a> {
     /// thread `t`'s unaggregated entries (an address may recur, once
     /// per run).
     Access(&'a [Vec<AddrCounts>]),
-    /// A v3 file read chunk by chunk, spilling under the budget.
+    /// A v4 file read chunk by chunk, spilling under the budget.
     File(&'a FileReader, &'a SpillBudget),
 }
 
@@ -183,7 +187,7 @@ impl Source<'_> {
     fn thread_runs(&self, tid: ThreadId) -> Result<ThreadRuns, TraceError> {
         let mut fold = Fold::default();
         match *self {
-            Source::Trace(prog) => fold.add_refs(prog.thread(tid).iter()),
+            Source::Trace(prog) => prog.thread(tid).iter().for_each(|r| fold.add(r)),
             Source::Access(access) => {
                 for e in &access[tid.index()] {
                     let slot = fold.slot(e.addr);
@@ -199,11 +203,13 @@ impl Source<'_> {
 }
 
 /// Stage-1 fold state of one thread: its distinct-address runs in
-/// first-touch order and their slot index.
+/// first-touch order, their slot index and the last-address memo.
 #[derive(Default)]
 struct Fold {
     runs: Vec<AddrCounts>,
     index: FastMap<u64, u32>,
+    /// The last data address counted and its slot.
+    last: Option<(u64, usize)>,
 }
 
 impl Fold {
@@ -216,28 +222,26 @@ impl Fold {
         }) as usize
     }
 
-    /// Counts every data reference of `refs`; instruction fetches and
+    /// Counts `r` if it is a data reference; instruction fetches and
     /// barriers are skipped. Traces are run-structured (many
     /// consecutive references to one address), so a memo of the last
     /// address lets most references skip the slot index: they cost one
     /// compare.
-    fn add_refs(&mut self, refs: impl IntoIterator<Item = MemRef>) {
-        let mut last: Option<(u64, usize)> = None;
-        for r in refs {
-            if !r.kind.is_data() {
-                continue;
-            }
-            let addr = r.addr.raw();
-            let slot = match last {
-                Some((a, slot)) if a == addr => slot,
-                _ => {
-                    let slot = self.slot(addr);
-                    last = Some((addr, slot));
-                    slot
-                }
-            };
-            self.runs[slot].bump(r.kind.is_write());
+    #[inline]
+    fn add(&mut self, r: MemRef) {
+        if !r.kind.is_data() {
+            return;
         }
+        let addr = r.addr.raw();
+        let slot = match self.last {
+            Some((a, slot)) if a == addr => slot,
+            _ => {
+                let slot = self.slot(addr);
+                self.last = Some((addr, slot));
+                slot
+            }
+        };
+        self.runs[slot].bump(r.kind.is_write());
     }
 
     /// The runs, sorted by address in place.
@@ -250,6 +254,7 @@ impl Fold {
     fn clear(&mut self) {
         self.runs.clear();
         self.index.clear();
+        self.last = None;
     }
 
     fn into_sorted(mut self) -> Vec<AddrCounts> {
@@ -347,9 +352,9 @@ impl SpillWriter {
     }
 }
 
-/// Stage 1 for one thread of a v3 file: folds chunk by chunk, spilling a
-/// sorted segment whenever the fold holds the budget's distinct
-/// addresses.
+/// Stage 1 for one thread of a v4 file: decodes each verified chunk
+/// straight into the fold, spilling a sorted segment whenever the fold
+/// holds the budget's distinct addresses.
 fn fold_file(
     reader: &FileReader,
     tid: ThreadId,
@@ -358,8 +363,7 @@ fn fold_file(
     let mut chunks = reader.chunks(tid)?;
     let mut fold = Fold::default();
     let mut spill: Option<SpillWriter> = None;
-    while let Some(refs) = chunks.next_chunk()? {
-        fold.add_refs(refs.iter().copied());
+    while chunks.next_chunk(|r| fold.add(r))? {
         // Budget check at chunk granularity: the overshoot is bounded by
         // one chunk's worth of distinct addresses.
         if fold.runs.len() >= budget.max_resident_addrs {
@@ -657,7 +661,7 @@ mod tests {
     use placesim_trace::{Address, ThreadTrace};
     use proptest::prelude::*;
 
-    fn write_v3(prog: &ProgramTrace, chunk_bytes: usize) -> PathBuf {
+    fn write_v4(prog: &ProgramTrace, chunk_bytes: usize) -> PathBuf {
         let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
         let path = std::env::temp_dir().join(format!(
             "placesim-stream-analysis-{}-{seq}.trace",
@@ -717,7 +721,7 @@ mod tests {
     }
 
     fn file_visits(prog: &ProgramTrace, chunk_bytes: usize, budget: &SpillBudget) -> Visits {
-        let path = write_v3(prog, chunk_bytes);
+        let path = write_v4(prog, chunk_bytes);
         let reader = FileReader::open(&path).unwrap();
         let seen = visits(Source::File(&reader, budget));
         std::fs::remove_file(&path).unwrap();
@@ -827,7 +831,7 @@ mod tests {
     #[test]
     fn streamed_measure_matches_in_memory() {
         let p = prog();
-        let path = write_v3(&p, 512);
+        let path = write_v4(&p, 512);
         let reader = FileReader::open(&path).unwrap();
         for budget in [3, 1000] {
             let streamed =
@@ -864,7 +868,7 @@ mod tests {
     #[test]
     fn spill_files_are_cleaned_up() {
         let p = prog();
-        let trace = write_v3(&p, 256);
+        let trace = write_v4(&p, 256);
         let dir = std::env::temp_dir().join(format!(
             "placesim-spill-dir-{}-{}",
             std::process::id(),
@@ -885,7 +889,7 @@ mod tests {
 
     #[test]
     fn a_failed_scan_leaves_no_spill_file() {
-        let trace = write_v3(&prog(), 256);
+        let trace = write_v4(&prog(), 256);
         // Corrupt one byte inside thread 1's chunks: its fold spills
         // under the tiny budget, then hits the checksum error.
         let mut bytes = std::fs::read(&trace).unwrap();
@@ -907,11 +911,78 @@ mod tests {
         assert_eq!(left, 0, "a failed scan must delete its spill files");
     }
 
+    /// Rewrites the first record of `thread`'s last chunk to decode
+    /// below address 0 and re-seals the chunk's checksum, so the chunk
+    /// verifies and only its decode fails.
+    fn poison_last_chunk(bytes: &mut [u8], thread: u64) {
+        fn varint(bytes: &[u8], at: &mut usize) -> u64 {
+            let mut v = 0;
+            for shift in (0..).step_by(7) {
+                let b = bytes[*at];
+                *at += 1;
+                v |= u64::from(b & 0x7f) << shift;
+                if b & 0x80 == 0 {
+                    break;
+                }
+            }
+            v
+        }
+        let n = bytes.len();
+        let footer_len = u64::from_le_bytes(bytes[n - 12..n - 4].try_into().unwrap());
+        let footer_start = n - 20 - footer_len as usize;
+        let mut at = 8; // magic and version word
+        let name_len = varint(bytes, &mut at) as usize;
+        at += name_len;
+        varint(bytes, &mut at); // thread count
+        let mut last = None;
+        while at < footer_start {
+            let t = varint(bytes, &mut at);
+            varint(bytes, &mut at); // ref count
+            let len = varint(bytes, &mut at) as usize;
+            if t == thread {
+                last = Some((at, len));
+            }
+            at += 8 + len;
+        }
+        let (sum_at, len) = last.expect("the thread has chunks");
+        let payload = sum_at + 8;
+        // One varint byte, `zigzag(delta) << 2 | tag`: a read (tag 1)
+        // whose delta from the chunk's base address 0 is -1 (zigzag 1).
+        bytes[payload] = 1 << 2 | 1;
+        let sum = placesim_trace::hash::checksum64(&bytes[payload..payload + len]);
+        bytes[sum_at..payload].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    #[test]
+    fn an_out_of_range_address_fails_the_scan_and_leaves_no_spill_file() {
+        let trace = write_v4(&prog(), 256);
+        // Thread 1's fold spills under the tiny budget before its last
+        // chunk, whose checksum verifies but whose first address is -1.
+        let mut bytes = std::fs::read(&trace).unwrap();
+        poison_last_chunk(&mut bytes, 1);
+        std::fs::write(&trace, &bytes).unwrap();
+        let dir = std::env::temp_dir().join(format!(
+            "placesim-spill-dir-{}-{}",
+            std::process::id(),
+            SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let reader = FileReader::open(&trace).unwrap();
+        assert!(reader.chunk_count(ThreadId::new(1)) > 1);
+        let budget = SpillBudget::new(5).with_dir(&dir);
+        let err = SharingAnalysis::measure_streamed(&reader, &budget).unwrap_err();
+        let left = std::fs::read_dir(&dir).unwrap().count();
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_file(&trace).unwrap();
+        assert!(err.to_string().contains("out of range"), "{err}");
+        assert_eq!(left, 0, "a failed scan must delete its spill files");
+    }
+
     #[test]
     fn empty_threads_and_programs() {
         let p = ProgramTrace::new("holes", vec![ThreadTrace::new(), ThreadTrace::new()]);
         assert!(visits(Source::Trace(&p)).is_empty());
-        let path = write_v3(&p, 64);
+        let path = write_v4(&p, 64);
         let reader = FileReader::open(&path).unwrap();
         let streamed = SharingAnalysis::measure_streamed(&reader, &SpillBudget::new(2)).unwrap();
         assert_eq!(streamed, SharingAnalysis::measure(&p));
@@ -920,9 +991,15 @@ mod tests {
 
     #[test]
     fn budget_env_parsing() {
-        // from_env falls back to the default on junk; direct construction
-        // clamps zero to one.
+        // The environment value falls back to the default when unset,
+        // unparsable or zero; direct construction clamps zero to one.
+        let default = SpillBudget::DEFAULT_RESIDENT_ADDRS;
+        assert_eq!(SpillBudget::cap_from(None), default);
+        assert_eq!(SpillBudget::cap_from(Some("lots")), default);
+        assert_eq!(SpillBudget::cap_from(Some("-3")), default);
+        assert_eq!(SpillBudget::cap_from(Some("0")), default);
+        assert_eq!(SpillBudget::cap_from(Some("4096")), 4096);
         assert_eq!(SpillBudget::new(0).max_resident_addrs(), 1);
-        assert!(SpillBudget::default().max_resident_addrs() >= 1);
+        assert_eq!(SpillBudget::default().max_resident_addrs(), default);
     }
 }

@@ -295,7 +295,7 @@ impl SharingAnalysis {
         Self::measure_source(Source::Trace(prog)).expect("an in-memory scan reads no file")
     }
 
-    /// Computes all sharing metrics from a streaming (v3) trace file
+    /// Computes all sharing metrics from a streaming (v4) trace file
     /// without materializing it: the out-of-core analogue of
     /// [`Self::measure`].
     ///

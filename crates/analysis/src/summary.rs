@@ -55,7 +55,7 @@ impl CharacteristicsRow {
 
     /// Builds the row from the raw parts a streaming reader can supply
     /// without materializing the trace: the application name, per-thread
-    /// instruction counts (e.g. from the v3 footer totals), and a
+    /// instruction counts (e.g. from the v4 footer totals), and a
     /// pre-computed sharing analysis. [`Self::from_sharing`] delegates
     /// here, so the two paths cannot diverge.
     pub fn from_sharing_parts(

@@ -6,9 +6,9 @@ use placesim_trace::{Address, MemRef, ProgramTrace, ThreadId, ThreadTrace};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Writes `prog` as a v3 stream with the given chunk size to a unique
+/// Writes `prog` as a v4 stream with the given chunk size to a unique
 /// temp file, returning its path. Caller removes the file.
-fn write_v3_temp(prog: &ProgramTrace, chunk_bytes: usize) -> std::path::PathBuf {
+fn write_v4_temp(prog: &ProgramTrace, chunk_bytes: usize) -> std::path::PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let path = std::env::temp_dir().join(format!(
         "placesim-proptest-{}-{}.trace",
@@ -133,7 +133,7 @@ proptest! {
         prop_assert_eq!(fused, reference);
     }
 
-    /// Differential: the out-of-core streamed analysis of a v3 file is
+    /// Differential: the out-of-core streamed analysis of a v4 file is
     /// bit-identical to the in-memory one, across chunk sizes that force
     /// many chunks per thread and resident-address budgets tiny enough
     /// to force spill files and their k-way merge. (The scan module's
@@ -145,8 +145,8 @@ proptest! {
         budget in 1usize..40,
         chunk in 16usize..256,
     ) {
-        let path = write_v3_temp(&prog, chunk);
-        let reader = FileReader::open(&path).expect("open v3");
+        let path = write_v4_temp(&prog, chunk);
+        let reader = FileReader::open(&path).expect("open v4");
         let budget = SpillBudget::new(budget);
         let streamed = SharingAnalysis::measure_streamed(&reader, &budget);
         std::fs::remove_file(&path).ok();

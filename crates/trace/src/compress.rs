@@ -226,7 +226,7 @@ pub fn read_any(raw: &[u8]) -> Result<ProgramTrace, TraceError> {
         match version {
             1 => return crate::io::from_bytes(raw),
             2 => return from_bytes(raw),
-            3 => return crate::stream::from_bytes(raw),
+            4 => return crate::stream::from_bytes(raw),
             other => {
                 return Err(TraceError::Version {
                     found: other,
@@ -340,7 +340,7 @@ mod tests {
 
     /// Empty threads at every boundary position, and a named zero-thread
     /// program: v2 writes a zero length varint per empty thread, and the
-    /// reader restores the exact thread list — mirrored by the v1 and v3
+    /// reader restores the exact thread list — mirrored by the v1 and v4
     /// equivalents so all formats agree on these edge shapes.
     #[test]
     fn empty_threads_roundtrip_at_boundaries() {

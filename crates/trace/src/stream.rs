@@ -1,23 +1,37 @@
-//! Streaming chunked trace serialization (format version 3).
+//! Streaming chunked trace serialization (format version 4).
 //!
 //! Versions 1 and 2 are monolithic: a reader must materialize the whole
 //! `ProgramTrace` before it can look at a single reference, so the
 //! largest traces are capped by RAM long before they are capped by CPU.
-//! Version 3 keeps the v2 varint record encoding but splits the stream
+//! Version 4 keeps the v2 varint record encoding but splits the stream
 //! into independently decodable, checksummed chunks with a per-thread
 //! index in a footer:
 //!
 //! ```text
-//! header   magic "PSIM" · version u32 LE = 3 · name (varint len + UTF-8)
+//! header   magic "PSIM" · version u32 LE = 4 · name (varint len + UTF-8)
 //!          · thread count (varint)
 //! chunk*   thread (varint) · ref count (varint) · payload len (varint)
-//!          · fnv1a64(payload) u64 LE
+//!          · checksum64(payload) u64 LE
 //!          · payload: v2 varint records, delta base reset to 0
 //! footer   per thread: chunk count (varint), then per chunk
 //!            (offset delta, ref count, payload len) varints,
 //!            then totals (instr, reads, writes, barriers) varints
-//! trailer  fnv1a64(footer) u64 LE · footer len u64 LE · magic "PSV3"
+//! trailer  checksum64(footer) u64 LE · footer len u64 LE · magic "PSV4"
+//!
+//! checksum64(b)  h = SEED; for each little-endian 8-byte word w of b,
+//!                the last zero-padded: h = rotl((h ^ w) · MUL, 29);
+//!                then fmix64(h ^ len(b))
 //! ```
+//!
+//! [`crate::hash::checksum64`] is the one definition. Each word step is
+//! a bijection of the state (and of the word, for a fixed state), so
+//! any change confined to one word, in particular any single-byte
+//! change, always changes the checksum; the length term separates
+//! payloads that differ only in trailing zero bytes. Working on whole
+//! words takes one multiply per 8 bytes where a byte-serial checksum
+//! (FNV-1a, which version 3 used) takes one per byte, and every chunk
+//! is checksummed before it decodes. Version 3 files are refused with
+//! [`TraceError::Version`]; regenerate them.
 //!
 //! Because every chunk resets its delta base, a chunk decodes from its
 //! own bytes alone; because the footer indexes chunks by thread, a
@@ -45,11 +59,11 @@
 //! let t: ThreadTrace = (0..100).map(|i| MemRef::instr(Address::new(4 * i))).collect();
 //! let prog = ProgramTrace::new("small", vec![t]);
 //!
-//! let v3 = stream::to_bytes(&prog)?;
-//! assert_eq!(stream::from_bytes(&v3)?, prog);
+//! let v4 = stream::to_bytes(&prog)?;
+//! assert_eq!(stream::from_bytes(&v4)?, prog);
 //!
 //! // Zero-copy per-thread iteration.
-//! let file = stream::TraceFile::parse(&v3)?;
+//! let file = stream::TraceFile::parse(&v4)?;
 //! let refs: Result<Vec<_>, _> = file.chunk_reader(ThreadId::new(0)).collect();
 //! assert_eq!(refs?.len(), 100);
 //! # Ok(())
@@ -57,7 +71,7 @@
 //! ```
 
 use crate::compress::{get_varint, put_varint, unzigzag, zigzag, MAGIC};
-use crate::hash::fnv1a64;
+use crate::hash::checksum64;
 use crate::record::{Address, MemRef, RefKind, ThreadId};
 use crate::{ProgramTrace, ThreadTrace, TraceError};
 use std::fs::File;
@@ -65,9 +79,9 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Version tag of the streaming format.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 /// Magic at the very end of the file, locating the footer.
-pub const TRAILER_MAGIC: [u8; 4] = *b"PSV3";
+pub const TRAILER_MAGIC: [u8; 4] = *b"PSV4";
 /// Default target payload size of one chunk.
 pub const DEFAULT_CHUNK_BYTES: usize = 256 * 1024;
 
@@ -143,32 +157,77 @@ struct ThreadIndex {
     totals: KindTotals,
 }
 
-/// Decodes `ref_count` v2 varint records from `payload` (delta base 0),
-/// feeding each reference to `f`. The payload must be fully consumed.
-fn decode_payload(
-    mut payload: &[u8],
-    ref_count: u64,
-    mut f: impl FnMut(MemRef),
-) -> Result<(), TraceError> {
-    let mut prev: i64 = 0;
-    for _ in 0..ref_count {
-        let word = get_varint(&mut payload)?;
+/// The references of one verified chunk payload: `left` v2 varint
+/// records remain, delta-decoded against `prev` (0 at the chunk start).
+/// This is the format's one record decoder: [`ChunkReader`] pulls from
+/// it a record at a time and [`FileChunks`] drains it into a consumer.
+#[derive(Debug, Default)]
+struct Payload<'a> {
+    bytes: &'a [u8],
+    left: u64,
+    prev: i64,
+}
+
+impl Payload<'_> {
+    /// Decodes the next record; `None` once all `left` are out, which
+    /// must also be the end of the bytes.
+    #[inline]
+    fn next_ref(&mut self) -> Result<Option<MemRef>, TraceError> {
+        if self.left == 0 {
+            if !self.bytes.is_empty() {
+                return format_err(format!(
+                    "chunk payload has {} trailing bytes",
+                    self.bytes.len()
+                ));
+            }
+            return Ok(None);
+        }
+        let word = get_varint(&mut self.bytes)?;
         let kind = RefKind::from_tag(word & 3).expect("2-bit tag");
         let delta = unzigzag(word >> 2);
-        let addr = match prev.checked_add(delta) {
+        let addr = match self.prev.checked_add(delta) {
             Some(a) if (0..=Address::MAX.raw() as i64).contains(&a) => a,
             _ => return format_err("decoded address out of range"),
         };
-        prev = addr;
-        f(MemRef::new(kind, Address::new(addr as u64)));
+        self.prev = addr;
+        self.left -= 1;
+        Ok(Some(MemRef::new(kind, Address::new(addr as u64))))
     }
-    if !payload.is_empty() {
+}
+
+/// Checks the chunk at the front of `chunk` against its footer index
+/// entry and its checksum, and returns its payload ready to decode.
+/// `chunk` may run past the chunk's end. No record is decoded before
+/// the checksum has verified.
+fn verified_payload<'a>(
+    chunk: &'a [u8],
+    meta: &ChunkMeta,
+    thread: u64,
+) -> Result<Payload<'a>, TraceError> {
+    let mut cursor = chunk;
+    let chunk_thread = get_varint(&mut cursor)?;
+    let ref_count = get_varint(&mut cursor)?;
+    let payload_len = get_varint(&mut cursor)?;
+    if chunk_thread != thread || ref_count != meta.ref_count || payload_len != meta.payload_len {
         return format_err(format!(
-            "chunk payload has {} trailing bytes",
-            payload.len()
+            "footer/index mismatch: chunk at offset {} disagrees with its index entry",
+            meta.offset
         ));
     }
-    Ok(())
+    if cursor.len() < 8 + payload_len as usize {
+        return format_err("truncated chunk");
+    }
+    let (sum, rest) = cursor.split_at(8);
+    let checksum = u64::from_le_bytes(sum.try_into().expect("8 bytes"));
+    let bytes = &rest[..payload_len as usize];
+    if checksum64(bytes) != checksum {
+        return format_err(format!("chunk checksum mismatch at offset {}", meta.offset));
+    }
+    Ok(Payload {
+        bytes,
+        left: ref_count,
+        prev: 0,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -186,7 +245,7 @@ pub struct StreamSummary {
     pub totals: Vec<KindTotals>,
 }
 
-/// Incremental v3 writer over any byte sink.
+/// Incremental v4 writer over any byte sink.
 ///
 /// References are appended one thread run at a time; a chunk is flushed
 /// whenever its payload reaches the target size or the writer switches
@@ -205,7 +264,7 @@ pub struct StreamWriter<W: Write> {
 }
 
 impl<W: Write> StreamWriter<W> {
-    /// Starts a v3 stream with the default chunk size and writes the
+    /// Starts a v4 stream with the default chunk size and writes the
     /// header.
     ///
     /// # Errors
@@ -217,7 +276,7 @@ impl<W: Write> StreamWriter<W> {
         Self::with_chunk_bytes(w, name, thread_count, DEFAULT_CHUNK_BYTES)
     }
 
-    /// Starts a v3 stream with an explicit chunk payload target.
+    /// Starts a v4 stream with an explicit chunk payload target.
     ///
     /// # Errors
     ///
@@ -313,7 +372,7 @@ impl<W: Write> StreamWriter<W> {
         put_varint(&mut head, thread.index() as u64);
         put_varint(&mut head, self.refs_in_chunk);
         put_varint(&mut head, self.payload.len() as u64);
-        head.extend_from_slice(&fnv1a64(&self.payload).to_le_bytes());
+        head.extend_from_slice(&checksum64(&self.payload).to_le_bytes());
         self.w.write_all(&head)?;
         self.w.write_all(&self.payload)?;
         self.threads[thread.index()].chunks.push(ChunkMeta {
@@ -351,7 +410,7 @@ impl<W: Write> StreamWriter<W> {
             put_varint(&mut footer, idx.totals.barriers);
         }
         self.w.write_all(&footer)?;
-        self.w.write_all(&fnv1a64(&footer).to_le_bytes())?;
+        self.w.write_all(&checksum64(&footer).to_le_bytes())?;
         self.w.write_all(&(footer.len() as u64).to_le_bytes())?;
         self.w.write_all(&TRAILER_MAGIC)?;
         self.w.flush()?;
@@ -364,7 +423,7 @@ impl<W: Write> StreamWriter<W> {
     }
 }
 
-/// Serializes a program trace in the streaming v3 format.
+/// Serializes a program trace in the streaming v4 format.
 ///
 /// # Errors
 ///
@@ -393,7 +452,7 @@ pub fn to_bytes(prog: &ProgramTrace) -> Result<Vec<u8>, TraceError> {
 // Shared header/footer parsing
 // ---------------------------------------------------------------------------
 
-/// Parsed v3 header: trace name plus the cursor offset of the first
+/// Parsed v4 header: trace name plus the cursor offset of the first
 /// chunk.
 struct Header {
     name: String,
@@ -421,7 +480,7 @@ fn check_magic_version(raw: &[u8]) -> Result<&[u8], TraceError> {
     Ok(rest)
 }
 
-/// Parses the v3 header from the front of `raw`.
+/// Parses the v4 header from the front of `raw`.
 fn parse_header(raw: &[u8]) -> Result<Header, TraceError> {
     let rest = check_magic_version(raw)?;
     let mut cursor = rest;
@@ -453,7 +512,7 @@ fn parse_header(raw: &[u8]) -> Result<Header, TraceError> {
 /// [`TRAILER_LEN`] bytes; returns the footer payload's file range.
 fn locate_footer(file_len: u64, trailer: &[u8; TRAILER_LEN]) -> Result<(u64, u64), TraceError> {
     if trailer[16..] != TRAILER_MAGIC {
-        return format_err("missing v3 trailer magic");
+        return format_err("missing v4 trailer magic");
     }
     let checksum = u64::from_le_bytes(trailer[..8].try_into().expect("8 bytes"));
     let footer_len = u64::from_le_bytes(trailer[8..16].try_into().expect("8 bytes"));
@@ -559,7 +618,7 @@ fn parse_footer(
 // Zero-copy slice reader
 // ---------------------------------------------------------------------------
 
-/// A parsed v3 trace over a borrowed byte slice (mmap-friendly).
+/// A parsed v4 trace over a borrowed byte slice (mmap-friendly).
 ///
 /// Parsing reads only the header and footer; chunk payloads are
 /// checksummed and decoded lazily, per thread, by [`ChunkReader`].
@@ -573,7 +632,7 @@ pub struct TraceFile<'a> {
 }
 
 impl<'a> TraceFile<'a> {
-    /// Parses the header and footer of a v3 trace.
+    /// Parses the header and footer of a v4 trace.
     ///
     /// # Errors
     ///
@@ -592,7 +651,7 @@ impl<'a> TraceFile<'a> {
             return format_err("footer overlaps header");
         }
         let footer = &raw[footer_start as usize..raw.len() - TRAILER_LEN];
-        if fnv1a64(footer) != checksum {
+        if checksum64(footer) != checksum {
             return format_err("footer checksum mismatch");
         }
         let threads = parse_footer(footer, header.thread_count, header.data_start, footer_start)?;
@@ -642,9 +701,7 @@ impl<'a> TraceFile<'a> {
             raw: self.raw,
             chunks: self.threads[thread.index()].chunks.iter(),
             thread: thread.index() as u64,
-            cur: &[],
-            left: 0,
-            prev: 0,
+            cur: Payload::default(),
             failed: false,
         }
     }
@@ -661,63 +718,21 @@ pub struct ChunkReader<'a> {
     raw: &'a [u8],
     chunks: std::slice::Iter<'a, ChunkMeta>,
     thread: u64,
-    cur: &'a [u8],
-    left: u64,
-    prev: i64,
+    cur: Payload<'a>,
     failed: bool,
 }
 
 impl ChunkReader<'_> {
-    /// Verifies the next indexed chunk and exposes its payload.
-    fn load_chunk(&mut self, meta: &ChunkMeta) -> Result<(), TraceError> {
-        let mut cursor = &self.raw[meta.offset as usize..];
-        let thread = get_varint(&mut cursor)?;
-        let ref_count = get_varint(&mut cursor)?;
-        let payload_len = get_varint(&mut cursor)?;
-        if thread != self.thread || ref_count != meta.ref_count || payload_len != meta.payload_len {
-            return format_err(format!(
-                "footer/index mismatch: chunk at offset {} disagrees with its index entry",
-                meta.offset
-            ));
-        }
-        if cursor.len() < 8 + payload_len as usize {
-            return format_err("truncated chunk");
-        }
-        let (sum, rest) = cursor.split_at(8);
-        let checksum = u64::from_le_bytes(sum.try_into().expect("8 bytes"));
-        let payload = &rest[..payload_len as usize];
-        if fnv1a64(payload) != checksum {
-            return format_err(format!("chunk checksum mismatch at offset {}", meta.offset));
-        }
-        self.cur = payload;
-        self.left = ref_count;
-        self.prev = 0;
-        Ok(())
-    }
-
     fn step(&mut self) -> Result<Option<MemRef>, TraceError> {
-        while self.left == 0 {
-            if !self.cur.is_empty() {
-                return format_err(format!(
-                    "chunk payload has {} trailing bytes",
-                    self.cur.len()
-                ));
+        loop {
+            if let Some(r) = self.cur.next_ref()? {
+                return Ok(Some(r));
             }
-            let Some(meta) = self.chunks.next().copied() else {
+            let Some(meta) = self.chunks.next() else {
                 return Ok(None);
             };
-            self.load_chunk(&meta)?;
+            self.cur = verified_payload(&self.raw[meta.offset as usize..], meta, self.thread)?;
         }
-        let word = get_varint(&mut self.cur)?;
-        let kind = RefKind::from_tag(word & 3).expect("2-bit tag");
-        let delta = unzigzag(word >> 2);
-        let addr = match self.prev.checked_add(delta) {
-            Some(a) if (0..=Address::MAX.raw() as i64).contains(&a) => a,
-            _ => return format_err("decoded address out of range"),
-        };
-        self.prev = addr;
-        self.left -= 1;
-        Ok(Some(MemRef::new(kind, Address::new(addr as u64))))
     }
 }
 
@@ -743,7 +758,7 @@ impl Iterator for ChunkReader<'_> {
 // Out-of-core file reader
 // ---------------------------------------------------------------------------
 
-/// A v3 trace on disk, opened by reading only the header and footer.
+/// A v4 trace on disk, opened by reading only the header and footer.
 ///
 /// Each call to [`FileReader::chunks`] opens an independent file
 /// handle, so multiple threads' streams can be consumed concurrently
@@ -758,7 +773,7 @@ pub struct FileReader {
 }
 
 impl FileReader {
-    /// Opens a v3 trace file and parses its header and footer.
+    /// Opens a v4 trace file and parses its header and footer.
     ///
     /// # Errors
     ///
@@ -772,20 +787,21 @@ impl FileReader {
             return format_err("truncated trailer");
         }
 
+        // The header's size depends on the name length it carries, so
+        // probe a small prefix first, then read exactly enough. The
+        // probe also checks the version word before the trailer is
+        // read, so a file of another version is refused as such. Every
+        // read is bounded by the real file length.
+        let probe_len = (file_len - TRAILER_LEN as u64).min(64) as usize;
+        let mut probe = vec![0u8; probe_len];
+        file.read_exact(&mut probe)?;
+        check_magic_version(&probe)?;
+
         let mut trailer = [0u8; TRAILER_LEN];
         file.seek(SeekFrom::End(-(TRAILER_LEN as i64)))?;
         file.read_exact(&mut trailer)?;
         let (footer_start, checksum) = locate_footer(file_len, &trailer)?;
 
-        // The header's size depends on the name length it carries, so
-        // probe a small prefix first, then read exactly enough. Every
-        // read is bounded by the footer offset, which is bounded by the
-        // real file length.
-        let probe_len = footer_start.min(64) as usize;
-        let mut probe = vec![0u8; probe_len];
-        file.seek(SeekFrom::Start(0))?;
-        file.read_exact(&mut probe)?;
-        check_magic_version(&probe)?;
         let mut cursor = &probe[8..];
         let name_len = get_varint(&mut cursor)?;
         let head_len = (8 + varint_len(name_len) + name_len + 10).min(footer_start) as usize;
@@ -801,7 +817,7 @@ impl FileReader {
         let mut footer = vec![0u8; footer_len as usize];
         file.seek(SeekFrom::Start(footer_start))?;
         file.read_exact(&mut footer)?;
-        if fnv1a64(&footer) != checksum {
+        if checksum64(&footer) != checksum {
             return format_err("footer checksum mismatch");
         }
         let threads = parse_footer(
@@ -925,15 +941,15 @@ impl FileReader {
             footer_start: self.footer_start,
             next: 0,
             raw: Vec::new(),
-            refs: Vec::new(),
         })
     }
 }
 
-/// Chunk-at-a-time reader over one thread of an on-disk v3 trace.
+/// Chunk-at-a-time reader over one thread of an on-disk trace.
 ///
-/// Buffers are reused across chunks, so the resident set is one chunk's
-/// payload plus its decoded references, independent of trace length.
+/// The chunk buffer is reused across chunks and references are decoded
+/// straight into the caller's consumer, so the resident set is one
+/// chunk's bytes, independent of trace length.
 #[derive(Debug)]
 pub struct FileChunks<'r> {
     file: File,
@@ -942,57 +958,43 @@ pub struct FileChunks<'r> {
     footer_start: u64,
     next: usize,
     raw: Vec<u8>,
-    refs: Vec<MemRef>,
 }
 
 impl FileChunks<'_> {
-    /// Reads, verifies and decodes the next chunk. Returns `None` after
-    /// the last chunk. The returned slice is valid until the next call.
+    /// Reads and verifies the next chunk, then hands its references to
+    /// `f` in order. Returns `false`, calling `f` never, after the last
+    /// chunk.
+    ///
+    /// The checksum is verified before the first reference is handed
+    /// out. A record that fails to decode (an address out of range, a
+    /// malformed varint) is only found while decoding, so `f` may have
+    /// seen part of a chunk when this returns an error.
     ///
     /// # Errors
     ///
     /// Returns [`TraceError::Io`] on read failures and
-    /// [`TraceError::Format`] on checksum or index mismatches.
-    pub fn next_chunk(&mut self) -> Result<Option<&[MemRef]>, TraceError> {
-        let Some(meta) = self.chunks.get(self.next).copied() else {
-            return Ok(None);
+    /// [`TraceError::Format`] on checksum, index or record errors.
+    pub fn next_chunk(&mut self, mut f: impl FnMut(MemRef)) -> Result<bool, TraceError> {
+        let Some(meta) = self.chunks.get(self.next) else {
+            return Ok(false);
         };
         self.next += 1;
 
         // One read covers the worst-case header plus the indexed
         // payload; `parse_footer` bounded `offset + payload_len` by the
-        // footer offset, so this allocation is bounded by the file.
+        // footer offset, so this allocation is bounded by the file. The
+        // read overwrites every byte, so only growth is zero-filled.
         let want =
             (MAX_CHUNK_HEADER + meta.payload_len).min(self.footer_start - meta.offset) as usize;
-        self.raw.clear();
         self.raw.resize(want, 0);
         self.file.seek(SeekFrom::Start(meta.offset))?;
         self.file.read_exact(&mut self.raw)?;
 
-        let mut cursor = self.raw.as_slice();
-        let thread = get_varint(&mut cursor)?;
-        let ref_count = get_varint(&mut cursor)?;
-        let payload_len = get_varint(&mut cursor)?;
-        if thread != self.thread || ref_count != meta.ref_count || payload_len != meta.payload_len {
-            return format_err(format!(
-                "footer/index mismatch: chunk at offset {} disagrees with its index entry",
-                meta.offset
-            ));
+        let mut payload = verified_payload(&self.raw, meta, self.thread)?;
+        while let Some(r) = payload.next_ref()? {
+            f(r);
         }
-        if cursor.len() < 8 + payload_len as usize {
-            return format_err("truncated chunk");
-        }
-        let (sum, rest) = cursor.split_at(8);
-        let checksum = u64::from_le_bytes(sum.try_into().expect("8 bytes"));
-        let payload = &rest[..payload_len as usize];
-        if fnv1a64(payload) != checksum {
-            return format_err(format!("chunk checksum mismatch at offset {}", meta.offset));
-        }
-        self.refs.clear();
-        self.refs.reserve((ref_count as usize).min(payload.len()));
-        let refs = &mut self.refs;
-        decode_payload(payload, ref_count, |r| refs.push(r))?;
-        Ok(Some(&self.refs))
+        Ok(true)
     }
 }
 
@@ -1000,7 +1002,7 @@ impl FileChunks<'_> {
 // Materialization
 // ---------------------------------------------------------------------------
 
-/// Fully materializes a v3 byte stream into a [`ProgramTrace`],
+/// Fully materializes a v4 byte stream into a [`ProgramTrace`],
 /// verifying every chunk checksum and the footer totals.
 ///
 /// # Errors
@@ -1118,7 +1120,7 @@ mod tests {
     }
 
     #[test]
-    fn read_any_dispatches_v3() {
+    fn read_any_dispatches_v4() {
         let prog = sample();
         let bytes = to_bytes(&prog).unwrap();
         assert_eq!(compress::read_any(&bytes).unwrap(), prog);
@@ -1178,9 +1180,7 @@ mod tests {
         for (tid, thread) in prog.iter() {
             let mut chunks = reader.chunks(tid).unwrap();
             let mut decoded = Vec::new();
-            while let Some(refs) = chunks.next_chunk().unwrap() {
-                decoded.extend_from_slice(refs);
-            }
+            while chunks.next_chunk(|r| decoded.push(r)).unwrap() {}
             assert_eq!(decoded, thread.iter().collect::<Vec<_>>());
         }
         std::fs::remove_file(&path).unwrap();
@@ -1210,7 +1210,7 @@ mod tests {
             let tid = ThreadId::from_index(t);
             let mut chunks = reader.chunks(tid).unwrap();
             let mut steps = 0;
-            while chunks.next_chunk().unwrap().is_some() {
+            while chunks.next_chunk(|_| {}).unwrap() {
                 steps += 1;
             }
             assert_eq!(steps, n, "thread {t}");

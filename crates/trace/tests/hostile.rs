@@ -9,7 +9,7 @@
 //! The allocator needs `unsafe` (the library itself forbids it; this
 //! integration-test binary is a separate crate and opts in locally).
 
-use placesim_trace::hash::fnv1a64;
+use placesim_trace::hash::{checksum64, fnv1a64};
 use placesim_trace::{
     compress, io, stream, Address, MemRef, ProgramTrace, ThreadTrace, TraceError,
 };
@@ -118,7 +118,7 @@ fn v2_claiming_threads(thread_count: u64) -> Vec<u8> {
     f
 }
 
-/// Appends a LEB128 varint (the v2/v3 wire integer).
+/// Appends a LEB128 varint (the v2/v4 wire integer).
 fn vp(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -131,16 +131,23 @@ fn vp(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// A hand-built v3 file whose single chunk carries ONE real record but
-/// whose headers and index claim `claimed_refs` references. The chunk
-/// index is internally consistent (checksums verify, totals match the
-/// index when `total_instr == claimed_refs`), so decoding proceeds all
-/// the way into the chunk before the lie surfaces — the worst case for
-/// count-driven preallocation.
-fn v3_lying_ref_count(claimed_refs: u64, total_instr: u64) -> Vec<u8> {
+/// A hand-built streaming file whose single chunk carries ONE real
+/// record but whose headers and index claim `claimed_refs` references,
+/// with the given version word, checksum function and trailer magic.
+/// The chunk index is internally consistent (checksums verify, totals
+/// match the index when `total_instr == claimed_refs`), so decoding
+/// proceeds all the way into the chunk before the lie surfaces — the
+/// worst case for count-driven preallocation.
+fn streaming_file(
+    version: u32,
+    checksum: fn(&[u8]) -> u64,
+    magic: &[u8; 4],
+    claimed_refs: u64,
+    total_instr: u64,
+) -> Vec<u8> {
     let mut f = Vec::new();
     f.extend_from_slice(b"PSIM");
-    f.extend_from_slice(&stream::VERSION.to_le_bytes());
+    f.extend_from_slice(&version.to_le_bytes());
     vp(&mut f, 0); // empty name
     vp(&mut f, 1); // one thread
     let data_start = f.len() as u64;
@@ -148,7 +155,7 @@ fn v3_lying_ref_count(claimed_refs: u64, total_instr: u64) -> Vec<u8> {
     vp(&mut f, 0); // thread
     vp(&mut f, claimed_refs);
     vp(&mut f, payload.len() as u64);
-    f.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+    f.extend_from_slice(&checksum(&payload).to_le_bytes());
     f.extend_from_slice(&payload);
 
     let mut footer = Vec::new();
@@ -161,18 +168,29 @@ fn v3_lying_ref_count(claimed_refs: u64, total_instr: u64) -> Vec<u8> {
     vp(&mut footer, 0); // writes
     vp(&mut footer, 0); // barriers
     f.extend_from_slice(&footer);
-    f.extend_from_slice(&fnv1a64(&footer).to_le_bytes());
+    f.extend_from_slice(&checksum(&footer).to_le_bytes());
     f.extend_from_slice(&(footer.len() as u64).to_le_bytes());
-    f.extend_from_slice(&stream::TRAILER_MAGIC);
+    f.extend_from_slice(magic);
     f
+}
+
+/// [`streaming_file`] in the current (v4) format.
+fn v4_lying_ref_count(claimed_refs: u64, total_instr: u64) -> Vec<u8> {
+    streaming_file(
+        stream::VERSION,
+        checksum64,
+        &stream::TRAILER_MAGIC,
+        claimed_refs,
+        total_instr,
+    )
 }
 
 /// Lying chunk ref-count (2^40 claimed, 1 present): the decode must hit
 /// "truncated chunk" territory, never abort, and never preallocate
 /// anywhere near the claimed count.
 #[test]
-fn v3_lying_ref_count_is_rejected_with_clamped_prealloc() {
-    let file = v3_lying_ref_count(1 << 40, 1 << 40);
+fn v4_lying_ref_count_is_rejected_with_clamped_prealloc() {
+    let file = v4_lying_ref_count(1 << 40, 1 << 40);
     let (peak, result) = measured_peak(|| compress::read_any(&file));
     assert!(
         matches!(result, Err(TraceError::Format { .. })),
@@ -188,8 +206,8 @@ fn v3_lying_ref_count_is_rejected_with_clamped_prealloc() {
 /// Footer totals disagreeing with the chunk index must be called out as
 /// a footer/index mismatch before any chunk is decoded.
 #[test]
-fn v3_footer_index_mismatch_is_rejected() {
-    let file = v3_lying_ref_count(7, 5);
+fn v4_footer_index_mismatch_is_rejected() {
+    let file = v4_lying_ref_count(7, 5);
     let (peak, result) = measured_peak(|| stream::from_bytes(&file));
     match result {
         Err(TraceError::Format { reason }) => {
@@ -203,8 +221,8 @@ fn v3_footer_index_mismatch_is_rejected() {
 /// A footer whose per-chunk payload length reaches past the data region
 /// is rejected at index-parse time.
 #[test]
-fn v3_lying_payload_length_is_rejected() {
-    let mut file = v3_lying_ref_count(1, 1);
+fn v4_lying_payload_length_is_rejected() {
+    let mut file = v4_lying_ref_count(1, 1);
     // Rewrite the footer with a payload_len pointing far past the file.
     file.truncate(file.len() - 20 - 9); // drop trailer + 9-byte footer tail
     let data_start = 10u64;
@@ -219,7 +237,7 @@ fn v3_lying_payload_length_is_rejected() {
     let footer_start = file.len();
     file.truncate(footer_start);
     file.extend_from_slice(&footer);
-    file.extend_from_slice(&fnv1a64(&footer).to_le_bytes());
+    file.extend_from_slice(&checksum64(&footer).to_le_bytes());
     file.extend_from_slice(&(footer.len() as u64).to_le_bytes());
     file.extend_from_slice(&stream::TRAILER_MAGIC);
     let (peak, result) = measured_peak(|| stream::from_bytes(&file));
@@ -234,7 +252,7 @@ fn v3_lying_payload_length_is_rejected() {
 /// it: the truncated varint errors out and the chunk-index vector's
 /// preallocation is clamped by the remaining footer bytes.
 #[test]
-fn v3_hostile_chunk_count_stays_small() {
+fn v4_hostile_chunk_count_stays_small() {
     let mut f = Vec::new();
     f.extend_from_slice(b"PSIM");
     f.extend_from_slice(&stream::VERSION.to_le_bytes());
@@ -243,7 +261,7 @@ fn v3_hostile_chunk_count_stays_small() {
     let mut footer = Vec::new();
     vp(&mut footer, 1 << 40); // chunk count, nothing follows
     f.extend_from_slice(&footer);
-    f.extend_from_slice(&fnv1a64(&footer).to_le_bytes());
+    f.extend_from_slice(&checksum64(&footer).to_le_bytes());
     f.extend_from_slice(&(footer.len() as u64).to_le_bytes());
     f.extend_from_slice(&stream::TRAILER_MAGIC);
     let (peak, result) = measured_peak(|| stream::from_bytes(&f));
@@ -254,10 +272,10 @@ fn v3_hostile_chunk_count_stays_small() {
     );
 }
 
-/// Flipping a chunk-payload byte in a valid v3 file trips the per-chunk
+/// Flipping a chunk-payload byte in a valid v4 file trips the per-chunk
 /// checksum, not an abort or a silent wrong decode.
 #[test]
-fn v3_corrupted_payload_is_detected_by_checksum() {
+fn v4_corrupted_payload_is_detected_by_checksum() {
     let file = stream::to_bytes(&sample_program()).unwrap();
     // Header is 24 bytes (magic 4 + version 4 + name varint+14 + count
     // varint); the first chunk header is 11 more. Flip a byte safely
@@ -272,10 +290,10 @@ fn v3_corrupted_payload_is_detected_by_checksum() {
     assert!(peak <= alloc_bound(bad.len()));
 }
 
-/// Truncating a v3 file anywhere must produce a clean error under the
+/// Truncating a v4 file anywhere must produce a clean error under the
 /// allocation cap: the trailer, footer or chunk tiling breaks first.
 #[test]
-fn v3_truncations_never_overallocate() {
+fn v4_truncations_never_overallocate() {
     let file = stream::to_bytes(&sample_program()).unwrap();
     for cut in [
         0,
@@ -294,6 +312,40 @@ fn v3_truncations_never_overallocate() {
             "cut {cut} peaked at {peak} allocated bytes"
         );
     }
+}
+
+/// A well-formed file of the retired version 3 (byte-serial FNV-1a
+/// checksums, trailer magic `PSV3`) is refused by its version word on
+/// every entry point, not reported as a checksum failure. The same
+/// bytes in the current version decode, so the version word is the
+/// only thing refused.
+#[test]
+fn v3_file_is_refused_by_its_version() {
+    let old = streaming_file(3, fnv1a64, b"PSV3", 1, 1);
+    let is_v3 = |e: &TraceError| {
+        matches!(
+            e,
+            TraceError::Version {
+                found: 3,
+                supported: 4
+            }
+        )
+    };
+    let (peak, result) = measured_peak(|| compress::read_any(&old));
+    assert!(result.as_ref().is_err_and(is_v3), "{result:?}");
+    assert!(peak <= alloc_bound(old.len()));
+    let parsed = stream::TraceFile::parse(&old);
+    assert!(parsed.as_ref().is_err_and(is_v3), "{parsed:?}");
+    let path =
+        std::env::temp_dir().join(format!("placesim-hostile-v3-{}.trace", std::process::id()));
+    std::fs::write(&path, &old).unwrap();
+    let opened = stream::FileReader::open(&path);
+    std::fs::remove_file(&path).unwrap();
+    assert!(opened.as_ref().is_err_and(is_v3), "{opened:?}");
+
+    let current = v4_lying_ref_count(1, 1);
+    assert_eq!(current.len(), old.len());
+    assert_eq!(compress::read_any(&current).unwrap().total_refs(), 1);
 }
 
 #[test]
@@ -426,11 +478,11 @@ proptest! {
         );
     }
 
-    /// Same for the streaming v3 format: mutate and/or truncate a valid
+    /// Same for the streaming v4 format: mutate and/or truncate a valid
     /// file anywhere (header, chunks, footer, trailer) — graceful error
     /// or valid decode, never a panic or an outsized allocation.
     #[test]
-    fn mutated_v3_files_never_overallocate(
+    fn mutated_v4_files_never_overallocate(
         pos in 0usize..4096,
         value in 0u8..=255,
         cut in 0usize..=4096,

@@ -1,7 +1,11 @@
 //! Property-based tests for the trace data model and its serialization.
 
-use placesim_trace::{compress, io, stream, Address, MemRef, ProgramTrace, RefKind, ThreadTrace};
+use placesim_trace::hash::checksum64;
+use placesim_trace::{
+    compress, io, stream, Address, MemRef, ProgramTrace, RefKind, ThreadId, ThreadTrace,
+};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn arb_ref() -> impl Strategy<Value = MemRef> {
     (0u64..(1u64 << 40), 0u8..4).prop_map(|(addr, kind)| {
@@ -25,6 +29,18 @@ fn arb_program() -> impl Strategy<Value = ProgramTrace> {
         proptest::collection::vec(arb_thread(), 0..8),
     )
         .prop_map(|(name, threads)| ProgramTrace::new(name, threads))
+}
+
+/// Writes `bytes` to a fresh file in the temp directory.
+fn temp_trace(bytes: &[u8]) -> std::path::PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "placesim-trace-prop-{}-{}.trace",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&path, bytes).unwrap();
+    path
 }
 
 proptest! {
@@ -62,11 +78,11 @@ proptest! {
         prop_assert_eq!(compress::read_any(&v1).unwrap(), prog);
     }
 
-    /// Differential: the streaming v3 format round-trips every program
+    /// Differential: the streaming v4 format round-trips every program
     /// exactly, at any chunk size (forcing single- and many-chunk
     /// threads alike), and the writer's summary matches the totals.
     #[test]
-    fn streaming_v3_roundtrip(prog in arb_program(), chunk in 16usize..512) {
+    fn streaming_v4_roundtrip(prog in arb_program(), chunk in 16usize..512) {
         let mut buf = Vec::new();
         let mut w = stream::StreamWriter::with_chunk_bytes(
             &mut buf,
@@ -82,7 +98,7 @@ proptest! {
         prop_assert_eq!(summary.total_refs, prog.total_refs());
         prop_assert_eq!(summary.bytes_written as usize, buf.len());
         prop_assert_eq!(stream::from_bytes(&buf).unwrap(), prog.clone());
-        // read_any dispatches v3 like the other versions.
+        // read_any dispatches v4 like the other versions.
         prop_assert_eq!(compress::read_any(&buf).unwrap(), prog.clone());
 
         // The zero-copy per-thread readers see exactly each thread's
@@ -95,6 +111,82 @@ proptest! {
                 .unwrap();
             let expect: Vec<MemRef> = t.iter().collect();
             prop_assert_eq!(decoded, expect, "thread {}", tid);
+        }
+    }
+
+    /// Differential: the three v4 readers yield identical references.
+    /// `FileChunks` decodes each chunk straight into a consumer,
+    /// `ChunkReader` pulls one record at a time from a slice and
+    /// `from_bytes` materializes the program; chunk sizes from 16 to
+    /// 511 bytes split threads into one chunk or many.
+    #[test]
+    fn file_chunks_chunk_reader_and_from_bytes_agree(
+        prog in arb_program(),
+        chunk in 16usize..512,
+    ) {
+        let mut buf = Vec::new();
+        let mut w = stream::StreamWriter::with_chunk_bytes(
+            &mut buf,
+            prog.name(),
+            prog.thread_count(),
+            chunk,
+        )
+        .unwrap();
+        for (tid, t) in prog.iter() {
+            w.append_thread(tid, t.iter()).unwrap();
+        }
+        w.finish().unwrap();
+        let path = temp_trace(&buf);
+        let reader = stream::FileReader::open(&path).unwrap();
+        let file = stream::TraceFile::parse(&buf).unwrap();
+        let whole = stream::from_bytes(&buf).unwrap();
+        for t in 0..prog.thread_count() {
+            let tid = ThreadId::from_index(t);
+            let mut chunks = reader.chunks(tid).unwrap();
+            let mut pushed = Vec::new();
+            let mut steps = 0;
+            while chunks.next_chunk(|r| pushed.push(r)).unwrap() {
+                steps += 1;
+            }
+            let pulled: Vec<MemRef> = file
+                .chunk_reader(tid)
+                .collect::<Result<_, _>>()
+                .unwrap();
+            let materialized: Vec<MemRef> = whole.thread(tid).iter().collect();
+            prop_assert_eq!(steps, reader.chunk_count(tid));
+            prop_assert_eq!(&pushed, &pulled, "thread {}", tid);
+            prop_assert_eq!(&pushed, &materialized, "thread {}", tid);
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Every single-byte change of a payload changes its checksum, at
+    /// every position and to every other value, and so does dropping or
+    /// appending one byte. Lengths 0 to 64 include every tail length of
+    /// the zero-padded last word.
+    #[test]
+    fn checksum_catches_every_single_byte_change(
+        payload in proptest::collection::vec(0u8..=255, 0..65),
+        appended in 0u8..=255,
+    ) {
+        let sum = checksum64(&payload);
+        let mut changed = payload.clone();
+        for i in 0..payload.len() {
+            for flip in 1..=255u8 {
+                changed[i] = payload[i] ^ flip;
+                prop_assert_ne!(checksum64(&changed), sum, "byte {} ^ {}", i, flip);
+            }
+            changed[i] = payload[i];
+        }
+        if let Some((_, dropped)) = payload.split_last() {
+            prop_assert_ne!(checksum64(dropped), sum);
+        }
+        // A zero byte pads into the last word unchanged: only the
+        // length term tells the two apart.
+        for extra in [0, appended] {
+            let mut longer = payload.clone();
+            longer.push(extra);
+            prop_assert_ne!(checksum64(&longer), sum, "appended {}", extra);
         }
     }
 

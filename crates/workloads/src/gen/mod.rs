@@ -88,7 +88,7 @@ pub fn generate_with_access(
     (ProgramTrace::new(spec.name, threads), access)
 }
 
-/// Generates the synthetic trace straight into a streaming (v3) trace
+/// Generates the synthetic trace straight into a streaming (v4) trace
 /// writer, one thread at a time, without ever holding the whole program
 /// in memory.
 ///

@@ -97,7 +97,7 @@ const USAGE: &str = "\
 usage:
   placesim-cli suite
   placesim-cli gen <app> <out.trace> [--scale S] [--seed N]
-               [--format v1|v2|v3] [--flat]
+               [--format v1|v2|v4] [--flat]
   placesim-cli info <trace>
   placesim-cli analyze <trace> [--metrics out.json]
   placesim-cli place <trace> <algorithm> <processors> [--metrics out.json]
@@ -222,12 +222,12 @@ fn load_trace(path: &str) -> Result<ProgramTrace, String> {
     let mut raw = Vec::new();
     std::io::Read::read_to_end(&mut file, &mut raw)
         .map_err(|e| format!("cannot read {path}: {e}"))?;
-    // Accepts the flat v1, compressed v2 and streaming v3 formats.
+    // Accepts the flat v1, compressed v2 and streaming v4 formats.
     compress::read_any(&raw).map_err(|e| format!("cannot decode {path}: {e}"))
 }
 
 /// Reads the trace file's version field without loading the body, so
-/// commands can route v3 files through the streaming readers. Returns
+/// commands can route v4 files through the streaming readers. Returns
 /// `None` when the file is not a placesim trace (the full decoder then
 /// produces the proper error).
 fn trace_version(path: &str) -> Result<Option<u32>, String> {
@@ -242,7 +242,7 @@ fn trace_version(path: &str) -> Result<Option<u32>, String> {
     }
 }
 
-/// Opens a v3 trace for streaming access.
+/// Opens a v4 trace for streaming access.
 fn open_streamed(path: &str) -> Result<stream::FileReader, String> {
     stream::FileReader::open(path).map_err(|e| format!("cannot open {path} for streaming: {e}"))
 }
@@ -282,8 +282,8 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     let format = match raw_flag(args, "--format")? {
         Some("v1") => 1u32,
         Some("v2") => 2,
-        Some("v3") => 3,
-        Some(other) => return Err(format!("--format must be v1, v2 or v3, got {other}")),
+        Some("v4") => 4,
+        Some(other) => return Err(format!("--format must be v1, v2 or v4, got {other}")),
         // --flat predates --format and stays as a v1 alias.
         None if flat => 1,
         None => 2,
@@ -300,9 +300,9 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     let written = File::create(&tmp)
         .map_err(|e| format!("cannot create {}: {e}", tmp.display()))
         .and_then(|file| {
-            // v3 streams thread-at-a-time and never materializes the
+            // v4 streams thread-at-a-time and never materializes the
             // program; v1/v2 build it in memory as before.
-            let result = if format == 3 {
+            let result = if format == 4 {
                 generate_streamed(&spec, &opts, BufWriter::new(file))
                     .map(|summary: stream::StreamSummary| (spec.threads, summary.total_refs))
             } else {
@@ -336,7 +336,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
         match format {
             1 => "flat v1",
             2 => "compressed v2",
-            _ => "streaming v3",
+            _ => "streaming v4",
         }
     );
     Ok(())
@@ -345,7 +345,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 fn cmd_info(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("info needs a trace path")?;
     if trace_version(path)? == Some(stream::VERSION) {
-        // v3 answers everything from the footer index: no decode, no
+        // v4 answers everything from the footer index: no decode, no
         // memory proportional to the trace.
         let reader = open_streamed(path)?;
         let per_thread: Vec<stream::KindTotals> = (0..reader.thread_count())
@@ -404,7 +404,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
 
 /// Profiles the trace at `path` for `analyze` and `place`: its name,
 /// total references, per-thread instruction counts and sharing analysis.
-/// v3 traces are profiled out of core: the sharded scan reads chunk
+/// v4 traces are profiled out of core: the sharded scan reads chunk
 /// iterators and spills past the `PLACESIM_SPILL_ADDRS` budget, and the
 /// rest comes from the footer, so the trace never has to fit in memory.
 /// Results are bit-identical to the in-memory path.
@@ -1464,48 +1464,70 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// `gen --format v3` writes a streaming trace that decodes to the
+    /// `gen --format v4` writes a streaming trace that decodes to the
     /// exact program v2 stores, and every subcommand accepts it — the
     /// analysis commands without materializing it.
     #[test]
-    fn gen_v3_roundtrips_and_all_commands_accept_it() {
-        let dir = std::env::temp_dir().join("placesim-cli-v3-test");
+    fn gen_v4_roundtrips_and_all_commands_accept_it() {
+        let dir = std::env::temp_dir().join("placesim-cli-v4-test");
         std::fs::create_dir_all(&dir).unwrap();
         let v2 = dir.join("fft-v2.trace");
-        let v3 = dir.join("fft-v3.trace");
+        let v4 = dir.join("fft-v4.trace");
         let v2_s = v2.to_str().unwrap().to_string();
-        let v3_s = v3.to_str().unwrap().to_string();
+        let v4_s = v4.to_str().unwrap().to_string();
         let base = ["gen", "fft", "", "--scale", "0.002", "--seed", "3"];
         let mut argv = base;
         argv[2] = &v2_s;
         run(&s(&argv)).unwrap();
         let mut argv: Vec<&str> = base.to_vec();
-        argv[2] = &v3_s;
-        argv.extend(["--format", "v3"]);
+        argv[2] = &v4_s;
+        argv.extend(["--format", "v4"]);
         run(&s(&argv)).unwrap();
 
-        assert_eq!(trace_version(&v3_s).unwrap(), Some(stream::VERSION));
+        assert_eq!(trace_version(&v4_s).unwrap(), Some(stream::VERSION));
         assert_eq!(
-            load_trace(&v3_s).unwrap(),
+            load_trace(&v4_s).unwrap(),
             load_trace(&v2_s).unwrap(),
-            "v3 must decode to the identical program"
+            "v4 must decode to the identical program"
         );
 
-        run(&s(&["info", &v3_s])).unwrap();
-        run(&s(&["analyze", &v3_s])).unwrap();
-        run(&s(&["place", &v3_s, "SHARE-REFS", "4"])).unwrap();
-        run(&s(&["simulate", &v3_s, "LOAD-BAL", "4"])).unwrap();
+        run(&s(&["info", &v4_s])).unwrap();
+        run(&s(&["analyze", &v4_s])).unwrap();
+        run(&s(&["place", &v4_s, "SHARE-REFS", "4"])).unwrap();
+        run(&s(&["simulate", &v4_s, "LOAD-BAL", "4"])).unwrap();
 
         // The streamed analysis feeds placement the same inputs.
         let prog = load_trace(&v2_s).unwrap();
-        let reader = stream::FileReader::open(&v3).unwrap();
+        let reader = stream::FileReader::open(&v4).unwrap();
         let streamed =
             SharingAnalysis::measure_streamed(&reader, &SpillBudget::from_env()).unwrap();
         assert_eq!(streamed, SharingAnalysis::measure(&prog));
         assert_eq!(reader.instr_lengths(), thread_lengths(&prog));
 
         std::fs::remove_file(&v2).ok();
-        std::fs::remove_file(&v3).ok();
+        std::fs::remove_file(&v4).ok();
+    }
+
+    /// A trace whose version word is 3, the retired streaming version,
+    /// is refused by `info` with the version error, not decoded or
+    /// reported as corrupt.
+    #[test]
+    fn info_refuses_a_version_3_file_by_its_version() {
+        let dir = std::env::temp_dir().join(format!("placesim-cli-old-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old.trace");
+        let path_s = path.to_str().unwrap().to_string();
+        let prog = ProgramTrace::new("old", vec![placesim_trace::ThreadTrace::new()]);
+        let mut bytes = stream::to_bytes(&prog).unwrap();
+        bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = run(&s(&["info", &path_s])).unwrap_err();
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(
+            err.message().contains("version 3 (supported: 4)"),
+            "{}",
+            err.message()
+        );
     }
 
     #[test]
@@ -1514,10 +1536,13 @@ mod tests {
             vec!["gen", "fft", "/tmp/x.trace", "--format", "v9"],
             vec!["gen", "fft", "/tmp/x.trace", "--format", "3"],
             vec!["gen", "fft", "/tmp/x.trace", "--format"],
-            vec!["gen", "fft", "/tmp/x.trace", "--flat", "--format", "v3"],
+            vec!["gen", "fft", "/tmp/x.trace", "--flat", "--format", "v4"],
         ] {
             assert!(run(&s(&argv)).is_err(), "{argv:?} must be rejected");
         }
+        // The retired streaming version is refused with the one to use.
+        let err = run(&s(&["gen", "fft", "/tmp/x.trace", "--format", "v3"])).unwrap_err();
+        assert!(err.message().contains("v4"), "{}", err.message());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Acceptance tests for the bounded-memory out-of-core pipeline: a v3
+//! Acceptance tests for the bounded-memory out-of-core pipeline: a v4
 //! streaming trace is generated, profiled and placed without ever
 //! materializing the program in memory, under a peak-heap cap enforced
 //! by a tracking allocator.
