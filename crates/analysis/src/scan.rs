@@ -43,7 +43,7 @@
 use crate::profile::PerThreadCount;
 use placesim_trace::hash::FastMap;
 use placesim_trace::par::{max_workers, try_parallel_map};
-use placesim_trace::stream::FileReader;
+use placesim_trace::stream::{FileReader, ReadAt};
 use placesim_trace::{AddrCounts, MemRef, ProgramTrace, ThreadId, TraceError};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -133,31 +133,6 @@ impl SpillBudget {
 impl Default for SpillBudget {
     fn default() -> Self {
         Self::new(Self::DEFAULT_RESIDENT_ADDRS)
-    }
-}
-
-/// A spill file opened for shared positioned reads.
-#[derive(Debug)]
-struct SharedFile(File);
-
-impl SharedFile {
-    #[cfg(unix)]
-    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
-        std::os::unix::fs::FileExt::read_exact_at(&self.0, buf, offset)
-    }
-
-    #[cfg(windows)]
-    fn read_exact_at(&self, mut buf: &mut [u8], mut offset: u64) -> std::io::Result<()> {
-        use std::os::windows::fs::FileExt;
-        while !buf.is_empty() {
-            let n = self.0.seek_read(buf, offset)?;
-            if n == 0 {
-                return Err(std::io::ErrorKind::UnexpectedEof.into());
-            }
-            buf = &mut buf[n..];
-            offset += n as u64;
-        }
-        Ok(())
     }
 }
 
@@ -286,7 +261,8 @@ enum ThreadRuns {
 
 #[derive(Debug)]
 struct SpilledRuns {
-    file: SharedFile,
+    /// Read by shard merges through shared positional reads.
+    file: File,
     path: PathBuf,
     segments: Vec<Segment>,
 }
@@ -320,11 +296,11 @@ impl SpillWriter {
             .truncate(true)
             .open(&path)?;
         let runs = SpilledRuns {
-            file: SharedFile(file),
+            file,
             path,
             segments: Vec::new(),
         };
-        let w = BufWriter::new(runs.file.0.try_clone()?);
+        let w = BufWriter::new(runs.file.try_clone()?);
         Ok(SpillWriter { runs, w })
     }
 
@@ -360,7 +336,7 @@ fn fold_file(
     tid: ThreadId,
     budget: &SpillBudget,
 ) -> Result<ThreadRuns, TraceError> {
-    let mut chunks = reader.chunks(tid)?;
+    let mut chunks = reader.chunks(tid);
     let mut fold = Fold::default();
     let mut spill: Option<SpillWriter> = None;
     while chunks.next_chunk(|r| fold.add(r))? {
@@ -441,7 +417,7 @@ enum Cursor<'a> {
         end: usize,
     },
     File {
-        file: &'a SharedFile,
+        file: &'a File,
         next: u64,
         end: u64,
         buf: Vec<AddrCounts>,
@@ -489,12 +465,7 @@ impl Cursor<'_> {
 }
 
 /// Reads the next buffer-full of entries starting at entry `next`.
-fn refill(
-    file: &SharedFile,
-    next: u64,
-    end: u64,
-    buf: &mut Vec<AddrCounts>,
-) -> Result<(), TraceError> {
+fn refill(file: &File, next: u64, end: u64, buf: &mut Vec<AddrCounts>) -> Result<(), TraceError> {
     let want = ((end - next) as usize).min(CURSOR_BUF_ENTRIES);
     let mut raw = vec![0u8; want * ENTRY_BYTES as usize];
     file.read_exact_at(&mut raw, next * ENTRY_BYTES)?;
@@ -511,7 +482,7 @@ fn refill(
 
 /// First entry index of `seg` whose address is `>= bound` (binary
 /// search over the fixed-size file records).
-fn segment_lower_bound(file: &SharedFile, seg: &Segment, bound: u64) -> Result<u64, TraceError> {
+fn segment_lower_bound(file: &File, seg: &Segment, bound: u64) -> Result<u64, TraceError> {
     let (mut lo, mut hi) = (0u64, seg.len);
     let mut word = [0u8; 8];
     while lo < hi {

@@ -1,30 +1,30 @@
 //! Compressed trace serialization (format version 2).
 //!
-//! The flat format of [`crate::io`] spends 8 bytes per reference.
-//! Real traces are highly compressible: instruction fetches advance by
-//! 4 bytes, data accesses come in runs at one address, and deltas
-//! between successive addresses are tiny. Version 2 encodes each record
-//! as a single LEB128 varint holding
+//! A packed reference is 8 bytes, but real traces are highly
+//! compressible: instruction fetches advance by 4 bytes, data accesses
+//! come in runs at one address, and deltas between successive addresses
+//! are tiny. Version 2 encodes each record as a single LEB128 varint
+//! holding
 //!
 //! ```text
 //! zigzag(addr − prev_addr) << 2 | kind_tag
 //! ```
 //!
 //! with `prev_addr` tracked per thread. Sequential code and run-heavy
-//! data shrink to 1–2 bytes per reference (4–8× smaller than v1).
+//! data shrink to 1–2 bytes per reference, 4–8× smaller than the packed
+//! words.
 //!
 //! # Example
 //!
 //! ```
 //! # fn main() -> Result<(), placesim_trace::TraceError> {
-//! use placesim_trace::{compress, io, Address, MemRef, ProgramTrace, ThreadTrace};
+//! use placesim_trace::{compress, Address, MemRef, ProgramTrace, ThreadTrace};
 //!
 //! let t: ThreadTrace = (0..100).map(|i| MemRef::instr(Address::new(4 * i))).collect();
 //! let prog = ProgramTrace::new("small", vec![t]);
 //!
 //! let v2 = compress::to_bytes(&prog)?;
-//! let v1 = io::to_bytes(&prog)?;
-//! assert!(v2.len() * 3 < v1.len()); // sequential code compresses well
+//! assert!(v2.len() * 3 < 8 * 100); // sequential code compresses well
 //! assert_eq!(compress::from_bytes(&v2)?, prog);
 //! # Ok(())
 //! # }
@@ -32,10 +32,9 @@
 
 use crate::record::{Address, MemRef};
 use crate::{ProgramTrace, ThreadTrace, TraceError};
-use bytes::Bytes;
-use std::io::{Read, Write};
+use std::io::Write;
 
-/// File magic, shared with v1.
+/// File magic, shared with v4.
 pub const MAGIC: [u8; 4] = *b"PSIM";
 /// Version tag of the compressed format.
 pub const VERSION: u32 = 2;
@@ -119,10 +118,10 @@ pub fn write_program<W: Write>(prog: &ProgramTrace, mut w: W) -> Result<(), Trac
 /// # Errors
 ///
 /// See [`write_program`].
-pub fn to_bytes(prog: &ProgramTrace) -> Result<Bytes, TraceError> {
+pub fn to_bytes(prog: &ProgramTrace) -> Result<Vec<u8>, TraceError> {
     let mut buf = Vec::new();
     write_program(prog, &mut buf)?;
-    Ok(Bytes::from(buf))
+    Ok(buf)
 }
 
 /// Deserializes a compressed v2 program trace.
@@ -204,18 +203,8 @@ pub fn from_bytes(raw: &[u8]) -> Result<ProgramTrace, TraceError> {
     Ok(ProgramTrace::new(name, threads))
 }
 
-/// Deserializes from any reader.
-///
-/// # Errors
-///
-/// See [`from_bytes`].
-pub fn read_program<R: Read>(mut r: R) -> Result<ProgramTrace, TraceError> {
-    let mut raw = Vec::new();
-    r.read_to_end(&mut raw)?;
-    from_bytes(&raw)
-}
-
-/// Reads a trace in any supported format, dispatching on the version field.
+/// Reads a v2 or v4 trace, dispatching on the version field. Any other
+/// version, the retired v1 and v3 included, is a [`TraceError::Version`].
 ///
 /// # Errors
 ///
@@ -224,7 +213,6 @@ pub fn read_any(raw: &[u8]) -> Result<ProgramTrace, TraceError> {
     if raw.len() >= 8 && raw[..4] == MAGIC {
         let version = u32::from_le_bytes(raw[4..8].try_into().expect("4 bytes"));
         match version {
-            1 => return crate::io::from_bytes(raw),
             2 => return from_bytes(raw),
             4 => return crate::stream::from_bytes(raw),
             other => {
@@ -243,7 +231,6 @@ pub fn read_any(raw: &[u8]) -> Result<ProgramTrace, TraceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io;
 
     fn sample() -> ProgramTrace {
         let mut t0 = ThreadTrace::new();
@@ -273,13 +260,12 @@ mod tests {
     #[test]
     fn compresses_well() {
         let prog = sample();
-        let v1 = io::to_bytes(&prog).unwrap();
+        let packed = 8 * prog.total_refs() as usize;
         let v2 = to_bytes(&prog).unwrap();
         assert!(
-            v2.len() * 2 < v1.len(),
-            "v2 {} should be well under half of v1 {}",
-            v2.len(),
-            v1.len()
+            v2.len() * 2 < packed,
+            "v2 {} should be well under half of the {packed} packed bytes",
+            v2.len()
         );
     }
 
@@ -322,13 +308,20 @@ mod tests {
     }
 
     #[test]
-    fn read_any_dispatches_both_formats() {
+    fn read_any_dispatches_v2_and_refuses_v1() {
         let prog = sample();
-        let v1 = io::to_bytes(&prog).unwrap();
         let v2 = to_bytes(&prog).unwrap();
-        assert_eq!(read_any(&v1).unwrap(), prog);
         assert_eq!(read_any(&v2).unwrap(), prog);
         assert!(read_any(b"garbage").is_err());
+        let mut v1 = v2;
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            read_any(&v1),
+            Err(TraceError::Version {
+                found: 1,
+                supported: 4
+            })
+        ));
     }
 
     #[test]
@@ -340,8 +333,8 @@ mod tests {
 
     /// Empty threads at every boundary position, and a named zero-thread
     /// program: v2 writes a zero length varint per empty thread, and the
-    /// reader restores the exact thread list — mirrored by the v1 and v4
-    /// equivalents so all formats agree on these edge shapes.
+    /// reader restores the exact thread list — mirrored by the v4
+    /// equivalent so both formats agree on these edge shapes.
     #[test]
     fn empty_threads_roundtrip_at_boundaries() {
         let empty = ThreadTrace::new();

@@ -16,7 +16,8 @@
 //! * [`AddrCounts`] — aggregated per-address access counts, the currency
 //!   of the fused generate-and-profile front end,
 //! * [`ProgramTrace`] — all threads of one application plus metadata,
-//! * [`io`] — a compact binary serialization of program traces,
+//! * [`compress`] and [`stream`] — the compressed (v2) and streaming,
+//!   chunked (v4) serializations of program traces,
 //! * [`stats`] — cheap per-trace counting statistics,
 //! * [`par`] — the worker-pool `parallel_map` shared by the analysis
 //!   passes and the experiment sweeps (honours `PLACESIM_THREADS`).
@@ -44,7 +45,6 @@ mod access;
 pub mod compress;
 mod error;
 pub mod hash;
-pub mod io;
 pub mod par;
 mod program_trace;
 mod record;

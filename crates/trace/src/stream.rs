@@ -37,18 +37,19 @@
 //! own bytes alone; because the footer indexes chunks by thread, a
 //! reader iterates one thread's references without touching any other
 //! thread's bytes. The trailer sits at a fixed position relative to the
-//! file end, so a reader finds the footer with two seeks and never
-//! scans the data region.
+//! file end, so a reader finds the footer with two positional reads and
+//! never scans the data region.
 //!
-//! Three access paths are provided:
-//!
-//! * [`TraceFile`] / [`ChunkReader`] — zero-copy decode from a borrowed
-//!   `&[u8]` (e.g. an mmap). Allocation is proportional to the *chunk
-//!   index*, never to the number of references.
-//! * [`FileReader`] / [`FileChunks`] — out-of-core decode from a file,
-//!   one chunk resident at a time per reader.
-//! * [`from_bytes`] — full materialization into a [`ProgramTrace`],
-//!   used by [`crate::compress::read_any`] for version dispatch.
+//! There is one reader, [`FileReader`], over any [`ReadAt`] source: a
+//! [`File`] ([`FileReader::open`]) or a byte slice
+//! ([`FileReader::parse`]). Opening reads only the header, trailer and
+//! footer, each with a bounded positional read. [`FileReader::chunks`]
+//! then reads one thread's chunks through the shared source, one chunk
+//! resident at a time, and decodes each verified chunk straight into a
+//! consumer. Allocation is proportional to the chunk index and one
+//! chunk, never to the number of references. [`from_bytes`] drains
+//! every thread of a parsed slice into a [`ProgramTrace`]; it is what
+//! [`crate::compress::read_any`] runs for version 4.
 //!
 //! # Example
 //!
@@ -62,10 +63,12 @@
 //! let v4 = stream::to_bytes(&prog)?;
 //! assert_eq!(stream::from_bytes(&v4)?, prog);
 //!
-//! // Zero-copy per-thread iteration.
-//! let file = stream::TraceFile::parse(&v4)?;
-//! let refs: Result<Vec<_>, _> = file.chunk_reader(ThreadId::new(0)).collect();
-//! assert_eq!(refs?.len(), 100);
+//! // Per-thread iteration, one chunk at a time.
+//! let reader = stream::FileReader::parse(&v4)?;
+//! let mut chunks = reader.chunks(ThreadId::new(0));
+//! let mut refs = 0;
+//! while chunks.next_chunk(|_| refs += 1)? {}
+//! assert_eq!(refs, 100);
 //! # Ok(())
 //! # }
 //! ```
@@ -75,8 +78,8 @@ use crate::hash::checksum64;
 use crate::record::{Address, MemRef, RefKind, ThreadId};
 use crate::{ProgramTrace, ThreadTrace, TraceError};
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::io::{self, Write};
+use std::path::Path;
 
 /// Version tag of the streaming format.
 pub const VERSION: u32 = 4;
@@ -157,53 +160,17 @@ struct ThreadIndex {
     totals: KindTotals,
 }
 
-/// The references of one verified chunk payload: `left` v2 varint
-/// records remain, delta-decoded against `prev` (0 at the chunk start).
-/// This is the format's one record decoder: [`ChunkReader`] pulls from
-/// it a record at a time and [`FileChunks`] drains it into a consumer.
-#[derive(Debug, Default)]
-struct Payload<'a> {
-    bytes: &'a [u8],
-    left: u64,
-    prev: i64,
-}
-
-impl Payload<'_> {
-    /// Decodes the next record; `None` once all `left` are out, which
-    /// must also be the end of the bytes.
-    #[inline]
-    fn next_ref(&mut self) -> Result<Option<MemRef>, TraceError> {
-        if self.left == 0 {
-            if !self.bytes.is_empty() {
-                return format_err(format!(
-                    "chunk payload has {} trailing bytes",
-                    self.bytes.len()
-                ));
-            }
-            return Ok(None);
-        }
-        let word = get_varint(&mut self.bytes)?;
-        let kind = RefKind::from_tag(word & 3).expect("2-bit tag");
-        let delta = unzigzag(word >> 2);
-        let addr = match self.prev.checked_add(delta) {
-            Some(a) if (0..=Address::MAX.raw() as i64).contains(&a) => a,
-            _ => return format_err("decoded address out of range"),
-        };
-        self.prev = addr;
-        self.left -= 1;
-        Ok(Some(MemRef::new(kind, Address::new(addr as u64))))
-    }
-}
-
 /// Checks the chunk at the front of `chunk` against its footer index
-/// entry and its checksum, and returns its payload ready to decode.
-/// `chunk` may run past the chunk's end. No record is decoded before
-/// the checksum has verified.
-fn verified_payload<'a>(
-    chunk: &'a [u8],
+/// entry and its checksum, then decodes its v2 varint records (delta
+/// base 0 at the chunk start) into `f` in order. `chunk` may run past
+/// the chunk's end. This is the format's one record decoder, and no
+/// record is decoded before the checksum has verified.
+fn decode_chunk(
+    chunk: &[u8],
     meta: &ChunkMeta,
     thread: u64,
-) -> Result<Payload<'a>, TraceError> {
+    mut f: impl FnMut(MemRef),
+) -> Result<(), TraceError> {
     let mut cursor = chunk;
     let chunk_thread = get_varint(&mut cursor)?;
     let ref_count = get_varint(&mut cursor)?;
@@ -219,15 +186,24 @@ fn verified_payload<'a>(
     }
     let (sum, rest) = cursor.split_at(8);
     let checksum = u64::from_le_bytes(sum.try_into().expect("8 bytes"));
-    let bytes = &rest[..payload_len as usize];
+    let mut bytes = &rest[..payload_len as usize];
     if checksum64(bytes) != checksum {
         return format_err(format!("chunk checksum mismatch at offset {}", meta.offset));
     }
-    Ok(Payload {
-        bytes,
-        left: ref_count,
-        prev: 0,
-    })
+    let mut prev = 0i64;
+    for _ in 0..ref_count {
+        let word = get_varint(&mut bytes)?;
+        let kind = RefKind::from_tag(word & 3).expect("2-bit tag");
+        prev = match prev.checked_add(unzigzag(word >> 2)) {
+            Some(a) if (0..=Address::MAX.raw() as i64).contains(&a) => a,
+            _ => return format_err("decoded address out of range"),
+        };
+        f(MemRef::new(kind, Address::new(prev as u64)));
+    }
+    if !bytes.is_empty() {
+        return format_err(format!("chunk payload has {} trailing bytes", bytes.len()));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -449,80 +425,95 @@ pub fn to_bytes(prog: &ProgramTrace) -> Result<Vec<u8>, TraceError> {
 }
 
 // ---------------------------------------------------------------------------
-// Shared header/footer parsing
+// Reader
 // ---------------------------------------------------------------------------
 
-/// Parsed v4 header: trace name plus the cursor offset of the first
-/// chunk.
-struct Header {
-    name: String,
-    thread_count: u64,
-    data_start: u64,
+/// A byte source read at absolute offsets through a shared reference,
+/// so every thread's chunk reader can share one handle.
+pub trait ReadAt {
+    /// The source's length in bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns the source's I/O error.
+    fn size(&self) -> io::Result<u64>;
+
+    /// Fills `buf` with the bytes starting at `offset`.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`io::ErrorKind::UnexpectedEof`] if the source ends
+    /// before `buf` is full.
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()>;
 }
 
-/// Parses the fixed prefix (`magic · version`) and returns the rest.
-fn check_magic_version(raw: &[u8]) -> Result<&[u8], TraceError> {
-    if raw.len() < 8 {
+impl ReadAt for File {
+    fn size(&self) -> io::Result<u64> {
+        Ok(self.metadata()?.len())
+    }
+
+    #[cfg(unix)]
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        std::os::unix::fs::FileExt::read_exact_at(self, buf, offset)
+    }
+
+    #[cfg(windows)]
+    fn read_exact_at(&self, mut buf: &mut [u8], mut offset: u64) -> io::Result<()> {
+        use std::os::windows::fs::FileExt;
+        while !buf.is_empty() {
+            let n = self.seek_read(buf, offset)?;
+            if n == 0 {
+                return Err(io::ErrorKind::UnexpectedEof.into());
+            }
+            buf = &mut buf[n..];
+            offset += n as u64;
+        }
+        Ok(())
+    }
+}
+
+impl ReadAt for &[u8] {
+    fn size(&self) -> io::Result<u64> {
+        Ok(self.len() as u64)
+    }
+
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        let bytes = usize::try_from(offset)
+            .ok()
+            .and_then(|start| self.get(start..start.checked_add(buf.len())?))
+            .ok_or(io::ErrorKind::UnexpectedEof)?;
+        buf.copy_from_slice(bytes);
+        Ok(())
+    }
+}
+
+/// Checks the fixed prefix (`magic · version`).
+fn check_magic_version(head: &[u8]) -> Result<(), TraceError> {
+    if head.len() < 8 {
         return format_err("truncated header");
     }
-    let (magic, rest) = raw.split_at(4);
-    if magic != MAGIC {
-        return format_err(format!("bad magic {magic:?}"));
+    if head[..4] != MAGIC {
+        return format_err(format!("bad magic {:?}", &head[..4]));
     }
-    let (ver, rest) = rest.split_at(4);
-    let version = u32::from_le_bytes(ver.try_into().expect("4 bytes"));
+    let version = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
     if version != VERSION {
         return Err(TraceError::Version {
             found: version,
             supported: VERSION,
         });
     }
-    Ok(rest)
+    Ok(())
 }
 
-/// Parses the v4 header from the front of `raw`.
-fn parse_header(raw: &[u8]) -> Result<Header, TraceError> {
-    let rest = check_magic_version(raw)?;
-    let mut cursor = rest;
-    let name_len = get_varint(&mut cursor)? as usize;
-    if cursor.len() < name_len {
-        return format_err("truncated name");
-    }
-    let (name_bytes, rest) = cursor.split_at(name_len);
-    let name = std::str::from_utf8(name_bytes)
-        .map_err(|_| TraceError::Format {
-            reason: "name is not UTF-8".into(),
-        })?
-        .to_owned();
-    cursor = rest;
-    let thread_count = get_varint(&mut cursor)?;
-    if thread_count > u64::from(u16::MAX) + 1 {
-        return format_err(format!(
-            "thread count {thread_count} exceeds ThreadId range"
-        ));
-    }
-    Ok(Header {
-        name,
-        thread_count,
-        data_start: (raw.len() - cursor.len()) as u64,
-    })
-}
-
-/// Locates and checksums the footer given the file length and the last
-/// [`TRAILER_LEN`] bytes; returns the footer payload's file range.
-fn locate_footer(file_len: u64, trailer: &[u8; TRAILER_LEN]) -> Result<(u64, u64), TraceError> {
-    if trailer[16..] != TRAILER_MAGIC {
-        return format_err("missing v4 trailer magic");
-    }
-    let checksum = u64::from_le_bytes(trailer[..8].try_into().expect("8 bytes"));
-    let footer_len = u64::from_le_bytes(trailer[8..16].try_into().expect("8 bytes"));
-    let trailer_start = file_len - TRAILER_LEN as u64;
-    let footer_start = trailer_start
-        .checked_sub(footer_len)
-        .ok_or(TraceError::Format {
-            reason: "footer length exceeds file".into(),
-        })?;
-    Ok((footer_start, checksum))
+/// Reads the varint at `offset` without reading at or past `end`;
+/// returns it and the offset just past it.
+fn varint_at(src: &impl ReadAt, offset: u64, end: u64) -> Result<(u64, u64), TraceError> {
+    let mut buf = [0u8; 10];
+    let n = end.saturating_sub(offset).min(10) as usize;
+    src.read_exact_at(&mut buf[..n], offset)?;
+    let mut cursor = &buf[..n];
+    let v = get_varint(&mut cursor)?;
+    Ok((v, offset + (n - cursor.len()) as u64))
 }
 
 /// Parses the footer payload into per-thread chunk indexes, validating
@@ -614,158 +605,18 @@ fn parse_footer(
     Ok(threads)
 }
 
-// ---------------------------------------------------------------------------
-// Zero-copy slice reader
-// ---------------------------------------------------------------------------
-
-/// A parsed v4 trace over a borrowed byte slice (mmap-friendly).
+/// A v4 trace opened by reading only its header, trailer and footer,
+/// from a [`File`] ([`FileReader::open`]) or a byte slice
+/// ([`FileReader::parse`]).
 ///
-/// Parsing reads only the header and footer; chunk payloads are
-/// checksummed and decoded lazily, per thread, by [`ChunkReader`].
-/// Allocation is proportional to the chunk index, never to the number
-/// of references.
+/// Every read is positional and bounded by the source's length, and all
+/// offset arithmetic is checked, so a hostile header or trailer is a
+/// [`TraceError::Format`], never an oversized allocation or a panic.
+/// [`FileReader::chunks`] readers share the one source, so many threads'
+/// streams can be consumed concurrently from one `FileReader`.
 #[derive(Debug)]
-pub struct TraceFile<'a> {
-    raw: &'a [u8],
-    name: String,
-    threads: Vec<ThreadIndex>,
-}
-
-impl<'a> TraceFile<'a> {
-    /// Parses the header and footer of a v4 trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Format`] on malformed input,
-    /// [`TraceError::Version`] on a version mismatch.
-    pub fn parse(raw: &'a [u8]) -> Result<Self, TraceError> {
-        check_magic_version(raw)?;
-        if raw.len() < 8 + TRAILER_LEN {
-            return format_err("truncated trailer");
-        }
-        let trailer: &[u8; TRAILER_LEN] =
-            raw[raw.len() - TRAILER_LEN..].try_into().expect("20 bytes");
-        let (footer_start, checksum) = locate_footer(raw.len() as u64, trailer)?;
-        let header = parse_header(raw)?;
-        if footer_start < header.data_start {
-            return format_err("footer overlaps header");
-        }
-        let footer = &raw[footer_start as usize..raw.len() - TRAILER_LEN];
-        if checksum64(footer) != checksum {
-            return format_err("footer checksum mismatch");
-        }
-        let threads = parse_footer(footer, header.thread_count, header.data_start, footer_start)?;
-        Ok(Self {
-            raw,
-            name: header.name,
-            threads,
-        })
-    }
-
-    /// Trace name from the header.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Number of threads declared in the header.
-    #[must_use]
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
-    }
-
-    /// Footer totals for one thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `thread` is out of range.
-    #[must_use]
-    pub fn totals(&self, thread: ThreadId) -> KindTotals {
-        self.threads[thread.index()].totals
-    }
-
-    /// Total references across all threads, from the footer.
-    #[must_use]
-    pub fn total_refs(&self) -> u64 {
-        self.threads.iter().map(|t| t.totals.refs()).sum()
-    }
-
-    /// A zero-copy reader over one thread's references.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `thread` is out of range.
-    #[must_use]
-    pub fn chunk_reader(&self, thread: ThreadId) -> ChunkReader<'_> {
-        ChunkReader {
-            raw: self.raw,
-            chunks: self.threads[thread.index()].chunks.iter(),
-            thread: thread.index() as u64,
-            cur: Payload::default(),
-            failed: false,
-        }
-    }
-}
-
-/// Iterator over one thread's references, decoding chunk payloads in
-/// place from the borrowed file bytes.
-///
-/// Each chunk's header is cross-checked against the footer index and
-/// its payload checksummed before any record is yielded. After the
-/// first error the iterator fuses and yields nothing further.
-#[derive(Debug)]
-pub struct ChunkReader<'a> {
-    raw: &'a [u8],
-    chunks: std::slice::Iter<'a, ChunkMeta>,
-    thread: u64,
-    cur: Payload<'a>,
-    failed: bool,
-}
-
-impl ChunkReader<'_> {
-    fn step(&mut self) -> Result<Option<MemRef>, TraceError> {
-        loop {
-            if let Some(r) = self.cur.next_ref()? {
-                return Ok(Some(r));
-            }
-            let Some(meta) = self.chunks.next() else {
-                return Ok(None);
-            };
-            self.cur = verified_payload(&self.raw[meta.offset as usize..], meta, self.thread)?;
-        }
-    }
-}
-
-impl Iterator for ChunkReader<'_> {
-    type Item = Result<MemRef, TraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        match self.step() {
-            Ok(Some(r)) => Some(Ok(r)),
-            Ok(None) => None,
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Out-of-core file reader
-// ---------------------------------------------------------------------------
-
-/// A v4 trace on disk, opened by reading only the header and footer.
-///
-/// Each call to [`FileReader::chunks`] opens an independent file
-/// handle, so multiple threads' streams can be consumed concurrently
-/// from one `FileReader`.
-#[derive(Debug)]
-pub struct FileReader {
-    path: PathBuf,
+pub struct FileReader<S = File> {
+    src: S,
     name: String,
     threads: Vec<ThreadIndex>,
     footer_start: u64,
@@ -777,58 +628,80 @@ impl FileReader {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::Io`] on filesystem failures and the
-    /// [`TraceFile::parse`] errors on malformed content.
+    /// Returns [`TraceError::Io`] on filesystem failures,
+    /// [`TraceError::Format`] on malformed content and
+    /// [`TraceError::Version`] on a version mismatch.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceError> {
-        let path = path.as_ref().to_path_buf();
-        let mut file = File::open(&path)?;
-        let file_len = file.metadata()?.len();
-        if file_len < 8 + TRAILER_LEN as u64 {
+        Self::read(File::open(path)?)
+    }
+}
+
+impl<'a> FileReader<&'a [u8]> {
+    /// Parses the header and footer of a v4 trace held in memory.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::Format`] on malformed input,
+    /// [`TraceError::Version`] on a version mismatch.
+    pub fn parse(raw: &'a [u8]) -> Result<Self, TraceError> {
+        Self::read(raw)
+    }
+}
+
+impl<S: ReadAt> FileReader<S> {
+    /// The one parse path: checks the version word first, so a file of
+    /// another version is refused as such, then reads the trailer, the
+    /// header (bounded by the footer start) and the footer.
+    fn read(src: S) -> Result<Self, TraceError> {
+        let len = src.size()?;
+        let mut head = [0u8; 8];
+        let head = &mut head[..len.min(8) as usize];
+        src.read_exact_at(head, 0)?;
+        check_magic_version(head)?;
+        if len < 8 + TRAILER_LEN as u64 {
             return format_err("truncated trailer");
         }
 
-        // The header's size depends on the name length it carries, so
-        // probe a small prefix first, then read exactly enough. The
-        // probe also checks the version word before the trailer is
-        // read, so a file of another version is refused as such. Every
-        // read is bounded by the real file length.
-        let probe_len = (file_len - TRAILER_LEN as u64).min(64) as usize;
-        let mut probe = vec![0u8; probe_len];
-        file.read_exact(&mut probe)?;
-        check_magic_version(&probe)?;
-
+        let trailer_start = len - TRAILER_LEN as u64;
         let mut trailer = [0u8; TRAILER_LEN];
-        file.seek(SeekFrom::End(-(TRAILER_LEN as i64)))?;
-        file.read_exact(&mut trailer)?;
-        let (footer_start, checksum) = locate_footer(file_len, &trailer)?;
+        src.read_exact_at(&mut trailer, trailer_start)?;
+        if trailer[16..] != TRAILER_MAGIC {
+            return format_err("missing v4 trailer magic");
+        }
+        let checksum = u64::from_le_bytes(trailer[..8].try_into().expect("8 bytes"));
+        let footer_len = u64::from_le_bytes(trailer[8..16].try_into().expect("8 bytes"));
+        let Some(footer_start) = trailer_start.checked_sub(footer_len) else {
+            return format_err("footer length exceeds file");
+        };
 
-        let mut cursor = &probe[8..];
-        let name_len = get_varint(&mut cursor)?;
-        let head_len = (8 + varint_len(name_len) + name_len + 10).min(footer_start) as usize;
-        let mut head = vec![0u8; head_len];
-        file.seek(SeekFrom::Start(0))?;
-        file.read_exact(&mut head)?;
-        let header = parse_header(&head)?;
-        if footer_start < header.data_start {
-            return format_err("footer overlaps header");
+        let (name_len, name_start) = varint_at(&src, 8, footer_start)?;
+        let Some(name_end) = name_start
+            .checked_add(name_len)
+            .filter(|&end| end <= footer_start)
+        else {
+            return format_err("truncated name");
+        };
+        let mut name = vec![0u8; (name_end - name_start) as usize];
+        src.read_exact_at(&mut name, name_start)?;
+        let name = String::from_utf8(name).map_err(|_| TraceError::Format {
+            reason: "name is not UTF-8".into(),
+        })?;
+        let (thread_count, data_start) = varint_at(&src, name_end, footer_start)?;
+        if thread_count > u64::from(u16::MAX) + 1 {
+            return format_err(format!(
+                "thread count {thread_count} exceeds ThreadId range"
+            ));
         }
 
-        let footer_len = file_len - TRAILER_LEN as u64 - footer_start;
         let mut footer = vec![0u8; footer_len as usize];
-        file.seek(SeekFrom::Start(footer_start))?;
-        file.read_exact(&mut footer)?;
+        src.read_exact_at(&mut footer, footer_start)?;
         if checksum64(&footer) != checksum {
             return format_err("footer checksum mismatch");
         }
-        let threads = parse_footer(
-            &footer,
-            header.thread_count,
-            header.data_start,
-            footer_start,
-        )?;
+        let threads = parse_footer(&footer, thread_count, data_start, footer_start)?;
         Ok(Self {
-            path,
-            name: header.name,
+            src,
+            name,
             threads,
             footer_start,
             footer_len,
@@ -924,35 +797,33 @@ impl FileReader {
         self.footer_len
     }
 
-    /// Opens a chunk-at-a-time reader over one thread's references.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Io`] if the file cannot be reopened.
+    /// Starts a chunk-at-a-time reader over one thread's references,
+    /// reading through the shared source.
     ///
     /// # Panics
     ///
     /// Panics if `thread` is out of range.
-    pub fn chunks(&self, thread: ThreadId) -> Result<FileChunks<'_>, TraceError> {
-        Ok(FileChunks {
-            file: File::open(&self.path)?,
+    #[must_use]
+    pub fn chunks(&self, thread: ThreadId) -> FileChunks<'_, S> {
+        FileChunks {
+            src: &self.src,
             chunks: &self.threads[thread.index()].chunks,
             thread: thread.index() as u64,
             footer_start: self.footer_start,
             next: 0,
             raw: Vec::new(),
-        })
+        }
     }
 }
 
-/// Chunk-at-a-time reader over one thread of an on-disk trace.
+/// Chunk-at-a-time reader over one thread of a v4 trace.
 ///
 /// The chunk buffer is reused across chunks and references are decoded
 /// straight into the caller's consumer, so the resident set is one
 /// chunk's bytes, independent of trace length.
 #[derive(Debug)]
-pub struct FileChunks<'r> {
-    file: File,
+pub struct FileChunks<'r, S = File> {
+    src: &'r S,
     chunks: &'r [ChunkMeta],
     thread: u64,
     footer_start: u64,
@@ -960,7 +831,7 @@ pub struct FileChunks<'r> {
     raw: Vec<u8>,
 }
 
-impl FileChunks<'_> {
+impl<S: ReadAt> FileChunks<'_, S> {
     /// Reads and verifies the next chunk, then hands its references to
     /// `f` in order. Returns `false`, calling `f` never, after the last
     /// chunk.
@@ -974,7 +845,7 @@ impl FileChunks<'_> {
     ///
     /// Returns [`TraceError::Io`] on read failures and
     /// [`TraceError::Format`] on checksum, index or record errors.
-    pub fn next_chunk(&mut self, mut f: impl FnMut(MemRef)) -> Result<bool, TraceError> {
+    pub fn next_chunk(&mut self, f: impl FnMut(MemRef)) -> Result<bool, TraceError> {
         let Some(meta) = self.chunks.get(self.next) else {
             return Ok(false);
         };
@@ -982,18 +853,13 @@ impl FileChunks<'_> {
 
         // One read covers the worst-case header plus the indexed
         // payload; `parse_footer` bounded `offset + payload_len` by the
-        // footer offset, so this allocation is bounded by the file. The
-        // read overwrites every byte, so only growth is zero-filled.
+        // footer offset, so this allocation is bounded by the source.
+        // The read overwrites every byte, so only growth is zero-filled.
         let want =
             (MAX_CHUNK_HEADER + meta.payload_len).min(self.footer_start - meta.offset) as usize;
         self.raw.resize(want, 0);
-        self.file.seek(SeekFrom::Start(meta.offset))?;
-        self.file.read_exact(&mut self.raw)?;
-
-        let mut payload = verified_payload(&self.raw, meta, self.thread)?;
-        while let Some(r) = payload.next_ref()? {
-            f(r);
-        }
+        self.src.read_exact_at(&mut self.raw, meta.offset)?;
+        decode_chunk(&self.raw, meta, self.thread, f)?;
         Ok(true)
     }
 }
@@ -1010,17 +876,16 @@ impl FileChunks<'_> {
 /// Returns [`TraceError::Format`] on malformed input,
 /// [`TraceError::Version`] on a version mismatch.
 pub fn from_bytes(raw: &[u8]) -> Result<ProgramTrace, TraceError> {
-    let file = TraceFile::parse(raw)?;
-    let mut threads = Vec::with_capacity(file.thread_count());
-    for t in 0..file.thread_count() {
+    let reader = FileReader::parse(raw)?;
+    let mut threads = Vec::with_capacity(reader.thread_count());
+    for t in 0..reader.thread_count() {
         let tid = ThreadId::from_index(t);
-        let totals = file.totals(tid);
+        let totals = reader.totals(tid);
         // The claimed total is bounded by the data region: one byte per
         // reference at minimum.
         let mut trace = ThreadTrace::with_capacity((totals.refs() as usize).min(raw.len()));
-        for r in file.chunk_reader(tid) {
-            trace.push(r?);
-        }
+        let mut chunks = reader.chunks(tid);
+        while chunks.next_chunk(|r| trace.push(r))? {}
         let decoded = KindTotals {
             instr: trace.instr_len(),
             reads: trace.read_len(),
@@ -1034,19 +899,7 @@ pub fn from_bytes(raw: &[u8]) -> Result<ProgramTrace, TraceError> {
         }
         threads.push(trace);
     }
-    Ok(ProgramTrace::new(file.name, threads))
-}
-
-/// Deserializes from any reader by buffering it fully; prefer
-/// [`FileReader`] for large files.
-///
-/// # Errors
-///
-/// See [`from_bytes`].
-pub fn read_program<R: Read>(mut r: R) -> Result<ProgramTrace, TraceError> {
-    let mut raw = Vec::new();
-    r.read_to_end(&mut raw)?;
-    from_bytes(&raw)
+    Ok(ProgramTrace::new(reader.name, threads))
 }
 
 #[cfg(test)]
@@ -1082,6 +935,14 @@ mod tests {
         }
         sw.finish().unwrap();
         buf
+    }
+
+    /// Every reference of one thread, drained chunk by chunk.
+    fn drain<S: ReadAt>(reader: &FileReader<S>, tid: ThreadId) -> Result<Vec<MemRef>, TraceError> {
+        let mut chunks = reader.chunks(tid);
+        let mut refs = Vec::new();
+        while chunks.next_chunk(|r| refs.push(r))? {}
+        Ok(refs)
     }
 
     #[test]
@@ -1133,33 +994,20 @@ mod tests {
         // thread 0's bytes.
         let prog = sample();
         let mut bytes = multi_chunk_bytes(&prog, 1 << 20);
-        let file = TraceFile::parse(&bytes).unwrap();
-        let t0_off = file.threads[0].chunks[0].offset as usize;
-        drop(file);
+        let t0_off = FileReader::parse(&bytes).unwrap().threads[0].chunks[0].offset as usize;
         bytes[t0_off + 15] ^= 0xff;
 
-        let file = TraceFile::parse(&bytes).unwrap();
-        let t1: Result<Vec<_>, _> = file.chunk_reader(ThreadId::new(1)).collect();
-        let decoded = t1.unwrap();
+        let reader = FileReader::parse(&bytes).unwrap();
+        let decoded = drain(&reader, ThreadId::new(1)).unwrap();
         assert_eq!(decoded.len(), prog.thread(ThreadId::new(1)).len());
-        let t0: Result<Vec<_>, _> = file.chunk_reader(ThreadId::new(0)).collect();
-        assert!(t0.is_err());
+        assert!(drain(&reader, ThreadId::new(0)).is_err());
     }
 
+    /// The reader over a file and over the same bytes in memory both
+    /// yield each thread's exact references, and the footer accessors
+    /// describe the program.
     #[test]
-    fn chunk_reader_matches_thread_trace() {
-        let prog = sample();
-        let bytes = multi_chunk_bytes(&prog, 64);
-        let file = TraceFile::parse(&bytes).unwrap();
-        for (tid, thread) in prog.iter() {
-            let decoded: Result<Vec<_>, _> = file.chunk_reader(tid).collect();
-            assert_eq!(decoded.unwrap(), thread.iter().collect::<Vec<_>>());
-            assert_eq!(file.totals(tid).refs(), thread.len() as u64);
-        }
-    }
-
-    #[test]
-    fn file_reader_matches_slice_reader() {
+    fn file_and_slice_readers_match_the_trace() {
         let prog = sample();
         let bytes = multi_chunk_bytes(&prog, 128);
         let dir = std::env::temp_dir();
@@ -1177,11 +1025,12 @@ mod tests {
                 .map(|t| t.instr_len())
                 .collect::<Vec<_>>()
         );
+        let slice = FileReader::parse(&bytes).unwrap();
         for (tid, thread) in prog.iter() {
-            let mut chunks = reader.chunks(tid).unwrap();
-            let mut decoded = Vec::new();
-            while chunks.next_chunk(|r| decoded.push(r)).unwrap() {}
-            assert_eq!(decoded, thread.iter().collect::<Vec<_>>());
+            let expect: Vec<MemRef> = thread.iter().collect();
+            assert_eq!(drain(&reader, tid).unwrap(), expect);
+            assert_eq!(drain(&slice, tid).unwrap(), expect);
+            assert_eq!(slice.totals(tid).refs(), thread.len() as u64);
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -1208,7 +1057,7 @@ mod tests {
         // Each indexed chunk delivers exactly one bounded read step.
         for (t, &n) in per_thread.iter().enumerate() {
             let tid = ThreadId::from_index(t);
-            let mut chunks = reader.chunks(tid).unwrap();
+            let mut chunks = reader.chunks(tid);
             let mut steps = 0;
             while chunks.next_chunk(|_| {}).unwrap() {
                 steps += 1;
@@ -1260,9 +1109,9 @@ mod tests {
         );
         let bytes = multi_chunk_bytes(&prog, 8);
         assert_eq!(from_bytes(&bytes).unwrap(), prog);
-        let file = TraceFile::parse(&bytes).unwrap();
-        assert_eq!(file.chunk_reader(ThreadId::new(0)).count(), 0);
-        assert_eq!(file.chunk_reader(ThreadId::new(2)).count(), 0);
+        let reader = FileReader::parse(&bytes).unwrap();
+        assert!(drain(&reader, ThreadId::new(0)).unwrap().is_empty());
+        assert!(drain(&reader, ThreadId::new(2)).unwrap().is_empty());
     }
 
     #[test]
@@ -1277,9 +1126,7 @@ mod tests {
     fn rejects_payload_corruption() {
         let prog = sample();
         let bytes = multi_chunk_bytes(&prog, 1 << 20);
-        let file = TraceFile::parse(&bytes).unwrap();
-        let off = file.threads[0].chunks[0].offset as usize;
-        drop(file);
+        let off = FileReader::parse(&bytes).unwrap().threads[0].chunks[0].offset as usize;
         let mut bad = bytes.clone();
         bad[off + 20] ^= 0x55;
         let err = from_bytes(&bad).unwrap_err();
@@ -1309,6 +1156,20 @@ mod tests {
             from_bytes(&bytes),
             Err(TraceError::Version { found: 9, .. })
         ));
+    }
+
+    /// A slice source reads exactly the bytes asked for and refuses any
+    /// range that leaves it, including one whose end overflows.
+    #[test]
+    fn slice_source_reads_are_bounded() {
+        let src: &[u8] = &[1, 2, 3, 4];
+        let mut buf = [0u8; 2];
+        src.read_exact_at(&mut buf, 2).unwrap();
+        assert_eq!(buf, [3, 4]);
+        for offset in [3, 4, u64::MAX] {
+            let err = src.read_exact_at(&mut buf, offset).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        }
     }
 
     #[test]

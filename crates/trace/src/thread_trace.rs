@@ -133,7 +133,10 @@ impl ThreadTrace {
         );
         #[cfg(debug_assertions)]
         {
-            let check = Self::from_packed(packed.clone()).expect("valid packed references");
+            let check: ThreadTrace = packed
+                .iter()
+                .map(|&w| MemRef::unpack(w).expect("valid packed reference"))
+                .collect();
             assert_eq!(
                 (check.instr, check.reads, check.writes, check.barriers),
                 (instr, reads, writes, barriers),
@@ -206,37 +209,6 @@ impl ThreadTrace {
         self.packed
             .get(index)
             .map(|&p| MemRef::unpack(p).expect("trace contains only packed MemRefs"))
-    }
-
-    /// Borrows the raw packed representation (for zero-copy serialization).
-    pub(crate) fn packed(&self) -> &[u64] {
-        &self.packed
-    }
-
-    /// Rebuilds a trace from raw packed words.
-    ///
-    /// Used by the deserializer; validates every word.
-    pub(crate) fn from_packed(packed: Vec<u64>) -> Result<Self, crate::TraceError> {
-        let mut t = ThreadTrace {
-            packed: Vec::new(),
-            instr: 0,
-            reads: 0,
-            writes: 0,
-            barriers: 0,
-        };
-        for &word in &packed {
-            let r = MemRef::unpack(word).ok_or_else(|| crate::TraceError::Format {
-                reason: format!("invalid packed reference {word:#x}"),
-            })?;
-            match r.kind {
-                RefKind::Instr => t.instr += 1,
-                RefKind::Read => t.reads += 1,
-                RefKind::Write => t.writes += 1,
-                RefKind::Barrier => t.barriers += 1,
-            }
-        }
-        t.packed = packed;
-        Ok(t)
     }
 }
 
@@ -374,14 +346,15 @@ mod tests {
         assert_eq!(t.write_len(), 1);
     }
 
-    #[test]
-    fn from_packed_accepts_all_kinds() {
-        let good = sample().packed().to_vec();
-        let rebuilt = ThreadTrace::from_packed(good).unwrap();
-        assert_eq!(rebuilt, sample());
+    /// The raw packed words of a trace.
+    fn packed(t: &ThreadTrace) -> Vec<u64> {
+        t.iter().map(MemRef::pack).collect()
+    }
 
+    #[test]
+    fn from_packed_counts_accepts_all_kinds() {
         // Tag 3 is a barrier record.
-        let barriers = ThreadTrace::from_packed(vec![3u64 << 62]).unwrap();
+        let barriers = ThreadTrace::from_packed_counts(vec![3u64 << 62], 0, 0, 0, 1);
         assert_eq!(barriers.barrier_len(), 1);
     }
 
@@ -421,14 +394,14 @@ mod tests {
     #[test]
     fn from_packed_counts_matches_pushes() {
         let reference = sample();
-        let rebuilt = ThreadTrace::from_packed_counts(reference.packed().to_vec(), 2, 2, 1, 0);
+        let rebuilt = ThreadTrace::from_packed_counts(packed(&reference), 2, 2, 1, 0);
         assert_eq!(rebuilt, reference);
     }
 
     #[test]
     #[should_panic(expected = "sum to the packed word count")]
     fn from_packed_counts_rejects_bad_totals() {
-        ThreadTrace::from_packed_counts(sample().packed().to_vec(), 2, 2, 0, 0);
+        ThreadTrace::from_packed_counts(packed(&sample()), 2, 2, 0, 0);
     }
 
     #[test]

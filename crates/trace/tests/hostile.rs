@@ -11,11 +11,13 @@
 
 use placesim_trace::hash::{checksum64, fnv1a64};
 use placesim_trace::{
-    compress, io, stream, Address, MemRef, ProgramTrace, ThreadTrace, TraceError,
+    compress, stream, Address, MemRef, ProgramTrace, ThreadId, ThreadTrace, TraceError,
 };
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Wraps the system allocator, tracking the live and peak bytes each
 /// thread has allocated. The test harness runs `#[test]` fns on parallel
@@ -89,14 +91,32 @@ fn sample_program() -> ProgramTrace {
     ProgramTrace::new("hostile-sample", vec![mk(0), mk(0x1000), mk(0x2000)])
 }
 
-/// A v1 header claiming `thread_count` threads with no body at all.
-fn v1_claiming_threads(thread_count: u32) -> Vec<u8> {
-    let mut f = Vec::new();
-    f.extend_from_slice(b"PSIM");
-    f.extend_from_slice(&1u32.to_le_bytes());
-    f.extend_from_slice(&0u32.to_le_bytes()); // empty name
-    f.extend_from_slice(&thread_count.to_le_bytes());
-    f
+/// Writes `bytes` to a fresh file in the temp directory.
+fn temp_file(bytes: &[u8]) -> PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "placesim-hostile-{}-{}.trace",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&path, bytes).unwrap();
+    path
+}
+
+/// Opens `bytes` as a file the way `stream-profile` and
+/// `analyze --stream` do, and drains every thread's chunks.
+fn open_and_drain(bytes: &[u8]) -> Result<u64, TraceError> {
+    let path = temp_file(bytes);
+    let drained = stream::FileReader::open(&path).and_then(|reader| {
+        let mut refs = 0;
+        for t in 0..reader.thread_count() {
+            let mut chunks = reader.chunks(ThreadId::from_index(t));
+            while chunks.next_chunk(|_| refs += 1)? {}
+        }
+        Ok(refs)
+    });
+    std::fs::remove_file(&path).unwrap();
+    drained
 }
 
 /// A v2 header claiming `thread_count` threads with no body at all.
@@ -334,13 +354,9 @@ fn v3_file_is_refused_by_its_version() {
     let (peak, result) = measured_peak(|| compress::read_any(&old));
     assert!(result.as_ref().is_err_and(is_v3), "{result:?}");
     assert!(peak <= alloc_bound(old.len()));
-    let parsed = stream::TraceFile::parse(&old);
+    let parsed = stream::FileReader::parse(&old);
     assert!(parsed.as_ref().is_err_and(is_v3), "{parsed:?}");
-    let path =
-        std::env::temp_dir().join(format!("placesim-hostile-v3-{}.trace", std::process::id()));
-    std::fs::write(&path, &old).unwrap();
-    let opened = stream::FileReader::open(&path);
-    std::fs::remove_file(&path).unwrap();
+    let opened = open_and_drain(&old);
     assert!(opened.as_ref().is_err_and(is_v3), "{opened:?}");
 
     let current = v4_lying_ref_count(1, 1);
@@ -348,16 +364,56 @@ fn v3_file_is_refused_by_its_version() {
     assert_eq!(compress::read_any(&current).unwrap().total_refs(), 1);
 }
 
+/// A 50-byte v4 file whose name-length varint is `u64::MAX`: opening it
+/// as a file is a format error, like decoding the same bytes in memory,
+/// not an overflowing header-size sum.
 #[test]
-fn sixteen_byte_file_claiming_4_billion_threads_stays_small() {
-    let file = v1_claiming_threads(u32::MAX);
-    assert_eq!(file.len(), 16);
-    let (peak, result) = measured_peak(|| io::from_bytes(&file));
-    assert!(matches!(result, Err(TraceError::Format { .. })));
+fn v4_huge_name_length_is_rejected_when_opened() {
+    let mut f = Vec::new();
+    f.extend_from_slice(b"PSIM");
+    f.extend_from_slice(&stream::VERSION.to_le_bytes());
+    vp(&mut f, u64::MAX);
+    f.resize(30, 0);
+    f.extend_from_slice(&checksum64(&[]).to_le_bytes()); // empty footer
+    f.extend_from_slice(&0u64.to_le_bytes());
+    f.extend_from_slice(&stream::TRAILER_MAGIC);
+    assert_eq!(f.len(), 50);
+    let path = temp_file(&f);
+    let (peak, opened) = measured_peak(|| stream::FileReader::open(&path));
+    std::fs::remove_file(&path).unwrap();
     assert!(
-        peak <= 64 * 1024,
-        "16-byte hostile file pre-allocated {peak} bytes"
+        matches!(opened, Err(TraceError::Format { .. })),
+        "{opened:?}"
     );
+    assert!(peak <= alloc_bound(f.len()), "open peaked at {peak}");
+    let decoded = stream::from_bytes(&f);
+    assert!(
+        matches!(decoded, Err(TraceError::Format { .. })),
+        "{decoded:?}"
+    );
+}
+
+/// A file of the retired version 1 (fixed 8-byte records) is refused
+/// by its version word, even one whose header claims 4 billion threads.
+#[test]
+fn v1_file_is_refused_by_its_version() {
+    let mut f = Vec::new();
+    f.extend_from_slice(b"PSIM");
+    f.extend_from_slice(&1u32.to_le_bytes());
+    f.extend_from_slice(&0u32.to_le_bytes()); // empty name
+    f.extend_from_slice(&u32::MAX.to_le_bytes()); // thread count
+    let (peak, result) = measured_peak(|| compress::read_any(&f));
+    assert!(
+        matches!(
+            result,
+            Err(TraceError::Version {
+                found: 1,
+                supported: 4
+            })
+        ),
+        "{result:?}"
+    );
+    assert!(peak <= alloc_bound(f.len()), "v1 header peaked at {peak}");
 }
 
 #[test]
@@ -373,32 +429,14 @@ fn v2_header_claiming_huge_thread_count_stays_small() {
 
 #[test]
 fn huge_name_length_is_rejected_without_allocation() {
-    for version in [1u32, 2] {
-        let mut f = Vec::new();
-        f.extend_from_slice(b"PSIM");
-        f.extend_from_slice(&version.to_le_bytes());
-        if version == 1 {
-            f.extend_from_slice(&u32::MAX.to_le_bytes());
-        } else {
-            // Varint name length ~2^40.
-            f.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01]);
-        }
-        let (peak, result) = measured_peak(|| compress::read_any(&f));
-        assert!(
-            matches!(result, Err(TraceError::Format { .. })),
-            "version {version}"
-        );
-        assert!(peak <= 64 * 1024, "version {version} pre-allocated {peak}");
-    }
-}
-
-#[test]
-fn v1_overflowing_thread_length_is_rejected() {
-    let mut f = v1_claiming_threads(1);
-    f.extend_from_slice(&u64::MAX.to_le_bytes()); // len * 8 overflows
-    let (peak, result) = measured_peak(|| io::from_bytes(&f));
+    let mut f = Vec::new();
+    f.extend_from_slice(b"PSIM");
+    f.extend_from_slice(&2u32.to_le_bytes());
+    // Varint name length ~2^40.
+    f.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01]);
+    let (peak, result) = measured_peak(|| compress::read_any(&f));
     assert!(matches!(result, Err(TraceError::Format { .. })));
-    assert!(peak <= 64 * 1024, "overflow length pre-allocated {peak}");
+    assert!(peak <= 64 * 1024, "pre-allocated {peak}");
 }
 
 #[test]
@@ -431,38 +469,15 @@ proptest! {
         );
     }
 
-    /// Valid v1 files with mutated bytes: graceful error or valid
+    /// Valid v2 files with mutated bytes: graceful error or valid
     /// decode, never a panic or an outsized allocation.
-    #[test]
-    fn mutated_v1_files_never_overallocate(
-        pos in 0usize..512,
-        value in 0u8..=255,
-        cut in 0usize..=512,
-    ) {
-        let mut file = io::to_bytes(&sample_program()).unwrap().to_vec();
-        let idx = pos % file.len();
-        file[idx] = value;
-        if cut < 512 {
-            file.truncate(cut % (file.len() + 1));
-        }
-        let (peak, result) = measured_peak(|| compress::read_any(&file));
-        drop(result);
-        prop_assert!(
-            peak <= alloc_bound(file.len()),
-            "{} input bytes peaked at {} allocated bytes",
-            file.len(),
-            peak
-        );
-    }
-
-    /// Same for the compressed v2 format.
     #[test]
     fn mutated_v2_files_never_overallocate(
         pos in 0usize..512,
         value in 0u8..=255,
         cut in 0usize..=512,
     ) {
-        let mut file = compress::to_bytes(&sample_program()).unwrap().to_vec();
+        let mut file = compress::to_bytes(&sample_program()).unwrap();
         let idx = pos % file.len();
         file[idx] = value;
         if cut < 512 {
@@ -480,7 +495,10 @@ proptest! {
 
     /// Same for the streaming v4 format: mutate and/or truncate a valid
     /// file anywhere (header, chunks, footer, trailer) — graceful error
-    /// or valid decode, never a panic or an outsized allocation.
+    /// or valid decode, never a panic or an outsized allocation. The
+    /// same bytes opened as a file and drained thread by thread, the
+    /// path the streamed profile runs, meet the same bound and end the
+    /// same way.
     #[test]
     fn mutated_v4_files_never_overallocate(
         pos in 0usize..4096,
@@ -501,19 +519,28 @@ proptest! {
             file.len(),
             peak
         );
+        let (peak, opened) = measured_peak(|| open_and_drain(&file));
+        prop_assert!(
+            peak <= alloc_bound(file.len()),
+            "{} bytes opened as a file peaked at {} allocated bytes",
+            file.len(),
+            peak
+        );
+        let decoded = stream::from_bytes(&file);
+        prop_assert_eq!(opened.is_ok(), decoded.is_ok(), "{:?} vs {:?}", opened, decoded);
     }
 
-    /// Hostile thread counts over the whole u32 range, with a few real
+    /// Hostile thread counts over the whole u64 range, with a few real
     /// body bytes appended: always a graceful error or decode, always
     /// bounded.
     #[test]
     fn claimed_thread_counts_never_overallocate(
-        count in 0u32..=u32::MAX,
+        count in 0u64..=u64::MAX,
         body in proptest::collection::vec(0u8..=255, 0..64),
     ) {
-        let mut file = v1_claiming_threads(count);
+        let mut file = v2_claiming_threads(count);
         file.extend_from_slice(&body);
-        let (peak, result) = measured_peak(|| io::from_bytes(&file));
+        let (peak, result) = measured_peak(|| compress::from_bytes(&file));
         drop(result);
         prop_assert!(
             peak <= alloc_bound(file.len()),

@@ -1,8 +1,9 @@
 //! Property-based tests for the trace data model and its serialization.
 
 use placesim_trace::hash::checksum64;
+use placesim_trace::stream::{FileReader, ReadAt};
 use placesim_trace::{
-    compress, io, stream, Address, MemRef, ProgramTrace, RefKind, ThreadId, ThreadTrace,
+    compress, stream, Address, MemRef, ProgramTrace, RefKind, ThreadId, ThreadTrace,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,6 +44,18 @@ fn temp_trace(bytes: &[u8]) -> std::path::PathBuf {
     path
 }
 
+/// One thread's references, drained chunk by chunk, and the number of
+/// chunks read.
+fn drain<S: ReadAt>(reader: &FileReader<S>, tid: ThreadId) -> (Vec<MemRef>, usize) {
+    let mut chunks = reader.chunks(tid);
+    let mut refs = Vec::new();
+    let mut steps = 0;
+    while chunks.next_chunk(|r| refs.push(r)).unwrap() {
+        steps += 1;
+    }
+    (refs, steps)
+}
+
 proptest! {
     #[test]
     fn pack_unpack_roundtrip(r in arb_ref()) {
@@ -62,20 +75,11 @@ proptest! {
     }
 
     #[test]
-    fn io_roundtrip(prog in arb_program()) {
-        let bytes = io::to_bytes(&prog).unwrap();
-        let back = io::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(back, prog);
-    }
-
-    #[test]
     fn compressed_roundtrip(prog in arb_program()) {
         let bytes = compress::to_bytes(&prog).unwrap();
         prop_assert_eq!(compress::from_bytes(&bytes).unwrap(), prog.clone());
-        // read_any dispatches on version for both formats.
-        prop_assert_eq!(compress::read_any(&bytes).unwrap(), prog.clone());
-        let v1 = io::to_bytes(&prog).unwrap();
-        prop_assert_eq!(compress::read_any(&v1).unwrap(), prog);
+        // read_any dispatches on the version word.
+        prop_assert_eq!(compress::read_any(&bytes).unwrap(), prog);
     }
 
     /// Differential: the streaming v4 format round-trips every program
@@ -98,29 +102,23 @@ proptest! {
         prop_assert_eq!(summary.total_refs, prog.total_refs());
         prop_assert_eq!(summary.bytes_written as usize, buf.len());
         prop_assert_eq!(stream::from_bytes(&buf).unwrap(), prog.clone());
-        // read_any dispatches v4 like the other versions.
+        // read_any dispatches v4 like v2.
         prop_assert_eq!(compress::read_any(&buf).unwrap(), prog.clone());
 
-        // The zero-copy per-thread readers see exactly each thread's
-        // reference stream, independent of the other threads.
-        let file = stream::TraceFile::parse(&buf).unwrap();
+        // The per-thread reader sees exactly each thread's reference
+        // stream, independent of the other threads.
+        let reader = FileReader::parse(&buf).unwrap();
         for (tid, t) in prog.iter() {
-            let decoded: Vec<MemRef> = file
-                .chunk_reader(tid)
-                .collect::<Result<_, _>>()
-                .unwrap();
             let expect: Vec<MemRef> = t.iter().collect();
-            prop_assert_eq!(decoded, expect, "thread {}", tid);
+            prop_assert_eq!(drain(&reader, tid).0, expect, "thread {}", tid);
         }
     }
 
-    /// Differential: the three v4 readers yield identical references.
-    /// `FileChunks` decodes each chunk straight into a consumer,
-    /// `ChunkReader` pulls one record at a time from a slice and
-    /// `from_bytes` materializes the program; chunk sizes from 16 to
-    /// 511 bytes split threads into one chunk or many.
+    /// Differential: the v4 reader over a file and over the same bytes
+    /// in memory, and `from_bytes`, yield identical references; chunk
+    /// sizes from 16 to 511 bytes split threads into one chunk or many.
     #[test]
-    fn file_chunks_chunk_reader_and_from_bytes_agree(
+    fn file_and_slice_readers_and_from_bytes_agree(
         prog in arb_program(),
         chunk in 16usize..512,
     ) {
@@ -137,25 +135,16 @@ proptest! {
         }
         w.finish().unwrap();
         let path = temp_trace(&buf);
-        let reader = stream::FileReader::open(&path).unwrap();
-        let file = stream::TraceFile::parse(&buf).unwrap();
+        let file = FileReader::open(&path).unwrap();
+        let slice = FileReader::parse(&buf).unwrap();
         let whole = stream::from_bytes(&buf).unwrap();
         for t in 0..prog.thread_count() {
             let tid = ThreadId::from_index(t);
-            let mut chunks = reader.chunks(tid).unwrap();
-            let mut pushed = Vec::new();
-            let mut steps = 0;
-            while chunks.next_chunk(|r| pushed.push(r)).unwrap() {
-                steps += 1;
-            }
-            let pulled: Vec<MemRef> = file
-                .chunk_reader(tid)
-                .collect::<Result<_, _>>()
-                .unwrap();
+            let (from_file, steps) = drain(&file, tid);
             let materialized: Vec<MemRef> = whole.thread(tid).iter().collect();
-            prop_assert_eq!(steps, reader.chunk_count(tid));
-            prop_assert_eq!(&pushed, &pulled, "thread {}", tid);
-            prop_assert_eq!(&pushed, &materialized, "thread {}", tid);
+            prop_assert_eq!(steps, file.chunk_count(tid));
+            prop_assert_eq!(&from_file, &drain(&slice, tid).0, "thread {}", tid);
+            prop_assert_eq!(&from_file, &materialized, "thread {}", tid);
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -195,15 +184,6 @@ proptest! {
         let bytes = compress::to_bytes(&prog).unwrap();
         if cut < bytes.len() {
             prop_assert!(compress::from_bytes(&bytes[..cut]).is_err());
-        }
-    }
-
-    #[test]
-    fn truncated_streams_never_panic(prog in arb_program(), cut in 0usize..64) {
-        let bytes = io::to_bytes(&prog).unwrap();
-        if cut < bytes.len() {
-            // Any truncation must produce an error, never a panic or bogus value.
-            prop_assert!(io::from_bytes(&bytes[..cut]).is_err());
         }
     }
 }

@@ -18,7 +18,7 @@ use placesim_machine::{
 };
 use placesim_obs::{out, outln, sink, FaultCounters, SpanTimer};
 use placesim_placement::{thread_lengths, PlacementAlgorithm, PlacementInputs};
-use placesim_trace::{compress, io as trace_io, stream, ProgramTrace};
+use placesim_trace::{compress, stream, ProgramTrace};
 use placesim_workloads::{generate, generate_streamed, suite, GenOptions};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -97,7 +97,7 @@ const USAGE: &str = "\
 usage:
   placesim-cli suite
   placesim-cli gen <app> <out.trace> [--scale S] [--seed N]
-               [--format v1|v2|v4] [--flat]
+               [--format v2|v4]
   placesim-cli info <trace>
   placesim-cli analyze <trace> [--metrics out.json]
   placesim-cli place <trace> <algorithm> <processors> [--metrics out.json]
@@ -222,7 +222,7 @@ fn load_trace(path: &str) -> Result<ProgramTrace, String> {
     let mut raw = Vec::new();
     std::io::Read::read_to_end(&mut file, &mut raw)
         .map_err(|e| format!("cannot read {path}: {e}"))?;
-    // Accepts the flat v1, compressed v2 and streaming v4 formats.
+    // Accepts the compressed v2 and streaming v4 formats.
     compress::read_any(&raw).map_err(|e| format!("cannot decode {path}: {e}"))
 }
 
@@ -278,19 +278,19 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
         scale: flag(args, "--scale")?.unwrap_or_else(|| placesim::scale_from_env(0.1)),
         seed: uint_flag(args, "--seed")?.unwrap_or(1994),
     };
-    let flat = args.iter().any(|a| a == "--flat");
-    let format = match raw_flag(args, "--format")? {
-        Some("v1") => 1u32,
-        Some("v2") => 2,
-        Some("v4") => 4,
-        Some(other) => return Err(format!("--format must be v1, v2 or v4, got {other}")),
-        // --flat predates --format and stays as a v1 alias.
-        None if flat => 1,
-        None => 2,
-    };
-    if flat && format != 1 {
-        return Err("--flat means v1 and contradicts the given --format".into());
+    if let Some(bad) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !["--scale", "--seed", "--format"].contains(&a.as_str()))
+    {
+        return Err(format!(
+            "gen does not take {bad}; its flags are --scale, --seed and --format v2|v4"
+        ));
     }
+    let streamed = match raw_flag(args, "--format")? {
+        None | Some("v2") => false,
+        Some("v4") => true,
+        Some(other) => return Err(format!("--format must be v2 or v4, got {other}")),
+    };
 
     // Stream into a temporary sibling and rename into place only once
     // the write succeeded, so a full disk or crash never leaves a
@@ -301,19 +301,14 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("cannot create {}: {e}", tmp.display()))
         .and_then(|file| {
             // v4 streams thread-at-a-time and never materializes the
-            // program; v1/v2 build it in memory as before.
-            let result = if format == 4 {
+            // program; v2 builds it in memory.
+            let result = if streamed {
                 generate_streamed(&spec, &opts, BufWriter::new(file))
                     .map(|summary: stream::StreamSummary| (spec.threads, summary.total_refs))
             } else {
                 let prog = generate(&spec, &opts);
                 let counts = (prog.thread_count(), prog.total_refs());
-                if format == 1 {
-                    trace_io::write_program(&prog, BufWriter::new(file))
-                } else {
-                    compress::write_program(&prog, BufWriter::new(file))
-                }
-                .map(|()| counts)
+                compress::write_program(&prog, BufWriter::new(file)).map(|()| counts)
             };
             result.map_err(|e| format!("cannot write {out}: {e}"))
         })
@@ -333,10 +328,10 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
         "wrote {out}: {threads} threads, {total_refs} references (scale {}, seed {}, {} format)",
         opts.scale,
         opts.seed,
-        match format {
-            1 => "flat v1",
-            2 => "compressed v2",
-            _ => "streaming v4",
+        if streamed {
+            "streaming v4"
+        } else {
+            "compressed v2"
         }
     );
     Ok(())
@@ -1443,10 +1438,12 @@ mod tests {
         ]))
         .unwrap();
         run(&s(&["info", &path_s])).unwrap(); // compressed v2 loads
-        run(&s(&[
+                                              // The retired v1 format can no longer be written.
+        let err = run(&s(&[
             "gen", "fft", &path_s, "--scale", "0.002", "--seed", "3", "--flat",
         ]))
-        .unwrap();
+        .unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err:?}");
         run(&s(&["info", &path_s])).unwrap();
         run(&s(&["analyze", &path_s])).unwrap();
         run(&s(&["place", &path_s, "LOAD-BAL", "4"])).unwrap();
@@ -1536,9 +1533,23 @@ mod tests {
             vec!["gen", "fft", "/tmp/x.trace", "--format", "v9"],
             vec!["gen", "fft", "/tmp/x.trace", "--format", "3"],
             vec!["gen", "fft", "/tmp/x.trace", "--format"],
-            vec!["gen", "fft", "/tmp/x.trace", "--flat", "--format", "v4"],
         ] {
             assert!(run(&s(&argv)).is_err(), "{argv:?} must be rejected");
+        }
+        // Asking for the retired v1 format is a usage error naming the
+        // two formats that remain.
+        for argv in [
+            vec!["gen", "fft", "/tmp/x.trace", "--flat"],
+            vec!["gen", "fft", "/tmp/x.trace", "--flat", "--format", "v4"],
+            vec!["gen", "fft", "/tmp/x.trace", "--format", "v1"],
+        ] {
+            let err = run(&s(&argv)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{argv:?} -> {err:?}");
+            let msg = err.message();
+            assert!(
+                msg.contains("v2") && msg.contains("v4"),
+                "{argv:?} -> {msg}"
+            );
         }
         // The retired streaming version is refused with the one to use.
         let err = run(&s(&["gen", "fft", "/tmp/x.trace", "--format", "v3"])).unwrap_err();

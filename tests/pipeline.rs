@@ -40,12 +40,12 @@ fn every_app_runs_every_algorithm_end_to_end() {
 #[test]
 fn trace_io_roundtrip_preserves_analysis() {
     use placesim_repro::analysis::SharingAnalysis;
-    use placesim_repro::trace::io;
+    use placesim_repro::trace::stream;
 
     let spec = spec("pverify").unwrap();
     let prog = generate(&spec, &opts());
-    let bytes = io::to_bytes(&prog).expect("serialize");
-    let back = io::from_bytes(&bytes).expect("deserialize");
+    let bytes = stream::to_bytes(&prog).expect("serialize");
+    let back = stream::from_bytes(&bytes).expect("deserialize");
     assert_eq!(back, prog);
 
     let a = SharingAnalysis::measure(&prog);
