@@ -161,32 +161,32 @@ pub(crate) fn check_drained(
                      lattice"
                 ));
             }
-            if !directory.holds(me, line) {
+            let Some(id) = directory.id(line).filter(|&id| directory.holds(me, id)) else {
                 violations.push(format!(
                     "processor {pi}: line {line:#x} resident {state:?} but untracked by the \
                      directory"
                 ));
-            } else {
-                match state {
-                    LineState::Modified | LineState::Exclusive => {
-                        if directory.owner(line) != Some(me) {
-                            violations.push(format!(
-                                "processor {pi}: line {line:#x} resident {state:?} but directory \
-                                 owner is {:?}",
-                                directory.owner(line)
-                            ));
-                        }
+                continue;
+            };
+            match state {
+                LineState::Modified | LineState::Exclusive => {
+                    if directory.owner(id) != Some(me) {
+                        violations.push(format!(
+                            "processor {pi}: line {line:#x} resident {state:?} but directory \
+                             owner is {:?}",
+                            directory.owner(id)
+                        ));
                     }
-                    LineState::SharedDirty => {
-                        if directory.owner(line).is_some() {
-                            violations.push(format!(
-                                "processor {pi}: line {line:#x} resident SharedDirty but the \
-                                 directory records an exclusive owner"
-                            ));
-                        }
-                    }
-                    LineState::Shared => {}
                 }
+                LineState::SharedDirty => {
+                    if directory.owner(id).is_some() {
+                        violations.push(format!(
+                            "processor {pi}: line {line:#x} resident SharedDirty but the \
+                             directory records an exclusive owner"
+                        ));
+                    }
+                }
+                LineState::Shared => {}
             }
         }
     }
@@ -356,8 +356,9 @@ mod tests {
             .collect();
         let mut directory = Directory::new();
         // Cache 0 holds line 7 Modified, directory thinks 1 owns it.
-        caches[0].fill(7, LineState::Modified, placesim_trace::ThreadId::new(0));
-        directory.write_fill(ProcessorId::from_index(1), 7);
+        let id = directory.intern(7);
+        caches[0].fill(7, id, LineState::Modified, placesim_trace::ThreadId::new(0));
+        directory.write_fill(ProcessorId::from_index(1), id);
         // Zeroed stats for the empty "machine", with refs forged to match
         // dispatch so only the owner-state checks fire.
         let mut stats = vec![ProcStats::default(); 2];

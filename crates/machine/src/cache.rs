@@ -15,7 +15,7 @@
 //! Ways live in one flat slab: set `s` occupies
 //! `slots[s * assoc .. (s + 1) * assoc]`, most recently used first. The
 //! resident ways come first; every way past the set's occupancy holds the
-//! line id [`EMPTY`], which no resident line can have. A lookup therefore
+//! line [`EMPTY`], which no resident line can have. A lookup therefore
 //! compares all `assoc` ways of its set and needs no occupancy count.
 //! One slab keeps every lookup inside a single allocation (the hot path
 //! of the simulation engine), where the earlier `Vec<Vec<Slot>>` layout
@@ -27,18 +27,26 @@
 //! Compulsory classification needs "was this line ever resident here?".
 //! Tracking that with a dedicated set is redundant: every departure path
 //! (eviction, invalidation) records a [`GoneReason`], and every fill
-//! removes it, so a non-resident line was previously resident *iff* it
-//! has a `gone` entry. A miss therefore classifies with a single map
-//! lookup — `None` means compulsory.
+//! clears it, so a non-resident line was previously resident *iff* it
+//! has a departure record — none means compulsory.
+//!
+//! # Records by line id
+//!
+//! The departure records are a vector indexed by the line's dense id,
+//! which the directory hands out at the line's first miss anywhere
+//! ([`crate::Directory::intern`]). Every way records its line's id, so an
+//! eviction or an invalidation writes its record without a lookup, and a
+//! miss, whose id the engine already holds, reads it by index. The
+//! vector grows only as far as the largest id of a line that left this
+//! cache; ids past its end have no record and read as compulsory.
 
 use crate::protocol::{Protocol, WriteHit};
 use crate::stats::MissKind;
 use placesim_placement::ProcessorId;
-use placesim_trace::hash::FastMap;
-use placesim_trace::{Address, ThreadId};
+use placesim_trace::{Address, RefKind, ThreadId};
 
-/// Line id of a way past its set's occupancy. No resident line has it:
-/// addresses are at most [`Address::MAX_BITS`] bits wide, so every line id
+/// The line of a way past its set's occupancy. No resident line has it:
+/// addresses are at most [`Address::MAX_BITS`] bits wide, so every line
 /// is below `2^62`.
 const EMPTY: u64 = u64::MAX;
 const _: () = assert!(Address::MAX_BITS < 64);
@@ -80,11 +88,49 @@ pub enum GoneReason {
     InvalidatedBy(ProcessorId, ThreadId),
 }
 
+/// `line`'s bit in a 64-bit line filter. Lines that share a bit collide,
+/// so a filter is a superset of the lines it was built from.
+#[inline]
+pub(crate) fn line_bit(line: u64) -> u64 {
+    1 << (line & 63)
+}
+
+/// A run of plain local hits at the head of a context's references, as
+/// [`ProcessorCache::scan_hits`] finds it, with two 64-bit filters of its
+/// lines: bit `line % 64` of `lines` for every line the run references,
+/// and of `writes` for every line it writes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Lookahead {
+    /// Plain local hits from the head of the references on.
+    pub hits: u64,
+    /// Filter of the lines the hits reference.
+    pub lines: u64,
+    /// Filter of the lines the hits write.
+    pub writes: u64,
+}
+
+impl Lookahead {
+    /// The first of `words`, packed references of a scanned run, that a
+    /// remote change to `line` turns globally visible: any reference to
+    /// the line when the change `removes` the copy (an invalidation),
+    /// else the first write to it (a downgrade or an update leaves a
+    /// copy that reads still hit). `None` if no word does. Lines are
+    /// `address >> line_shift`, as in [`ProcessorCache::scan_hits`].
+    pub fn cut(words: &[u64], line_shift: u32, line: u64, removes: bool) -> Option<usize> {
+        words.iter().position(|&word| {
+            Address::of_packed(word).raw() >> line_shift == line
+                && (removes || RefKind::of_packed(word) == RefKind::Write)
+        })
+    }
+}
+
 /// One cache way.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    /// Resident line address (the full line id).
+    /// Resident line address.
     line: u64,
+    /// The line's dense id ([`crate::Directory::intern`]).
+    id: u32,
     state: LineState,
     /// Last local thread to reference the line (set at fill, refreshed
     /// on every hit of a run that records attribution). Coherence
@@ -99,6 +145,7 @@ impl Slot {
     fn empty() -> Self {
         Slot {
             line: EMPTY,
+            id: 0,
             state: LineState::Shared,
             owner: ThreadId::new(0),
         }
@@ -128,25 +175,39 @@ pub enum AccessOutcome {
     },
 }
 
-/// Outcome of a fused [`ProcessorCache::access`]: one set walk, and — on
-/// a miss — the provenance classification in the same call.
+/// Outcome of [`ProcessorCache::access`]: one set walk. A hit that needs
+/// the directory carries the line's id, which the directory's
+/// transaction takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Access {
     /// Resident with sufficient permission; LRU order updated.
     Hit,
     /// Resident Shared but written: the directory must invalidate remote
     /// sharers. LRU order updated.
-    UpgradeHit,
+    UpgradeHit {
+        /// The line's id.
+        id: u32,
+    },
     /// Dragon: resident shared and written; the directory must send
     /// updates to remote sharers. LRU order updated.
-    UpdateHit,
-    /// Not resident; classified at lookup time.
-    Miss {
-        /// The paper's four-way miss classification.
-        kind: MissKind,
-        /// The invalidating processor, for invalidation misses.
-        source: Option<ProcessorId>,
+    UpdateHit {
+        /// The line's id.
+        id: u32,
     },
+    /// Not resident. [`ProcessorCache::miss_provenance`] classifies it
+    /// by the line's id.
+    Miss,
+}
+
+/// The way a fill displaced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Evicted {
+    /// The displaced line.
+    pub line: u64,
+    /// Its id, for the directory's replacement hint.
+    pub id: u32,
+    /// Its state when it left.
+    pub state: LineState,
 }
 
 /// A set-associative processor cache with LRU replacement
@@ -157,9 +218,10 @@ pub struct ProcessorCache {
     /// ways MRU first, then [`EMPTY`] ways.
     slots: Vec<Slot>,
     assoc: usize,
-    /// Departure reason of every previously-resident, non-resident line.
-    /// Doubles as the "ever seen" record: see the module docs.
-    gone: FastMap<u64, GoneReason>,
+    /// Departure reason of every previously-resident, non-resident line,
+    /// by line id, up to the largest id that left. Doubles as the "ever
+    /// seen" record: see the module docs.
+    gone: Vec<Option<GoneReason>>,
     set_mask: u64,
     /// Lifetime fill count. Every miss fills exactly once, so this must
     /// equal the engine's miss-taxonomy total (the auditor checks it).
@@ -168,10 +230,13 @@ pub struct ProcessorCache {
     /// (cache-side) half of the protocol lives here; the directory-side
     /// half lives in the engine's miss path.
     protocol: Protocol,
-    /// [`LineState::bit`]s of the states a write hits in without the
-    /// directory: Modified, and Exclusive where the protocol upgrades it
-    /// silently. Built once from the protocol's write-hit table.
-    writable: u8,
+    /// Bit `4 * state + kind` is set when a reference of `kind` is a
+    /// plain local hit on a way in `state` (both as their `u8` values).
+    /// Fetches and reads hit in any state. A write hits in the states the
+    /// protocol's write-hit table lets it write without the directory:
+    /// Modified, and Exclusive where the protocol upgrades it silently. A
+    /// barrier hits in none.
+    local_hits: u32,
 }
 
 impl ProcessorCache {
@@ -213,14 +278,19 @@ impl ProcessorCache {
             .iter()
             .filter(|&&s| matches!(protocol.write_hit(s), WriteHit::Hit | WriteHit::Silent(_)))
             .fold(0, |mask, s| mask | s.bit());
+        let local_hits = (0..4).fold(0, |table, state| {
+            let write = u32::from(writable & (1 << state) != 0) << RefKind::Write as u32;
+            let kinds = 1 << RefKind::Instr as u32 | 1 << RefKind::Read as u32 | write;
+            table | kinds << (4 * state)
+        });
         ProcessorCache {
             slots: vec![Slot::empty(); num_sets as usize * assoc],
             assoc,
-            gone: FastMap::default(),
+            gone: Vec::new(),
             set_mask: num_sets - 1,
             fills: 0,
             protocol,
-            writable,
+            local_hits,
         }
     }
 
@@ -265,13 +335,13 @@ impl ProcessorCache {
             .unwrap_or(self.assoc)
     }
 
-    /// One-pass access: classifies a reference to `line`, updates LRU
-    /// order on hits, and classifies misses from the departure record in
-    /// the same call. This is the simulation engine's hot path; see
-    /// [`ProcessorCache::probe`] / [`ProcessorCache::miss_provenance`]
-    /// for the split variant the reference engine and unit tests use.
-    /// Always inlined: the engine's hit loop must not pay a call per
-    /// reference.
+    /// One-pass access: classifies a reference to `line` and updates LRU
+    /// order on hits. A miss is classified by
+    /// [`ProcessorCache::miss_provenance`] once the engine holds the
+    /// line's id. This is the simulation engine's slow path;
+    /// [`ProcessorCache::probe`] is the variant the reference engine
+    /// uses. Always inlined: off the paper's machine a lone run calls it
+    /// per hit.
     #[inline(always)]
     pub fn access(&mut self, line: u64, is_write: bool, thread: ThreadId) -> Access {
         let base = self.set_base(line);
@@ -290,8 +360,8 @@ impl ProcessorCache {
                         slot.state = next; // MESI/Dragon E→M, no bus traffic
                         Access::Hit
                     }
-                    WriteHit::Upgrade => Access::UpgradeHit,
-                    WriteHit::Update => Access::UpdateHit,
+                    WriteHit::Upgrade => Access::UpgradeHit { id: slot.id },
+                    WriteHit::Update => Access::UpdateHit { id: slot.id },
                 }
             } else {
                 Access::Hit
@@ -300,33 +370,69 @@ impl ProcessorCache {
             set[0] = slot;
             return outcome;
         }
-        let (kind, source) = self.classify_gone(line, thread);
-        Access::Miss { kind, source }
+        Access::Miss
     }
 
-    /// Read-only: whether a reference to `line` would be a plain local
-    /// hit — resident, and for a write, Modified or silently upgradable
-    /// from Exclusive. Upgrade and update hits, which need the
-    /// directory, are `false`, as are misses.
+    /// The hit kernel: the run of plain local hits at the head of
+    /// `words`, a context's remaining references as packed words
+    /// ([`ThreadTraceIter::as_packed`](placesim_trace::ThreadTraceIter::as_packed)),
+    /// with the [`Lookahead`] filters of its lines. Lines are
+    /// `address >> line_shift`.
     ///
-    /// Nothing changes, not even LRU order: a run of plain hits never
-    /// evicts, so its outcome does not depend on LRU order, and a write
-    /// hit on Exclusive leaves the line Modified, which hits again.
-    /// The engine's lookahead scan relies on both. On a direct-mapped
-    /// write-invalidate cache without attribution, this scan is the only
-    /// lookup a scanned hit gets: the engine commits the run without
-    /// calling [`ProcessorCache::access`] again.
+    /// A plain local hit needs no directory: the line is resident, and a
+    /// write finds it Modified or, where the protocol upgrades silently,
+    /// Exclusive. Upgrade and update hits are not plain, nor are misses.
+    /// A state outside the protocol's lattice is not writable, so the
+    /// run stops there and the engine's [`ProcessorCache::access`] meets
+    /// it in [`Protocol::write_hit`]. The run also stops before a
+    /// barrier and before the last word, whose completion ends the
+    /// context.
     ///
-    /// A write checks the way's state against the protocol's mask of
-    /// locally writable states. A state outside the protocol's lattice is
-    /// not in the mask, so the scan stops there and the engine's
-    /// [`ProcessorCache::access`] meets it in [`Protocol::write_hit`].
-    #[inline]
-    pub fn hits_locally(&self, line: u64, is_write: bool) -> bool {
-        let writable = if is_write { self.writable } else { u8::MAX };
-        self.set(line)
-            .iter()
-            .any(|s| s.line == line && writable & s.state.bit() != 0)
+    /// Read-only: nothing changes, not even LRU order. A run of plain
+    /// hits never evicts, so its outcome does not depend on LRU order,
+    /// and a write hit on Exclusive leaves the line Modified, which hits
+    /// again.
+    ///
+    /// Each word is decoded with two shifts and a mask, its set is
+    /// indexed directly, and one bit of a 16-bit table, picked by the
+    /// way's state and the word's kind, says whether it hits; the table
+    /// also stops the run at a barrier. No
+    /// [`MemRef`](placesim_trace::MemRef) is built and no branch depends
+    /// on the kind. The body is written once for every associativity; a
+    /// direct-mapped cache gets a copy whose one-way set needs no loop.
+    pub fn scan_hits(&self, words: &[u64], line_shift: u32) -> Lookahead {
+        if self.assoc == 1 {
+            self.scan::<true>(words, line_shift)
+        } else {
+            self.scan::<false>(words, line_shift)
+        }
+    }
+
+    /// [`ProcessorCache::scan_hits`]'s body; `DIRECT` fixes one way.
+    #[inline(always)]
+    fn scan<const DIRECT: bool>(&self, words: &[u64], line_shift: u32) -> Lookahead {
+        let ways = if DIRECT { 1 } else { self.assoc };
+        let mut look = Lookahead::default();
+        let Some((_, body)) = words.split_last() else {
+            return look;
+        };
+        for &word in body {
+            let kind = RefKind::of_packed(word);
+            let line = Address::of_packed(word).raw() >> line_shift;
+            let base = (line & self.set_mask) as usize * ways;
+            let hit = (base..base + ways).any(|i| {
+                let slot = &self.slots[i];
+                slot.line == line
+                    && self.local_hits >> (4 * slot.state as u32 + kind as u32) & 1 != 0
+            });
+            if !hit {
+                break;
+            }
+            look.hits += 1;
+            look.lines |= line_bit(line);
+            look.writes |= u64::from(kind == RefKind::Write) << (line & 63);
+        }
+        look
     }
 
     /// Classifies an access to `line` and updates LRU order on hits.
@@ -363,17 +469,37 @@ impl ProcessorCache {
         AccessOutcome::Miss { victim }
     }
 
+    /// The departure record of the line with id `id`.
     #[inline]
-    fn classify_gone(
+    fn gone(&self, id: u32) -> Option<GoneReason> {
+        self.gone.get(id as usize).copied().flatten()
+    }
+
+    /// Records why the line with id `id` left, growing the records to
+    /// reach `id`.
+    #[inline]
+    fn record_departure(&mut self, id: u32, reason: GoneReason) {
+        let id = id as usize;
+        if self.gone.len() <= id {
+            self.gone.resize(id + 1, None);
+        }
+        self.gone[id] = Some(reason);
+    }
+
+    /// Classifies a miss on the line with id `id` into the paper's four
+    /// components using the provenance recorded at departure time, and
+    /// returns the processor that caused an invalidation miss (for the
+    /// coherence probe's attribution).
+    pub fn miss_provenance(
         &self,
-        line: u64,
+        id: u32,
         missing_thread: ThreadId,
     ) -> (MissKind, Option<ProcessorId>) {
-        match self.gone.get(&line) {
+        match self.gone(id) {
             None => (MissKind::Compulsory, None),
-            Some(GoneReason::InvalidatedBy(p, _)) => (MissKind::Invalidation, Some(*p)),
+            Some(GoneReason::InvalidatedBy(p, _)) => (MissKind::Invalidation, Some(p)),
             Some(GoneReason::EvictedBy(t)) => {
-                if *t == missing_thread {
+                if t == missing_thread {
                     (MissKind::IntraThreadConflict, None)
                 } else {
                     (MissKind::InterThreadConflict, None)
@@ -382,31 +508,19 @@ impl ProcessorCache {
         }
     }
 
-    /// Refines a miss classification into the paper's four components
-    /// using the provenance recorded at departure time, and returns the
-    /// processor that caused an invalidation miss (for the coherence
-    /// probe's attribution).
-    pub fn miss_provenance(
-        &self,
-        line: u64,
-        missing_thread: ThreadId,
-    ) -> (MissKind, Option<ProcessorId>) {
-        self.classify_gone(line, missing_thread)
-    }
-
-    /// Fills `line` after a miss by `thread`, displacing the LRU way if
-    /// the set is full.
+    /// Fills `line`, whose id is `id`, after a miss by `thread`,
+    /// displacing the LRU way if the set is full.
     ///
-    /// Returns the victim line (already reported by
-    /// [`ProcessorCache::probe`]); the victim's departure is recorded as
-    /// an eviction by `thread`.
+    /// Returns the victim (already reported by [`ProcessorCache::probe`]);
+    /// its departure is recorded as an eviction by `thread`.
     pub fn fill(
         &mut self,
         line: u64,
+        id: u32,
         state: LineState,
         thread: ThreadId,
-    ) -> Option<(u64, LineState)> {
-        debug_assert!(line != EMPTY, "line id {line:#x} is the empty-way marker");
+    ) -> Option<Evicted> {
+        debug_assert!(line != EMPTY, "line {line:#x} is the empty-way marker");
         debug_assert!(
             self.set(line).iter().all(|s| s.line != line),
             "fill of resident line"
@@ -416,8 +530,12 @@ impl ProcessorCache {
         self.fills += 1;
         let victim = if len == self.assoc {
             let lru = self.slots[base + len - 1];
-            self.gone.insert(lru.line, GoneReason::EvictedBy(thread));
-            Some((lru.line, lru.state))
+            self.record_departure(lru.id, GoneReason::EvictedBy(thread));
+            Some(Evicted {
+                line: lru.line,
+                id: lru.id,
+                state: lru.state,
+            })
         } else {
             None
         };
@@ -425,10 +543,13 @@ impl ProcessorCache {
         self.slots.copy_within(base..base + occupied, base + 1);
         self.slots[base] = Slot {
             line,
+            id,
             state,
             owner: thread,
         };
-        self.gone.remove(&line);
+        if let Some(record) = self.gone.get_mut(id as usize) {
+            *record = None;
+        }
         victim
     }
 
@@ -445,10 +566,10 @@ impl ProcessorCache {
         match self.set(line).iter().position(|s| s.line == line) {
             Some(pos) => {
                 // Close the gap and mark the vacated last way empty.
+                let id = self.slots[base + pos].id;
                 self.slots.copy_within(base + pos + 1..end, base + pos);
                 self.slots[end - 1] = Slot::empty();
-                self.gone
-                    .insert(line, GoneReason::InvalidatedBy(by, writer));
+                self.record_departure(id, GoneReason::InvalidatedBy(by, writer));
             }
             None => debug_assert!(false, "invalidation for non-resident line {line:#x}"),
         }
@@ -527,12 +648,12 @@ impl ProcessorCache {
             .map(|s| s.owner)
     }
 
-    /// The thread whose remote write invalidated a now-missing line, if
-    /// that is why the line left. Read *before* the refill — the fill
-    /// clears the departure record.
-    pub fn invalidation_writer(&self, line: u64) -> Option<ThreadId> {
-        match self.gone.get(&line) {
-            Some(GoneReason::InvalidatedBy(_, w)) => Some(*w),
+    /// The thread whose remote write invalidated the now-missing line
+    /// with id `id`, if that is why the line left. Read *before* the
+    /// refill — the fill clears the departure record.
+    pub fn invalidation_writer(&self, id: u32) -> Option<ThreadId> {
+        match self.gone(id) {
+            Some(GoneReason::InvalidatedBy(_, w)) => Some(w),
             _ => None,
         }
     }
@@ -567,6 +688,7 @@ impl ProcessorCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use placesim_trace::MemRef;
 
     fn t(i: u16) -> ThreadId {
         ThreadId::new(i)
@@ -574,6 +696,35 @@ mod tests {
 
     fn p(i: usize) -> ProcessorId {
         ProcessorId::from_index(i)
+    }
+
+    /// Whether the kernel finds a reference to `line` (address `line`,
+    /// lines of one byte) a plain local hit.
+    fn hits_locally(c: &ProcessorCache, line: u64, is_write: bool) -> bool {
+        let r = if is_write {
+            MemRef::write(Address::new(line))
+        } else {
+            MemRef::read(Address::new(line))
+        };
+        // The kernel never counts the last word.
+        c.scan_hits(&[r.pack(), 0], 0).hits == 1
+    }
+
+    /// Fills `line` under the id `line` (the tests use small lines), and
+    /// returns the victim's line and state.
+    fn fill(
+        c: &mut ProcessorCache,
+        line: u64,
+        state: LineState,
+        thread: ThreadId,
+    ) -> Option<(u64, LineState)> {
+        let victim = c.fill(line, line as u32, state, thread)?;
+        assert_eq!(
+            u64::from(victim.id),
+            victim.line,
+            "a way keeps its line's id"
+        );
+        Some((victim.line, victim.state))
     }
 
     #[test]
@@ -589,7 +740,7 @@ mod tests {
     #[test]
     fn fill_then_hit() {
         let mut c = ProcessorCache::new(8);
-        c.fill(100, LineState::Shared, t(0));
+        fill(&mut c, 100, LineState::Shared, t(0));
         assert_eq!(c.probe(100, false), AccessOutcome::Hit);
         assert_eq!(c.state_of(100), Some(LineState::Shared));
         assert_eq!(c.resident_lines(), 1);
@@ -598,7 +749,7 @@ mod tests {
     #[test]
     fn write_to_shared_is_upgrade() {
         let mut c = ProcessorCache::new(8);
-        c.fill(100, LineState::Shared, t(0));
+        fill(&mut c, 100, LineState::Shared, t(0));
         assert_eq!(c.probe(100, true), AccessOutcome::UpgradeHit);
         c.set_modified(100);
         assert_eq!(c.probe(100, true), AccessOutcome::Hit);
@@ -608,8 +759,8 @@ mod tests {
     fn conflict_eviction_classifies_by_thread() {
         let mut c = ProcessorCache::new(8);
         // Lines 0 and 8 map to the same set.
-        c.fill(0, LineState::Shared, t(0));
-        let victim = c.fill(8, LineState::Shared, t(1));
+        fill(&mut c, 0, LineState::Shared, t(0));
+        let victim = fill(&mut c, 8, LineState::Shared, t(1));
         assert_eq!(victim, Some((0, LineState::Shared)));
 
         // Line 0 is gone, evicted by thread 1.
@@ -632,7 +783,7 @@ mod tests {
     #[test]
     fn invalidation_miss_attributed_to_writer() {
         let mut c = ProcessorCache::new(8);
-        c.fill(5, LineState::Shared, t(0));
+        fill(&mut c, 5, LineState::Shared, t(0));
         assert_eq!(c.owner_of(5), Some(t(0)));
         c.invalidate(5, p(3), t(9));
         let (kind, src) = c.miss_provenance(5, t(0));
@@ -646,14 +797,14 @@ mod tests {
     #[test]
     fn refill_clears_gone_reason() {
         let mut c = ProcessorCache::new(8);
-        c.fill(5, LineState::Shared, t(0));
+        fill(&mut c, 5, LineState::Shared, t(0));
         c.invalidate(5, p(1), t(4));
-        c.fill(5, LineState::Shared, t(0));
+        fill(&mut c, 5, LineState::Shared, t(0));
         assert_eq!(c.invalidation_writer(5), None, "fill clears provenance");
         assert_eq!(c.probe(5, false), AccessOutcome::Hit);
         // Evict it by conflict now; classification must be conflict, not
         // the stale invalidation.
-        c.fill(13, LineState::Shared, t(2));
+        fill(&mut c, 13, LineState::Shared, t(2));
         assert_eq!(
             c.miss_provenance(5, t(2)),
             (MissKind::IntraThreadConflict, None)
@@ -663,7 +814,7 @@ mod tests {
     #[test]
     fn downgrade_preserves_residency() {
         let mut c = ProcessorCache::new(8);
-        c.fill(7, LineState::Modified, t(0));
+        fill(&mut c, 7, LineState::Modified, t(0));
         c.downgrade(7);
         assert_eq!(c.state_of(7), Some(LineState::Shared));
         assert_eq!(c.probe(7, false), AccessOutcome::Hit);
@@ -687,9 +838,9 @@ mod tests {
         // 2-way cache holds both.
         let mut c = ProcessorCache::with_associativity(8, 2);
         assert_eq!(c.associativity(), 2);
-        c.fill(0, LineState::Shared, t(0));
+        fill(&mut c, 0, LineState::Shared, t(0));
         assert_eq!(c.probe(8, false), AccessOutcome::Miss { victim: None });
-        c.fill(8, LineState::Shared, t(0));
+        fill(&mut c, 8, LineState::Shared, t(0));
         assert_eq!(c.probe(0, false), AccessOutcome::Hit);
         assert_eq!(c.probe(8, false), AccessOutcome::Hit);
         assert_eq!(c.resident_lines(), 2);
@@ -698,8 +849,8 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut c = ProcessorCache::with_associativity(8, 2);
-        c.fill(0, LineState::Shared, t(0));
-        c.fill(8, LineState::Shared, t(0));
+        fill(&mut c, 0, LineState::Shared, t(0));
+        fill(&mut c, 8, LineState::Shared, t(0));
         // Touch 0 so 8 becomes LRU.
         assert_eq!(c.probe(0, false), AccessOutcome::Hit);
         match c.probe(16, false) {
@@ -708,7 +859,7 @@ mod tests {
             }
             other => panic!("expected miss, got {other:?}"),
         }
-        let v = c.fill(16, LineState::Shared, t(1));
+        let v = fill(&mut c, 16, LineState::Shared, t(1));
         assert_eq!(v, Some((8, LineState::Shared)));
         assert_eq!(c.probe(0, false), AccessOutcome::Hit, "MRU line survives");
     }
@@ -716,17 +867,17 @@ mod tests {
     #[test]
     fn invalidate_one_way_keeps_others() {
         let mut c = ProcessorCache::with_associativity(8, 2);
-        c.fill(0, LineState::Shared, t(0));
-        c.fill(8, LineState::Modified, t(0));
+        fill(&mut c, 0, LineState::Shared, t(0));
+        fill(&mut c, 8, LineState::Modified, t(0));
         c.invalidate(0, p(1), t(2));
         assert_eq!(c.state_of(0), None);
         assert_eq!(c.state_of(8), Some(LineState::Modified));
         // The vacated way is free again: the next fill evicts nothing.
         assert_eq!(c.probe(16, false), AccessOutcome::Miss { victim: None });
-        assert_eq!(c.fill(16, LineState::Shared, t(0)), None);
+        assert_eq!(fill(&mut c, 16, LineState::Shared, t(0)), None);
         assert_eq!(c.resident_lines(), 2);
         assert_eq!(
-            c.fill(24, LineState::Shared, t(0)),
+            fill(&mut c, 24, LineState::Shared, t(0)),
             Some((8, LineState::Modified))
         );
     }
@@ -736,14 +887,14 @@ mod tests {
         for protocol in Protocol::ALL {
             for &state in protocol.semantics().lattice() {
                 let mut c = ProcessorCache::with_protocol(8, 2, protocol);
-                c.fill(3, state, t(0));
+                fill(&mut c, 3, state, t(0));
                 let plain = matches!(
                     protocol.write_hit(state),
                     WriteHit::Hit | WriteHit::Silent(_)
                 );
-                assert_eq!(c.hits_locally(3, true), plain, "{protocol} {state:?}");
-                assert!(c.hits_locally(3, false), "{protocol} {state:?}");
-                assert!(!c.hits_locally(11, false), "{protocol}: empty way");
+                assert_eq!(hits_locally(&c, 3, true), plain, "{protocol} {state:?}");
+                assert!(hits_locally(&c, 3, false), "{protocol} {state:?}");
+                assert!(!hits_locally(&c, 11, false), "{protocol}: empty way");
             }
         }
     }
@@ -754,8 +905,8 @@ mod tests {
     #[should_panic(expected = "outside the wi lattice")]
     fn out_of_lattice_write_reaches_the_write_hit_table() {
         let mut c = ProcessorCache::new(8);
-        c.fill(3, LineState::Exclusive, t(0));
-        assert!(!c.hits_locally(3, true));
+        fill(&mut c, 3, LineState::Exclusive, t(0));
+        assert!(!hits_locally(&c, 3, true));
         c.access(3, true, t(0));
     }
 
@@ -777,26 +928,28 @@ mod tests {
         let mut fused = ProcessorCache::with_associativity(8, 2);
         let mut split = ProcessorCache::with_associativity(8, 2);
         for &(line, is_write, tid) in &seq {
+            let id = line as u32;
             let a = fused.access(line, is_write, t(tid));
             let b = match split.probe(line, is_write) {
                 AccessOutcome::Hit => Access::Hit,
-                AccessOutcome::UpgradeHit => Access::UpgradeHit,
-                AccessOutcome::UpdateHit => Access::UpdateHit,
-                AccessOutcome::Miss { .. } => {
-                    let (kind, source) = split.miss_provenance(line, t(tid));
-                    Access::Miss { kind, source }
-                }
+                AccessOutcome::UpgradeHit => Access::UpgradeHit { id },
+                AccessOutcome::UpdateHit => Access::UpdateHit { id },
+                AccessOutcome::Miss { .. } => Access::Miss,
             };
             assert_eq!(a, b, "diverged at line {line:#x}");
+            assert_eq!(
+                fused.miss_provenance(id, t(tid)),
+                split.miss_provenance(id, t(tid))
+            );
             let state = if is_write {
                 LineState::Modified
             } else {
                 LineState::Shared
             };
-            if let Access::Miss { .. } = a {
-                fused.fill(line, state, t(tid));
-                split.fill(line, state, t(tid));
-            } else if a == Access::UpgradeHit {
+            if a == Access::Miss {
+                fill(&mut fused, line, state, t(tid));
+                fill(&mut split, line, state, t(tid));
+            } else if a == (Access::UpgradeHit { id }) {
                 fused.set_modified(line);
                 split.set_modified(line);
             }
@@ -807,23 +960,23 @@ mod tests {
     #[test]
     fn mesi_silent_exclusive_to_modified() {
         let mut c = ProcessorCache::with_protocol(8, 1, Protocol::Mesi);
-        c.fill(4, LineState::Exclusive, t(0));
+        fill(&mut c, 4, LineState::Exclusive, t(0));
         // Write hit on E upgrades silently — no UpgradeHit, no directory.
         assert_eq!(c.access(4, true, t(0)), Access::Hit);
         assert_eq!(c.state_of(4), Some(LineState::Modified));
         // A write hit on Shared still needs the upgrade transaction.
-        c.fill(5, LineState::Shared, t(0));
-        assert_eq!(c.access(5, true, t(0)), Access::UpgradeHit);
+        fill(&mut c, 5, LineState::Shared, t(0));
+        assert_eq!(c.access(5, true, t(0)), Access::UpgradeHit { id: 5 });
     }
 
     #[test]
     fn dragon_update_hit_and_receive_update() {
         let mut writer = ProcessorCache::with_protocol(8, 1, Protocol::Dragon);
         let mut sharer = ProcessorCache::with_protocol(8, 1, Protocol::Dragon);
-        writer.fill(4, LineState::Shared, t(0));
-        sharer.fill(4, LineState::Shared, t(1));
+        fill(&mut writer, 4, LineState::Shared, t(0));
+        fill(&mut sharer, 4, LineState::Shared, t(1));
         // Writing a shared line sends updates instead of invalidations.
-        assert_eq!(writer.access(4, true, t(0)), Access::UpdateHit);
+        assert_eq!(writer.access(4, true, t(0)), Access::UpdateHit { id: 4 });
         writer.set_shared_dirty(4);
         sharer.receive_update(4);
         assert_eq!(writer.state_of(4), Some(LineState::SharedDirty));
@@ -831,17 +984,17 @@ mod tests {
         // The sharer's copy never left: the next read hits.
         assert_eq!(sharer.access(4, false, t(1)), Access::Hit);
         // Writing the SharedDirty copy again is another update.
-        assert_eq!(writer.access(4, true, t(0)), Access::UpdateHit);
+        assert_eq!(writer.access(4, true, t(0)), Access::UpdateHit { id: 4 });
     }
 
     #[test]
     fn dragon_downgrade_keeps_dirty_ownership() {
         let mut c = ProcessorCache::with_protocol(8, 1, Protocol::Dragon);
-        c.fill(7, LineState::Modified, t(0));
+        fill(&mut c, 7, LineState::Modified, t(0));
         c.downgrade(7);
         assert_eq!(c.state_of(7), Some(LineState::SharedDirty));
         // An Exclusive (clean) copy downgrades to plain Shared.
-        c.fill(9, LineState::Exclusive, t(0));
+        fill(&mut c, 9, LineState::Exclusive, t(0));
         c.downgrade(9);
         assert_eq!(c.state_of(9), Some(LineState::Shared));
     }
@@ -849,30 +1002,33 @@ mod tests {
     #[test]
     fn hits_locally_classifies_without_mutating() {
         let mut c = ProcessorCache::with_protocol(8, 2, Protocol::Mesi);
-        c.fill(0, LineState::Shared, t(0));
-        c.fill(8, LineState::Exclusive, t(0));
-        c.fill(1, LineState::Modified, t(0));
-        assert!(c.hits_locally(0, false), "read of Shared");
-        assert!(!c.hits_locally(0, true), "write of Shared needs an upgrade");
+        fill(&mut c, 0, LineState::Shared, t(0));
+        fill(&mut c, 8, LineState::Exclusive, t(0));
+        fill(&mut c, 1, LineState::Modified, t(0));
+        assert!(hits_locally(&c, 0, false), "read of Shared");
         assert!(
-            c.hits_locally(8, true),
+            !hits_locally(&c, 0, true),
+            "write of Shared needs an upgrade"
+        );
+        assert!(
+            hits_locally(&c, 8, true),
             "write of Exclusive upgrades silently"
         );
-        assert!(c.hits_locally(1, true), "write of Modified");
-        assert!(!c.hits_locally(16, false), "miss");
+        assert!(hits_locally(&c, 1, true), "write of Modified");
+        assert!(!hits_locally(&c, 16, false), "miss");
         // Read-only: no state change, and LRU order untouched (0 is still
         // the LRU way of its set, so the next fill there evicts it).
         assert_eq!(c.state_of(8), Some(LineState::Exclusive));
         assert_eq!(
-            c.fill(16, LineState::Shared, t(0)),
+            fill(&mut c, 16, LineState::Shared, t(0)),
             Some((0, LineState::Shared))
         );
 
         let mut d = ProcessorCache::with_protocol(8, 1, Protocol::Dragon);
-        d.fill(2, LineState::SharedDirty, t(0));
-        assert!(d.hits_locally(2, false));
+        fill(&mut d, 2, LineState::SharedDirty, t(0));
+        assert!(hits_locally(&d, 2, false));
         assert!(
-            !d.hits_locally(2, true),
+            !hits_locally(&d, 2, true),
             "Dragon write of a shared line updates"
         );
     }
@@ -880,7 +1036,7 @@ mod tests {
     #[test]
     fn hit_refreshes_slot_owner() {
         let mut c = ProcessorCache::new(8);
-        c.fill(4, LineState::Shared, t(0));
+        fill(&mut c, 4, LineState::Shared, t(0));
         assert_eq!(c.owner_of(4), Some(t(0)));
         assert_eq!(c.access(4, false, t(3)), Access::Hit);
         assert_eq!(c.owner_of(4), Some(t(3)), "hit hands the slot over");
@@ -901,23 +1057,19 @@ mod tests {
         // fill: the first miss after the invalidation classifies as
         // invalidation, and once refilled+evicted, as a conflict.
         let mut c = ProcessorCache::new(8);
-        c.fill(3, LineState::Shared, t(0));
+        fill(&mut c, 3, LineState::Shared, t(0));
         c.invalidate(3, p(2), t(5));
+        assert_eq!(c.access(3, false, t(0)), Access::Miss);
         assert_eq!(
-            c.access(3, false, t(0)),
-            Access::Miss {
-                kind: MissKind::Invalidation,
-                source: Some(p(2))
-            }
+            c.miss_provenance(3, t(0)),
+            (MissKind::Invalidation, Some(p(2)))
         );
-        c.fill(3, LineState::Shared, t(0));
-        c.fill(11, LineState::Shared, t(1)); // evicts 3
+        fill(&mut c, 3, LineState::Shared, t(0));
+        fill(&mut c, 11, LineState::Shared, t(1)); // evicts 3
+        assert_eq!(c.access(3, false, t(0)), Access::Miss);
         assert_eq!(
-            c.access(3, false, t(0)),
-            Access::Miss {
-                kind: MissKind::InterThreadConflict,
-                source: None
-            }
+            c.miss_provenance(3, t(0)),
+            (MissKind::InterThreadConflict, None)
         );
     }
 }

@@ -12,6 +12,9 @@
 //! directory). MESI additionally uses [`Directory::grant_exclusive`] for
 //! exclusive-clean read fills, and Dragon replaces the invalidating
 //! write path with [`Directory::update_fill`].
+//!
+//! Lines are named by the dense ids [`Directory::intern`] hands out, so
+//! a line's state is a vector slot rather than a hash-map entry.
 
 use placesim_placement::ProcessorId;
 use placesim_trace::hash::FastMap;
@@ -131,9 +134,22 @@ impl Transaction {
 }
 
 /// The full-map directory.
+///
+/// It also names the lines. [`Directory::intern`] gives each line a
+/// dense id at its first miss anywhere, with one hash probe, and every
+/// other operation takes that id: a line's state is a vector slot, and
+/// the caches keep their per-line records by the same ids (see
+/// `cache.rs`). A miss thus costs one probe however many records it
+/// reads or writes.
 #[derive(Debug, Default)]
 pub struct Directory {
-    lines: FastMap<u64, DirState>,
+    /// The id of every line interned so far.
+    ids: FastMap<u64, u32>,
+    /// `lines[id]`: the line with id `id`.
+    lines: Vec<u64>,
+    /// `states[id]`: the state of line `id`; `Shared` with no sharers
+    /// while no cache holds it.
+    states: Vec<DirState>,
 }
 
 impl Directory {
@@ -142,21 +158,46 @@ impl Directory {
         Self::default()
     }
 
-    /// Number of lines with at least one cached copy.
-    pub fn tracked_lines(&self) -> usize {
-        self.lines.len()
+    /// The id of `line`, given out in first-call order from 0. The engine
+    /// calls this once per miss.
+    ///
+    /// # Panics
+    ///
+    /// If more than `u32::MAX` lines are interned.
+    #[inline]
+    pub fn intern(&mut self, line: u64) -> u32 {
+        let next = u32::try_from(self.lines.len()).expect("fewer than 2^32 lines");
+        let id = *self.ids.entry(line).or_insert(next);
+        if id == next {
+            self.lines.push(line);
+            self.states.push(DirState::Shared(SharerSet::empty()));
+        }
+        id
     }
 
-    /// Processor `p` reads line `line` (on a read miss fill).
+    /// The id of `line`, if it was interned. For assertions/tests.
+    pub fn id(&self, line: u64) -> Option<u32> {
+        self.ids.get(&line).copied()
+    }
+
+    /// The state of line `id`.
+    #[inline]
+    fn state(&mut self, id: u32) -> &mut DirState {
+        &mut self.states[id as usize]
+    }
+
+    /// Number of lines with at least one cached copy.
+    pub fn tracked_lines(&self) -> usize {
+        self.iter_lines().count()
+    }
+
+    /// Processor `p` reads line `id` (on a read miss fill).
     ///
     /// Returns the remote actions: a Modified owner, if any, must
     /// downgrade to Shared.
-    pub fn read_fill(&mut self, p: ProcessorId, line: u64) -> Transaction {
+    pub fn read_fill(&mut self, p: ProcessorId, id: u32) -> Transaction {
         let mut tx = Transaction::none();
-        let state = self
-            .lines
-            .entry(line)
-            .or_insert(DirState::Shared(SharerSet::empty()));
+        let state = self.state(id);
         match state {
             DirState::Shared(sharers) => {
                 sharers.insert(p);
@@ -173,14 +214,14 @@ impl Directory {
         tx
     }
 
-    /// Processor `p` writes line `line` (write-miss fill *or* upgrade of
-    /// a Shared copy).
+    /// Processor `p` writes line `id` (write-miss fill *or* upgrade of a
+    /// Shared copy).
     ///
     /// Returns the remote caches to invalidate; the directory then
     /// records `p` as the exclusive Modified owner.
-    pub fn write_fill(&mut self, p: ProcessorId, line: u64) -> Transaction {
+    pub fn write_fill(&mut self, p: ProcessorId, id: u32) -> Transaction {
         let mut tx = Transaction::none();
-        let state = self.lines.entry(line).or_insert(DirState::Modified(p));
+        let state = self.state(id);
         match state {
             DirState::Shared(sharers) => {
                 tx.invalidate = *sharers;
@@ -205,27 +246,25 @@ impl Directory {
     /// directory both mean "exactly one cache holds the line and must be
     /// consulted on remote access". A later remote read downgrades it
     /// via the ordinary [`Directory::read_fill`] path.
-    pub fn grant_exclusive(&mut self, p: ProcessorId, line: u64) {
-        let prev = self.lines.insert(line, DirState::Modified(p));
+    pub fn grant_exclusive(&mut self, p: ProcessorId, id: u32) {
+        let state = self.state(id);
         debug_assert!(
-            prev.is_none(),
+            *state == DirState::Shared(SharerSet::empty()),
             "exclusive grant for a line with existing holders"
         );
+        *state = DirState::Modified(p);
     }
 
-    /// Processor `p` writes line `line` under a write-update protocol
+    /// Processor `p` writes line `id` under a write-update protocol
     /// (Dragon): remote copies are refreshed in place, never removed.
     ///
     /// Returns the remote sharers that must apply the update. The
     /// directory keeps every copy resident; if `p` ends up the sole
     /// holder the line is recorded as Modified, otherwise the sharer set
     /// (including `p`, who holds it SharedDirty) stays Shared.
-    pub fn update_fill(&mut self, p: ProcessorId, line: u64) -> SharerSet {
+    pub fn update_fill(&mut self, p: ProcessorId, id: u32) -> SharerSet {
         let mut others = SharerSet::empty();
-        let state = self
-            .lines
-            .entry(line)
-            .or_insert(DirState::Shared(SharerSet::empty()));
+        let state = self.state(id);
         match state {
             DirState::Shared(sharers) => {
                 others = *sharers;
@@ -254,53 +293,50 @@ impl Directory {
         others
     }
 
-    /// Replacement hint: processor `p` evicted its copy of `line`.
-    pub fn evict(&mut self, p: ProcessorId, line: u64) {
-        if let Some(state) = self.lines.get_mut(&line) {
-            match state {
-                DirState::Shared(sharers) => {
-                    sharers.remove(p);
-                    if sharers.is_empty() {
-                        self.lines.remove(&line);
-                    }
-                }
-                DirState::Modified(owner) => {
-                    debug_assert!(*owner == p, "only the owner can evict a Modified line");
-                    self.lines.remove(&line);
-                }
+    /// Replacement hint: processor `p` evicted its copy of line `id`.
+    pub fn evict(&mut self, p: ProcessorId, id: u32) {
+        let state = self.state(id);
+        match state {
+            DirState::Shared(sharers) => sharers.remove(p),
+            DirState::Modified(owner) => {
+                debug_assert!(*owner == p, "only the owner can evict a Modified line");
+                *state = DirState::Shared(SharerSet::empty());
             }
         }
     }
 
-    /// The sharers of a line (empty if untracked). For assertions/tests.
-    pub fn sharers(&self, line: u64) -> SharerSet {
-        match self.lines.get(&line) {
-            None => SharerSet::empty(),
-            Some(DirState::Shared(s)) => *s,
-            Some(DirState::Modified(o)) => SharerSet::single(*o),
+    /// The sharers of line `id` (empty if untracked). For assertions/tests.
+    pub fn sharers(&self, id: u32) -> SharerSet {
+        match self.states[id as usize] {
+            DirState::Shared(s) => s,
+            DirState::Modified(o) => SharerSet::single(o),
         }
     }
 
-    /// Whether `p` holds `line` according to the directory.
-    pub fn holds(&self, p: ProcessorId, line: u64) -> bool {
-        self.sharers(line).contains(p)
+    /// Whether `p` holds line `id` according to the directory.
+    pub fn holds(&self, p: ProcessorId, id: u32) -> bool {
+        self.sharers(id).contains(p)
     }
 
-    /// The exclusive Modified owner of a line, if it has one.
-    pub fn owner(&self, line: u64) -> Option<ProcessorId> {
-        match self.lines.get(&line) {
-            Some(DirState::Modified(o)) => Some(*o),
-            _ => None,
+    /// The exclusive Modified owner of line `id`, if it has one.
+    pub fn owner(&self, id: u32) -> Option<ProcessorId> {
+        match self.states[id as usize] {
+            DirState::Modified(o) => Some(o),
+            DirState::Shared(_) => None,
         }
     }
 
     /// Iterates over every tracked line as
-    /// `(line, sharers, modified_owner)`, in map (unspecified) order.
+    /// `(line, sharers, modified_owner)`, in id order.
     pub fn iter_lines(&self) -> impl Iterator<Item = (u64, SharerSet, Option<ProcessorId>)> + '_ {
-        self.lines.iter().map(|(&line, state)| match state {
-            DirState::Shared(s) => (line, *s, None),
-            DirState::Modified(o) => (line, SharerSet::single(*o), Some(*o)),
-        })
+        self.lines
+            .iter()
+            .zip(&self.states)
+            .filter_map(|(&line, state)| match *state {
+                DirState::Shared(s) if s.is_empty() => None,
+                DirState::Shared(s) => Some((line, s, None)),
+                DirState::Modified(o) => Some((line, SharerSet::single(o), Some(o))),
+            })
     }
 }
 
@@ -336,126 +372,138 @@ mod tests {
     #[test]
     fn read_read_shares() {
         let mut d = Directory::new();
-        assert_eq!(d.read_fill(p(0), 10), Transaction::none());
-        assert_eq!(d.read_fill(p(1), 10), Transaction::none());
-        assert_eq!(d.sharers(10).len(), 2);
+        let l10 = d.intern(10);
+        assert_eq!(d.read_fill(p(0), l10), Transaction::none());
+        assert_eq!(d.read_fill(p(1), l10), Transaction::none());
+        assert_eq!(d.sharers(l10).len(), 2);
     }
 
     #[test]
     fn write_invalidates_sharers() {
         let mut d = Directory::new();
-        d.read_fill(p(0), 10);
-        d.read_fill(p(1), 10);
-        d.read_fill(p(2), 10);
-        let tx = d.write_fill(p(1), 10);
+        let l10 = d.intern(10);
+        d.read_fill(p(0), l10);
+        d.read_fill(p(1), l10);
+        d.read_fill(p(2), l10);
+        let tx = d.write_fill(p(1), l10);
         assert_eq!(members(tx.invalidate), vec![p(0), p(2)]);
         assert!(tx.downgrade.is_none());
-        assert!(d.holds(p(1), 10));
-        assert!(!d.holds(p(0), 10));
+        assert!(d.holds(p(1), l10));
+        assert!(!d.holds(p(0), l10));
     }
 
     #[test]
     fn read_downgrades_owner() {
         let mut d = Directory::new();
-        d.write_fill(p(0), 20);
-        let tx = d.read_fill(p(1), 20);
+        let l20 = d.intern(20);
+        d.write_fill(p(0), l20);
+        let tx = d.read_fill(p(1), l20);
         assert_eq!(tx.downgrade, Some(p(0)));
         assert!(tx.invalidate.is_empty());
-        assert_eq!(d.sharers(20).len(), 2);
+        assert_eq!(d.sharers(l20).len(), 2);
     }
 
     #[test]
     fn write_steals_modified() {
         let mut d = Directory::new();
-        d.write_fill(p(0), 30);
-        let tx = d.write_fill(p(1), 30);
+        let l30 = d.intern(30);
+        d.write_fill(p(0), l30);
+        let tx = d.write_fill(p(1), l30);
         assert_eq!(members(tx.invalidate), vec![p(0)]);
-        assert!(d.holds(p(1), 30));
-        assert!(!d.holds(p(0), 30));
+        assert!(d.holds(p(1), l30));
+        assert!(!d.holds(p(0), l30));
     }
 
     #[test]
     fn rewrite_by_owner_is_silent() {
         let mut d = Directory::new();
-        d.write_fill(p(0), 30);
-        let tx = d.write_fill(p(0), 30);
+        let l30 = d.intern(30);
+        d.write_fill(p(0), l30);
+        let tx = d.write_fill(p(0), l30);
         assert_eq!(tx, Transaction::none());
     }
 
     #[test]
     fn eviction_hints_clean_up() {
         let mut d = Directory::new();
-        d.read_fill(p(0), 40);
-        d.read_fill(p(1), 40);
-        d.evict(p(0), 40);
-        assert!(!d.holds(p(0), 40));
-        assert!(d.holds(p(1), 40));
-        d.evict(p(1), 40);
+        let l40 = d.intern(40);
+        let l50 = d.intern(50);
+        d.read_fill(p(0), l40);
+        d.read_fill(p(1), l40);
+        d.evict(p(0), l40);
+        assert!(!d.holds(p(0), l40));
+        assert!(d.holds(p(1), l40));
+        d.evict(p(1), l40);
         assert_eq!(d.tracked_lines(), 0);
 
-        d.write_fill(p(2), 50);
-        d.evict(p(2), 50);
+        d.write_fill(p(2), l50);
+        d.evict(p(2), l50);
         assert_eq!(d.tracked_lines(), 0);
         // Evicting an untracked line is a no-op.
-        d.evict(p(2), 50);
+        d.evict(p(2), l50);
     }
 
     #[test]
     fn upgrade_from_shared_excludes_writer() {
         let mut d = Directory::new();
-        d.read_fill(p(0), 60);
-        d.read_fill(p(1), 60);
+        let l60 = d.intern(60);
+        d.read_fill(p(0), l60);
+        d.read_fill(p(1), l60);
         // p0 upgrades its own Shared copy.
-        let tx = d.write_fill(p(0), 60);
+        let tx = d.write_fill(p(0), l60);
         assert_eq!(members(tx.invalidate), vec![p(1)]);
     }
 
     #[test]
     fn exclusive_grant_then_remote_read_downgrades() {
         let mut d = Directory::new();
-        d.grant_exclusive(p(0), 70);
-        assert_eq!(d.owner(70), Some(p(0)));
+        let l70 = d.intern(70);
+        d.grant_exclusive(p(0), l70);
+        assert_eq!(d.owner(l70), Some(p(0)));
         // MESI: remote read of an E/M line goes through read_fill and
         // downgrades the sole holder.
-        let tx = d.read_fill(p(1), 70);
+        let tx = d.read_fill(p(1), l70);
         assert_eq!(tx.downgrade, Some(p(0)));
-        assert_eq!(d.sharers(70).len(), 2);
+        assert_eq!(d.sharers(l70).len(), 2);
     }
 
     #[test]
     fn update_fill_refreshes_sharers_in_place() {
         let mut d = Directory::new();
-        d.read_fill(p(0), 80);
-        d.read_fill(p(1), 80);
-        d.read_fill(p(2), 80);
+        let l80 = d.intern(80);
+        d.read_fill(p(0), l80);
+        d.read_fill(p(1), l80);
+        d.read_fill(p(2), l80);
         // p1 writes: p0 and p2 get updates and *stay* sharers.
-        let others = d.update_fill(p(1), 80);
+        let others = d.update_fill(p(1), l80);
         assert_eq!(members(others), vec![p(0), p(2)]);
-        assert_eq!(d.sharers(80).len(), 3);
-        assert_eq!(d.owner(80), None);
+        assert_eq!(d.sharers(l80).len(), 3);
+        assert_eq!(d.owner(l80), None);
     }
 
     #[test]
     fn update_fill_sole_holder_becomes_owner() {
         let mut d = Directory::new();
+        let l90 = d.intern(90);
         // Write miss on an untracked line: no updates, exclusive owner.
-        assert!(d.update_fill(p(0), 90).is_empty());
-        assert_eq!(d.owner(90), Some(p(0)));
+        assert!(d.update_fill(p(0), l90).is_empty());
+        assert_eq!(d.owner(l90), Some(p(0)));
         // A remote write update steals nothing: both stay resident.
-        let others = d.update_fill(p(1), 90);
+        let others = d.update_fill(p(1), l90);
         assert_eq!(members(others), vec![p(0)]);
-        assert_eq!(d.sharers(90).len(), 2);
-        assert_eq!(d.owner(90), None);
+        assert_eq!(d.sharers(l90).len(), 2);
+        assert_eq!(d.owner(l90), None);
     }
 
     #[test]
     fn update_fill_sole_sharer_collapses_to_owner() {
         let mut d = Directory::new();
-        d.read_fill(p(0), 95);
-        d.read_fill(p(1), 95);
-        d.evict(p(1), 95);
+        let l95 = d.intern(95);
+        d.read_fill(p(0), l95);
+        d.read_fill(p(1), l95);
+        d.evict(p(1), l95);
         // p0 is the only sharer left; its update promotes to ownership.
-        assert!(d.update_fill(p(0), 95).is_empty());
-        assert_eq!(d.owner(95), Some(p(0)));
+        assert!(d.update_fill(p(0), l95).is_empty());
+        assert_eq!(d.owner(l95), Some(p(0)));
     }
 }

@@ -35,21 +35,24 @@
 //! keeps at most one pending event per processor, so the queue is a
 //! flat slot array: `events[q]` is the issue cycle of processor q's next
 //! reference. Next to it sits the *lookahead* `ahead[q]`: how many of
-//! q's current context's next references are plain local hits, found by
-//! a read-only scan against q's own cache
-//! ([`ProcessorCache::hits_locally`]). The scan stops before a barrier,
-//! before the context's final reference (whose completion switches
-//! contexts) and before the first reference that needs the directory.
-//! Processor q's next globally visible reference thus issues at
-//! `events[q] + ahead[q]`.
+//! q's current context's next references are plain local hits. The hit
+//! kernel ([`ProcessorCache::scan_hits`]) finds them in one read-only
+//! pass over the context's remaining packed words: it decodes each word
+//! with shifts and a mask and indexes q's cache set directly, building
+//! no `MemRef`. The scan stops before a barrier, before the context's
+//! final reference (whose completion switches contexts) and before the
+//! first reference that needs the directory. Processor q's next
+//! globally visible reference thus issues at `events[q] + ahead[q]`.
 //!
 //! A pop takes the argmin of `(events[q] + ahead[q], q)` — ties to the
 //! lower index, exactly the heap's order — and runs that processor's
 //! context in a tight local loop: `ahead[q]` hits, then the stop
 //! reference, which the slow path handles at its issue cycle. When only
-//! one processor has a pending event it wins whatever its key, so it
-//! skips the scan and runs its hits in one mutating pass until its own
-//! first stop.
+//! one processor has a pending event it wins whatever its key, so it is
+//! not scanned at select time and runs until its own first stop: with
+//! inert hits (below) it scans then, commits the run in O(1) and takes
+//! the stop reference through [`ProcessorCache::access`]; otherwise it
+//! accesses each of its hits.
 //!
 //! A pop costs O(log p), not O(p). The keys sit in a min tournament tree
 //! over the slots, and a pending count says whether a pop is lone. A slot
@@ -78,7 +81,8 @@
 //!   invalidation removes L without evicting anything, a downgrade or an
 //!   update takes away write permission on L. So the rest of v's
 //!   lookahead stays valid up to v's first reference to L (invalidation)
-//!   or first write to L (downgrade, update), where the catch-up cuts it.
+//!   or first write to L (downgrade, update), where the catch-up cuts it
+//!   ([`Lookahead::cut`], a walk over the same packed words).
 //!   Cutting instead of rescanning keeps Dragon's frequent updates from
 //!   rescanning the same run over and over. The scan also records two
 //!   64-bit filters of the lookahead's lines: one bit per line number
@@ -90,11 +94,11 @@
 //! * Re-arming a slot (a reschedule, a barrier release) drops its
 //!   lookahead, and the next pop rescans it.
 //!
-//! Committing a scanned run, at its pop or in a catch-up, would look
-//! each hit up a second time. On the paper's machine it need not: with a
-//! direct-mapped cache (`associativity() == 1`), under write-invalidate,
-//! and with no attribution recorded, committing a plain hit changes
-//! nothing that is read later. A one-way set has no LRU order to
+//! Committing a scanned run, at its pop, in a catch-up or in a lone run,
+//! would look each hit up a second time. On the paper's machine it need
+//! not: with a direct-mapped cache (`associativity() == 1`), under
+//! write-invalidate, and with no attribution recorded, committing a plain
+//! hit changes nothing that is read later. A one-way set has no LRU order to
 //! refresh. Write-invalidate has no silent Exclusive→Modified step: a
 //! write hits only on Modified. The slot's owner, which a hit refreshes,
 //! is read only by attribution. `run` decides this once, and then
@@ -104,8 +108,19 @@
 //! Exclusive turns Modified) and attributed runs keep the per-reference
 //! commit. Statistics, traffic matrices, timelines and attribution
 //! reports cannot tell the two apart, because the skipped accesses had
-//! no effect that anything reads. Debug builds still check each skipped
-//! reference with [`ProcessorCache::hits_locally`].
+//! no effect that anything reads. Debug builds still check the skipped
+//! references by running the kernel over them again.
+//!
+//! # Per-miss state
+//!
+//! A miss interns its line into a dense id ([`Directory::intern`]), the
+//! one hash probe it makes. The directory's line states and each cache's
+//! departure records (which classify the next miss on the line) are
+//! vectors indexed by that id, and each cache way keeps its line's id.
+//! So the miss classifies, runs its directory transaction and refills
+//! by index, and an eviction or an invalidation writes its records
+//! without any lookup. An upgrade or an update takes its id from the way
+//! it hit in.
 //!
 //! Every globally visible action still executes in exact
 //! `(time, processor)` order, so statistics, traffic matrices and the
@@ -122,7 +137,7 @@
 //! [`simulate_probed`] instantiates it with the [`EngineObs`] recorder,
 //! whose hooks check at run time which recordings were asked for.
 
-use crate::cache::{Access, LineState, ProcessorCache};
+use crate::cache::{line_bit, Access, LineState, Lookahead, ProcessorCache};
 use crate::config::ArchConfig;
 use crate::directory::{Directory, Transaction, MAX_PROCESSORS};
 use crate::obs::{EngineObs, Hooks, NoHooks};
@@ -270,15 +285,19 @@ impl Processor<'_> {
     /// done.
     fn next_context(&self, deadline: u64) -> Option<(usize, u64)> {
         let n = self.contexts.len();
+        if n == 0 {
+            return None;
+        }
+        // Step k visits context `(current + k) % n`: the contexts after
+        // `current`, then those up to it, with no division per step.
+        let (through_current, after) = self.contexts.split_at(self.current + 1);
         let mut best_later: Option<(u64, usize)> = None;
-        for step in 1..=n {
-            let idx = (self.current + step) % n;
-            let ctx = &self.contexts[idx];
+        for (ctx, step) in after.iter().chain(through_current).zip(1..) {
             if ctx.done || ctx.waiting {
                 continue;
             }
             if ctx.ready_at <= deadline {
-                return Some((idx, deadline));
+                return Some(((self.current + step) % n, deadline));
             }
             let key = (ctx.ready_at, step);
             if best_later.is_none_or(|(r, s)| (key.0, key.1) < (r, s)) {
@@ -377,13 +396,6 @@ fn owner_u32(cache: &ProcessorCache, line: u64) -> u32 {
 
 /// Lookahead not computed yet: the next pop scans it.
 const UNSCANNED: u64 = u64::MAX;
-
-/// `line`'s bit in a 64-bit line filter. Lines that share a bit collide,
-/// so a filter is a superset of the lines it was built from.
-#[inline]
-fn line_bit(line: u64) -> u64 {
-    1 << (line & 63)
-}
 
 /// A min tournament tree over one `u64` key per slot: `min` is the
 /// smallest `(key, slot)`, so ties go to the lower slot. Node 1 is the
@@ -543,7 +555,7 @@ impl Slots {
         touch: Touch,
         proc: &mut Processor<'_>,
         cache: &mut ProcessorCache,
-        line_size: u64,
+        line_shift: u32,
         obs: &mut H,
     ) {
         let ahead = self.ahead[v];
@@ -554,8 +566,10 @@ impl Slots {
         let n = ahead.min((touch.now + u64::from(v < touch.by)).saturating_sub(start));
         let ctx = &mut proc.contexts[proc.current];
         if n > 0 {
+            #[cfg(test)]
+            commit_counter::add(&commit_counter::CAUGHT_UP, n);
             obs.on_pop(self.pending);
-            commit_scanned(ctx, cache, n, line_size, self.inert_hits);
+            commit_scanned(ctx, cache, n, line_shift, self.inert_hits);
             proc.stats.busy += n;
             proc.stats.hits += n;
             proc.stats.finish_time = start + n;
@@ -573,11 +587,10 @@ impl Slots {
         if filter & line_bit(touch.line) == 0 {
             return;
         }
-        let cut = ctx.refs.clone().take(rest as usize).position(|r| {
-            #[cfg(test)]
-            walk_counter::WALKED.with(|c| c.set(c.get() + 1));
-            r.addr.line(line_size).raw() == touch.line && (touch.removes || r.kind.is_write())
-        });
+        let words = &ctx.refs.as_packed()[..rest as usize];
+        let cut = Lookahead::cut(words, line_shift, touch.line, touch.removes);
+        #[cfg(test)]
+        walk_counter::WALKED.with(|c| c.set(c.get() + cut.map_or(rest, |k| k as u64 + 1)));
         if let Some(cut) = cut {
             self.cut(v, cut as u64);
         }
@@ -644,36 +657,14 @@ impl Touch {
     }
 }
 
-/// A scanned lookahead: its plain local hits and the [`line_bit`]
-/// filters of the lines they reference and write.
-#[derive(Default)]
-struct Lookahead {
-    hits: u64,
-    lines: u64,
-    writes: u64,
-}
-
 /// Processor `proc`'s lookahead: how many of its current context's next
-/// references are plain local hits. Read-only. Stops before a barrier,
+/// references are plain local hits, found by the hit kernel
+/// ([`ProcessorCache::scan_hits`]). Read-only. Stops before a barrier,
 /// before the context's final reference (its completion switches
 /// contexts) and before the first reference that needs the directory.
-fn scan(proc: &Processor<'_>, cache: &ProcessorCache, line_size: u64) -> Lookahead {
-    let refs = &proc.contexts[proc.current].refs;
-    let mut look = Lookahead::default();
-    for r in refs.clone().take(refs.len().saturating_sub(1)) {
-        let line = r.addr.line(line_size).raw();
-        let is_write = r.kind.is_write();
-        if r.kind == RefKind::Barrier || !cache.hits_locally(line, is_write) {
-            break;
-        }
-        let bit = line_bit(line);
-        look.hits += 1;
-        look.lines |= bit;
-        if is_write {
-            look.writes |= bit;
-        }
-    }
-    look
+#[inline]
+fn scan(proc: &Processor<'_>, cache: &ProcessorCache, line_shift: u32) -> Lookahead {
+    cache.scan_hits(proc.contexts[proc.current].refs.as_packed(), line_shift)
 }
 
 /// Commits `n` of `ctx`'s scanned plain hits to `cache`; the caller
@@ -687,45 +678,58 @@ fn commit_scanned(
     ctx: &mut Context<'_>,
     cache: &mut ProcessorCache,
     n: u64,
-    line_size: u64,
+    line_shift: u32,
     inert: bool,
 ) {
     if n == 0 {
         return;
     }
     if inert {
-        #[cfg(debug_assertions)]
-        for r in ctx.refs.clone().take(n as usize) {
-            assert!(
-                r.kind != RefKind::Barrier
-                    && cache.hits_locally(r.addr.line(line_size).raw(), r.kind.is_write()),
-                "scanned hit must still hit"
-            );
-        }
+        // The scan excluded the context's final reference, so `n + 1`
+        // words remain, and the kernel finds the same `n` hits again.
+        debug_assert_eq!(
+            cache
+                .scan_hits(&ctx.refs.as_packed()[..=n as usize], line_shift)
+                .hits,
+            n,
+            "scanned hits must still hit"
+        );
         ctx.refs.nth(n as usize - 1).expect("scanned reference");
     } else {
         for _ in 0..n {
             let r = ctx.refs.next().expect("scanned reference");
             #[cfg(test)]
-            commit_counter::COMMIT_ACCESSES.with(|c| c.set(c.get() + 1));
-            let access = cache.access(r.addr.line(line_size).raw(), r.kind.is_write(), ctx.thread);
+            commit_counter::add(&commit_counter::ACCESSES, 1);
+            let line = r.addr.raw() >> line_shift;
+            let access = cache.access(line, r.kind.is_write(), ctx.thread);
             debug_assert_eq!(access, Access::Hit, "scanned hit must still hit");
         }
     }
     #[cfg(test)]
-    commit_counter::SCANNED_COMMITS.with(|c| c.set(c.get() + n));
+    commit_counter::add(&commit_counter::COMMITTED, n);
 }
 
-/// Test-only counters of [`commit_scanned`]'s work on this thread.
+/// Test-only counters of the hits runs commit, on this thread.
 #[cfg(test)]
 mod commit_counter {
     use std::cell::Cell;
+    use std::thread::LocalKey;
 
     thread_local! {
-        /// Scanned hits committed.
-        pub(super) static SCANNED_COMMITS: Cell<u64> = const { Cell::new(0) };
+        /// Hits committed as part of a run: scanned ones at a pop, in a
+        /// catch-up or in a lone run, and a lone run's unscanned ones.
+        pub(super) static COMMITTED: Cell<u64> = const { Cell::new(0) };
+        /// The hits of lone runs among them.
+        pub(super) static LONE: Cell<u64> = const { Cell::new(0) };
+        /// The hits catch-ups committed among them.
+        pub(super) static CAUGHT_UP: Cell<u64> = const { Cell::new(0) };
         /// Cache accesses made to commit them.
-        pub(super) static COMMIT_ACCESSES: Cell<u64> = const { Cell::new(0) };
+        pub(super) static ACCESSES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Adds `n` to `counter`.
+    pub(super) fn add(counter: &'static LocalKey<Cell<u64>>, n: u64) {
+        counter.with(|c| c.set(c.get() + n));
     }
 }
 
@@ -744,6 +748,8 @@ enum Stop {
     Upgrade {
         /// The written line.
         line: u64,
+        /// Its id.
+        id: u32,
         /// The upgrade was the context's final reference.
         exhausted: bool,
     },
@@ -751,13 +757,17 @@ enum Stop {
     Update {
         /// The written line.
         line: u64,
+        /// Its id.
+        id: u32,
         /// The update was the context's final reference.
         exhausted: bool,
     },
-    /// A miss, already classified by the fused cache access.
+    /// A miss, already interned and classified.
     Miss {
         /// The missing line.
         line: u64,
+        /// Its id, interned at this miss.
+        id: u32,
         /// Whether the missing reference writes.
         is_write: bool,
         /// The paper's four-way classification.
@@ -781,7 +791,7 @@ fn run<H: Hooks>(
     let participants = validate(prog, map)?;
     let p = map.processor_count();
 
-    let line_size = config.line_size();
+    let line_shift = config.line_size().trailing_zeros();
     let switch_cost = config.context_switch();
     let latency = config.memory_latency();
     let occupancy = config.memory_occupancy();
@@ -819,7 +829,8 @@ fn run<H: Hooks>(
     // Pop the processor whose next globally visible reference comes
     // first. A lone pending processor is not scanned, and its run below
     // is bounded by its own trace.
-    'events: while let Some((pi, lone)) = slots.select(|q| scan(&procs[q], &caches[q], line_size)) {
+    'events: while let Some((pi, lone)) = slots.select(|q| scan(&procs[q], &caches[q], line_shift))
+    {
         obs.on_pop(slots.pending);
         let (t, scanned) = slots.take(pi);
         let ctx_idx = procs[pi].current;
@@ -832,21 +843,30 @@ fn run<H: Hooks>(
         // references without touching the event queue. Counters
         // accumulate in locals and flush once per run, so a hit costs no
         // stat stores at all. A scanned run commits its `scanned` hits at
-        // once, and the loop then starts at its stop reference; a lone
-        // run is unscanned and may go on until its own first stop.
-        let mut run_busy = 0u64;
-        let mut run_hits = 0u64;
+        // once, and the loop then starts at its stop reference. A lone
+        // run is unscanned and may go on until its own first stop: with
+        // inert hits it scans now and commits the same way, otherwise the
+        // loop accesses each of its hits.
+        let mut run_busy: u64;
+        let mut run_hits: u64;
         let stop = {
             let cache = &mut caches[pi];
             let ctx = &mut procs[pi].contexts[ctx_idx];
             debug_assert!(!ctx.done);
             debug_assert!(ctx.ready_at <= t);
-            if !lone {
-                commit_scanned(ctx, cache, scanned, line_size, slots.inert_hits);
-                run_busy = scanned;
-                run_hits = scanned;
-                now += scanned;
+            let committed = match (lone, slots.inert_hits) {
+                (false, _) => scanned,
+                (true, true) => cache.scan_hits(ctx.refs.as_packed(), line_shift).hits,
+                (true, false) => 0,
+            };
+            #[cfg(test)]
+            if lone {
+                commit_counter::add(&commit_counter::LONE, committed);
             }
+            commit_scanned(ctx, cache, committed, line_shift, slots.inert_hits);
+            run_busy = committed;
+            run_hits = committed;
+            now += committed;
             let thread = ctx.thread;
             loop {
                 let r: MemRef = ctx
@@ -857,7 +877,7 @@ fn run<H: Hooks>(
                 if r.kind == RefKind::Barrier {
                     break Stop::Barrier { exhausted };
                 }
-                let line = r.addr.line(line_size).raw();
+                let line = r.addr.raw() >> line_shift;
                 let is_write = r.kind.is_write();
                 run_busy += 1;
                 match cache.access(line, is_write, thread) {
@@ -868,17 +888,43 @@ fn run<H: Hooks>(
                             ctx.done = true;
                             break Stop::HitExhausted;
                         }
+                        // A hit of a lone run that was not scanned.
+                        #[cfg(test)]
+                        for counter in [
+                            &commit_counter::COMMITTED,
+                            &commit_counter::LONE,
+                            &commit_counter::ACCESSES,
+                        ] {
+                            commit_counter::add(counter, 1);
+                        }
                     }
-                    Access::UpgradeHit => break Stop::Upgrade { line, exhausted },
-                    Access::UpdateHit => break Stop::Update { line, exhausted },
-                    Access::Miss { kind, source } => {
+                    Access::UpgradeHit { id } => {
+                        break Stop::Upgrade {
+                            line,
+                            id,
+                            exhausted,
+                        }
+                    }
+                    Access::UpdateHit { id } => {
+                        break Stop::Update {
+                            line,
+                            id,
+                            exhausted,
+                        }
+                    }
+                    Access::Miss => {
+                        // The miss's one hash probe: every record it
+                        // touches from here on is indexed by `id`.
+                        let id = directory.intern(line);
+                        let (kind, source) = cache.miss_provenance(id, thread);
                         break Stop::Miss {
                             line,
+                            id,
                             is_write,
                             kind,
                             source,
                             exhausted,
-                        }
+                        };
                     }
                 }
             }
@@ -968,10 +1014,14 @@ fn run<H: Hooks>(
                 }
                 None
             }
-            Stop::Upgrade { line, exhausted } => {
+            Stop::Upgrade {
+                line,
+                id,
+                exhausted,
+            } => {
                 procs[pi].stats.hits += 1;
                 procs[pi].stats.upgrades += 1;
-                let tx = directory.write_fill(me, line);
+                let tx = directory.write_fill(me, id);
                 let had_remote = !tx.invalidate.is_empty();
                 obs.on_invalidation_fanout(tx.invalidate.len() as u64);
                 obs.on_directory(pi, cur_thread, now, line, tx.invalidate.len() as u64, true);
@@ -979,7 +1029,7 @@ fn run<H: Hooks>(
                 let touch = Touch::removing(now, pi, line);
                 for victim in tx.invalidate {
                     let v = victim.index();
-                    slots.catch_up(v, touch, &mut procs[v], &mut caches[v], line_size, obs);
+                    slots.catch_up(v, touch, &mut procs[v], &mut caches[v], line_shift, obs);
                     if obs.wants_attribution() {
                         let owner = owner_u32(&caches[v], line);
                         obs.on_attr_invalidation(line, cur_thread, owner);
@@ -992,20 +1042,24 @@ fn run<H: Hooks>(
                 caches[pi].set_modified(line);
                 Some((config.upgrade_stalls() && had_remote, exhausted, None))
             }
-            Stop::Update { line, exhausted } => {
+            Stop::Update {
+                line,
+                id,
+                exhausted,
+            } => {
                 // Dragon write hit on a shared line: refresh remote
                 // copies in place. Counted as a hit (the writer never
                 // loses the line); the messages land in the dedicated
                 // update counters, not the invalidation ones.
                 procs[pi].stats.hits += 1;
-                let others = directory.update_fill(me, line);
+                let others = directory.update_fill(me, id);
                 let had_remote = !others.is_empty();
                 procs[pi].stats.updates_sent += others.len() as u64;
                 obs.on_directory(pi, cur_thread, now, line, others.len() as u64, true);
                 let touch = Touch::demoting(now, pi, line);
                 for sharer in others {
                     let v = sharer.index();
-                    slots.catch_up(v, touch, &mut procs[v], &mut caches[v], line_size, obs);
+                    slots.catch_up(v, touch, &mut procs[v], &mut caches[v], line_shift, obs);
                     if obs.wants_attribution() {
                         let owner = owner_u32(&caches[v], line);
                         obs.on_attr_update(line, cur_thread, owner);
@@ -1024,6 +1078,7 @@ fn run<H: Hooks>(
             }
             Stop::Miss {
                 line,
+                id,
                 is_write,
                 kind,
                 source,
@@ -1037,7 +1092,7 @@ fn run<H: Hooks>(
                     }
                     if obs.wants_attribution() {
                         let writer = caches[pi]
-                            .invalidation_writer(line)
+                            .invalidation_writer(id)
                             .map_or(ATTR_NO_THREAD, |w| w.index() as u32);
                         obs.on_attr_coherence_miss(line, writer, cur_thread);
                     }
@@ -1045,30 +1100,37 @@ fn run<H: Hooks>(
                 // Directory transaction + fill state, per protocol. The
                 // `Wi` arms are the paper's machine, byte-for-byte.
                 let (tx, fill_state) = match (protocol, is_write) {
-                    (Protocol::Wi, true) => (directory.write_fill(me, line), LineState::Modified),
-                    (Protocol::Wi, false) => (directory.read_fill(me, line), LineState::Shared),
+                    (Protocol::Wi, true) => (directory.write_fill(me, id), LineState::Modified),
+                    (Protocol::Wi, false) => (directory.read_fill(me, id), LineState::Shared),
                     (Protocol::Mesi | Protocol::Dragon, false) => {
                         // Exclusive-clean fill: a read with no other
                         // holder takes E, so a later private write
                         // upgrades silently.
-                        if directory.sharers(line).is_empty() {
-                            directory.grant_exclusive(me, line);
+                        if directory.sharers(id).is_empty() {
+                            directory.grant_exclusive(me, id);
                             (Transaction::none(), LineState::Exclusive)
                         } else {
-                            (directory.read_fill(me, line), LineState::Shared)
+                            (directory.read_fill(me, id), LineState::Shared)
                         }
                     }
-                    (Protocol::Mesi, true) => (directory.write_fill(me, line), LineState::Modified),
+                    (Protocol::Mesi, true) => (directory.write_fill(me, id), LineState::Modified),
                     (Protocol::Dragon, true) => {
                         // Write-update: remote copies are refreshed, not
                         // invalidated, and the writer fills as dirty
                         // owner of a still-shared line.
-                        let others = directory.update_fill(me, line);
+                        let others = directory.update_fill(me, id);
                         procs[pi].stats.updates_sent += others.len() as u64;
                         let touch = Touch::demoting(now, pi, line);
                         for sharer in others {
                             let v = sharer.index();
-                            slots.catch_up(v, touch, &mut procs[v], &mut caches[v], line_size, obs);
+                            slots.catch_up(
+                                v,
+                                touch,
+                                &mut procs[v],
+                                &mut caches[v],
+                                line_shift,
+                                obs,
+                            );
                             if obs.wants_attribution() {
                                 let owner = owner_u32(&caches[v], line);
                                 obs.on_attr_update(line, cur_thread, owner);
@@ -1101,7 +1163,7 @@ fn run<H: Hooks>(
                 let touch = Touch::removing(now, pi, line);
                 for victim in tx.invalidate {
                     let v = victim.index();
-                    slots.catch_up(v, touch, &mut procs[v], &mut caches[v], line_size, obs);
+                    slots.catch_up(v, touch, &mut procs[v], &mut caches[v], line_shift, obs);
                     if obs.wants_attribution() {
                         let owner = owner_u32(&caches[v], line);
                         obs.on_attr_invalidation(line, cur_thread, owner);
@@ -1114,11 +1176,11 @@ fn run<H: Hooks>(
                 if let Some(owner) = tx.downgrade {
                     let v = owner.index();
                     let touch = Touch::demoting(now, pi, line);
-                    slots.catch_up(v, touch, &mut procs[v], &mut caches[v], line_size, obs);
+                    slots.catch_up(v, touch, &mut procs[v], &mut caches[v], line_shift, obs);
                     caches[v].downgrade(line);
                 }
-                if let Some((vline, _)) = caches[pi].fill(line, fill_state, cur_tid) {
-                    directory.evict(me, vline);
+                if let Some(victim) = caches[pi].fill(line, id, fill_state, cur_tid) {
+                    directory.evict(me, victim.id);
                 }
                 Some((true, exhausted, Some(line)))
             }
@@ -1354,7 +1416,8 @@ pub mod reference {
                 AccessOutcome::UpgradeHit => {
                     procs[pi].stats.hits += 1;
                     procs[pi].stats.upgrades += 1;
-                    let tx = directory.write_fill(me, line);
+                    let id = directory.intern(line);
+                    let tx = directory.write_fill(me, id);
                     let had_remote = !tx.invalidate.is_empty();
                     procs[pi].stats.invalidations_sent += tx.invalidate.len() as u64;
                     for victim in tx.invalidate {
@@ -1369,7 +1432,8 @@ pub mod reference {
                     // Dragon write hit on a shared line (see the batched
                     // engine's Stop::Update arm).
                     procs[pi].stats.hits += 1;
-                    let others = directory.update_fill(me, line);
+                    let id = directory.intern(line);
+                    let others = directory.update_fill(me, id);
                     let had_remote = !others.is_empty();
                     procs[pi].stats.updates_sent += others.len() as u64;
                     for sharer in others {
@@ -1385,7 +1449,8 @@ pub mod reference {
                     config.upgrade_stalls() && had_remote
                 }
                 AccessOutcome::Miss { victim: _ } => {
-                    let (kind, source) = caches[pi].miss_provenance(line, thread);
+                    let id = directory.intern(line);
+                    let (kind, source) = caches[pi].miss_provenance(id, thread);
                     procs[pi].stats.misses.record(kind);
                     if kind == MissKind::Invalidation {
                         if let Some(src) = source {
@@ -1394,23 +1459,21 @@ pub mod reference {
                     }
                     // Same per-protocol fill logic as the batched engine.
                     let (tx, fill_state) = match (protocol, is_write) {
-                        (Protocol::Wi, true) => {
-                            (directory.write_fill(me, line), LineState::Modified)
-                        }
-                        (Protocol::Wi, false) => (directory.read_fill(me, line), LineState::Shared),
+                        (Protocol::Wi, true) => (directory.write_fill(me, id), LineState::Modified),
+                        (Protocol::Wi, false) => (directory.read_fill(me, id), LineState::Shared),
                         (Protocol::Mesi | Protocol::Dragon, false) => {
-                            if directory.sharers(line).is_empty() {
-                                directory.grant_exclusive(me, line);
+                            if directory.sharers(id).is_empty() {
+                                directory.grant_exclusive(me, id);
                                 (Transaction::none(), LineState::Exclusive)
                             } else {
-                                (directory.read_fill(me, line), LineState::Shared)
+                                (directory.read_fill(me, id), LineState::Shared)
                             }
                         }
                         (Protocol::Mesi, true) => {
-                            (directory.write_fill(me, line), LineState::Modified)
+                            (directory.write_fill(me, id), LineState::Modified)
                         }
                         (Protocol::Dragon, true) => {
-                            let others = directory.update_fill(me, line);
+                            let others = directory.update_fill(me, id);
                             procs[pi].stats.updates_sent += others.len() as u64;
                             for sharer in others {
                                 caches[sharer.index()].receive_update(line);
@@ -1434,8 +1497,8 @@ pub mod reference {
                     if let Some(owner) = tx.downgrade {
                         caches[owner.index()].downgrade(line);
                     }
-                    if let Some((vline, _)) = caches[pi].fill(line, fill_state, thread) {
-                        directory.evict(me, vline);
+                    if let Some(victim) = caches[pi].fill(line, id, fill_state, thread) {
+                        directory.evict(me, victim.id);
                     }
                     true
                 }
@@ -2187,31 +2250,47 @@ mod lookahead_tests {
     }
 }
 
-/// The O(1) commit of scanned hits: on the paper's machine a plain run
-/// re-accesses none of them, and a run that records attribution, which
-/// reads each slot's owner, re-accesses every one.
+/// The O(1) commit of hit runs: on the paper's machine neither a popped
+/// run, nor a catch-up, nor a lone run re-accesses its hits. A run that
+/// records attribution, which reads each slot's owner, a MESI run (a
+/// write hit on Exclusive turns Modified) and a 2-way run (a hit
+/// refreshes LRU order) access every hit they commit.
 #[cfg(test)]
 mod commit_tests {
-    use super::commit_counter::{COMMIT_ACCESSES, SCANNED_COMMITS};
+    use super::commit_counter::{ACCESSES, CAUGHT_UP, COMMITTED, LONE};
     use super::*;
     use placesim_obs::AttrCollector;
     use placesim_workloads::{generate, spec, GenOptions};
 
-    /// `(scanned hits committed, accesses made to commit them)` over one
-    /// run of `sim`.
-    fn count_commits(sim: impl FnOnce() -> SimStats) -> (SimStats, u64, u64) {
-        SCANNED_COMMITS.with(|c| c.set(0));
-        COMMIT_ACCESSES.with(|c| c.set(0));
-        let stats = sim();
-        (
-            stats,
-            SCANNED_COMMITS.with(std::cell::Cell::get),
-            COMMIT_ACCESSES.with(std::cell::Cell::get),
-        )
+    /// What one run of `sim` committed.
+    #[derive(Debug)]
+    struct Commits {
+        stats: SimStats,
+        committed: u64,
+        lone: u64,
+        caught_up: u64,
+        accesses: u64,
     }
 
-    #[test]
-    fn paper_machine_commits_scanned_hits_without_accessing_them() {
+    fn count_commits(sim: impl FnOnce() -> SimStats) -> Commits {
+        let counters = [&COMMITTED, &LONE, &CAUGHT_UP, &ACCESSES];
+        for counter in counters {
+            counter.with(|c| c.set(0));
+        }
+        let stats = sim();
+        let [committed, lone, caught_up, accesses] =
+            counters.map(|counter| counter.with(std::cell::Cell::get));
+        Commits {
+            stats,
+            committed,
+            lone,
+            caught_up,
+            accesses,
+        }
+    }
+
+    /// Gauss with its threads dealt round-robin onto 4 processors.
+    fn gauss_on_four() -> (ProgramTrace, PlacementMap) {
         let prog = generate(
             &spec("gauss").expect("suite app"),
             &GenOptions {
@@ -2222,25 +2301,56 @@ mod commit_tests {
         let clusters = (0..4)
             .map(|q| (q..prog.thread_count()).step_by(4).collect())
             .collect();
-        let map = PlacementMap::from_clusters(clusters).unwrap();
+        (prog, PlacementMap::from_clusters(clusters).unwrap())
+    }
+
+    /// Every kind of commit happened, and made `accesses` accesses.
+    fn assert_exercised(c: &Commits, what: &str) {
+        assert!(c.committed > 0, "{what}: no committed hits: {c:?}");
+        assert!(c.lone > 0, "{what}: no lone run committed: {c:?}");
+        assert!(c.caught_up > 0, "{what}: no catch-up committed: {c:?}");
+        assert!(c.lone + c.caught_up < c.committed, "{what}: no pop: {c:?}");
+    }
+
+    #[test]
+    fn paper_machine_commits_hit_runs_without_accessing_them() {
+        let (prog, map) = gauss_on_four();
         let config = ArchConfig::paper_default();
         assert_eq!(config.associativity(), 1);
         assert_eq!(config.protocol(), Protocol::Wi);
 
-        let (plain, scanned, accesses) = count_commits(|| simulate(&prog, &map, &config).unwrap());
-        assert!(scanned > 0, "the run must commit scanned hits");
-        assert_eq!(accesses, 0, "a plain run re-accessed scanned hits");
+        let plain = count_commits(|| simulate(&prog, &map, &config).unwrap());
+        assert_exercised(&plain, "plain");
+        assert_eq!(plain.accesses, 0, "a plain run re-accessed hits");
 
-        let (attributed, attr_scanned, attr_accesses) = count_commits(|| {
+        let attributed = count_commits(|| {
             let mut obs = EngineObs {
                 attribution: Some(AttrCollector::default()),
                 ..EngineObs::default()
             };
             simulate_probed(&prog, &map, &config, &mut obs).unwrap()
         });
-        assert_eq!(attributed, plain);
-        assert_eq!(attr_scanned, scanned);
-        assert_eq!(attr_accesses, scanned, "one access per scanned hit");
+        assert_eq!(attributed.stats, plain.stats);
+        assert_exercised(&attributed, "attributed");
+        assert_eq!(
+            attributed.accesses, attributed.committed,
+            "one access per committed hit"
+        );
+    }
+
+    #[test]
+    fn mesi_and_two_way_runs_access_every_committed_hit() {
+        let (prog, map) = gauss_on_four();
+        let mut mesi = ArchConfig::builder();
+        mesi.protocol(Protocol::Mesi);
+        let mut two_way = ArchConfig::builder();
+        two_way.associativity(2);
+        for (what, builder) in [("mesi", mesi), ("2-way", two_way)] {
+            let config = builder.build().unwrap();
+            let c = count_commits(|| simulate(&prog, &map, &config).unwrap());
+            assert_exercised(&c, what);
+            assert_eq!(c.accesses, c.committed, "{what}: one access per hit");
+        }
     }
 }
 
@@ -2371,7 +2481,7 @@ mod queue_tests {
         let config = cfg();
         let mut cache = ProcessorCache::new(config.num_sets());
         for &line in resident {
-            cache.fill(line, LineState::Shared, ThreadId::new(0));
+            cache.fill(line, line as u32, LineState::Shared, ThreadId::new(0));
         }
         let proc = Processor {
             contexts: vec![Context {
@@ -2389,7 +2499,7 @@ mod queue_tests {
         slots.arm(1, 0);
         let (pi, lone) = slots
             .select(|q| match q {
-                0 => scan(&proc, &cache, config.line_size()),
+                0 => scan(&proc, &cache, config.line_size().trailing_zeros()),
                 _ => Lookahead::default(),
             })
             .unwrap();
@@ -2419,19 +2529,20 @@ mod queue_tests {
     #[test]
     fn touch_outside_the_lookahead_walks_nothing() {
         let line_size = cfg().line_size();
+        let line_shift = line_size.trailing_zeros();
         let trace = reads_of_three_lines(line_size);
         // Line 5 is resident but the lookahead never references it.
         let (mut slots, mut proc, mut cache) = scanned_victim(&trace, &[0, 1, 2, 5]);
         assert_eq!(slots.ahead[0], 30);
         WALKED.with(|c| c.set(0));
         let touch = Touch::removing(0, 1, 5);
-        slots.catch_up(0, touch, &mut proc, &mut cache, line_size, &mut NoHooks);
+        slots.catch_up(0, touch, &mut proc, &mut cache, line_shift, &mut NoHooks);
         assert_eq!(WALKED.with(std::cell::Cell::get), 0);
         assert_eq!(slots.ahead[0], 30, "the lookahead stays whole");
         // A demoting touch of a line the lookahead only reads walks
         // nothing either: reads still hit.
         let touch = Touch::demoting(0, 1, 1);
-        slots.catch_up(0, touch, &mut proc, &mut cache, line_size, &mut NoHooks);
+        slots.catch_up(0, touch, &mut proc, &mut cache, line_shift, &mut NoHooks);
         assert_eq!(WALKED.with(std::cell::Cell::get), 0);
         assert_eq!(slots.ahead[0], 30);
     }
@@ -2439,6 +2550,7 @@ mod queue_tests {
     #[test]
     fn colliding_filter_bit_walks_and_cuts_where_the_old_walk_did() {
         let line_size = cfg().line_size();
+        let line_shift = line_size.trailing_zeros();
         let trace = reads_of_three_lines(line_size);
         // Line 64 shares line 0's filter bit and is resident, but the
         // lookahead never references it.
@@ -2447,7 +2559,7 @@ mod queue_tests {
         WALKED.with(|c| c.set(0));
         let touch = Touch::removing(0, 1, 64);
         let want = walked_cut(&proc.contexts[0].refs, 30, touch, line_size);
-        slots.catch_up(0, touch, &mut proc, &mut cache, line_size, &mut NoHooks);
+        slots.catch_up(0, touch, &mut proc, &mut cache, line_shift, &mut NoHooks);
         assert_eq!(
             WALKED.with(std::cell::Cell::get),
             30,
@@ -2464,7 +2576,7 @@ mod queue_tests {
         let mut rest = proc.contexts[0].refs.clone();
         rest.nth(4);
         let want = walked_cut(&rest, 25, touch, line_size);
-        slots.catch_up(0, touch, &mut proc, &mut cache, line_size, &mut NoHooks);
+        slots.catch_up(0, touch, &mut proc, &mut cache, line_shift, &mut NoHooks);
         assert_eq!(proc.stats.hits, 5);
         assert_eq!(slots.events[0], 15);
         assert_eq!(slots.ahead[0], want);

@@ -56,7 +56,7 @@ pub mod probe;
 mod protocol;
 mod stats;
 
-pub use cache::{Access, AccessOutcome, GoneReason, LineState, ProcessorCache};
+pub use cache::{Access, AccessOutcome, Evicted, GoneReason, LineState, Lookahead, ProcessorCache};
 pub use config::{ArchConfig, ArchConfigBuilder, ConfigError};
 pub use directory::{Directory, SharerSet, MAX_PROCESSORS};
 #[cfg(feature = "reference-engine")]

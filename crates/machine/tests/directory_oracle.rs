@@ -7,7 +7,9 @@
 //! where the engines would issue them, and every transaction must name
 //! exactly the other holders in ascending order. The processor pool
 //! always includes 63, 64 and 127, which sit on both halves of the
-//! `u128` sharer mask.
+//! `u128` sharer mask. The directory keys its state by the dense ids it
+//! interns; the lines are interned in a shuffled order, so a mix-up of
+//! line and id shows.
 
 use placesim_machine::{Directory, SharerSet, MAX_PROCESSORS};
 use placesim_placement::ProcessorId;
@@ -46,9 +48,10 @@ fn others(line: &Line, p: usize) -> Vec<usize> {
     line.holders.iter().copied().filter(|&h| h != p).collect()
 }
 
-/// Checks every tracked line of the model against the directory.
-fn agree(dir: &Directory, model: &BTreeMap<u64, Line>, lines: u64) {
-    for l in 0..lines {
+/// Checks every tracked line of the model against the directory;
+/// `ids[l]` is line `l`'s id.
+fn agree(dir: &Directory, model: &BTreeMap<u64, Line>, ids: &[u32]) {
+    for (l, &id) in (0u64..).zip(ids) {
         let (holders, owner) = match model.get(&l) {
             None => (Vec::new(), None),
             Some(m) => {
@@ -57,11 +60,11 @@ fn agree(dir: &Directory, model: &BTreeMap<u64, Line>, lines: u64) {
                 (holders, owner)
             }
         };
-        let sharers = dir.sharers(l);
+        let sharers = dir.sharers(id);
         assert_eq!(indices(sharers), holders, "line {l}");
         assert_eq!(sharers.len() as usize, holders.len(), "line {l}");
         assert_eq!(sharers.iter().len(), holders.len(), "line {l}");
-        assert_eq!(dir.owner(l).map(ProcessorId::index), owner, "line {l}");
+        assert_eq!(dir.owner(id).map(ProcessorId::index), owner, "line {l}");
     }
     assert_eq!(dir.tracked_lines(), model.len());
 }
@@ -81,6 +84,17 @@ fn replay(processors: usize, seed: u64, steps: usize) {
         }
     }
     let mut dir = Directory::new();
+    // Intern the lines in a shuffled order.
+    let mut order: Vec<u64> = (0..LINES).collect();
+    for k in (1..order.len()).rev() {
+        order.swap(k, rng.below(k + 1));
+    }
+    let mut ids = vec![0u32; LINES as usize];
+    for (&l, next) in order.iter().zip(0u32..) {
+        ids[l as usize] = dir.intern(l);
+        assert_eq!(ids[l as usize], next, "ids are dense, in first-call order");
+    }
+    assert_eq!(dir.intern(order[0]), 0, "a line keeps its id");
     let mut model: BTreeMap<u64, Line> = BTreeMap::new();
     let mut applied = [0usize; 5];
     for _ in 0..steps {
@@ -94,7 +108,7 @@ fn replay(processors: usize, seed: u64, steps: usize) {
         match rng.below(5) {
             // A read miss: the reader does not hold the line.
             0 if !holds => {
-                let tx = dir.read_fill(pid(p), l);
+                let tx = dir.read_fill(pid(p), ids[l as usize]);
                 assert!(tx.invalidate.is_empty());
                 assert_eq!(tx.downgrade.map(ProcessorId::index), owner);
                 let m = model.entry(l).or_default();
@@ -104,7 +118,7 @@ fn replay(processors: usize, seed: u64, steps: usize) {
             }
             // A write miss, or an upgrade of a copy the writer holds.
             1 => {
-                let tx = dir.write_fill(pid(p), l);
+                let tx = dir.write_fill(pid(p), ids[l as usize]);
                 assert_eq!(indices(tx.invalidate), others(&line, p));
                 assert_eq!(tx.downgrade, None);
                 let m = model.entry(l).or_default();
@@ -120,7 +134,7 @@ fn replay(processors: usize, seed: u64, steps: usize) {
                 else {
                     continue;
                 };
-                dir.grant_exclusive(pid(p), l);
+                dir.grant_exclusive(pid(p), ids[l as usize]);
                 model.insert(
                     l,
                     Line {
@@ -133,7 +147,7 @@ fn replay(processors: usize, seed: u64, steps: usize) {
             // A Dragon write: never by an exclusive owner, whose write
             // hit upgrades silently in its own cache.
             3 if owner != Some(p) => {
-                let sent = dir.update_fill(pid(p), l);
+                let sent = dir.update_fill(pid(p), ids[l as usize]);
                 let want = others(&line, p);
                 assert_eq!(indices(sent), want);
                 let m = model.entry(l).or_default();
@@ -148,7 +162,7 @@ fn replay(processors: usize, seed: u64, steps: usize) {
                     .iter()
                     .nth(rng.below(line.holders.len()))
                     .expect("in range");
-                dir.evict(pid(victim), l);
+                dir.evict(pid(victim), ids[l as usize]);
                 let m = model.get_mut(&l).expect("held line is tracked");
                 m.holders.remove(&victim);
                 if m.holders.is_empty() {
@@ -158,7 +172,7 @@ fn replay(processors: usize, seed: u64, steps: usize) {
             }
             _ => continue,
         }
-        agree(&dir, &model, LINES);
+        agree(&dir, &model, &ids);
     }
     assert!(
         applied.iter().all(|&n| n >= 100),
@@ -176,19 +190,20 @@ fn directory_matches_a_naive_holder_model() {
 #[test]
 fn transactions_span_both_halves_of_the_mask() {
     let mut dir = Directory::new();
+    let (nine, ten) = (dir.intern(9), dir.intern(10));
     for p in [127, 0, 64, 63, 5] {
-        assert!(dir.read_fill(pid(p), 9).invalidate.is_empty());
+        assert!(dir.read_fill(pid(p), nine).invalidate.is_empty());
     }
-    let tx = dir.write_fill(pid(5), 9);
+    let tx = dir.write_fill(pid(5), nine);
     assert_eq!(indices(tx.invalidate), vec![0, 63, 64, 127]);
-    assert_eq!(indices(dir.sharers(9)), vec![5]);
+    assert_eq!(indices(dir.sharers(nine)), vec![5]);
 
     for p in [64, 63, 127] {
-        dir.read_fill(pid(p), 10);
+        dir.read_fill(pid(p), ten);
     }
-    let sent = dir.update_fill(pid(0), 10);
+    let sent = dir.update_fill(pid(0), ten);
     assert_eq!(indices(sent), vec![63, 64, 127]);
-    assert_eq!(indices(dir.sharers(10)), vec![0, 63, 64, 127]);
-    let sent = dir.update_fill(pid(64), 10);
+    assert_eq!(indices(dir.sharers(ten)), vec![0, 63, 64, 127]);
+    let sent = dir.update_fill(pid(64), ten);
     assert_eq!(indices(sent), vec![0, 63, 127]);
 }

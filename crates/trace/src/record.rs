@@ -47,6 +47,18 @@ impl RefKind {
         }
     }
 
+    /// The kind of a packed reference word ([`MemRef::pack`]). Every
+    /// word has one: the tag is the word's top two bits.
+    #[inline]
+    pub fn of_packed(packed: u64) -> Self {
+        match packed >> Address::MAX_BITS {
+            0 => RefKind::Instr,
+            1 => RefKind::Read,
+            2 => RefKind::Write,
+            _ => RefKind::Barrier,
+        }
+    }
+
     /// Decodes a 2-bit tag produced by [`RefKind::to_tag`].
     ///
     /// Returns `None` for tags outside the 2-bit range.
@@ -100,6 +112,13 @@ impl Address {
             Self::MAX_BITS
         );
         Address(raw)
+    }
+
+    /// The address of a packed reference word ([`MemRef::pack`]): its
+    /// low [`Address::MAX_BITS`] bits.
+    #[inline]
+    pub fn of_packed(packed: u64) -> Self {
+        Address(packed & Self::MAX.0)
     }
 
     /// Returns the raw address value.
@@ -316,6 +335,9 @@ mod tests {
             RefKind::Barrier,
         ] {
             assert_eq!(RefKind::from_tag(kind.to_tag()), Some(kind));
+            let word = MemRef::new(kind, Address::MAX).pack();
+            assert_eq!(RefKind::of_packed(word), kind);
+            assert_eq!(Address::of_packed(word), Address::MAX);
         }
         assert_eq!(RefKind::from_tag(4), None);
     }

@@ -272,6 +272,17 @@ impl Iterator for ThreadTraceIter<'_> {
 
 impl ExactSizeIterator for ThreadTraceIter<'_> {}
 
+impl<'a> ThreadTraceIter<'a> {
+    /// The references not yet returned, as packed words ([`MemRef::pack`];
+    /// decode one with [`RefKind::of_packed`] and [`Address::of_packed`]).
+    /// The simulation engine's hit kernel reads them without building a
+    /// [`MemRef`] per reference.
+    #[inline]
+    pub fn as_packed(&self) -> &'a [u64] {
+        self.inner.as_slice()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,6 +336,19 @@ mod tests {
         assert_eq!(past.nth(t.len()), None);
         assert_eq!(past.len(), 0);
         assert_eq!(t.iter().nth(t.len() + 3), None);
+    }
+
+    #[test]
+    fn packed_words_follow_the_iterator() {
+        let t = sample();
+        let mut it = t.iter();
+        it.nth(1);
+        let rest: Vec<MemRef> = it
+            .as_packed()
+            .iter()
+            .map(|&w| MemRef::new(RefKind::of_packed(w), Address::of_packed(w)))
+            .collect();
+        assert_eq!(rest, it.collect::<Vec<_>>());
     }
 
     #[test]
