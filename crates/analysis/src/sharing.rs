@@ -284,7 +284,7 @@ impl SharingAnalysis {
     ///
     /// This is the fused fast path: the sharded sort-merge scan
     /// (`crate::scan`) feeds each address's per-thread counts straight
-    /// into per-shard [`GroupedAccum`]s — no intermediate
+    /// into per-shard `GroupedAccum`s — no intermediate
     /// [`AddressProfile`] map is materialized, and the O(k²) pairwise
     /// update runs once per sharer-set group instead of once per
     /// address. Results are bit-identical to

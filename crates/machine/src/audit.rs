@@ -1,7 +1,7 @@
 //! Post-drain invariant auditor (feature `audit`).
 //!
 //! The paper's results are only as trustworthy as the simulator's cycle
-//! accounting and miss taxonomy, and both engines have been through
+//! accounting and miss taxonomy, and the engine has been through
 //! aggressive hot-path rewrites. With the `audit` feature on, every
 //! simulation re-derives the laws those rewrites must preserve after
 //! the event queue drains and aborts with a structured diagnostic if

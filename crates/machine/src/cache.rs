@@ -152,29 +152,6 @@ impl Slot {
     }
 }
 
-/// Outcome of a cache access, before any fill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessOutcome {
-    /// The line is resident with sufficient permission.
-    Hit,
-    /// The line is resident Shared but the access is a write: the
-    /// directory must invalidate remote sharers (a coherence *upgrade*).
-    UpgradeHit,
-    /// Dragon: the line is resident shared and written, so the directory
-    /// must propagate a write-update to the remote sharers (the line
-    /// stays resident everywhere).
-    UpdateHit,
-    /// The line is not resident. Classification comes from
-    /// [`ProcessorCache::miss_provenance`], which needs the missing
-    /// thread's identity.
-    Miss {
-        /// The LRU line (and its state) this fill will displace, if the
-        /// set is full. The engine must send the directory a replacement
-        /// hint for it.
-        victim: Option<(u64, LineState)>,
-    },
-}
-
 /// Outcome of [`ProcessorCache::access`]: one set walk. A hit that needs
 /// the directory carries the line's id, which the directory's
 /// transaction takes.
@@ -338,10 +315,8 @@ impl ProcessorCache {
     /// One-pass access: classifies a reference to `line` and updates LRU
     /// order on hits. A miss is classified by
     /// [`ProcessorCache::miss_provenance`] once the engine holds the
-    /// line's id. This is the simulation engine's slow path;
-    /// [`ProcessorCache::probe`] is the variant the reference engine
-    /// uses. Always inlined: off the paper's machine a lone run calls it
-    /// per hit.
+    /// line's id. This is the simulation engine's slow path. Always
+    /// inlined: off the paper's machine a lone run calls it per hit.
     #[inline(always)]
     pub fn access(&mut self, line: u64, is_write: bool, thread: ThreadId) -> Access {
         let base = self.set_base(line);
@@ -435,40 +410,6 @@ impl ProcessorCache {
         look
     }
 
-    /// Classifies an access to `line` and updates LRU order on hits.
-    ///
-    /// The engine calls this, performs the directory transaction, then
-    /// calls [`ProcessorCache::fill`] (for misses) or relies on
-    /// [`ProcessorCache::set_modified`] (for upgrades).
-    pub fn probe(&mut self, line: u64, is_write: bool) -> AccessOutcome {
-        let base = self.set_base(line);
-        let set = &mut self.slots[base..base + self.assoc];
-        if let Some(pos) = set.iter().position(|s| s.line == line) {
-            let mut slot = set[pos];
-            set.copy_within(..pos, 1); // MRU to front
-            let outcome = if is_write {
-                match self.protocol.write_hit(slot.state) {
-                    WriteHit::Hit => AccessOutcome::Hit,
-                    WriteHit::Silent(next) => {
-                        slot.state = next; // MESI/Dragon E→M, no bus traffic
-                        AccessOutcome::Hit
-                    }
-                    WriteHit::Upgrade => AccessOutcome::UpgradeHit,
-                    WriteHit::Update => AccessOutcome::UpdateHit,
-                }
-            } else {
-                AccessOutcome::Hit
-            };
-            set[0] = slot;
-            return outcome;
-        }
-        let victim = set
-            .last()
-            .filter(|s| s.line != EMPTY)
-            .map(|s| (s.line, s.state));
-        AccessOutcome::Miss { victim }
-    }
-
     /// The departure record of the line with id `id`.
     #[inline]
     fn gone(&self, id: u32) -> Option<GoneReason> {
@@ -511,8 +452,8 @@ impl ProcessorCache {
     /// Fills `line`, whose id is `id`, after a miss by `thread`,
     /// displacing the LRU way if the set is full.
     ///
-    /// Returns the victim (already reported by [`ProcessorCache::probe`]);
-    /// its departure is recorded as an eviction by `thread`.
+    /// Returns the victim; its departure is recorded as an eviction by
+    /// `thread`.
     pub fn fill(
         &mut self,
         line: u64,
@@ -730,18 +671,16 @@ mod tests {
     #[test]
     fn first_access_is_compulsory() {
         let mut c = ProcessorCache::new(8);
-        match c.probe(100, false) {
-            AccessOutcome::Miss { victim } => assert!(victim.is_none()),
-            other => panic!("expected miss, got {other:?}"),
-        }
+        assert_eq!(c.access(100, false, t(0)), Access::Miss);
         assert_eq!(c.miss_provenance(100, t(0)), (MissKind::Compulsory, None));
+        assert_eq!(fill(&mut c, 100, LineState::Shared, t(0)), None);
     }
 
     #[test]
     fn fill_then_hit() {
         let mut c = ProcessorCache::new(8);
         fill(&mut c, 100, LineState::Shared, t(0));
-        assert_eq!(c.probe(100, false), AccessOutcome::Hit);
+        assert_eq!(c.access(100, false, t(0)), Access::Hit);
         assert_eq!(c.state_of(100), Some(LineState::Shared));
         assert_eq!(c.resident_lines(), 1);
     }
@@ -750,9 +689,9 @@ mod tests {
     fn write_to_shared_is_upgrade() {
         let mut c = ProcessorCache::new(8);
         fill(&mut c, 100, LineState::Shared, t(0));
-        assert_eq!(c.probe(100, true), AccessOutcome::UpgradeHit);
+        assert_eq!(c.access(100, true, t(0)), Access::UpgradeHit { id: 100 });
         c.set_modified(100);
-        assert_eq!(c.probe(100, true), AccessOutcome::Hit);
+        assert_eq!(c.access(100, true, t(0)), Access::Hit);
     }
 
     #[test]
@@ -772,12 +711,11 @@ mod tests {
             c.miss_provenance(0, t(0)),
             (MissKind::InterThreadConflict, None)
         );
-        match c.probe(0, false) {
-            AccessOutcome::Miss { victim } => {
-                assert_eq!(victim, Some((8, LineState::Shared)));
-            }
-            other => panic!("expected miss, got {other:?}"),
-        }
+        assert_eq!(c.access(0, false, t(0)), Access::Miss);
+        assert_eq!(
+            fill(&mut c, 0, LineState::Shared, t(0)),
+            Some((8, LineState::Shared))
+        );
     }
 
     #[test]
@@ -801,7 +739,7 @@ mod tests {
         c.invalidate(5, p(1), t(4));
         fill(&mut c, 5, LineState::Shared, t(0));
         assert_eq!(c.invalidation_writer(5), None, "fill clears provenance");
-        assert_eq!(c.probe(5, false), AccessOutcome::Hit);
+        assert_eq!(c.access(5, false, t(0)), Access::Hit);
         // Evict it by conflict now; classification must be conflict, not
         // the stale invalidation.
         fill(&mut c, 13, LineState::Shared, t(2));
@@ -817,7 +755,7 @@ mod tests {
         fill(&mut c, 7, LineState::Modified, t(0));
         c.downgrade(7);
         assert_eq!(c.state_of(7), Some(LineState::Shared));
-        assert_eq!(c.probe(7, false), AccessOutcome::Hit);
+        assert_eq!(c.access(7, false, t(0)), Access::Hit);
     }
 
     #[test]
@@ -839,10 +777,10 @@ mod tests {
         let mut c = ProcessorCache::with_associativity(8, 2);
         assert_eq!(c.associativity(), 2);
         fill(&mut c, 0, LineState::Shared, t(0));
-        assert_eq!(c.probe(8, false), AccessOutcome::Miss { victim: None });
-        fill(&mut c, 8, LineState::Shared, t(0));
-        assert_eq!(c.probe(0, false), AccessOutcome::Hit);
-        assert_eq!(c.probe(8, false), AccessOutcome::Hit);
+        assert_eq!(c.access(8, false, t(0)), Access::Miss);
+        assert_eq!(fill(&mut c, 8, LineState::Shared, t(0)), None);
+        assert_eq!(c.access(0, false, t(0)), Access::Hit);
+        assert_eq!(c.access(8, false, t(0)), Access::Hit);
         assert_eq!(c.resident_lines(), 2);
     }
 
@@ -852,16 +790,11 @@ mod tests {
         fill(&mut c, 0, LineState::Shared, t(0));
         fill(&mut c, 8, LineState::Shared, t(0));
         // Touch 0 so 8 becomes LRU.
-        assert_eq!(c.probe(0, false), AccessOutcome::Hit);
-        match c.probe(16, false) {
-            AccessOutcome::Miss { victim } => {
-                assert_eq!(victim, Some((8, LineState::Shared)));
-            }
-            other => panic!("expected miss, got {other:?}"),
-        }
+        assert_eq!(c.access(0, false, t(0)), Access::Hit);
+        assert_eq!(c.access(16, false, t(1)), Access::Miss);
         let v = fill(&mut c, 16, LineState::Shared, t(1));
         assert_eq!(v, Some((8, LineState::Shared)));
-        assert_eq!(c.probe(0, false), AccessOutcome::Hit, "MRU line survives");
+        assert_eq!(c.access(0, false, t(0)), Access::Hit, "MRU line survives");
     }
 
     #[test]
@@ -873,7 +806,7 @@ mod tests {
         assert_eq!(c.state_of(0), None);
         assert_eq!(c.state_of(8), Some(LineState::Modified));
         // The vacated way is free again: the next fill evicts nothing.
-        assert_eq!(c.probe(16, false), AccessOutcome::Miss { victim: None });
+        assert_eq!(c.access(16, false, t(0)), Access::Miss);
         assert_eq!(fill(&mut c, 16, LineState::Shared, t(0)), None);
         assert_eq!(c.resident_lines(), 2);
         assert_eq!(
@@ -908,53 +841,6 @@ mod tests {
         fill(&mut c, 3, LineState::Exclusive, t(0));
         assert!(!hits_locally(&c, 3, true));
         c.access(3, true, t(0));
-    }
-
-    #[test]
-    fn fused_access_matches_split_path() {
-        // Drive both a fused cache and a probe/provenance cache through
-        // the same mixed sequence; classifications and LRU behavior must
-        // agree exactly.
-        let seq: Vec<(u64, bool, u16)> = vec![
-            (0, false, 0),
-            (8, false, 1),
-            (0, true, 0),
-            (16, false, 0),
-            (8, false, 1),
-            (0, false, 1),
-            (24, true, 2),
-            (16, false, 2),
-        ];
-        let mut fused = ProcessorCache::with_associativity(8, 2);
-        let mut split = ProcessorCache::with_associativity(8, 2);
-        for &(line, is_write, tid) in &seq {
-            let id = line as u32;
-            let a = fused.access(line, is_write, t(tid));
-            let b = match split.probe(line, is_write) {
-                AccessOutcome::Hit => Access::Hit,
-                AccessOutcome::UpgradeHit => Access::UpgradeHit { id },
-                AccessOutcome::UpdateHit => Access::UpdateHit { id },
-                AccessOutcome::Miss { .. } => Access::Miss,
-            };
-            assert_eq!(a, b, "diverged at line {line:#x}");
-            assert_eq!(
-                fused.miss_provenance(id, t(tid)),
-                split.miss_provenance(id, t(tid))
-            );
-            let state = if is_write {
-                LineState::Modified
-            } else {
-                LineState::Shared
-            };
-            if a == Access::Miss {
-                fill(&mut fused, line, state, t(tid));
-                fill(&mut split, line, state, t(tid));
-            } else if a == (Access::UpgradeHit { id }) {
-                fused.set_modified(line);
-                split.set_modified(line);
-            }
-        }
-        assert_eq!(fused.resident_lines(), split.resident_lines());
     }
 
     #[test]

@@ -23,13 +23,13 @@
 //! # Hit-run lookahead
 //!
 //! Conceptually one queue event dispatches one reference. Literally
-//! doing that (see the [`reference`] engine) pays a queue operation per
-//! reference even though the overwhelmingly common outcome — a cache hit
-//! by the running context — has **no global side effects**: it touches
-//! only this processor's cache (LRU order, the slot's owner) and
-//! counters, schedules nothing, and cannot change any other processor's
-//! state. Processors affect each other only through misses, upgrades,
-//! updates and barriers: the *globally visible* references.
+//! doing that pays a queue operation per reference even though the
+//! overwhelmingly common outcome — a cache hit by the running context —
+//! has **no global side effects**: it touches only this processor's
+//! cache (LRU order, the slot's owner) and counters, schedules nothing,
+//! and cannot change any other processor's state. Processors affect
+//! each other only through misses, upgrades, updates and barriers: the
+//! *globally visible* references.
 //!
 //! The production engine therefore orders only those. The simulator
 //! keeps at most one pending event per processor, so the queue is a
@@ -76,7 +76,7 @@
 //!   before the acting `(now, p)` in `(cycle, processor)` order, that is
 //!   `min(ahead[v], now + [v < p] − events[v])` of them. The victim's
 //!   next reference therefore sees the changed cache, at the same cycle
-//!   as in the per-reference engine.
+//!   as in a one-reference-per-step execution.
 //! * A touch changes one line L of v's cache and nothing else: an
 //!   invalidation removes L without evicting anything, a downgrade or an
 //!   update takes away write permission on L. So the rest of v's
@@ -123,11 +123,12 @@
 //! it hit in.
 //!
 //! Every globally visible action still executes in exact
-//! `(time, processor)` order, so statistics, traffic matrices and the
-//! attribution event order match the per-reference engine bit for bit —
-//! asserted per commit by the differential tests in
-//! `tests/differential.rs`, down to the tie order at a shared cycle
-//! (`lookahead_tests`).
+//! `(time, processor)` order, so statistics and traffic matrices match
+//! a one-reference-per-step execution of the model bit for bit. The
+//! differential tests in `tests/differential.rs` and `tests/oracle.rs`
+//! assert this against a naive model written only in the tests, which
+//! shares no cache, directory or scheduling code with this engine, down
+//! to the tie order at a shared cycle.
 //!
 //! # Instrumentation
 //!
@@ -139,16 +140,12 @@
 
 use crate::cache::{line_bit, Access, LineState, Lookahead, ProcessorCache};
 use crate::config::ArchConfig;
-use crate::directory::{Directory, Transaction, MAX_PROCESSORS};
+use crate::directory::{Directory, SharerSet, Transaction, MAX_PROCESSORS};
 use crate::obs::{EngineObs, Hooks, NoHooks};
 use crate::protocol::Protocol;
 use crate::stats::{MissKind, ProcStats, SimStats};
 use placesim_placement::{PlacementMap, ProcessorId};
 use placesim_trace::{MemRef, ProgramTrace, RefKind, ThreadId, ThreadTraceIter};
-#[cfg(feature = "reference-engine")]
-use std::cmp::Reverse;
-#[cfg(feature = "reference-engine")]
-use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Errors from starting a simulation.
@@ -603,6 +600,82 @@ impl Slots {
         self.ahead[v] = hits;
         self.tree.set(v, self.events[v] + hits);
     }
+
+    /// Sends `write`'s invalidations to `victims`: each victim catches up
+    /// and then loses its copy of the line.
+    fn invalidate_sharers<H: Hooks>(
+        &mut self,
+        write: Write,
+        victims: SharerSet,
+        procs: &mut [Processor<'_>],
+        caches: &mut [ProcessorCache],
+        line_shift: u32,
+        obs: &mut H,
+    ) {
+        let Write {
+            now,
+            by,
+            thread,
+            line,
+        } = write;
+        procs[by].stats.invalidations_sent += u64::from(victims.len());
+        let touch = Touch::removing(now, by, line);
+        for victim in victims {
+            let v = victim.index();
+            self.catch_up(v, touch, &mut procs[v], &mut caches[v], line_shift, obs);
+            if obs.wants_attribution() {
+                let owner = owner_u32(&caches[v], line);
+                obs.on_attr_invalidation(line, thread.index() as u32, owner);
+            }
+            caches[v].invalidate(line, ProcessorId::from_index(by), thread);
+            procs[v].stats.invalidations_received += 1;
+            obs.on_traffic(v, by);
+            obs.on_invalidation_pair(by, v, line, now);
+        }
+    }
+
+    /// Sends `write`'s Dragon updates to `sharers`: each sharer catches up
+    /// and then keeps the line as a clean copy.
+    fn update_sharers<H: Hooks>(
+        &mut self,
+        write: Write,
+        sharers: SharerSet,
+        procs: &mut [Processor<'_>],
+        caches: &mut [ProcessorCache],
+        line_shift: u32,
+        obs: &mut H,
+    ) {
+        let Write {
+            now,
+            by,
+            thread,
+            line,
+        } = write;
+        procs[by].stats.updates_sent += u64::from(sharers.len());
+        let touch = Touch::demoting(now, by, line);
+        for sharer in sharers {
+            let v = sharer.index();
+            self.catch_up(v, touch, &mut procs[v], &mut caches[v], line_shift, obs);
+            if obs.wants_attribution() {
+                let owner = owner_u32(&caches[v], line);
+                obs.on_attr_update(line, thread.index() as u32, owner);
+            }
+            caches[v].receive_update(line);
+            procs[v].stats.updates_received += 1;
+            obs.on_traffic(v, by);
+            obs.on_update_pair(by, v, line, now);
+        }
+    }
+}
+
+/// A write to `line` by processor `by`'s thread `thread`, issued at cycle
+/// `now`, whose invalidations or updates reach the line's other holders.
+#[derive(Clone, Copy)]
+struct Write {
+    now: u64,
+    by: usize,
+    thread: ThreadId,
+    line: u64,
 }
 
 /// Test-only count of the references [`Slots::catch_up`] walks to find
@@ -947,6 +1020,13 @@ fn run<H: Hooks>(
         let me = ProcessorId::from_index(pi);
         let cur_tid = procs[pi].contexts[ctx_idx].thread;
         let final_hit = matches!(stop, Stop::HitExhausted);
+        // The stop reference's write, for its coherence fan-outs.
+        let write = |line| Write {
+            now,
+            by: pi,
+            thread: cur_tid,
+            line,
+        };
         // Slow path: `Some((missed, exhausted, fill_line))` falls through
         // to the shared reschedule tail (`fill_line` is `Some` only for
         // real misses, so upgrade stalls emit no fill event); `None` arms
@@ -1025,20 +1105,14 @@ fn run<H: Hooks>(
                 let had_remote = !tx.invalidate.is_empty();
                 obs.on_invalidation_fanout(tx.invalidate.len() as u64);
                 obs.on_directory(pi, cur_thread, now, line, tx.invalidate.len() as u64, true);
-                procs[pi].stats.invalidations_sent += tx.invalidate.len() as u64;
-                let touch = Touch::removing(now, pi, line);
-                for victim in tx.invalidate {
-                    let v = victim.index();
-                    slots.catch_up(v, touch, &mut procs[v], &mut caches[v], line_shift, obs);
-                    if obs.wants_attribution() {
-                        let owner = owner_u32(&caches[v], line);
-                        obs.on_attr_invalidation(line, cur_thread, owner);
-                    }
-                    caches[v].invalidate(line, me, cur_tid);
-                    procs[v].stats.invalidations_received += 1;
-                    obs.on_traffic(v, pi);
-                    obs.on_invalidation_pair(pi, v, line, now);
-                }
+                slots.invalidate_sharers(
+                    write(line),
+                    tx.invalidate,
+                    &mut procs,
+                    &mut caches,
+                    line_shift,
+                    obs,
+                );
                 caches[pi].set_modified(line);
                 Some((config.upgrade_stalls() && had_remote, exhausted, None))
             }
@@ -1054,21 +1128,15 @@ fn run<H: Hooks>(
                 procs[pi].stats.hits += 1;
                 let others = directory.update_fill(me, id);
                 let had_remote = !others.is_empty();
-                procs[pi].stats.updates_sent += others.len() as u64;
                 obs.on_directory(pi, cur_thread, now, line, others.len() as u64, true);
-                let touch = Touch::demoting(now, pi, line);
-                for sharer in others {
-                    let v = sharer.index();
-                    slots.catch_up(v, touch, &mut procs[v], &mut caches[v], line_shift, obs);
-                    if obs.wants_attribution() {
-                        let owner = owner_u32(&caches[v], line);
-                        obs.on_attr_update(line, cur_thread, owner);
-                    }
-                    caches[v].receive_update(line);
-                    procs[v].stats.updates_received += 1;
-                    obs.on_traffic(v, pi);
-                    obs.on_update_pair(pi, v, line, now);
-                }
+                slots.update_sharers(
+                    write(line),
+                    others,
+                    &mut procs,
+                    &mut caches,
+                    line_shift,
+                    obs,
+                );
                 if had_remote {
                     caches[pi].set_shared_dirty(line);
                 } else {
@@ -1119,27 +1187,14 @@ fn run<H: Hooks>(
                         // invalidated, and the writer fills as dirty
                         // owner of a still-shared line.
                         let others = directory.update_fill(me, id);
-                        procs[pi].stats.updates_sent += others.len() as u64;
-                        let touch = Touch::demoting(now, pi, line);
-                        for sharer in others {
-                            let v = sharer.index();
-                            slots.catch_up(
-                                v,
-                                touch,
-                                &mut procs[v],
-                                &mut caches[v],
-                                line_shift,
-                                obs,
-                            );
-                            if obs.wants_attribution() {
-                                let owner = owner_u32(&caches[v], line);
-                                obs.on_attr_update(line, cur_thread, owner);
-                            }
-                            caches[v].receive_update(line);
-                            procs[v].stats.updates_received += 1;
-                            obs.on_traffic(v, pi);
-                            obs.on_update_pair(pi, v, line, now);
-                        }
+                        slots.update_sharers(
+                            write(line),
+                            others,
+                            &mut procs,
+                            &mut caches,
+                            line_shift,
+                            obs,
+                        );
                         let fill_state = if others.is_empty() {
                             LineState::Modified
                         } else {
@@ -1159,20 +1214,14 @@ fn run<H: Hooks>(
                     tx.invalidate.len() as u64,
                     is_write,
                 );
-                procs[pi].stats.invalidations_sent += tx.invalidate.len() as u64;
-                let touch = Touch::removing(now, pi, line);
-                for victim in tx.invalidate {
-                    let v = victim.index();
-                    slots.catch_up(v, touch, &mut procs[v], &mut caches[v], line_shift, obs);
-                    if obs.wants_attribution() {
-                        let owner = owner_u32(&caches[v], line);
-                        obs.on_attr_invalidation(line, cur_thread, owner);
-                    }
-                    caches[v].invalidate(line, me, cur_tid);
-                    procs[v].stats.invalidations_received += 1;
-                    obs.on_traffic(v, pi);
-                    obs.on_invalidation_pair(pi, v, line, now);
-                }
+                slots.invalidate_sharers(
+                    write(line),
+                    tx.invalidate,
+                    &mut procs,
+                    &mut caches,
+                    line_shift,
+                    obs,
+                );
                 if let Some(owner) = tx.downgrade {
                     let v = owner.index();
                     let touch = Touch::demoting(now, pi, line);
@@ -1254,300 +1303,6 @@ fn run<H: Hooks>(
     Ok(stats)
 }
 
-/// The pre-batching engine: one heap event per reference, kept verbatim
-/// as the obviously-correct oracle for the differential test suite.
-/// Compiled only with the default `reference-engine` feature.
-#[cfg(feature = "reference-engine")]
-pub mod reference {
-    use super::*;
-    use crate::cache::AccessOutcome;
-    use placesim_analysis::SymMatrix;
-
-    /// [`super::simulate`], executed by the per-reference engine.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`super::simulate`].
-    pub fn simulate(
-        prog: &ProgramTrace,
-        map: &PlacementMap,
-        config: &ArchConfig,
-    ) -> Result<SimStats, SimError> {
-        let (stats, _) = run(prog, map, config, false)?;
-        Ok(stats)
-    }
-
-    /// [`super::simulate`], additionally returning the coherence traffic
-    /// matrix that [`super::simulate_probed`] records in
-    /// [`EngineObs::traffic`], executed by the per-reference engine.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`super::simulate`].
-    pub fn simulate_with_traffic(
-        prog: &ProgramTrace,
-        map: &PlacementMap,
-        config: &ArchConfig,
-    ) -> Result<(SimStats, SymMatrix<u64>), SimError> {
-        let (stats, traffic) = run(prog, map, config, true)?;
-        Ok((stats, traffic.expect("traffic recording was enabled")))
-    }
-
-    fn record_pair(traffic: &mut Option<SymMatrix<u64>>, a: usize, b: usize) {
-        if let Some(m) = traffic {
-            if a != b {
-                m.add(a, b, 1);
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn run(
-        prog: &ProgramTrace,
-        map: &PlacementMap,
-        config: &ArchConfig,
-        record_traffic: bool,
-    ) -> Result<(SimStats, Option<SymMatrix<u64>>), SimError> {
-        let participants = validate(prog, map)?;
-        let p = map.processor_count();
-
-        let line_size = config.line_size();
-        let switch_cost = config.context_switch();
-        let latency = config.memory_latency();
-        let occupancy = config.memory_occupancy();
-        let mut channel_free_at = 0u64;
-
-        // Event queue: Reverse((time, processor)). One event = dispatch
-        // one reference of the processor's current context.
-        let mut queue: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        let mut procs = build_processors(prog, map, |pi, at| queue.push(Reverse((at, pi))));
-        let protocol = config.protocol();
-        let mut caches: Vec<ProcessorCache> = (0..p)
-            .map(|_| {
-                ProcessorCache::with_protocol(
-                    config.num_sets(),
-                    config.associativity() as usize,
-                    protocol,
-                )
-            })
-            .collect();
-        let mut directory = Directory::new();
-        let mut traffic = record_traffic.then(|| SymMatrix::new(p, 0u64));
-        let mut barrier_arrivals = 0u64;
-        let mut parked: Vec<Option<u64>> = vec![None; p]; // Some(park time)
-
-        while let Some(Reverse((t, pi))) = queue.pop() {
-            let me = ProcessorId::from_index(pi);
-            let ctx_idx = procs[pi].current;
-            debug_assert!(!procs[pi].contexts[ctx_idx].done);
-            debug_assert!(procs[pi].contexts[ctx_idx].ready_at <= t);
-
-            let thread = procs[pi].contexts[ctx_idx].thread;
-            let r: MemRef = procs[pi].contexts[ctx_idx]
-                .refs
-                .next()
-                .expect("dispatched context has a next reference");
-            let exhausted = procs[pi].contexts[ctx_idx].refs.len() == 0;
-
-            if r.kind == RefKind::Barrier {
-                procs[pi].stats.busy += 1;
-                procs[pi].stats.barrier_ops += 1;
-                let issue_end = t + 1;
-                procs[pi].stats.finish_time = issue_end;
-                if exhausted {
-                    procs[pi].contexts[ctx_idx].done = true;
-                }
-
-                barrier_arrivals += 1;
-                if barrier_arrivals == participants {
-                    barrier_arrivals = 0;
-                    for qi in 0..p {
-                        let mut woke = false;
-                        for ctx in &mut procs[qi].contexts {
-                            if ctx.waiting {
-                                ctx.waiting = false;
-                                ctx.ready_at = issue_end;
-                                woke = true;
-                            }
-                        }
-                        if woke {
-                            if let Some(park_time) = parked[qi].take() {
-                                if let Some((idx, dispatch)) = procs[qi].next_context(issue_end) {
-                                    procs[qi].stats.idle += dispatch - park_time;
-                                    procs[qi].current = idx;
-                                    queue.push(Reverse((dispatch, qi)));
-                                }
-                            }
-                        }
-                    }
-                } else if !exhausted {
-                    procs[pi].contexts[ctx_idx].waiting = true;
-                }
-
-                match procs[pi].next_context(issue_end) {
-                    Some((idx, dispatch)) => {
-                        if dispatch > issue_end {
-                            procs[pi].stats.idle += dispatch - issue_end;
-                        }
-                        procs[pi].current = idx;
-                        queue.push(Reverse((dispatch, pi)));
-                    }
-                    None => {
-                        let any_waiting = procs[pi].contexts.iter().any(|c| c.waiting);
-                        if any_waiting {
-                            parked[pi] = Some(issue_end);
-                        }
-                    }
-                }
-                continue;
-            }
-
-            let line = r.addr.line(line_size).raw();
-            let is_write = r.kind.is_write();
-
-            procs[pi].stats.busy += 1;
-            let issue_end = t + 1;
-
-            let missed = match caches[pi].probe(line, is_write) {
-                AccessOutcome::Hit => {
-                    procs[pi].stats.hits += 1;
-                    false
-                }
-                AccessOutcome::UpgradeHit => {
-                    procs[pi].stats.hits += 1;
-                    procs[pi].stats.upgrades += 1;
-                    let id = directory.intern(line);
-                    let tx = directory.write_fill(me, id);
-                    let had_remote = !tx.invalidate.is_empty();
-                    procs[pi].stats.invalidations_sent += tx.invalidate.len() as u64;
-                    for victim in tx.invalidate {
-                        caches[victim.index()].invalidate(line, me, thread);
-                        procs[victim.index()].stats.invalidations_received += 1;
-                        record_pair(&mut traffic, victim.index(), pi);
-                    }
-                    caches[pi].set_modified(line);
-                    config.upgrade_stalls() && had_remote
-                }
-                AccessOutcome::UpdateHit => {
-                    // Dragon write hit on a shared line (see the batched
-                    // engine's Stop::Update arm).
-                    procs[pi].stats.hits += 1;
-                    let id = directory.intern(line);
-                    let others = directory.update_fill(me, id);
-                    let had_remote = !others.is_empty();
-                    procs[pi].stats.updates_sent += others.len() as u64;
-                    for sharer in others {
-                        caches[sharer.index()].receive_update(line);
-                        procs[sharer.index()].stats.updates_received += 1;
-                        record_pair(&mut traffic, sharer.index(), pi);
-                    }
-                    if had_remote {
-                        caches[pi].set_shared_dirty(line);
-                    } else {
-                        caches[pi].set_modified(line);
-                    }
-                    config.upgrade_stalls() && had_remote
-                }
-                AccessOutcome::Miss { victim: _ } => {
-                    let id = directory.intern(line);
-                    let (kind, source) = caches[pi].miss_provenance(id, thread);
-                    procs[pi].stats.misses.record(kind);
-                    if kind == MissKind::Invalidation {
-                        if let Some(src) = source {
-                            record_pair(&mut traffic, pi, src.index());
-                        }
-                    }
-                    // Same per-protocol fill logic as the batched engine.
-                    let (tx, fill_state) = match (protocol, is_write) {
-                        (Protocol::Wi, true) => (directory.write_fill(me, id), LineState::Modified),
-                        (Protocol::Wi, false) => (directory.read_fill(me, id), LineState::Shared),
-                        (Protocol::Mesi | Protocol::Dragon, false) => {
-                            if directory.sharers(id).is_empty() {
-                                directory.grant_exclusive(me, id);
-                                (Transaction::none(), LineState::Exclusive)
-                            } else {
-                                (directory.read_fill(me, id), LineState::Shared)
-                            }
-                        }
-                        (Protocol::Mesi, true) => {
-                            (directory.write_fill(me, id), LineState::Modified)
-                        }
-                        (Protocol::Dragon, true) => {
-                            let others = directory.update_fill(me, id);
-                            procs[pi].stats.updates_sent += others.len() as u64;
-                            for sharer in others {
-                                caches[sharer.index()].receive_update(line);
-                                procs[sharer.index()].stats.updates_received += 1;
-                                record_pair(&mut traffic, sharer.index(), pi);
-                            }
-                            let fill_state = if others.is_empty() {
-                                LineState::Modified
-                            } else {
-                                LineState::SharedDirty
-                            };
-                            (Transaction::none(), fill_state)
-                        }
-                    };
-                    procs[pi].stats.invalidations_sent += tx.invalidate.len() as u64;
-                    for victim in tx.invalidate {
-                        caches[victim.index()].invalidate(line, me, thread);
-                        procs[victim.index()].stats.invalidations_received += 1;
-                        record_pair(&mut traffic, victim.index(), pi);
-                    }
-                    if let Some(owner) = tx.downgrade {
-                        caches[owner.index()].downgrade(line);
-                    }
-                    if let Some(victim) = caches[pi].fill(line, id, fill_state, thread) {
-                        directory.evict(me, victim.id);
-                    }
-                    true
-                }
-            };
-
-            let proc = &mut procs[pi];
-            let ctx = &mut proc.contexts[ctx_idx];
-            if exhausted {
-                ctx.done = true;
-            }
-            if missed {
-                let start = if occupancy == 0 {
-                    t
-                } else {
-                    let start = channel_free_at.max(t);
-                    channel_free_at = start + occupancy;
-                    start
-                };
-                ctx.ready_at = start + latency;
-            }
-            proc.stats.finish_time = issue_end;
-
-            if !missed && !exhausted {
-                queue.push(Reverse((issue_end, pi)));
-                continue;
-            }
-
-            let (drain_end, drained) = if missed {
-                (issue_end + switch_cost, switch_cost)
-            } else {
-                (issue_end, 0)
-            };
-
-            if let Some((idx, dispatch)) = proc.next_context(drain_end) {
-                proc.stats.switching += drained;
-                if dispatch > drain_end {
-                    proc.stats.idle += dispatch - drain_end;
-                }
-                proc.current = idx;
-                queue.push(Reverse((dispatch, pi)));
-            }
-        }
-
-        let stats = SimStats::new(procs.into_iter().map(|pr| pr.stats).collect());
-        #[cfg(feature = "audit")]
-        crate::audit::check_drained(prog, map, stats.per_proc(), &caches, &directory);
-        Ok((stats, traffic))
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2115,7 +1870,7 @@ mod lookahead_tests {
     /// Two lockstep processors whose hits share every cycle. Each one's
     /// lookahead covers its whole remaining hit run, so the runs no
     /// longer interleave reference by reference, yet they must account
-    /// exactly like the per-reference engine.
+    /// exactly as one reference per step would.
     #[test]
     fn lockstep_processors_account_per_reference() {
         let t0: ThreadTrace = (0..10).map(|_| MemRef::read(Address::new(0x000))).collect();
@@ -2155,8 +1910,6 @@ mod lookahead_tests {
         let prog = ProgramTrace::new("tie", threads);
         let map = PlacementMap::from_clusters(vec![vec![0], vec![1]]).unwrap();
         let stats = simulate(&prog, &map, &cfg()).unwrap();
-        #[cfg(feature = "reference-engine")]
-        assert_eq!(stats, reference::simulate(&prog, &map, &cfg()).unwrap());
         let writer = stats.per_proc()[1 - victim];
         assert_eq!(writer.invalidations_sent, 1);
         assert_eq!(writer.finish_time, 61);

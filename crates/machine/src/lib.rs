@@ -56,11 +56,9 @@ pub mod probe;
 mod protocol;
 mod stats;
 
-pub use cache::{Access, AccessOutcome, Evicted, GoneReason, LineState, Lookahead, ProcessorCache};
+pub use cache::{Access, Evicted, GoneReason, LineState, Lookahead, ProcessorCache};
 pub use config::{ArchConfig, ArchConfigBuilder, ConfigError};
 pub use directory::{Directory, SharerSet, MAX_PROCESSORS};
-#[cfg(feature = "reference-engine")]
-pub use engine::reference;
 pub use engine::{simulate, simulate_probed, SimError};
 pub use model::{simulated_efficiency, EfficiencyModel};
 pub use obs::{EngineObs, EngineObsReport};

@@ -21,7 +21,7 @@
 //!
 //! # Dispatch
 //!
-//! The engines dispatch on the `Copy` [`Protocol`] enum (a monomorphic
+//! The engine dispatches on the `Copy` [`Protocol`] enum (a monomorphic
 //! `match` — the write-invalidate arm is literally the pre-refactor
 //! code, which is what makes the bit-identity guarantee checkable). The
 //! trait objects returned by [`Protocol::semantics`] are the *table*
@@ -180,7 +180,7 @@ pub enum RemoteAction {
 
 /// A coherence protocol: its state lattice, write-hit transition table
 /// and remote-action set. [`Protocol::semantics`] maps each selector to
-/// its instance; the engines use the monomorphic [`Protocol`] methods,
+/// its instance; the engine uses the monomorphic [`Protocol`] methods,
 /// which tests pin to this table.
 pub trait CoherenceProtocol {
     /// The selector this instance implements.

@@ -166,7 +166,8 @@ pub struct SimStats {
 }
 
 impl SimStats {
-    pub(crate) fn new(per_proc: Vec<ProcStats>) -> Self {
+    /// Statistics from per-processor counters, indexed by processor id.
+    pub fn new(per_proc: Vec<ProcStats>) -> Self {
         SimStats { per_proc }
     }
 

@@ -17,36 +17,11 @@
 
 mod common;
 
-use common::{arb_placement, simulate_attributed};
+use common::{arb_placement, arb_program, simulate_attributed};
 use placesim_machine::{simulate, ArchConfig, AttrKind, AttributionConfig, Protocol};
 use placesim_placement::PlacementMap;
 use placesim_trace::{Address, MemRef, ProgramTrace, ThreadTrace};
 use proptest::prelude::*;
-
-/// Random program over a small address universe to provoke sharing,
-/// conflicts, invalidations, upgrades and updates.
-fn arb_program() -> impl Strategy<Value = ProgramTrace> {
-    let r#ref = (0u8..3, 0u64..64);
-    let thread = proptest::collection::vec(r#ref, 0..150);
-    proptest::collection::vec(thread, 1..6).prop_map(|threads| {
-        let traces: Vec<ThreadTrace> = threads
-            .into_iter()
-            .map(|refs| {
-                refs.into_iter()
-                    .map(|(kind, slot)| {
-                        let addr = Address::new(slot * 16); // overlapping lines
-                        match kind {
-                            0 => MemRef::instr(addr),
-                            1 => MemRef::read(addr),
-                            _ => MemRef::write(addr),
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        ProgramTrace::new("attr-prop", traces)
-    })
-}
 
 /// Randomized geometry at associativity 1 and 2, per protocol.
 fn arb_config(protocol: Protocol) -> impl Strategy<Value = ArchConfig> {
@@ -129,7 +104,7 @@ proptest! {
 
     #[test]
     fn attribution_conserves_wi(
-        prog in arb_program(),
+        prog in arb_program(150),
         seed in 1u64..5000,
         config in arb_config(Protocol::Wi),
     ) {
@@ -139,7 +114,7 @@ proptest! {
 
     #[test]
     fn attribution_conserves_mesi(
-        prog in arb_program(),
+        prog in arb_program(150),
         seed in 1u64..5000,
         config in arb_config(Protocol::Mesi),
     ) {
@@ -149,7 +124,7 @@ proptest! {
 
     #[test]
     fn attribution_conserves_dragon(
-        prog in arb_program(),
+        prog in arb_program(150),
         seed in 1u64..5000,
         config in arb_config(Protocol::Dragon),
     ) {

@@ -1,80 +1,20 @@
 //! Differential tests: the batched hit-run engine must be bit-for-bit
-//! equivalent to the per-reference [`placesim_machine::reference`]
-//! engine — identical [`SimStats`] (every counter, every processor) and
-//! identical coherence-traffic matrices — over randomized programs,
-//! placements and machine configurations.
+//! equivalent to the naive machine model in `common/naive.rs` —
+//! identical [`placesim_machine::SimStats`] (every counter, every
+//! processor) and identical coherence-traffic matrices — over randomized
+//! programs, placements and machine configurations.
 //!
-//! This is the safety net for the hot-path batching optimisation: the
-//! reference engine is the obviously-correct one-event-per-reference
-//! implementation, kept verbatim behind the `reference-engine` feature.
-
-#![cfg(feature = "reference-engine")]
+//! This is the safety net for the hot path's batching: the naive model
+//! executes one reference per step and shares no cache, directory or
+//! scheduling code with the engine, so a fault in either shows up here.
 
 mod common;
 
-use common::{arb_placement, simulate_with_traffic};
-use placesim_machine::{reference, ArchConfig};
+use common::{arb_barrier_program, arb_placement, arb_program, assert_matches_oracle};
+use placesim_machine::ArchConfig;
 use placesim_placement::PlacementMap;
 use placesim_trace::{Address, MemRef, ProgramTrace, ThreadTrace};
 use proptest::prelude::*;
-
-/// Random program over a small address universe to provoke sharing,
-/// conflicts, invalidations and upgrades.
-fn arb_program() -> impl Strategy<Value = ProgramTrace> {
-    let r#ref = (0u8..3, 0u64..64);
-    let thread = proptest::collection::vec(r#ref, 0..150);
-    proptest::collection::vec(thread, 1..6).prop_map(|threads| {
-        let traces: Vec<ThreadTrace> = threads
-            .into_iter()
-            .map(|refs| {
-                refs.into_iter()
-                    .map(|(kind, slot)| {
-                        let addr = Address::new(slot * 16); // overlapping lines
-                        match kind {
-                            0 => MemRef::instr(addr),
-                            1 => MemRef::read(addr),
-                            _ => MemRef::write(addr),
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        ProgramTrace::new("diff-prop", traces)
-    })
-}
-
-/// Programs with barrier phases (equal barrier counts per thread), so
-/// the differential covers parks, releases and waiting contexts.
-fn arb_barrier_program() -> impl Strategy<Value = ProgramTrace> {
-    let segment = proptest::collection::vec((0u8..3, 0u64..48), 0..30);
-    (
-        1usize..4,
-        proptest::collection::vec(proptest::collection::vec(segment, 3), 1..5),
-    )
-        .prop_map(|(phases, threads)| {
-            let traces: Vec<ThreadTrace> = threads
-                .into_iter()
-                .map(|segments| {
-                    let mut t = ThreadTrace::new();
-                    for (pi, seg) in segments.into_iter().take(phases).enumerate() {
-                        for (kind, slot) in seg {
-                            let addr = Address::new(0x100 + slot * 16);
-                            t.push(match kind {
-                                0 => MemRef::instr(addr),
-                                1 => MemRef::read(addr),
-                                _ => MemRef::write(addr),
-                            });
-                        }
-                        if pi + 1 < phases {
-                            t.push(MemRef::barrier(pi as u64));
-                        }
-                    }
-                    t
-                })
-                .collect();
-            ProgramTrace::new("diff-barrier-prop", traces)
-        })
-}
 
 /// Randomized machine: cache geometry, latencies, channel occupancy and
 /// the upgrade-stall policy all vary, so lookahead catch-ups are probed
@@ -100,35 +40,17 @@ fn arb_config() -> impl Strategy<Value = ArchConfig> {
     })
 }
 
-/// Full-state equality between the two engines on one scenario.
-fn assert_engines_agree(prog: &ProgramTrace, map: &PlacementMap, config: &ArchConfig) {
-    let (fast, fast_traffic) = simulate_with_traffic(prog, map, config).expect("batched engine");
-    let (slow, slow_traffic) =
-        reference::simulate_with_traffic(prog, map, config).expect("reference engine");
-    assert_eq!(
-        fast,
-        slow,
-        "batched and reference SimStats diverge (p={}, threads={})",
-        map.processor_count(),
-        prog.thread_count()
-    );
-    assert_eq!(
-        fast_traffic, slow_traffic,
-        "batched and reference traffic matrices diverge"
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn engines_agree_on_random_programs(
-        prog in arb_program(),
+        prog in arb_program(150),
         seed in 1u64..5000,
         config in arb_config(),
     ) {
         let map = arb_placement(prog.thread_count(), seed);
-        assert_engines_agree(&prog, &map, &config);
+        assert_matches_oracle(&prog, &map, &config);
     }
 
     #[test]
@@ -138,26 +60,26 @@ proptest! {
         config in arb_config(),
     ) {
         let map = arb_placement(prog.thread_count(), seed);
-        assert_engines_agree(&prog, &map, &config);
+        assert_matches_oracle(&prog, &map, &config);
     }
 
     #[test]
-    fn engines_agree_on_single_processor(prog in arb_program(), config in arb_config()) {
+    fn engines_agree_on_single_processor(prog in arb_program(150), config in arb_config()) {
         // p = 1: the lone pending processor runs its hits in one
         // mutating pass without scanning, the case the fast path
         // optimizes most.
         let t = prog.thread_count();
         let map = PlacementMap::from_clusters(vec![(0..t).collect()]).unwrap();
-        assert_engines_agree(&prog, &map, &config);
+        assert_matches_oracle(&prog, &map, &config);
     }
 
     #[test]
-    fn engines_agree_on_all_distinct_processors(prog in arb_program(), config in arb_config()) {
+    fn engines_agree_on_all_distinct_processors(prog in arb_program(150), config in arb_config()) {
         // One thread per processor: lockstep events, every processor
         // holding a lookahead at once, catch-ups at every remote write.
         let t = prog.thread_count();
         let map = PlacementMap::from_clusters((0..t).map(|i| vec![i]).collect()).unwrap();
-        assert_engines_agree(&prog, &map, &config);
+        assert_matches_oracle(&prog, &map, &config);
     }
 }
 
@@ -187,7 +109,7 @@ fn engines_agree_on_paper_default_machine() {
         vec![vec![0], vec![1], vec![2]],
     ] {
         let map = PlacementMap::from_clusters(clusters).unwrap();
-        assert_engines_agree(&prog, &map, &ArchConfig::paper_default());
+        assert_matches_oracle(&prog, &map, &ArchConfig::paper_default());
     }
 }
 
@@ -228,7 +150,7 @@ fn engines_agree_on_paper_scale_suite_traces() {
                         .associativity(assoc)
                         .build()
                         .expect("valid config");
-                    assert_engines_agree(&prog, map, &config);
+                    assert_matches_oracle(&prog, map, &config);
                 }
             }
         }

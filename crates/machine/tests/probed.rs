@@ -7,7 +7,8 @@
 mod common;
 
 use common::{
-    arb_placement, simulate_attributed, simulate_observed, simulate_traced, simulate_with_traffic,
+    arb_placement, arb_program, naive, simulate_attributed, simulate_observed, simulate_traced,
+    simulate_with_traffic,
 };
 use placesim_analysis::SymMatrix;
 use placesim_machine::{
@@ -17,31 +18,6 @@ use placesim_machine::{
 use placesim_placement::PlacementMap;
 use placesim_trace::{Address, MemRef, ProgramTrace, ThreadTrace};
 use proptest::prelude::*;
-
-/// Random program over a small address universe to provoke sharing,
-/// conflicts, invalidations, upgrades and updates.
-fn arb_program() -> impl Strategy<Value = ProgramTrace> {
-    let r#ref = (0u8..3, 0u64..64);
-    let thread = proptest::collection::vec(r#ref, 0..150);
-    proptest::collection::vec(thread, 1..6).prop_map(|threads| {
-        let traces: Vec<ThreadTrace> = threads
-            .into_iter()
-            .map(|refs| {
-                refs.into_iter()
-                    .map(|(kind, slot)| {
-                        let addr = Address::new(slot * 16); // overlapping lines
-                        match kind {
-                            0 => MemRef::instr(addr),
-                            1 => MemRef::read(addr),
-                            _ => MemRef::write(addr),
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        ProgramTrace::new("probed-prop", traces)
-    })
-}
 
 fn arb_config() -> impl Strategy<Value = ArchConfig> {
     (0u8..3, 0u8..3, 0u8..2).prop_map(|(protocol, geom, assoc)| {
@@ -70,7 +46,7 @@ proptest! {
 
     #[test]
     fn all_recordings_compose(
-        prog in arb_program(),
+        prog in arb_program(150),
         seed in 1u64..5000,
         config in arb_config(),
     ) {
@@ -88,12 +64,8 @@ proptest! {
         let traffic = all.traffic.unwrap();
         let (_, traffic_only) = simulate_with_traffic(&prog, &map, &config).unwrap();
         prop_assert_eq!(&traffic, &traffic_only);
-        #[cfg(feature = "reference-engine")]
-        {
-            let (_, oracle) =
-                placesim_machine::reference::simulate_with_traffic(&prog, &map, &config).unwrap();
-            prop_assert_eq!(&traffic, &oracle);
-        }
+        let (_, oracle) = naive::simulate(&prog, &map, &config);
+        prop_assert_eq!(&traffic, &oracle);
 
         let (_, counters_only) = simulate_observed(&prog, &map, &config).unwrap();
         prop_assert_eq!(all.counters.unwrap(), counters_only);

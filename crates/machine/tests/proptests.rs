@@ -3,37 +3,11 @@
 
 mod common;
 
-use common::{arb_placement, simulate_with_traffic};
+use common::{arb_placement, arb_program, simulate_with_traffic};
 use placesim_machine::{simulate, ArchConfig};
 use placesim_placement::PlacementMap;
-use placesim_trace::{Address, MemRef, ProgramTrace, ThreadTrace};
 use proptest::prelude::*;
 use std::collections::HashSet;
-
-/// Random program over a small address universe to provoke sharing and
-/// conflicts.
-fn arb_program() -> impl Strategy<Value = ProgramTrace> {
-    let r#ref = (0u8..3, 0u64..64);
-    let thread = proptest::collection::vec(r#ref, 0..120);
-    proptest::collection::vec(thread, 1..6).prop_map(|threads| {
-        let traces: Vec<ThreadTrace> = threads
-            .into_iter()
-            .map(|refs| {
-                refs.into_iter()
-                    .map(|(kind, slot)| {
-                        let addr = Address::new(slot * 16); // overlapping lines
-                        match kind {
-                            0 => MemRef::instr(addr),
-                            1 => MemRef::read(addr),
-                            _ => MemRef::write(addr),
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        ProgramTrace::new("prop", traces)
-    })
-}
 
 fn tiny_config() -> ArchConfig {
     ArchConfig::builder()
@@ -47,7 +21,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn conservation_laws(prog in arb_program(), seed in 1u64..5000) {
+    fn conservation_laws(prog in arb_program(120), seed in 1u64..5000) {
         let map = arb_placement(prog.thread_count(), seed);
         let stats = simulate(&prog, &map, &tiny_config()).unwrap();
 
@@ -76,7 +50,7 @@ proptest! {
 
     #[test]
     fn compulsory_equals_distinct_lines_per_processor(
-        prog in arb_program(),
+        prog in arb_program(120),
         seed in 1u64..5000,
     ) {
         let map = arb_placement(prog.thread_count(), seed);
@@ -100,7 +74,7 @@ proptest! {
     }
 
     #[test]
-    fn determinism(prog in arb_program(), seed in 1u64..5000) {
+    fn determinism(prog in arb_program(120), seed in 1u64..5000) {
         let map = arb_placement(prog.thread_count(), seed);
         let a = simulate_with_traffic(&prog, &map, &tiny_config()).unwrap();
         let b = simulate_with_traffic(&prog, &map, &tiny_config()).unwrap();
@@ -109,14 +83,14 @@ proptest! {
     }
 
     #[test]
-    fn infinite_cache_has_no_conflicts(prog in arb_program(), seed in 1u64..5000) {
+    fn infinite_cache_has_no_conflicts(prog in arb_program(120), seed in 1u64..5000) {
         let map = arb_placement(prog.thread_count(), seed);
         let stats = simulate(&prog, &map, &ArchConfig::infinite_cache()).unwrap();
         prop_assert_eq!(stats.total_misses().conflicts(), 0);
     }
 
     #[test]
-    fn traffic_matrix_totals_match_stats(prog in arb_program(), seed in 1u64..5000) {
+    fn traffic_matrix_totals_match_stats(prog in arb_program(120), seed in 1u64..5000) {
         let map = arb_placement(prog.thread_count(), seed);
         let (stats, traffic) = simulate_with_traffic(&prog, &map, &tiny_config()).unwrap();
         let matrix_total: u64 = traffic.iter_pairs().map(|(_, _, v)| v).sum();
@@ -124,7 +98,7 @@ proptest! {
     }
 
     #[test]
-    fn single_context_never_switches(prog in arb_program()) {
+    fn single_context_never_switches(prog in arb_program(120)) {
         // All threads on distinct processors, one context each: switching
         // still occurs on misses (pipeline drain), but idle time must then
         // cover the full remaining latency.
@@ -152,41 +126,7 @@ proptest! {
 /// must hold through barrier waits and releases.
 mod barrier_props {
     use super::*;
-    use placesim_machine::ArchConfig;
-    use placesim_trace::MemRef;
-
-    fn arb_barrier_program() -> impl Strategy<Value = ProgramTrace> {
-        // Each thread: `phases` segments of random refs with barriers
-        // between segments; all threads share the phase count.
-        let segment = proptest::collection::vec((0u8..3, 0u64..48), 0..30);
-        (
-            1usize..4,
-            proptest::collection::vec(proptest::collection::vec(segment, 3), 1..5),
-        )
-            .prop_map(|(phases, threads)| {
-                let traces: Vec<ThreadTrace> = threads
-                    .into_iter()
-                    .map(|segments| {
-                        let mut t = ThreadTrace::new();
-                        for (pi, seg) in segments.into_iter().take(phases).enumerate() {
-                            for (kind, slot) in seg {
-                                let addr = Address::new(0x100 + slot * 16);
-                                t.push(match kind {
-                                    0 => MemRef::instr(addr),
-                                    1 => MemRef::read(addr),
-                                    _ => MemRef::write(addr),
-                                });
-                            }
-                            if pi + 1 < phases {
-                                t.push(MemRef::barrier(pi as u64));
-                            }
-                        }
-                        t
-                    })
-                    .collect();
-                ProgramTrace::new("barrier-prop", traces)
-            })
-    }
+    use common::arb_barrier_program;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -239,7 +179,7 @@ mod observed_props {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn observation_never_perturbs(prog in arb_program(), seed in 1u64..5000) {
+        fn observation_never_perturbs(prog in arb_program(120), seed in 1u64..5000) {
             let map = arb_placement(prog.thread_count(), seed);
             let config = tiny_config();
             let plain = simulate(&prog, &map, &config).unwrap();
@@ -269,25 +209,24 @@ mod observed_props {
     }
 }
 
-/// Both engines, random traces and placements: the conservation laws
-/// the auditor enforces internally, asserted externally against each
-/// engine's output (and, with `--features audit`, re-checked by the
-/// auditor inside every run).
-#[cfg(feature = "reference-engine")]
+/// The engine and the naive model, random traces and placements: the
+/// conservation laws the auditor enforces internally, asserted
+/// externally against each one's output (and, with `--features audit`,
+/// re-checked by the auditor inside every engine run).
 mod engine_law_props {
     use super::*;
-    use placesim_machine::reference;
+    use common::naive;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn laws_hold_in_both_engines(prog in arb_program(), seed in 1u64..5000) {
+        fn laws_hold_in_both_engines(prog in arb_program(120), seed in 1u64..5000) {
             let map = arb_placement(prog.thread_count(), seed);
             let config = tiny_config();
             for stats in [
                 simulate(&prog, &map, &config).unwrap(),
-                reference::simulate(&prog, &map, &config).unwrap(),
+                naive::simulate(&prog, &map, &config).0,
             ] {
                 prop_assert_eq!(stats.total_refs(), prog.total_refs());
                 let sent: u64 =

@@ -3,10 +3,10 @@
 //! Three families of guarantees, over randomized programs, placements
 //! and cache geometries (associativity 1 and 2):
 //!
-//! * **WI bit-identity** — `protocol=wi` is the pre-refactor machine.
-//!   Under `reference-engine` the batched engine must agree bit-for-bit
-//!   (every [`ProcStats`] counter and the traffic matrix) with the
-//!   per-reference reference engine.
+//! * **Bit-identity with the naive model** — under every protocol the
+//!   batched engine must agree bit-for-bit (every
+//!   [`placesim_machine::ProcStats`] counter and the traffic matrix)
+//!   with the naive model in `common/naive.rs`.
 //! * **Message conservation** — for every protocol,
 //!   `coherence_traffic = invalidations + invalidation misses +
 //!   updates`, the buckets are disjoint (WI/MESI send no updates,
@@ -24,36 +24,11 @@
 
 mod common;
 
-use common::{arb_placement, simulate_with_traffic};
+use common::{arb_placement, arb_program, assert_matches_oracle, simulate_with_traffic};
 use placesim_machine::{ArchConfig, Protocol, SimStats};
 use placesim_placement::PlacementMap;
 use placesim_trace::{Address, MemRef, ProgramTrace, ThreadTrace};
 use proptest::prelude::*;
-
-/// Random program over a small address universe to provoke sharing,
-/// conflicts, invalidations, upgrades and updates.
-fn arb_program() -> impl Strategy<Value = ProgramTrace> {
-    let r#ref = (0u8..3, 0u64..64);
-    let thread = proptest::collection::vec(r#ref, 0..150);
-    proptest::collection::vec(thread, 1..6).prop_map(|threads| {
-        let traces: Vec<ThreadTrace> = threads
-            .into_iter()
-            .map(|refs| {
-                refs.into_iter()
-                    .map(|(kind, slot)| {
-                        let addr = Address::new(slot * 16); // overlapping lines
-                        match kind {
-                            0 => MemRef::instr(addr),
-                            1 => MemRef::read(addr),
-                            _ => MemRef::write(addr),
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        ProgramTrace::new("protocol-prop", traces)
-    })
-}
 
 /// Randomized geometry at associativity 1 and 2, per protocol.
 fn arb_config(protocol: Protocol) -> impl Strategy<Value = ArchConfig> {
@@ -107,56 +82,34 @@ fn assert_conservation(protocol: Protocol, stats: &SimStats) {
     }
 }
 
-/// Runs one scenario under `protocol` on the batched engine and (when
-/// built in) the reference engine, asserting bit-identical stats and
-/// traffic matrices, and returns the batched engine's stats.
-fn simulate_all_engines(prog: &ProgramTrace, map: &PlacementMap, config: &ArchConfig) -> SimStats {
-    #[cfg_attr(not(feature = "reference-engine"), allow(unused_variables))]
-    let (serial, serial_traffic) = simulate_with_traffic(prog, map, config).expect("serial engine");
-    #[cfg(feature = "reference-engine")]
-    {
-        let (slow, slow_traffic) =
-            placesim_machine::reference::simulate_with_traffic(prog, map, config)
-                .expect("reference engine");
-        assert_eq!(
-            serial,
-            slow,
-            "batched engine diverges from reference under {}",
-            config.protocol()
-        );
-        assert_eq!(serial_traffic, slow_traffic, "reference traffic diverges");
-    }
-    serial
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// WI bit-identity between the batched and (when built in) the
-    /// reference engine, plus conservation.
+    /// WI bit-identity between the engine and the naive model, plus
+    /// conservation.
     #[test]
     fn wi_is_bit_identical_across_engines(
-        prog in arb_program(),
+        prog in arb_program(150),
         seed in 1u64..5000,
         config in arb_config(Protocol::Wi),
     ) {
         let map = arb_placement(prog.thread_count(), seed);
-        let stats = simulate_all_engines(&prog, &map, &config);
+        let stats = assert_matches_oracle(&prog, &map, &config);
         assert_conservation(Protocol::Wi, &stats);
     }
 
-    /// MESI agrees with itself across engines, conserves messages, and
+    /// MESI agrees with the naive model, conserves messages, and
     /// only ever *removes* upgrade traffic relative to WI — the
     /// exclusive-clean fill turns first-writes to private lines silent
     /// without changing which references miss.
     #[test]
     fn mesi_conserves_and_only_reduces_upgrades(
-        prog in arb_program(),
+        prog in arb_program(150),
         seed in 1u64..5000,
         config in arb_config(Protocol::Mesi),
     ) {
         let map = arb_placement(prog.thread_count(), seed);
-        let stats = simulate_all_engines(&prog, &map, &config);
+        let stats = assert_matches_oracle(&prog, &map, &config);
         assert_conservation(Protocol::Mesi, &stats);
 
         let wi_config = config.with_protocol(Protocol::Wi);
@@ -176,16 +129,16 @@ proptest! {
         assert_eq!(stats.total_refs(), wi.total_refs());
     }
 
-    /// Dragon agrees with itself across engines, conserves update
+    /// Dragon agrees with the naive model, conserves update
     /// messages, and is structurally invalidation-free.
     #[test]
     fn dragon_conserves_and_never_invalidates(
-        prog in arb_program(),
+        prog in arb_program(150),
         seed in 1u64..5000,
         config in arb_config(Protocol::Dragon),
     ) {
         let map = arb_placement(prog.thread_count(), seed);
-        let stats = simulate_all_engines(&prog, &map, &config);
+        let stats = assert_matches_oracle(&prog, &map, &config);
         assert_conservation(Protocol::Dragon, &stats);
     }
 }
@@ -227,7 +180,7 @@ fn protocols_differ_in_the_documented_directions() {
 
     let run = |protocol: Protocol| {
         let config = ArchConfig::paper_default().with_protocol(protocol);
-        let stats = simulate_all_engines(&prog, &map, &config);
+        let stats = assert_matches_oracle(&prog, &map, &config);
         assert_conservation(protocol, &stats);
         stats
     };

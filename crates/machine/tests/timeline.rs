@@ -4,36 +4,11 @@
 
 mod common;
 
-use common::{arb_placement, simulate_traced};
+use common::{arb_placement, arb_program, simulate_traced};
 use placesim_machine::{simulate, ArchConfig};
 use placesim_placement::PlacementMap;
 use placesim_trace::{Address, MemRef, ProgramTrace, ThreadTrace};
 use proptest::prelude::*;
-
-/// Random program over a small address universe to provoke sharing and
-/// conflicts (mirrors `proptests.rs`).
-fn arb_program() -> impl Strategy<Value = ProgramTrace> {
-    let r#ref = (0u8..3, 0u64..64);
-    let thread = proptest::collection::vec(r#ref, 0..120);
-    proptest::collection::vec(thread, 1..6).prop_map(|threads| {
-        let traces: Vec<ThreadTrace> = threads
-            .into_iter()
-            .map(|refs| {
-                refs.into_iter()
-                    .map(|(kind, slot)| {
-                        let addr = Address::new(slot * 16);
-                        match kind {
-                            0 => MemRef::instr(addr),
-                            1 => MemRef::read(addr),
-                            _ => MemRef::write(addr),
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        ProgramTrace::new("prop", traces)
-    })
-}
 
 fn tiny_config() -> ArchConfig {
     ArchConfig::builder()
@@ -48,7 +23,7 @@ proptest! {
 
     /// Tracing must never perturb the simulation, in any build.
     #[test]
-    fn tracing_never_perturbs(prog in arb_program(), seed in 1u64..5000) {
+    fn tracing_never_perturbs(prog in arb_program(120), seed in 1u64..5000) {
         let map = arb_placement(prog.thread_count(), seed);
         let plain = simulate(&prog, &map, &tiny_config()).unwrap();
         let (traced, _, _) = simulate_traced(&prog, &map, &tiny_config(), 1 << 16).unwrap();
@@ -67,7 +42,7 @@ mod traced_props {
         /// statistics: misses, fills, invalidations, switches and
         /// directory transactions are each counted once per event.
         #[test]
-        fn event_counts_reconcile_with_stats(prog in arb_program(), seed in 1u64..5000) {
+        fn event_counts_reconcile_with_stats(prog in arb_program(120), seed in 1u64..5000) {
             let map = arb_placement(prog.thread_count(), seed);
             let (stats, report, trace) =
                 simulate_traced(&prog, &map, &tiny_config(), 1 << 16).unwrap();
@@ -127,7 +102,7 @@ mod traced_props {
         /// timeline gap this suite previously left open).
         #[test]
         fn dragon_update_events_reconcile_with_stats(
-            prog in arb_program(),
+            prog in arb_program(120),
             seed in 1u64..5000,
         ) {
             let map = arb_placement(prog.thread_count(), seed);
@@ -153,7 +128,7 @@ mod traced_props {
         /// A tiny ring drops events but the per-kind counters stay
         /// exact, so reconciliation still holds.
         #[test]
-        fn ring_overflow_keeps_counts_exact(prog in arb_program(), seed in 1u64..2000) {
+        fn ring_overflow_keeps_counts_exact(prog in arb_program(120), seed in 1u64..2000) {
             let map = arb_placement(prog.thread_count(), seed);
             let (stats, _, trace) = simulate_traced(&prog, &map, &tiny_config(), 8).unwrap();
             prop_assert!(trace.len() <= 8);

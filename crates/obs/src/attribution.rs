@@ -28,7 +28,7 @@
 //! the same order always produces a bit-identical report.
 //!
 //! Serialization is the `placesim-attribution-v1` schema, written with
-//! the crate's [`JsonWriter`][crate::json::JsonWriter] and re-validated
+//! the crate's [`JsonWriter`] and re-validated
 //! by the strict parser ([`validate`], [`parse`]).
 
 use crate::json::{self, JsonValue, JsonWriter};

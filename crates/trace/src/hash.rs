@@ -87,7 +87,7 @@ fn checksum_step(h: u64, word: u64) -> u64 {
 /// payloads and the footer.
 ///
 /// The bytes are read as little-endian 8-byte words, the last one
-/// zero-padded, and each word goes through one [`checksum_step`]. The
+/// zero-padded, and each word goes through one `checksum_step`. The
 /// payload length is xored in at the end and the state is finished by
 /// the MurmurHash3 `fmix64` avalanche, itself a bijection. Because
 /// every step is a bijection of the state, and of the word for a fixed
