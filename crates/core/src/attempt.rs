@@ -11,7 +11,7 @@
 //! tallied into the caller's [`FaultCounters`].
 
 use placesim_obs::FaultCounters;
-use placesim_trace::par::{panic_payload_summary, CancelToken};
+use placesim_trace::par::{panic_payload_summary, run_as_pool_worker, CancelToken};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -171,6 +171,10 @@ impl RetryPolicy<'_> {
 /// on that thread and come back classified; when the watchdog fires the
 /// thread is abandoned (it parks on a dead channel and exits whenever
 /// the wedged work finishes, if ever) and the caller moves on.
+///
+/// The attempt thread runs as a pool worker ([`run_as_pool_worker`]):
+/// it stands in for the supervisor's or the service's worker, which
+/// already holds a core, so pools the work opens run inline on it.
 fn run_attempt<T, E, W>(watchdog: Option<Duration>, work: W) -> Attempt<T, E>
 where
     T: Send + 'static,
@@ -179,7 +183,7 @@ where
 {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
-        let outcome = match catch_unwind(AssertUnwindSafe(work)) {
+        let outcome = match catch_unwind(AssertUnwindSafe(|| run_as_pool_worker(work))) {
             Ok(returned) => Attempt::Returned(returned),
             Err(payload) => Attempt::Panicked(panic_payload_summary(payload.as_ref())),
         };
@@ -244,6 +248,28 @@ mod tests {
             GaveUp::Error(e) => panic!("expected a transient fault, got error {e}"),
         }
         assert_eq!((faults.panics, faults.retries), (2, 1));
+    }
+
+    #[test]
+    fn pools_inside_an_attempt_run_on_the_attempt_thread() {
+        use placesim_trace::par::{max_workers, parallel_map};
+        let top = max_workers();
+        let mut faults = FaultCounters::new();
+        let outcome = policy(1).run(
+            0,
+            &mut faults,
+            |_| {
+                || {
+                    let me = std::thread::current().id();
+                    let items: Vec<usize> = (0..32).collect();
+                    let ids = parallel_map(&items, |_| std::thread::current().id());
+                    Ok::<_, String>((max_workers(), ids.iter().all(|&id| id == me)))
+                }
+            },
+            || {},
+        );
+        assert_eq!(outcome, Ok(((1, true), 1)));
+        assert_eq!(max_workers(), top, "the caller's pool is unchanged");
     }
 
     #[test]

@@ -334,6 +334,29 @@ mod tests {
         )
     }
 
+    /// Generation and the sharded sharing scan give the same trace and
+    /// analysis when their pools run inline, as they do inside a
+    /// service job, as at top level.
+    #[test]
+    fn the_front_end_inside_a_pool_matches_the_top_level() {
+        use placesim_trace::par::{max_workers, run_as_pool_worker};
+        let front_end = |name: &str, scale: f64| {
+            let opts = GenOptions { scale, seed: 1 };
+            let (prog, access) = generate_with_access(&spec(name).unwrap(), &opts);
+            (prog, SharingAnalysis::measure_access(&access))
+        };
+        // The scales of the service benchmark's job mix.
+        for (name, scale) in [("water", 0.02), ("locusroute", 0.01), ("fft", 0.01)] {
+            let top = front_end(name, scale);
+            let inline = run_as_pool_worker(|| {
+                assert_eq!(max_workers(), 1);
+                front_end(name, scale)
+            });
+            assert!(top.0 == inline.0, "{name}: traces differ");
+            assert!(top.1 == inline.1, "{name}: sharing analyses differ");
+        }
+    }
+
     #[test]
     fn prepare_builds_everything() {
         let app = tiny("water");

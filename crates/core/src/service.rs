@@ -24,16 +24,22 @@
 //!   (retried; a job that exhausts them fails with `gave up after N
 //!   attempts: <reason>`); domain errors are deterministic (failed
 //!   immediately with their own message). Watchdog-abandoned threads
-//!   are counted in [`FaultCounters::abandoned`].
+//!   are counted in [`FaultCounters::abandoned`]. An attempt thread
+//!   counts as a pool worker, so the job's trace generation, sharing
+//!   scan and sweep run their pools inline on it: the service's
+//!   workers already fill the cores.
 //! * **Exclusive lockfile** — a second daemon on the same directory
 //!   gets a typed [`ServiceError::Locked`]; a stale lock left by a
 //!   dead PID is reclaimed.
 //! * **Result cache** — completed results are retained under a
-//!   fingerprint key (the canonical job spec, which pins the trace via
-//!   its deterministic `(app, scale, seed)` generation; every result
-//!   additionally embeds the trace's fnv1a64 fingerprint as the
-//!   cross-restart identity check). Retention is a bounded LRU:
-//!   evicted results drop their bytes but stay on disk in the journal.
+//!   fingerprint key (the fnv1a64 of the canonical job spec, which pins
+//!   the trace via its deterministic `(app, scale, seed)` generation;
+//!   every result additionally embeds the trace's
+//!   [`program_fingerprint`] as the cross-restart identity check).
+//!   Retention is a bounded LRU: evicted results drop their bytes but
+//!   stay on disk in the journal. A result journaled by an earlier
+//!   build is served with the bytes it was stored with, fingerprint
+//!   included.
 //! * **Graceful drain** — `shutdown` (or `SIGTERM` in the CLI) stops
 //!   admission with typed `draining` rejections, lets running jobs
 //!   finish, and leaves queued jobs journaled for the next start.
@@ -43,6 +49,7 @@
 //! line out, never a panic.
 
 use crate::attempt::{lock, BackoffPolicy, GaveUp, RetryPolicy};
+use crate::experiment::sweep_with_config;
 use crate::journal::{JournalError, RecordLog};
 use crate::manifest::ManifestEntry;
 use crate::{run_placement_with_config, PreparedApp};
@@ -943,22 +950,15 @@ fn execute_job(spec: &JobSpec) -> Result<String, String> {
             entry.write_fields(&mut w);
         }
         JobOp::Sweep => {
+            let results = sweep_with_config(&app, &algorithms, &spec.processors, &app.config)
+                .map_err(|e| e.to_string())?;
             w.key("cells");
             w.begin_array();
-            for &algorithm in &algorithms {
-                for &processors in &spec.processors {
-                    let result =
-                        run_placement_with_config(&app, algorithm, processors, &app.config)
-                            .map_err(|e| e.to_string())?;
-                    let entry = ManifestEntry::from_stats(
-                        algorithm.paper_name(),
-                        processors,
-                        &result.stats,
-                    );
-                    w.begin_object();
-                    entry.write_fields(&mut w);
-                    w.end_object();
-                }
+            for r in &results {
+                w.begin_object();
+                ManifestEntry::from_stats(r.algorithm.paper_name(), r.processors, &r.stats)
+                    .write_fields(&mut w);
+                w.end_object();
             }
             w.end_array();
         }
@@ -1125,6 +1125,59 @@ mod tests {
 
         svc.drain_and_join();
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A sweep job is [`sweep_with_config`]: its bytes equal a cell
+    /// loop that places and simulates every cell on its own.
+    #[test]
+    fn a_sweep_result_matches_one_cell_at_a_time() {
+        let spec = JobSpec {
+            op: JobOp::Sweep,
+            app: "water".to_owned(),
+            scale: 0.002,
+            seed: 3,
+            protocol: Some("mesi".to_owned()),
+            algorithms: ["LOAD-BAL", "SHARE-REFS", "RANDOM", "COHERENCE"]
+                .map(str::to_owned)
+                .to_vec(),
+            // One processor gives every algorithm the same map.
+            processors: vec![1, 2, 4],
+        };
+        let mut app = PreparedApp::prepare(
+            &placesim_workloads::spec("water").unwrap(),
+            &GenOptions {
+                scale: 0.002,
+                seed: 3,
+            },
+        );
+        app.config = app.config.with_protocol(Protocol::Mesi);
+        app.run_probe().unwrap();
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.field_str("schema", proto::SERVICE_SCHEMA);
+        w.field_str("kind", "job-result");
+        w.field_str("op", "sweep");
+        w.field_str("app", "water");
+        w.field_str(
+            "trace_fingerprint",
+            &format!("{:016x}", program_fingerprint(&app.prog)),
+        );
+        w.key("cells");
+        w.begin_array();
+        for name in &spec.algorithms {
+            let algorithm = parse_algorithm(name).unwrap();
+            for &processors in &spec.processors {
+                let result =
+                    run_placement_with_config(&app, algorithm, processors, &app.config).unwrap();
+                w.begin_object();
+                ManifestEntry::from_stats(algorithm.paper_name(), processors, &result.stats)
+                    .write_fields(&mut w);
+                w.end_object();
+            }
+        }
+        w.end_array();
+        w.end_object();
+        assert_eq!(execute_job(&spec).unwrap(), w.finish());
     }
 
     #[test]

@@ -235,6 +235,39 @@ fn watchdog_timeouts_count_abandoned_threads() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// The journal of `journal_records_are_pinned_byte_for_byte`: an
+/// analyze job that completes, then one that fails.
+const JOB1: &str = concat!(
+    r#"5f7a130c74aaae5f {"schema": "placesim-service-v1", "kind": "job", "id": 1, "#,
+    r#""job": {"op": "analyze", "app": "water", "scale": 0.002, "seed": 3, "#,
+    r#""protocol": null, "algorithms": [], "processors": []}}"#
+);
+const DONE1: &str = concat!(
+    r#"6c0e8e4786429454 {"schema": "placesim-service-v1", "kind": "done", "id": 1, "#,
+    r#""result": "{\"schema\": \"placesim-service-v1\", \"kind\": \"job-result\", "#,
+    r#"\"op\": \"analyze\", \"app\": \"water\", "#,
+    r#"\"trace_fingerprint\": \"7b64fa62fafd04cc\", \"threads\": 16, "#,
+    r#"\"total_refs\": 19446, \"shared_addresses\": 16, \"total_addresses\": 59}"}"#
+);
+const JOB2: &str = concat!(
+    r#"fee2688b246420de {"schema": "placesim-service-v1", "kind": "job", "id": 2, "#,
+    r#""job": {"op": "analyze", "app": "no-such-app", "scale": 0.002, "seed": 3, "#,
+    r#""protocol": null, "algorithms": [], "processors": []}}"#
+);
+const FAILED2: &str = concat!(
+    r#"77cd028b02a9d860 {"schema": "placesim-service-v1", "kind": "failed", "id": 2, "#,
+    r#""reason": "unknown app \"no-such-app\""}"#
+);
+/// `DONE1` as builds wrote it while `trace_fingerprint` was byte-serial
+/// FNV-1a over the trace.
+const FNV_DONE1: &str = concat!(
+    r#"93ecda1b19e7b185 {"schema": "placesim-service-v1", "kind": "done", "id": 1, "#,
+    r#""result": "{\"schema\": \"placesim-service-v1\", \"kind\": \"job-result\", "#,
+    r#"\"op\": \"analyze\", \"app\": \"water\", "#,
+    r#"\"trace_fingerprint\": \"649b09581c006cee\", \"threads\": 16, "#,
+    r#"\"total_refs\": 19446, \"shared_addresses\": 16, \"total_addresses\": 59}"}"#
+);
+
 #[test]
 fn journal_records_are_pinned_byte_for_byte() {
     // The service journal's on-disk bytes, checksum included, for each
@@ -257,28 +290,56 @@ fn journal_records_are_pinned_byte_for_byte() {
 
     let journal = fs::read_to_string(dir.join(SERVICE_JOURNAL)).unwrap();
     let lines: Vec<&str> = journal.lines().collect();
-    let job1 = concat!(
-        r#"5f7a130c74aaae5f {"schema": "placesim-service-v1", "kind": "job", "id": 1, "#,
-        r#""job": {"op": "analyze", "app": "water", "scale": 0.002, "seed": 3, "#,
-        r#""protocol": null, "algorithms": [], "processors": []}}"#
-    );
-    let done1 = concat!(
-        r#"93ecda1b19e7b185 {"schema": "placesim-service-v1", "kind": "done", "id": 1, "#,
-        r#""result": "{\"schema\": \"placesim-service-v1\", \"kind\": \"job-result\", "#,
-        r#"\"op\": \"analyze\", \"app\": \"water\", "#,
-        r#"\"trace_fingerprint\": \"649b09581c006cee\", \"threads\": 16, "#,
-        r#"\"total_refs\": 19446, \"shared_addresses\": 16, \"total_addresses\": 59}"}"#
-    );
-    let job2 = concat!(
-        r#"fee2688b246420de {"schema": "placesim-service-v1", "kind": "job", "id": 2, "#,
-        r#""job": {"op": "analyze", "app": "no-such-app", "scale": 0.002, "seed": 3, "#,
-        r#""protocol": null, "algorithms": [], "processors": []}}"#
-    );
-    let failed2 = concat!(
-        r#"77cd028b02a9d860 {"schema": "placesim-service-v1", "kind": "failed", "id": 2, "#,
-        r#""reason": "unknown app \"no-such-app\""}"#
-    );
-    assert_eq!(lines, [job1, done1, job2, failed2]);
+    assert_eq!(lines, [JOB1, DONE1, JOB2, FAILED2]);
     assert!(journal.ends_with('\n'));
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_journal_from_an_fnv_build_resumes_and_serves_its_bytes() {
+    // A journal written before the fingerprint changed: its stored
+    // result keeps its FNV fingerprint, byte for byte, and is served
+    // from the journal rather than computed again.
+    let dir = tmp_dir("fnv-journal");
+    let journal = [JOB1, FNV_DONE1, JOB2, FAILED2]
+        .map(|line| format!("{line}\n"))
+        .concat();
+    fs::write(dir.join(SERVICE_JOURNAL), &journal).unwrap();
+    let (svc, recovery) = PlacementService::start(&dir, quick(1)).unwrap();
+    assert_eq!(recovery.completed, 1);
+    assert_eq!(recovery.failed, 1);
+    assert!(recovery.resumed.is_empty(), "{recovery:?}");
+    assert_eq!(recovery.dropped, 0);
+
+    let stored = json::parse(FNV_DONE1.split_once(' ').unwrap().1)
+        .unwrap()
+        .get("result")
+        .and_then(JsonValue::as_str)
+        .unwrap()
+        .to_owned();
+    assert!(stored.contains("\"trace_fingerprint\": \"649b09581c006cee\""));
+    let resp = svc.handle_request(&wait_line(1));
+    let doc = json::parse(&resp).unwrap();
+    assert_eq!(
+        doc.get("state").and_then(JsonValue::as_str),
+        Some("done"),
+        "{resp}"
+    );
+    assert_eq!(
+        doc.get("result").and_then(JsonValue::as_str),
+        Some(&*stored)
+    );
+    // The same spec again is a cache hit on job 1.
+    let analyze = "{\"op\": \"analyze\", \"app\": \"water\", \"scale\": 0.002, \"seed\": 3}";
+    let doc = json::parse(&svc.handle_request(&submit_line(analyze))).unwrap();
+    assert_eq!(doc.get("cached").and_then(JsonValue::as_bool), Some(true));
+    assert_eq!(doc.get("id").and_then(JsonValue::as_u64), Some(1));
+    svc.drain_and_join();
+    drop(svc);
+    // Nothing ran: an executed job would have appended a `done` line.
+    assert_eq!(
+        fs::read_to_string(dir.join(SERVICE_JOURNAL)).unwrap(),
+        journal
+    );
     fs::remove_dir_all(&dir).ok();
 }

@@ -1,6 +1,17 @@
 //! A fast, non-cryptographic hasher for address-keyed maps, and the
 //! checksums and digests of the on-disk formats.
 //!
+//! * [`fnv1a64`] — byte-serial FNV-1a: the sweep and service journals'
+//!   line checksums and the service's job-spec keys.
+//! * [`checksum64`] — word-at-a-time: chunk payloads and the footer of
+//!   the streaming trace format.
+//! * [`program_fingerprint`] — [`checksum64`]'s step over a trace's
+//!   packed records in four independent lanes: the `trace_fingerprint`
+//!   of service results.
+//!
+//! All three are stable across platforms; a change to any of them is a
+//! change to the format that stores its values.
+//!
 //! Trace analysis and simulation perform tens of millions of hash-map
 //! operations keyed by addresses; the standard SipHash dominates that
 //! cost. [`FastHasher`] is the classic Fibonacci-multiply mixer (as used
@@ -53,8 +64,8 @@ impl Hasher for FastHasher {
     }
 }
 
-/// FNV-1a over a byte slice, the checksum of the sweep journal and the
-/// digest behind fingerprints and cache keys. Stable across platforms
+/// FNV-1a over a byte slice: the line checksum of the sweep and service
+/// journals and the service's job-spec key. Stable across platforms
 /// and releases: checksums written by one build must verify under
 /// every other.
 #[must_use]
@@ -113,7 +124,13 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
         last[..tail.len()].copy_from_slice(tail);
         h = checksum_step(h, u64::from_le_bytes(last));
     }
-    let mut h = h ^ bytes.len() as u64;
+    fmix64(h ^ bytes.len() as u64)
+}
+
+/// The MurmurHash3 `fmix64` avalanche, a bijection of `u64`: the last
+/// step of [`checksum64`] and [`program_fingerprint`].
+#[inline]
+fn fmix64(mut h: u64) -> u64 {
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
     h ^= h >> 33;
@@ -121,63 +138,54 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
     h ^ (h >> 33)
 }
 
-/// Incremental FNV-1a: [`fnv1a64`] fed piecewise, for fingerprinting
-/// data too large (or too structured) to flatten into one slice first.
-/// Feeding the same bytes in any chunking yields the same digest.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv64(u64);
+/// Independent lanes of [`program_fingerprint`]: word `i` of a thread
+/// goes into lane `i % FINGERPRINT_LANES`, so four multiply chains run
+/// side by side instead of one.
+const FINGERPRINT_LANES: usize = 4;
 
-impl Fnv64 {
-    /// A fresh digest (the FNV-1a offset basis).
-    #[must_use]
-    pub fn new() -> Self {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Folds `bytes` into the digest.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// Folds a `u64` in (little-endian byte order, platform-stable).
-    pub fn update_u64(&mut self, v: u64) {
-        self.update(&v.to_le_bytes());
-    }
-
-    /// The digest so far.
-    #[must_use]
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// The FNV-1a fingerprint of a whole program trace: name, thread
-/// structure and every packed record, in order. Two traces fingerprint
-/// equal exactly when they are byte-for-byte the same workload —
+/// The fingerprint of a whole program trace: name, thread structure and
+/// every packed record, in order. Two traces fingerprint equal exactly
+/// when they are the same workload, up to a 64-bit collision —
 /// generation is deterministic in `(app, scale, seed)`, so the
-/// placement service uses this as the trace half of its result-cache
-/// key and as the cross-restart identity check in job results.
+/// placement service embeds this in every job result as the trace's
+/// cross-restart identity.
+///
+/// It runs the [`checksum64`] step over `u64` values, so it is the
+/// same on every platform. The state starts from the name's
+/// [`checksum64`], then takes the thread count. Each thread adds its
+/// length, then its packed words ([`ThreadTraceIter::as_packed`]) in
+/// four independent lanes, each seeded from the state; the lanes fold
+/// back into the state in lane order. The MurmurHash3 `fmix64`
+/// avalanche finishes the digest. A word changes exactly one lane's
+/// chain of bijections, and the fold is a bijection of each lane for
+/// fixed others, so two traces of one shape that differ in a single
+/// word always fingerprint differently. The lengths keep a reference
+/// moving across a thread boundary from going unseen.
+///
+/// Any change to this function changes the `trace_fingerprint` of
+/// every service result.
+///
+/// [`ThreadTraceIter::as_packed`]: crate::ThreadTraceIter::as_packed
 #[must_use]
 pub fn program_fingerprint(prog: &crate::ProgramTrace) -> u64 {
-    let mut h = Fnv64::new();
-    h.update(prog.name().as_bytes());
-    h.update_u64(prog.thread_count() as u64);
+    let mut h = checksum_step(CHECKSUM_SEED, checksum64(prog.name().as_bytes()));
+    h = checksum_step(h, prog.thread_count() as u64);
     for (_, thread) in prog.iter() {
-        h.update_u64(thread.len() as u64);
-        for r in thread.iter() {
-            h.update_u64(r.pack());
+        let words = thread.iter().as_packed();
+        h = checksum_step(h, words.len() as u64);
+        let mut lanes: [u64; FINGERPRINT_LANES] = std::array::from_fn(|k| h ^ k as u64);
+        let mut quads = words.chunks_exact(FINGERPRINT_LANES);
+        for quad in &mut quads {
+            for (lane, &w) in lanes.iter_mut().zip(quad) {
+                *lane = checksum_step(*lane, w);
+            }
         }
+        for (lane, &w) in lanes.iter_mut().zip(quads.remainder()) {
+            *lane = checksum_step(*lane, w);
+        }
+        h = lanes.into_iter().fold(h, checksum_step);
     }
-    h.finish()
+    fmix64(h)
 }
 
 /// A `HashMap` using [`FastHasher`].
@@ -249,16 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_fnv_matches_one_shot() {
-        let data = b"placesim fingerprint bytes";
-        let mut inc = Fnv64::new();
-        inc.update(&data[..7]);
-        inc.update(&data[7..]);
-        assert_eq!(inc.finish(), fnv1a64(data));
-        assert_eq!(Fnv64::default().finish(), fnv1a64(b""));
-    }
-
-    #[test]
     fn program_fingerprints_distinguish_traces() {
         use crate::{Address, MemRef, ProgramTrace, ThreadTrace};
         let t0: ThreadTrace = [MemRef::read(Address::new(0x10))].into_iter().collect();
@@ -271,6 +269,80 @@ mod tests {
         assert_ne!(program_fingerprint(&a), program_fingerprint(&renamed));
         let swapped = ProgramTrace::new("demo", vec![t1, t0]);
         assert_ne!(program_fingerprint(&a), program_fingerprint(&swapped));
+    }
+
+    fn refs(addrs: &[(u8, u64)]) -> crate::ThreadTrace {
+        use crate::{Address, MemRef};
+        addrs
+            .iter()
+            .map(|&(kind, a)| match kind {
+                b'i' => MemRef::instr(Address::new(a)),
+                b'r' => MemRef::read(Address::new(a)),
+                _ => MemRef::write(Address::new(a)),
+            })
+            .collect()
+    }
+
+    /// Known answers: any change to `program_fingerprint` changes these,
+    /// and with them the `trace_fingerprint` of every service result.
+    #[test]
+    fn program_fingerprint_known_answers() {
+        use crate::ProgramTrace;
+        let demo = ProgramTrace::new(
+            "demo",
+            vec![
+                refs(&[(b'i', 0x100), (b'r', 0x8000), (b'w', 0x8000)]),
+                refs(&[(b'i', 0x200), (b'r', 0x8000)]),
+            ],
+        );
+        // Nine words: two full lane rounds and one word in the tail.
+        let nine: Vec<(u8, u64)> = (0..9u64)
+            .map(|i| (b"irw"[i as usize % 3], 0x40 * i))
+            .collect();
+        let lanes = ProgramTrace::new("lanes", vec![refs(&nine), crate::ThreadTrace::new()]);
+        assert_eq!(program_fingerprint(&demo), 0x5bd9_7e30_1b99_540e);
+        assert_eq!(program_fingerprint(&lanes), 0xb401_f3a0_651e_85b1);
+    }
+
+    #[test]
+    fn program_fingerprints_see_thread_boundaries() {
+        use crate::ProgramTrace;
+        let (a, b, c) = ((b'r', 0x10), (b'w', 0x20), (b'i', 0x30));
+        let early = ProgramTrace::new("demo", vec![refs(&[a, b]), refs(&[c])]);
+        let late = ProgramTrace::new("demo", vec![refs(&[a]), refs(&[b, c])]);
+        assert_ne!(program_fingerprint(&early), program_fingerprint(&late));
+        let empty_first = ProgramTrace::new("demo", vec![refs(&[]), refs(&[a, b, c])]);
+        let empty_last = ProgramTrace::new("demo", vec![refs(&[a, b, c]), refs(&[])]);
+        assert_ne!(
+            program_fingerprint(&empty_first),
+            program_fingerprint(&empty_last)
+        );
+    }
+
+    #[test]
+    fn one_changed_word_in_any_lane_changes_the_fingerprint() {
+        use crate::ProgramTrace;
+        let base: Vec<(u8, u64)> = (0..11u64).map(|i| (b'r', 0x100 + 8 * i)).collect();
+        let fp = |words: &[(u8, u64)]| {
+            program_fingerprint(&ProgramTrace::new(
+                "lanes",
+                vec![refs(&[(b'i', 4)]), refs(words)],
+            ))
+        };
+        let want = fp(&base);
+        // Positions 0–3 cover the four lanes of a full round; 9 and 10
+        // are tail words after two rounds.
+        for at in [0, 1, 2, 3, 4, 7, 9, 10] {
+            for changed in [(b'w', base[at].1), (b'r', base[at].1 + 4)] {
+                let mut words = base.clone();
+                words[at] = changed;
+                assert_ne!(fp(&words), want, "word {at} changed to {changed:?}");
+            }
+        }
+        // Swapping two lanes' words is seen too.
+        let mut swapped = base.clone();
+        swapped.swap(0, 1);
+        assert_ne!(fp(&swapped), want);
     }
 
     #[test]

@@ -5,7 +5,19 @@
 //! stack) so both the analysis passes and the high-level sweep runner
 //! can fan work out over the same pool discipline; `placesim`
 //! re-exports it unchanged.
+//!
+//! **Pools do not nest.** A thread running inside a pool — a worker of
+//! [`try_parallel_map`] or [`parallel_map_isolated`], or any thread run
+//! through [`run_as_pool_worker`], such as the attempt threads of the
+//! sweep supervisor and the placement service — already holds one of
+//! the host's cores. On such a thread [`max_workers`] returns 1, so a
+//! [`parallel_map`] called from inside a pool runs every item on the
+//! calling thread instead of spawning threads for cores that are not
+//! free. Every caller here produces the same output for any worker
+//! count, so nesting changes where the work runs, never what it
+//! returns. Top-level calls keep the full pool.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -66,14 +78,39 @@ pub fn panic_payload_summary(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "<non-string panic payload>".to_string())
 }
 
+thread_local! {
+    /// Whether this thread runs inside a pool (see the module docs).
+    static IN_POOL: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` on the current thread as a pool worker: every
+/// [`max_workers`] call inside it returns 1, so pools opened inside `f`
+/// run inline (see the module docs). The thread's previous state comes
+/// back when `f` returns or unwinds.
+pub fn run_as_pool_worker<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_POOL.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(IN_POOL.with(|c| c.replace(true)));
+    f()
+}
+
 /// Maximum worker threads a [`parallel_map`] call may use.
 ///
-/// Defaults to `std::thread::available_parallelism()`; the
-/// `PLACESIM_THREADS` environment variable overrides it (values < 1 or
-/// unparsable are ignored), so benchmark and CI runs can pin the worker
-/// count — `PLACESIM_THREADS=1` forces fully serial execution without
-/// code edits.
+/// On a pool worker ([`run_as_pool_worker`]) it is always 1: pools do
+/// not nest. Elsewhere it defaults to
+/// `std::thread::available_parallelism()`; the `PLACESIM_THREADS`
+/// environment variable overrides it (values < 1 or unparsable are
+/// ignored), so benchmark and CI runs can pin the worker count —
+/// `PLACESIM_THREADS=1` forces fully serial execution without code
+/// edits.
 pub fn max_workers() -> usize {
+    if IN_POOL.with(Cell::get) {
+        return 1;
+    }
     std::env::var("PLACESIM_THREADS")
         .ok()
         .and_then(|s| s.parse::<usize>().ok())
@@ -168,33 +205,35 @@ where
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                match catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
-                    Ok(Ok(r)) => {
-                        let filled = slots[i].set(r).is_ok();
-                        debug_assert!(filled, "item {i} claimed twice");
-                    }
-                    Ok(Err(e)) => {
-                        stop.store(true, Ordering::Relaxed);
-                        errors.lock().expect("error list poisoned").push((i, e));
+            scope.spawn(|| {
+                run_as_pool_worker(|| loop {
+                    if stop.load(Ordering::Relaxed) {
                         break;
                     }
-                    Err(payload) => {
-                        stop.store(true, Ordering::Relaxed);
-                        panics
-                            .lock()
-                            .expect("panic list poisoned")
-                            .push((i, payload));
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
                         break;
                     }
-                }
+                    match catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
+                        Ok(Ok(r)) => {
+                            let filled = slots[i].set(r).is_ok();
+                            debug_assert!(filled, "item {i} claimed twice");
+                        }
+                        Ok(Err(e)) => {
+                            stop.store(true, Ordering::Relaxed);
+                            errors.lock().expect("error list poisoned").push((i, e));
+                            break;
+                        }
+                        Err(payload) => {
+                            stop.store(true, Ordering::Relaxed);
+                            panics
+                                .lock()
+                                .expect("panic list poisoned")
+                                .push((i, payload));
+                            break;
+                        }
+                    }
+                })
             });
         }
     });
@@ -316,21 +355,23 @@ where
     let slots: Mutex<Vec<Option<IsolatedOutcome<R>>>> = Mutex::new((0..n).map(|_| None).collect());
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                if cancelled() {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let outcome = match catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
-                    Ok(r) => IsolatedOutcome::Done(r),
-                    Err(payload) => IsolatedOutcome::Panicked(payload),
-                };
-                let mut slots = slots.lock().unwrap_or_else(|p| p.into_inner());
-                debug_assert!(slots[i].is_none(), "item {i} claimed twice");
-                slots[i] = Some(outcome);
+            scope.spawn(|| {
+                run_as_pool_worker(|| loop {
+                    if cancelled() {
+                        break;
+                    }
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let outcome = match catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
+                        Ok(r) => IsolatedOutcome::Done(r),
+                        Err(payload) => IsolatedOutcome::Panicked(payload),
+                    };
+                    let mut slots = slots.lock().unwrap_or_else(|p| p.into_inner());
+                    debug_assert!(slots[i].is_none(), "item {i} claimed twice");
+                    slots[i] = Some(outcome);
+                })
             });
         }
     });
@@ -510,6 +551,81 @@ mod tests {
         let items: Vec<usize> = (0..8).collect();
         let out = parallel_map_isolated(&items, Some(&token), |&i| i);
         assert!(out.iter().all(|o| matches!(o, IsolatedOutcome::Cancelled)));
+    }
+
+    /// What [`max_workers`] reads on a thread outside every pool.
+    fn top_level_workers() -> usize {
+        std::env::var("PLACESIM_THREADS")
+            .ok()
+            .and_then(|s| s.parse::<usize>().ok())
+            .filter(|&n| n >= 1)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|p| p.get())
+                    .unwrap_or(1)
+            })
+    }
+
+    #[test]
+    fn pool_workers_see_one_worker() {
+        let items: Vec<usize> = (0..16).collect();
+        assert!(parallel_map(&items, |_| max_workers())
+            .iter()
+            .all(|&w| w == 1));
+        let isolated = parallel_map_isolated(&items, None, |_| max_workers());
+        assert!(isolated
+            .into_iter()
+            .all(|o| matches!(o, IsolatedOutcome::Done(1))));
+        let tried: Result<Vec<usize>, ()> = try_parallel_map(&items, |_| Ok(max_workers()));
+        assert!(tried.unwrap().iter().all(|&w| w == 1));
+    }
+
+    #[test]
+    fn nested_maps_run_on_the_calling_thread() {
+        let outer: Vec<usize> = (0..8).collect();
+        let inner: Vec<usize> = (0..32).collect();
+        let nested = parallel_map(&outer, |_| {
+            let me = std::thread::current().id();
+            let ids = parallel_map(&inner, |_| std::thread::current().id());
+            let isolated = parallel_map_isolated(&inner, None, |_| std::thread::current().id());
+            ids.iter().all(|&id| id == me)
+                && isolated.into_iter().all(|o| o.into_done() == Some(me))
+        });
+        assert!(nested.iter().all(|&inline| inline));
+        let nested_in_isolated = parallel_map_isolated(&outer, None, |_| {
+            let me = std::thread::current().id();
+            parallel_map(&inner, |_| std::thread::current().id())
+                .iter()
+                .all(|&id| id == me)
+        });
+        assert!(nested_in_isolated
+            .into_iter()
+            .all(|o| o.into_done() == Some(true)));
+    }
+
+    #[test]
+    fn top_level_callers_keep_the_full_pool() {
+        assert_eq!(max_workers(), top_level_workers());
+        let items: Vec<usize> = (0..8).collect();
+        parallel_map(&items, |&i| i);
+        parallel_map_isolated(&items, None, |&i| i);
+        assert_eq!(
+            max_workers(),
+            top_level_workers(),
+            "a pool marked its caller"
+        );
+        // A marked section ends with its closure, also when it unwinds.
+        assert_eq!(run_as_pool_worker(max_workers), 1);
+        let unwound = catch_unwind(|| run_as_pool_worker(|| panic!("inside")));
+        assert!(unwound.is_err());
+        assert_eq!(max_workers(), top_level_workers());
+        // Nesting run_as_pool_worker keeps the outer mark until the outer
+        // section ends.
+        run_as_pool_worker(|| {
+            run_as_pool_worker(|| ());
+            assert_eq!(max_workers(), 1);
+        });
+        assert_eq!(max_workers(), top_level_workers());
     }
 
     #[test]
