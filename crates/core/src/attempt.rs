@@ -11,7 +11,7 @@
 //! tallied into the caller's [`FaultCounters`].
 
 use placesim_obs::FaultCounters;
-use placesim_trace::par::{panic_payload_summary, run_as_pool_worker, CancelToken};
+use placesim_trace::par::{is_pool_worker, panic_payload_summary, with_pool_mark, CancelToken};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -172,9 +172,11 @@ impl RetryPolicy<'_> {
 /// thread is abandoned (it parks on a dead channel and exits whenever
 /// the wedged work finishes, if ever) and the caller moves on.
 ///
-/// The attempt thread runs as a pool worker ([`run_as_pool_worker`]):
-/// it stands in for the supervisor's or the service's worker, which
-/// already holds a core, so pools the work opens run inline on it.
+/// The attempt thread stands in for the thread that started it, so it
+/// carries that thread's pool mark ([`is_pool_worker`]): started from a
+/// worker that holds a core (a full supervisor pool, a service whose
+/// workers fill the cores), pools the work opens run inline on it;
+/// started from anywhere else, they get the full pool.
 fn run_attempt<T, E, W>(watchdog: Option<Duration>, work: W) -> Attempt<T, E>
 where
     T: Send + 'static,
@@ -182,8 +184,9 @@ where
     W: FnOnce() -> Result<T, E> + Send + 'static,
 {
     let (tx, rx) = mpsc::channel();
+    let marked = is_pool_worker();
     std::thread::spawn(move || {
-        let outcome = match catch_unwind(AssertUnwindSafe(|| run_as_pool_worker(work))) {
+        let outcome = match catch_unwind(AssertUnwindSafe(|| with_pool_mark(marked, work))) {
             Ok(returned) => Attempt::Returned(returned),
             Err(payload) => Attempt::Panicked(panic_payload_summary(payload.as_ref())),
         };
@@ -251,24 +254,32 @@ mod tests {
     }
 
     #[test]
-    fn pools_inside_an_attempt_run_on_the_attempt_thread() {
+    fn an_attempt_carries_its_callers_pool_mark() {
         use placesim_trace::par::{max_workers, parallel_map};
         let top = max_workers();
-        let mut faults = FaultCounters::new();
-        let outcome = policy(1).run(
-            0,
-            &mut faults,
-            |_| {
-                || {
-                    let me = std::thread::current().id();
-                    let items: Vec<usize> = (0..32).collect();
-                    let ids = parallel_map(&items, |_| std::thread::current().id());
-                    Ok::<_, String>((max_workers(), ids.iter().all(|&id| id == me)))
-                }
-            },
-            || {},
-        );
-        assert_eq!(outcome, Ok(((1, true), 1)));
+        // What the attempt's work reads: its worker count, and whether a
+        // pool it opens runs on the attempt thread.
+        let attempt = || {
+            let mut faults = FaultCounters::new();
+            policy(1).run(
+                0,
+                &mut faults,
+                |_| {
+                    || {
+                        let me = std::thread::current().id();
+                        let items: Vec<usize> = (0..32).collect();
+                        let ids = parallel_map(&items, |_| std::thread::current().id());
+                        Ok::<_, String>((max_workers(), ids.iter().all(|&id| id == me)))
+                    }
+                },
+                || {},
+            )
+        };
+        // Started from a worker that holds a core, pools run inline.
+        assert_eq!(with_pool_mark(true, attempt), Ok(((1, true), 1)));
+        // Started from the top level, they get the full pool.
+        let ((workers, _), _) = attempt().unwrap();
+        assert_eq!(workers, top);
         assert_eq!(max_workers(), top, "the caller's pool is unchanged");
     }
 

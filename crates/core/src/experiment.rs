@@ -339,7 +339,7 @@ mod tests {
     /// service job, as at top level.
     #[test]
     fn the_front_end_inside_a_pool_matches_the_top_level() {
-        use placesim_trace::par::{max_workers, run_as_pool_worker};
+        use placesim_trace::par::{max_workers, with_pool_mark};
         let front_end = |name: &str, scale: f64| {
             let opts = GenOptions { scale, seed: 1 };
             let (prog, access) = generate_with_access(&spec(name).unwrap(), &opts);
@@ -348,7 +348,7 @@ mod tests {
         // The scales of the service benchmark's job mix.
         for (name, scale) in [("water", 0.02), ("locusroute", 0.01), ("fft", 0.01)] {
             let top = front_end(name, scale);
-            let inline = run_as_pool_worker(|| {
+            let inline = with_pool_mark(true, || {
                 assert_eq!(max_workers(), 1);
                 front_end(name, scale)
             });

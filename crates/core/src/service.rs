@@ -24,10 +24,12 @@
 //!   (retried; a job that exhausts them fails with `gave up after N
 //!   attempts: <reason>`); domain errors are deterministic (failed
 //!   immediately with their own message). Watchdog-abandoned threads
-//!   are counted in [`FaultCounters::abandoned`]. An attempt thread
-//!   counts as a pool worker, so the job's trace generation, sharing
-//!   scan and sweep run their pools inline on it: the service's
-//!   workers already fill the cores.
+//!   are counted in [`FaultCounters::abandoned`]. When the workers
+//!   are at least as many as the cores `par::max_workers` allows, each
+//!   worker holds a core: it is marked as a pool worker, and a job's
+//!   trace generation, sharing scan and sweep run their pools inline
+//!   on its attempt thread. With fewer workers (a `--workers 1` daemon
+//!   on a wider host) the mark is not set and jobs use the full pool.
 //! * **Exclusive lockfile** — a second daemon on the same directory
 //!   gets a typed [`ServiceError::Locked`]; a stale lock left by a
 //!   dead PID is reclaimed.
@@ -59,6 +61,7 @@ use placesim_obs::proto::{self, JobOp, JobSpec, ProtoError, Request, ServiceMetr
 use placesim_obs::FaultCounters;
 use placesim_placement::PlacementAlgorithm;
 use placesim_trace::hash::{fnv1a64, program_fingerprint};
+use placesim_trace::par::{max_workers, with_pool_mark};
 use placesim_workloads::GenOptions;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -451,10 +454,16 @@ impl PlacementService {
         let service = PlacementService {
             inner: Arc::clone(&inner),
         };
+        // With at least as many workers as cores each worker holds a
+        // core, so it is marked and a job's pools run inline on its
+        // attempt thread; with fewer, jobs keep the full pool.
+        let fill_the_cores = inner.config.workers >= max_workers();
         let mut handles = lock(&inner.workers);
         for _ in 0..inner.config.workers {
             let worker = Arc::clone(&inner);
-            handles.push(thread::spawn(move || worker_loop(&worker)));
+            handles.push(thread::spawn(move || {
+                with_pool_mark(fill_the_cores, || worker_loop(&worker));
+            }));
         }
         drop(handles);
         Ok((service, recovery))

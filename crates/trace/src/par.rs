@@ -6,16 +6,20 @@
 //! can fan work out over the same pool discipline; `placesim`
 //! re-exports it unchanged.
 //!
-//! **Pools do not nest.** A thread running inside a pool — a worker of
-//! [`try_parallel_map`] or [`parallel_map_isolated`], or any thread run
-//! through [`run_as_pool_worker`], such as the attempt threads of the
-//! sweep supervisor and the placement service — already holds one of
-//! the host's cores. On such a thread [`max_workers`] returns 1, so a
-//! [`parallel_map`] called from inside a pool runs every item on the
-//! calling thread instead of spawning threads for cores that are not
-//! free. Every caller here produces the same output for any worker
-//! count, so nesting changes where the work runs, never what it
-//! returns. Top-level calls keep the full pool.
+//! **Pools do not nest.** A worker of a pool that takes every core
+//! [`max_workers`] allows already holds one of them: such a worker is
+//! marked as a pool worker, and on a marked thread [`max_workers`]
+//! returns 1, so a [`parallel_map`] called from inside it runs every
+//! item on the calling thread instead of spawning threads for cores
+//! that are not free. A pool with fewer workers than cores leaves its
+//! workers unmarked, and pools inside them may use the full count
+//! again. [`with_pool_mark`] marks a thread by hand: the placement
+//! service marks its workers when there are at least as many as cores,
+//! and the attempt threads of the sweep supervisor and the service
+//! carry the mark of the thread that started them. Every caller here
+//! produces the same output for any worker count, so nesting changes
+//! where the work runs, never what it returns. Top-level calls keep the
+//! full pool.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
@@ -83,32 +87,39 @@ thread_local! {
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Runs `f` on the current thread as a pool worker: every
-/// [`max_workers`] call inside it returns 1, so pools opened inside `f`
-/// run inline (see the module docs). The thread's previous state comes
-/// back when `f` returns or unwinds.
-pub fn run_as_pool_worker<R>(f: impl FnOnce() -> R) -> R {
+/// Whether the current thread is marked as a pool worker (see the
+/// module docs).
+pub fn is_pool_worker() -> bool {
+    IN_POOL.with(Cell::get)
+}
+
+/// Runs `f` on the current thread, marked as a pool worker if `mark`:
+/// every [`max_workers`] call inside a marked section returns 1, so
+/// pools opened inside `f` run inline (see the module docs). A thread
+/// that is already marked stays marked. The thread's previous state
+/// comes back when `f` returns or unwinds.
+pub fn with_pool_mark<R>(mark: bool, f: impl FnOnce() -> R) -> R {
     struct Restore(bool);
     impl Drop for Restore {
         fn drop(&mut self) {
             IN_POOL.with(|c| c.set(self.0));
         }
     }
-    let _restore = Restore(IN_POOL.with(|c| c.replace(true)));
+    let _restore = Restore(IN_POOL.with(|c| c.replace(c.get() || mark)));
     f()
 }
 
 /// Maximum worker threads a [`parallel_map`] call may use.
 ///
-/// On a pool worker ([`run_as_pool_worker`]) it is always 1: pools do
-/// not nest. Elsewhere it defaults to
+/// On a marked pool worker ([`is_pool_worker`]) it is always 1: pools
+/// do not nest. Elsewhere it defaults to
 /// `std::thread::available_parallelism()`; the `PLACESIM_THREADS`
 /// environment variable overrides it (values < 1 or unparsable are
 /// ignored), so benchmark and CI runs can pin the worker count —
 /// `PLACESIM_THREADS=1` forces fully serial execution without code
 /// edits.
 pub fn max_workers() -> usize {
-    if IN_POOL.with(Cell::get) {
+    if is_pool_worker() {
         return 1;
     }
     std::env::var("PLACESIM_THREADS")
@@ -142,7 +153,9 @@ pub fn split_worker_budget(total: usize, inner: usize) -> usize {
 /// results in input order.
 ///
 /// The worker count is `min(items, max_workers())` (see
-/// [`max_workers`] for the `PLACESIM_THREADS` override). `f` must be
+/// [`max_workers`] for the `PLACESIM_THREADS` override); when it
+/// reaches `max_workers()` the workers are marked as pool workers, so
+/// pools nested in `f` run inline (see the module docs). `f` must be
 /// `Sync` (it runs concurrently); results land in lock-free
 /// [`OnceLock`] slots, so per-item overhead is tiny compared to a
 /// simulation run. If `f` panics, the panic is re-raised on the calling
@@ -181,7 +194,8 @@ where
     if n == 0 {
         return Ok(Vec::new());
     }
-    let workers = max_workers().min(n);
+    let limit = max_workers();
+    let workers = limit.min(n);
     if workers <= 1 {
         // Same contract as the threaded path: errors short-circuit and
         // panics carry the failing item's index.
@@ -206,7 +220,7 @@ where
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                run_as_pool_worker(|| loop {
+                let work = || loop {
                     if stop.load(Ordering::Relaxed) {
                         break;
                     }
@@ -233,7 +247,8 @@ where
                             break;
                         }
                     }
-                })
+                };
+                with_pool_mark(workers == limit, work);
             });
         }
     });
@@ -331,7 +346,8 @@ where
         return Vec::new();
     }
     let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
-    let workers = max_workers().min(n);
+    let limit = max_workers();
+    let workers = limit.min(n);
     if workers <= 1 {
         return items
             .iter()
@@ -356,7 +372,7 @@ where
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                run_as_pool_worker(|| loop {
+                let work = || loop {
                     if cancelled() {
                         break;
                     }
@@ -371,7 +387,8 @@ where
                     let mut slots = slots.lock().unwrap_or_else(|p| p.into_inner());
                     debug_assert!(slots[i].is_none(), "item {i} claimed twice");
                     slots[i] = Some(outcome);
-                })
+                };
+                with_pool_mark(workers == limit, work);
             });
         }
     });
@@ -553,22 +570,9 @@ mod tests {
         assert!(out.iter().all(|o| matches!(o, IsolatedOutcome::Cancelled)));
     }
 
-    /// What [`max_workers`] reads on a thread outside every pool.
-    fn top_level_workers() -> usize {
-        std::env::var("PLACESIM_THREADS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-            })
-    }
-
     #[test]
-    fn pool_workers_see_one_worker() {
-        let items: Vec<usize> = (0..16).collect();
+    fn workers_of_a_full_pool_see_one_worker() {
+        let items: Vec<usize> = (0..2 * max_workers()).collect();
         assert!(parallel_map(&items, |_| max_workers())
             .iter()
             .all(|&w| w == 1));
@@ -581,8 +585,32 @@ mod tests {
     }
 
     #[test]
+    fn workers_of_a_pool_smaller_than_the_cores_keep_the_full_count() {
+        // A pool of n items takes min(n, top) workers; only a pool that
+        // takes all `top` of them marks its workers. (With one core,
+        // every pool is full and every read is 1 == top.)
+        let top = max_workers();
+        for n in 1..=top + 1 {
+            let items: Vec<usize> = (0..n).collect();
+            let expected = if n >= top { 1 } else { top };
+            assert!(
+                parallel_map(&items, |_| max_workers())
+                    .iter()
+                    .all(|&w| w == expected),
+                "{n} items on {top} cores"
+            );
+            assert!(
+                parallel_map_isolated(&items, None, |_| max_workers())
+                    .into_iter()
+                    .all(|o| o.into_done() == Some(expected)),
+                "{n} items on {top} cores"
+            );
+        }
+    }
+
+    #[test]
     fn nested_maps_run_on_the_calling_thread() {
-        let outer: Vec<usize> = (0..8).collect();
+        let outer: Vec<usize> = (0..2 * max_workers()).collect();
         let inner: Vec<usize> = (0..32).collect();
         let nested = parallel_map(&outer, |_| {
             let me = std::thread::current().id();
@@ -605,27 +633,26 @@ mod tests {
 
     #[test]
     fn top_level_callers_keep_the_full_pool() {
-        assert_eq!(max_workers(), top_level_workers());
+        let top = max_workers();
+        assert!(!is_pool_worker());
         let items: Vec<usize> = (0..8).collect();
         parallel_map(&items, |&i| i);
         parallel_map_isolated(&items, None, |&i| i);
-        assert_eq!(
-            max_workers(),
-            top_level_workers(),
-            "a pool marked its caller"
-        );
+        assert_eq!(max_workers(), top, "a pool marked its caller");
         // A marked section ends with its closure, also when it unwinds.
-        assert_eq!(run_as_pool_worker(max_workers), 1);
-        let unwound = catch_unwind(|| run_as_pool_worker(|| panic!("inside")));
+        assert_eq!(with_pool_mark(true, max_workers), 1);
+        assert_eq!(with_pool_mark(false, max_workers), top);
+        let unwound = catch_unwind(|| with_pool_mark(true, || panic!("inside")));
         assert!(unwound.is_err());
-        assert_eq!(max_workers(), top_level_workers());
-        // Nesting run_as_pool_worker keeps the outer mark until the outer
-        // section ends.
-        run_as_pool_worker(|| {
-            run_as_pool_worker(|| ());
+        assert_eq!(max_workers(), top);
+        // A nested section, marked or not, keeps the outer mark until the
+        // outer section ends.
+        with_pool_mark(true, || {
+            with_pool_mark(true, || ());
+            assert_eq!(with_pool_mark(false, max_workers), 1);
             assert_eq!(max_workers(), 1);
         });
-        assert_eq!(max_workers(), top_level_workers());
+        assert_eq!(max_workers(), top);
     }
 
     #[test]

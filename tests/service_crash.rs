@@ -13,8 +13,8 @@ use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_placesim-cli");
 
-/// A sweep big enough that a single-worker daemon is reliably still
-/// mid-job when the kill lands (~12 cells at scale 0.01).
+/// A sweep long enough (~12 cells at scale 0.01) that a kill sent as
+/// soon as a single-worker daemon reports it running lands mid-job.
 const SWEEP_JOB: &str = "{\"op\": \"sweep\", \"app\": \"water\", \"scale\": 0.01, \
                          \"seed\": 3, \
                          \"algorithms\": [\"RANDOM\", \"LOAD-BAL\", \"SHARE-REFS\", \"SHARE-ADDR\"], \
@@ -164,14 +164,26 @@ fn sigkilled_daemon_resumes_to_byte_identical_results() {
     drop(stream);
     shutdown(&ref_dir, ref_child);
 
-    // Victim: same job, but SIGKILL lands while the worker is mid-sweep.
-    // The submit was acknowledged, so the job is journaled; nothing else
-    // about the in-flight attempt survives the kill.
+    // Victim: same job, but SIGKILL lands while the worker is mid-sweep:
+    // as soon as the daemon reports the job running, not after a fixed
+    // sleep that a fast build outruns. The submit was acknowledged, so
+    // the job is journaled; nothing else about the in-flight attempt
+    // survives the kill.
     let dir = tmp_dir("victim");
     let mut child = spawn_daemon(&dir);
     let mut stream = connect(&dir);
     let id = submit(&mut stream, SWEEP_JOB);
-    std::thread::sleep(Duration::from_millis(100));
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while u64_field(
+        &roundtrip(
+            &mut stream,
+            "{\"schema\": \"placesim-service-v1\", \"op\": \"status\"}",
+        ),
+        "running",
+    ) == 0
+    {
+        assert!(Instant::now() < deadline, "the job never started");
+    }
     child.kill().expect("SIGKILL");
     child.wait().unwrap();
     drop(stream);
